@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from qudit_qft import build_qft_circuit, chrestenson_gate, circuit_to_matrix, kernels
-from qudit_qft.circuit import GateOp, _controlled_phase_vector
+from qudit_qft.circuit import GateOp, _fused_phases
 
 CASES = [(2, 10), (3, 6), (4, 5)]
 
@@ -51,9 +51,7 @@ def bench_diagonal(q: int, n: int, backend: str, repeat: int):
     base = np.ascontiguousarray(
         rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     )
-    phases = _controlled_phase_vector(
-        q, dim, GateOp.controlled_phase(0, n - 1, 2)
-    )
+    phases = _fused_phases(q, n, (GateOp.controlled_phase(0, n - 1, 2),))
     with kernels.use_backend(backend):
         amps = base.copy()
         kernels.apply_diagonal(amps, phases)  # warm up jit

@@ -26,6 +26,10 @@ from .circuit import build_qft_circuit, _run_batch
 _CROSS_CHECK_TOL = 1e-9
 
 
+class CrossCheckError(RuntimeError):
+    """A simulated bracket phase disagrees with its dropped-exponent sum."""
+
+
 @dataclass(frozen=True)
 class BoundRow:
     """Measured and bounded phase error for one output bracket.
@@ -172,7 +176,7 @@ def measure_bracket_phase_error(q: int, n: int, keep_depth: int | None,
                 exact_rows[x, t * slot] / exact_rows[x, 0]
             )
             if abs(simulated - cmath.exp(1j * t * shift)) > _CROSS_CHECK_TOL:
-                raise RuntimeError(
+                raise CrossCheckError(
                     "simulated bracket phase disagrees with the dropped-gate "
                     f"exponent sum at input {x}, component {t}"
                 )

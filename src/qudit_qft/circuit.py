@@ -6,6 +6,12 @@ emit the discrete Fourier transform over ``Z_{q**n}`` as one Chrestenson
 gate per digit followed by controlled phase shifts, and the n-parallel
 Chrestenson circuit that realizes the Fourier transform over ``(Z_q)**n``.
 
+The simulator applies each Chrestenson gate as one kernel pass.  Each
+maximal run of controlled phase shifts is diagonal and fused into one pass:
+its phase at every index is ``exp(-2j*pi * k / q**m)``, where ``m`` is the
+run's largest denominator exponent and ``k`` the exact int64 sum of the
+shifts' exponents mod ``q**m``, read from one table of roots of unity.
+
 Digit conventions: ``x_0`` is the least significant digit, state index
 ``i = sum_j x_j * q**j``, and the leftmost Kronecker factor addresses the
 most significant digit.
@@ -18,11 +24,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .gates import chrestenson_gate
+from .gates import chrestenson_gate, roots_of_unity
 from .numerics import DEFAULT_DIM_CAP, StateVector, kron
 
 CHRESTENSON = "chrestenson"
 CONTROLLED_PHASE = "controlled_phase"
+
+# Largest phase modulus radix**denom_exp a circuit accepts: fused phase
+# exponents stay below twice the modulus (see _fused_phases), and
+# 2 * 2**62 - 1 is the int64 maximum.
+_MAX_PHASE_MODULUS = 2 ** 62
 
 
 @dataclass(frozen=True)
@@ -86,6 +97,15 @@ class Circuit:
                 raise ValueError(f"target digit {op.target} out of range")
             if op.control is not None and op.control >= self.digits:
                 raise ValueError(f"control digit {op.control} out of range")
+            # radix >= 2, so an exponent above 62 is too large on its own;
+            # testing it first keeps a huge one from building a huge int
+            if op.denom_exp is not None and (
+                op.denom_exp > 62 or self.radix ** op.denom_exp > _MAX_PHASE_MODULUS
+            ):
+                raise ValueError(
+                    f"{op} is too fine for base {self.radix}: fused phase exponents "
+                    f"fit in int64 only while {self.radix}**denom_exp <= 2**62"
+                )
         object.__setattr__(self, "ops", ops)
 
     @property
@@ -191,23 +211,56 @@ def digit_reversal_perm(q: int, n: int) -> Permutation:
     return Permutation(dim, reversed_idx)
 
 
-def _controlled_phase_vector(q: int, dim: int, op: GateOp) -> np.ndarray:
-    """Per-index phases of one controlled phase shift over a full register."""
-    idx = np.arange(dim, dtype=np.int64)
-    control = (idx // q ** op.control) % q
-    target = (idx // q ** op.target) % q
-    modulus = q ** op.denom_exp
-    return np.exp(-2j * np.pi * ((control * target) % modulus) / modulus)
+def _along_digit(q: int, n: int, digit: int, values: np.ndarray) -> np.ndarray:
+    """Length-q ``values`` laid along the axis of ``digit`` in the ``(q,)*n``
+    view of a register, with unit length on every other axis."""
+    shape = [1] * n
+    shape[n - 1 - digit] = q
+    return values.reshape(shape)
+
+
+def _fused_phases(q: int, n: int, ops: tuple[GateOp, ...]) -> np.ndarray:
+    """Per-index phases of a run of controlled phase shifts over a full register.
+
+    With ``m`` the largest denominator exponent in the run, every shift
+    ``exp(-2j*pi * c*t / q**s)`` is ``exp(-2j*pi * c*t*q**(m-s) / q**m)``, so
+    the whole run is ``exp(-2j*pi * k / q**m)`` for the exact integer
+    exponent ``k = sum c*t*q**(m-s) mod q**m``.  ``k`` is built on the
+    ``(q,)*n`` digit view by broadcasting: each op adds its length-q weights
+    ``c*q**(m-s)`` along its control axis times the target digit along its
+    target axis.  The array keeps unit length on every digit the run does
+    not touch, so it grows only with the digits the run has reached.  Its
+    phases are read from one table of the ``q**m`` roots of unity, or
+    evaluated directly where that table would be larger than the array, so
+    each phase is rounded once.  Each op adds less than ``q**m``, so
+    reducing after every sum keeps the int64 values below ``2*q**m``, which
+    ``Circuit`` guarantees to fit.
+    """
+    m = max(op.denom_exp for op in ops)
+    modulus = q ** m
+    digit = np.arange(q, dtype=np.int64)
+    exponent = np.zeros((1,) * n, dtype=np.int64)
+    for op in ops:
+        weight = _along_digit(q, n, op.control, digit * q ** (m - op.denom_exp))
+        exponent = exponent + weight * _along_digit(q, n, op.target, digit)
+        exponent %= modulus
+    if modulus <= exponent.size:
+        phases = roots_of_unity(np.arange(modulus), modulus)[exponent]
+    else:
+        # a table would outgrow the exponents it is indexed by
+        phases = roots_of_unity(exponent, modulus)
+    return np.broadcast_to(phases, (q,) * n).reshape(q ** n)
 
 
 def _run_batch(circuit: Circuit, amplitude_rows: np.ndarray) -> np.ndarray:
     """Apply a circuit to every row of a (batch, dim) amplitude array.
 
-    Consecutive controlled phase shifts are diagonal, so each run of them
-    collapses into a single per-index phase vector applied in one pass.
+    Consecutive controlled phase shifts are diagonal, so each maximal run
+    of them is fused into one per-index phase vector (see
+    ``_fused_phases``) and applied in one pass.
     """
     q = circuit.radix
-    dim = q ** circuit.digits
+    n = circuit.digits
     current = np.array(amplitude_rows, dtype=np.complex128, order="C")
     spare = np.empty_like(current)
     gate = chrestenson_gate(q)
@@ -220,12 +273,11 @@ def _run_batch(circuit: Circuit, amplitude_rows: np.ndarray) -> np.ndarray:
             current, spare = spare, current
             position += 1
         else:
-            phases = _controlled_phase_vector(q, dim, op)
-            position += 1
-            while position < len(ops) and ops[position].kind == CONTROLLED_PHASE:
-                phases *= _controlled_phase_vector(q, dim, ops[position])
-                position += 1
-            kernels.apply_diagonal(current, phases)
+            end = position + 1
+            while end < len(ops) and ops[end].kind == CONTROLLED_PHASE:
+                end += 1
+            kernels.apply_diagonal(current, _fused_phases(q, n, ops[position:end]))
+            position = end
     if circuit.reverse_output_digits:
         perm = digit_reversal_perm(q, circuit.digits)
         np.take(current, perm.mapping, axis=1, out=spare)

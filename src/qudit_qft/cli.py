@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .analysis import approximation_report, capacity_metrics
+from .analysis import CrossCheckError, approximation_report, capacity_metrics
 from .circuit import apply_circuit, build_qft_circuit, circuit_to_matrix, dft_matrix
 from .numerics import (
     DEFAULT_DIM_CAP,
@@ -45,17 +45,29 @@ def _fmt(x: float) -> str:
 
 # ---------------------------------------------------------------- formats
 
+# render_state converts amplitudes to Python floats this many at a time;
+# converting a large state in one go would raise the peak memory.
+_STATE_CHUNK = 4096
+
+
 def render_state(state: StateVector) -> str:
-    pairs = ",\n".join(
-        f"    [{_fmt(a.real)}, {_fmt(a.imag)}]" for a in state.amplitudes
-    )
-    return (
+    amps = state.amplitudes
+    pair = "    [{:.17g}, {:.17g}]".format
+    chunks = [
+        ",\n".join(map(pair, amps.real[i:i + _STATE_CHUNK].tolist(),
+                       amps.imag[i:i + _STATE_CHUNK].tolist()))
+        for i in range(0, len(amps), _STATE_CHUNK)
+    ]
+    # The header and footer ride on the first and last chunk, so one join
+    # builds the document without a second copy of the amplitude text.
+    chunks[0] = (
         "{\n"
         f'  "radix": {state.radix},\n'
         f'  "digits": {state.digits},\n'
-        f'  "amplitudes": [\n{pairs}\n  ]\n'
-        "}\n"
-    )
+        '  "amplitudes": [\n'
+    ) + chunks[0]
+    chunks[-1] += "\n  ]\n}\n"
+    return ",\n".join(chunks)
 
 
 def parse_state(text: str, radix: int, digits: int, tolerance: float) -> StateVector:
@@ -76,7 +88,8 @@ def parse_state(text: str, radix: int, digits: int, tolerance: float) -> StateVe
     raw = doc["amplitudes"]
     if not isinstance(raw, list) or not all(
         isinstance(p, list) and len(p) == 2
-        and all(isinstance(v, (int, float)) and math.isfinite(v) for v in p)
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                and math.isfinite(v) for v in p)
         for p in raw
     ):
         raise UsageError(
@@ -372,6 +385,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except CrossCheckError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

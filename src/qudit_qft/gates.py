@@ -12,6 +12,28 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# pi to the precision of np.longdouble: a 64-bit significand on x86-64
+# Linux, plain float64 on platforms whose long double is float64.
+_PI = np.longdouble("3.141592653589793238462643383279502884")
+
+
+def roots_of_unity(exponents, modulus: int, scale=1) -> np.ndarray:
+    """``scale * exp(-2j*pi * e / modulus)`` for every integer e in ``exponents``.
+
+    Evaluated in long double and rounded once to complex128.  In float64
+    the angle alone would carry an error of up to half an ulp of 2*pi,
+    several times the rounding of the result.
+    """
+    angle = np.asarray(exponents).astype(np.longdouble) * (
+        -2 * _PI / np.longdouble(modulus)
+    )
+    scale = np.longdouble(scale)
+    out = np.empty(angle.shape, dtype=np.complex128)
+    out.real = scale * np.cos(angle)
+    out.imag = scale * np.sin(angle)
+    return out
+
+
 @dataclass(frozen=True)
 class RootOfUnity:
     """Primitive q-th root of unity ``exp(-2j*pi/q)`` together with its radix."""
@@ -42,8 +64,7 @@ def chrestenson_gate(q: int) -> np.ndarray:
     if q < 2:
         raise ValueError("radix must be at least 2")
     k = np.arange(q)
-    exponents = np.outer(k, k) % q
-    return np.exp(-2j * np.pi * exponents / q) / np.sqrt(q)
+    return roots_of_unity(np.outer(k, k) % q, q, 1 / np.sqrt(np.longdouble(q)))
 
 
 def phase_shift_gate(alpha: float) -> np.ndarray:

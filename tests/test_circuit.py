@@ -5,6 +5,7 @@ import pytest
 
 from qudit_qft import (
     CHRESTENSON,
+    DEFAULT_DIM_CAP,
     CONTROLLED_PHASE,
     Circuit,
     GateOp,
@@ -50,6 +51,21 @@ class TestGateOpValidation:
             Circuit(3, 2, (GateOp.chrestenson(2),))
         with pytest.raises(ValueError):
             Circuit(3, 2, (GateOp.controlled_phase(2, 0, 3),))
+
+    def test_circuit_rejects_phase_exponents_beyond_int64(self):
+        op = GateOp.controlled_phase(0, 2, 70)
+        with pytest.raises(ValueError, match=r"denom_exp=70"):
+            Circuit(2, 3, (op,))
+        # the fused exponent sums stay below 2 * q**s, so q**s may reach 2**62
+        with pytest.raises(ValueError):
+            Circuit(2, 3, (GateOp.controlled_phase(0, 2, 63),))
+        Circuit(2, 3, (GateOp.controlled_phase(0, 2, 62),))
+        with pytest.raises(ValueError):
+            Circuit(7, 3, (GateOp.controlled_phase(0, 2, 23),))
+        Circuit(7, 3, (GateOp.controlled_phase(0, 2, 22),))
+        # a huge exponent is refused without building radix**denom_exp
+        with pytest.raises(ValueError, match=r"denom_exp=1000000000"):
+            Circuit(2, 3, (GateOp.controlled_phase(0, 2, 10 ** 9),))
 
     def test_circuit_parameter_floors(self):
         with pytest.raises(ValueError):
@@ -236,6 +252,17 @@ class TestApplyCircuit:
         with pytest.raises(ValueError):
             apply_circuit(build_qft_circuit(3, 2), StateVector.basis(2, 2, 0))
 
+    @pytest.mark.parametrize("q,n", [(2, 16), (3, 10), (5, 7)])
+    def test_matches_fft_beyond_dense_cap(self, q, n):
+        dim = q ** n
+        assert dim > DEFAULT_DIM_CAP
+        rng = np.random.default_rng(dim)
+        raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        state = StateVector(q, n, raw / np.linalg.norm(raw))
+        out = apply_circuit(build_qft_circuit(q, n), state)
+        expected = np.fft.fft(state.amplitudes, norm="ortho")
+        assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
+
     def test_preserves_norm_on_random_state(self):
         raw = RNG.normal(size=81) + 1j * RNG.normal(size=81)
         state = StateVector(3, 4, raw / np.linalg.norm(raw))
@@ -271,6 +298,35 @@ class TestCircuitToMatrix:
         assert max_entry_distance(
             circuit_to_matrix(circuit), controlled_phase_matrix(3, 2)
         ) < 1e-14
+
+    @pytest.mark.parametrize(
+        "q,ops",
+        [
+            # denom_exp far above the register width
+            (2, ((0, 2, 40), (1, 2, 2))),
+            # the largest modulus a base-2 circuit accepts
+            (2, ((0, 2, 62), (1, 2, 2))),
+            # four shifts of up to 36 * 7**20 each: unreduced, their sum
+            # would overflow int64
+            (7, ((1, 2, 2), (1, 2, 2), (0, 2, 22), (1, 2, 2), (1, 2, 2))),
+        ],
+    )
+    def test_fine_phases_match_dense_gates(self, q, ops):
+        circuit = Circuit(q, 3, tuple(GateOp.controlled_phase(*op) for op in ops))
+        x = np.arange(q ** 3)
+        digit = [(x // q ** k) % q for k in range(3)]
+        expected = np.ones(q ** 3, dtype=complex)
+        for control, target, denom_exp in ops:
+            dense = np.diag(controlled_phase_matrix(q, denom_exp))
+            expected *= dense[digit[control] * q + digit[target]]
+        np.testing.assert_allclose(
+            circuit_to_matrix(circuit), np.diag(expected), rtol=0, atol=1e-14
+        )
+
+    def test_fine_phase_angle(self):
+        circuit = Circuit(2, 3, (GateOp.controlled_phase(0, 2, 40),))
+        angle = np.angle(circuit_to_matrix(circuit)[5, 5])
+        assert angle == pytest.approx(-2 * np.pi / 2 ** 40, rel=1e-12)
 
     @pytest.mark.parametrize("q,n,depth", [(2, 4, None), (3, 3, 2), (5, 2, 1)])
     def test_compiled_circuits_unitary(self, q, n, depth):

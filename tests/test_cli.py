@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from qudit_qft import chrestenson_gate, dft_matrix, digit_reversal_perm, kron
+from qudit_qft import (
+    analysis,
+    chrestenson_gate,
+    dft_matrix,
+    digit_reversal_perm,
+    kron,
+)
 from qudit_qft.cli import BOUNDS_HEADER, COMPARE_HEADER, main, parse_state, render_state
 from qudit_qft.numerics import StateVector
 
@@ -127,6 +133,24 @@ class TestVerify:
         assert "verification failed" in err
 
 
+def test_render_state_matches_per_amplitude_format():
+    # the reference formats each amplitude on its own; the state spans
+    # several rendering chunks and holds signed zeros and a subnormal
+    rng = np.random.default_rng(9001)
+    amps = rng.normal(size=3 ** 8) + 1j * rng.normal(size=3 ** 8)
+    amps[1] = complex(-0.0, -0.0)
+    amps[-1] = complex(1e-300, -5e-310)
+    state = StateVector(3, 8, amps / np.linalg.norm(amps))
+    pairs = ",\n".join(
+        f"    [{format(float(a.real), '.17g')}, {format(float(a.imag), '.17g')}]"
+        for a in state.amplitudes
+    )
+    expected = (
+        f'{{\n  "radix": 3,\n  "digits": 8,\n  "amplitudes": [\n{pairs}\n  ]\n}}\n'
+    )
+    assert render_state(state) == expected
+
+
 class TestApply:
     def test_basis_zero_base2(self, capsys):
         code, out, _ = run(["apply", "--radix", "2", "--digits", "1"], capsys)
@@ -182,6 +206,18 @@ class TestApply:
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("not json at all {")
+        code, _, err = run(
+            ["apply", "--radix", "2", "--digits", "1", "--in", str(path)], capsys
+        )
+        assert code == 2
+        assert "malformed state file" in err
+
+    def test_boolean_amplitudes_rejected(self, tmp_path, capsys):
+        # JSON booleans are Python ints; they are not amplitudes
+        path = tmp_path / "booleans.json"
+        path.write_text(
+            '{"radix": 2, "digits": 1, "amplitudes": [[true, false], [false, false]]}'
+        )
         code, _, err = run(
             ["apply", "--radix", "2", "--digits", "1", "--in", str(path)], capsys
         )
@@ -275,6 +311,17 @@ class TestBounds:
         rows = json.loads(out)
         assert rows[2]["m"] == 1
         assert abs(rows[2]["measured_t1"] - 4 * math.pi / 27) < 1e-12
+
+
+    def test_cross_check_failure_is_verification_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(analysis, "_CROSS_CHECK_TOL", -1.0)
+        code, out, err = run(
+            ["bounds", "--radix", "2", "--digits", "3", "--keep-depth", "2"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("verification failed: ")
+        assert "Traceback" not in err
 
 
 class TestCompareRadix:

@@ -1,6 +1,7 @@
 """Tests for the gate constructors."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qudit_qft import (
     root_of_unity,
     walsh_hadamard_gate,
 )
+from qudit_qft.gates import roots_of_unity
 
 
 class TestRootOfUnity:
@@ -54,6 +56,30 @@ class TestWalshHadamard:
 
     def test_equals_base2_chrestenson(self):
         assert np.abs(walsh_hadamard_gate() - chrestenson_gate(2)).max() < 1e-12
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
+                    reason="long double is no wider than float64 here")
+class TestRootsOfUnity:
+    def test_rounded_once_to_nearest(self):
+        # sqrt is correctly rounded, so these are the nearest float64 values
+        half_sqrt3, sqrt_half = math.sqrt(3) / 2, math.sqrt(0.5)
+        expected = [complex(half_sqrt3, -0.5), complex(-half_sqrt3, -0.5),
+                    complex(-sqrt_half, -sqrt_half)]
+        got = [roots_of_unity(1, 12), roots_of_unity(5, 12), roots_of_unity(3, 8)]
+        assert [complex(z) for z in got] == expected
+
+    def test_scaled_chrestenson_entry(self):
+        assert chrestenson_gate(2)[0, 0] == math.sqrt(0.5)
+        assert chrestenson_gate(4)[0, 0] == 0.5
+
+    def test_matches_float64_exponential(self):
+        # exponents outside [0, modulus) too; the float64 reference loses
+        # accuracy as its angle grows
+        e = np.arange(-7, 40)
+        np.testing.assert_allclose(
+            roots_of_unity(e, 9), np.exp(-2j * np.pi * e / 9), rtol=0, atol=1e-14
+        )
 
 
 class TestChrestenson:

@@ -1,10 +1,18 @@
-"""Backend-level tests: both kernel paths against dense-matrix oracles."""
+"""Backend-level tests: both kernel paths, and the fused phase runs they
+apply, against dense-matrix oracles."""
+
+from itertools import groupby
 
 import numpy as np
 import pytest
 
-from qudit_qft import controlled_phase_matrix, kernels
-from qudit_qft.circuit import GateOp, _controlled_phase_vector
+from qudit_qft import (
+    CONTROLLED_PHASE,
+    build_qft_circuit,
+    controlled_phase_matrix,
+    kernels,
+)
+from qudit_qft.circuit import GateOp, _fused_phases
 
 RNG = np.random.default_rng(987123)
 
@@ -59,14 +67,59 @@ def test_controlled_phase_vector_matches_dense_gate(backend, q, s, control, targ
     dim = q * q
     amps = random_batch(3, dim)
     expected = amps @ controlled_phase_matrix(q, s).T
-    phases = _controlled_phase_vector(
-        q, dim, GateOp.controlled_phase(control, target, s)
-    )
+    phases = _fused_phases(q, 2, (GateOp.controlled_phase(control, target, s),))
     with kernels.use_backend(backend):
         kernels.apply_diagonal(amps, phases)
     # the gate is diagonal and symmetric in control/target, so both digit
     # assignments realize the same matrix
     np.testing.assert_allclose(amps, expected, atol=1e-12)
+
+
+def dense_phase_diagonal(q: int, n: int, op: GateOp) -> np.ndarray:
+    """Diagonal of ``controlled_phase_matrix`` acting on the op's two digits
+    of an n-digit register."""
+    x = np.arange(q ** n)
+    control = (x // q ** op.control) % q
+    target = (x // q ** op.target) % q
+    return np.diag(controlled_phase_matrix(q, op.denom_exp))[control * q + target]
+
+
+def assert_fused_matches_dense(q: int, n: int, run: tuple) -> None:
+    expected = np.ones(q ** n, dtype=complex)
+    for op in run:
+        expected *= dense_phase_diagonal(q, n, op)
+    np.testing.assert_allclose(_fused_phases(q, n, run), expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "q,n,keep_depth",
+    [(2, 6, None), (2, 6, 3), (3, 4, None), (3, 4, 2), (5, 3, None), (5, 3, 2)],
+)
+def test_fused_phases_match_dense_product_on_qft_runs(q, n, keep_depth):
+    circuit = build_qft_circuit(q, n, keep_depth)
+    runs = [tuple(group) for kind, group in groupby(circuit.ops, key=lambda op: op.kind)
+            if kind == CONTROLLED_PHASE]
+    assert runs
+    for run in runs:
+        assert_fused_matches_dense(q, n, run)
+
+
+@pytest.mark.parametrize(
+    "q,n,run",
+    [
+        # modulus 3**4 spans every digit: one table of 81 phases
+        (3, 4, (GateOp.controlled_phase(0, 2, 3), GateOp.controlled_phase(1, 3, 2),
+                GateOp.controlled_phase(0, 3, 4), GateOp.controlled_phase(2, 1, 2))),
+        # modulus 2**2 is far smaller than the 2**5 digit patterns it is read for
+        (2, 5, (GateOp.controlled_phase(0, 1, 2), GateOp.controlled_phase(2, 3, 2),
+                GateOp.controlled_phase(4, 3, 2))),
+        # denom_exp above the width: the modulus outgrows the register
+        (3, 3, (GateOp.controlled_phase(0, 2, 5), GateOp.controlled_phase(2, 1, 2))),
+    ],
+)
+def test_fused_phases_match_dense_product_on_mixed_target_runs(q, n, run):
+    assert len({op.target for op in run}) >= 2
+    assert_fused_matches_dense(q, n, run)
 
 
 @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
@@ -83,7 +136,7 @@ def test_backends_agree(q, n):
         results[backend] = dst
     np.testing.assert_allclose(results["numba"], results["numpy"], atol=1e-13)
 
-    phases = _controlled_phase_vector(q, dim, GateOp.controlled_phase(0, n - 1, 2))
+    phases = _fused_phases(q, n, (GateOp.controlled_phase(0, n - 1, 2),))
     results = {}
     for backend in kernels.available_backends():
         amps = src.copy()
