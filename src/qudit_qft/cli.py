@@ -19,6 +19,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import shutil
 import sys
 
 import numpy as np
@@ -211,11 +213,36 @@ def render_compare_json(rows) -> str:
 # ---------------------------------------------------------------- commands
 
 def _emit(text: str, output_path: str | None) -> None:
+    """Write ``text`` to stdout, or atomically to ``output_path``.
+
+    A regular file is written whole into a temporary file beside it and
+    renamed into place, so an error leaves any existing file untouched and
+    no partial file behind; the replaced file's permission bits are kept.
+    A symlink is followed to its target.  A device or pipe cannot be renamed
+    over and is written directly.
+    """
     if output_path is None:
         sys.stdout.write(text)
-    else:
-        with open(output_path, "w", encoding="utf-8") as fh:
+        return
+    target = os.path.realpath(output_path)
+    exists = os.path.exists(target)
+    if exists and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8") as fh:
             fh.write(text)
+        return
+    directory, name = os.path.split(target)
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    # mode "x" creates the file as open(..., "w") would, with the umask applied
+    fh = open(temporary, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        if exists:
+            shutil.copymode(target, temporary)
+        os.replace(temporary, target)
+    except BaseException:
+        os.remove(temporary)
+        raise
 
 
 def _check_params(args, need_cap: bool = False) -> None:

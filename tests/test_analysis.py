@@ -8,6 +8,7 @@ import pytest
 
 from qudit_qft import (
     BoundRow,
+    analysis,
     approximation_report,
     bound_coppersmith,
     bound_new,
@@ -17,6 +18,29 @@ from qudit_qft import (
     phase_error_series,
     phase_error_trig,
 )
+from qudit_qft.analysis import CrossCheckError
+from qudit_qft.cli import main
+
+
+def brute_force_maxima(q, n, keep_depth):
+    """Worst dropped phase per bracket, by a plain loop over every input.
+
+    Bracket l (fraction length l + 1) loses the controlled phase from every
+    control digit k < l whose denominator exponent l - k + 1 exceeds the
+    keep depth; input x then picks up ``2*pi * x_k / q**(l-k+1)`` from each.
+    """
+    maxima = []
+    for l in range(n):
+        dropped = [(k, l - k + 1) for k in range(l)
+                   if keep_depth is not None and l - k + 1 > keep_depth]
+        worst = 0.0
+        for x in range(q ** n):
+            shift = sum(
+                2.0 * math.pi * ((x // q ** k) % q) / q ** s for k, s in dropped
+            )
+            worst = max(worst, shift)
+        maxima.append(worst)
+    return maxima
 
 
 class TestPhaseErrorFactor:
@@ -208,6 +232,86 @@ class TestApproximationReport:
         assert row.phase_wrapped
         row = BoundRow(2, 4, 1, 2, 1, 0.0, 0.0, math.pi / 2, math.pi)
         assert not row.phase_wrapped
+
+
+def record_batch_sizes(monkeypatch):
+    """Make the analysis record the row count of every batch it simulates."""
+    sizes = []
+    original = analysis._run_batch
+
+    def recording(circuit, amplitude_rows):
+        sizes.append(len(amplitude_rows))
+        return original(circuit, amplitude_rows)
+
+    monkeypatch.setattr(analysis, "_run_batch", recording)
+    return sizes
+
+
+class TestOneSimulationPerReport:
+    @pytest.mark.parametrize("keep_depth", [None, 1, 2, 3])
+    @pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (4, 3), (5, 3)])
+    def test_rows_equal_brute_force(self, q, n, keep_depth):
+        expected = brute_force_maxima(q, n, keep_depth)
+        rows = approximation_report(q, n, keep_depth)
+        assert [row.measured_t1 for row in rows] == expected
+        assert [row.measured_max_t for row in rows] == [(q - 1) * w for w in expected]
+        assert [measure_bracket_phase_error(q, n, keep_depth, target)
+                for target in range(n)] == expected
+
+    def test_one_simulation_per_circuit(self, monkeypatch):
+        sizes = record_batch_sizes(monkeypatch)
+        approximation_report(3, 4, 2)
+        assert sizes == [81, 81]
+
+    @pytest.mark.parametrize("q,n,keep_depth", [(3, 3, 2), (2, 5, 2), (3, 3, None)])
+    @pytest.mark.parametrize("rows_per_chunk", [1, 7])
+    def test_uneven_chunks_give_the_same_rows(self, monkeypatch, q, n, keep_depth,
+                                              rows_per_chunk):
+        dim = q ** n
+        whole = approximation_report(q, n, keep_depth)
+        sizes = record_batch_sizes(monkeypatch)
+        monkeypatch.setattr(analysis, "_CHUNK_AMPLITUDES", rows_per_chunk * dim)
+        assert approximation_report(q, n, keep_depth) == whole
+        chunks = [rows_per_chunk] * (dim // rows_per_chunk)
+        if dim % rows_per_chunk:
+            chunks.append(dim % rows_per_chunk)
+        assert sizes == [size for size in chunks for _ in range(2)]
+
+
+class TestCrossCheck:
+    def test_catches_an_omitted_dropped_pair(self, monkeypatch, capsys):
+        original = analysis._dropped_gates
+
+        def missing_one(keep_depth, target_digit):
+            return original(keep_depth, target_digit)[1:]
+
+        monkeypatch.setattr(analysis, "_dropped_gates", missing_one)
+        with pytest.raises(CrossCheckError):
+            approximation_report(3, 3, 2)
+        code = main(["bounds", "--radix", "3", "--digits", "3", "--keep-depth", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("verification failed: ")
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 7, 27])
+    def test_names_the_first_failing_input_and_component(self, monkeypatch,
+                                                         rows_per_chunk):
+        # Nudge the last input's |2> component of bracket 1 (output column
+        # 2*3) in the pruned simulation only; the exact one stays as is.
+        pruned = analysis.build_qft_circuit(3, 3, 2)
+        original = analysis._run_batch
+
+        def nudged(circuit, amplitude_rows):
+            out = original(circuit, amplitude_rows)
+            if circuit == pruned:
+                out[amplitude_rows[:, 26] == 1, 6] *= cmath.exp(1e-6j)
+            return out
+
+        monkeypatch.setattr(analysis, "_run_batch", nudged)
+        monkeypatch.setattr(analysis, "_CHUNK_AMPLITUDES", rows_per_chunk * 27)
+        with pytest.raises(CrossCheckError, match=r"input 26, component 2 \(target digit 1\)"):
+            approximation_report(3, 3, 2)
 
 
 class TestCapacityMetrics:

@@ -1,13 +1,17 @@
 """Tests for the command-line front end and its file formats."""
 
+import errno
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
 
 from qudit_qft import (
     analysis,
+    cli,
     chrestenson_gate,
     dft_matrix,
     digit_reversal_perm,
@@ -356,3 +360,88 @@ class TestCompareRadix:
         )
         rows = json.loads(out)
         assert rows[-1]["state_space_ratio"] == 5.0625
+
+
+class TestAtomicOutput:
+    COMMAND = ["compare-radix", "--radix", "3", "--digits", "2", "--out"]
+
+    def expected(self, capsys):
+        _, out, _ = run(self.COMMAND[:-1], capsys)
+        return out
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "out.csv"
+        path.write_text("old content\n")
+        real_open = open
+        partial = []
+
+        class HalfWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                partial.append(os.path.getsize(self.fh.name))
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(cli, "open", lambda *a, **k: HalfWriter(real_open(*a, **k)),
+                            raising=False)
+        code, _, err = run(self.COMMAND + [str(path)], capsys)
+        assert code == 3
+        assert "i/o error" in err
+        assert partial and partial[0] > 0
+        assert path.read_text() == "old content\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_failed_rename_keeps_the_old_file(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "out.csv"
+        path.write_text("old content\n")
+
+        def refuse(src, dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        code, _, _ = run(self.COMMAND + [str(path)], capsys)
+        assert code == 3
+        assert path.read_text() == "old content\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_replaces_a_longer_file_and_keeps_its_mode(self, tmp_path, capsys):
+        path = tmp_path / "out.csv"
+        path.write_text("x" * 10000)
+        path.chmod(0o640)
+        code, out, _ = run(self.COMMAND + [str(path)], capsys)
+        assert code == 0 and out == ""
+        assert path.read_text() == self.expected(capsys)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_symlink_is_followed(self, tmp_path, capsys):
+        target = tmp_path / "target.csv"
+        target.write_text("old content\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert run(self.COMMAND + [str(link)], capsys)[0] == 0
+        assert link.is_symlink()
+        assert target.read_text() == self.expected(capsys)
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "target.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_written_in_place(self, tmp_path, capsys):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert run(self.COMMAND + [str(pipe)], capsys)[0] == 0
+            assert os.read(reader, 1 << 16).decode() == self.expected(capsys)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+        assert os.listdir(tmp_path) == ["pipe"]
