@@ -9,9 +9,10 @@ bounds         per-bracket measured phase error vs. both closed-form bounds
 compare-radix  state-space and gate-count scaling of base q against base 2
 
 Data goes to --out (or stdout); diagnostics go to stderr.  Exit codes:
-0 success, 1 verification failure, 2 usage or input-parse error, 3 I/O
-error.  All numeric output is printed with 17 significant digits so files
-round-trip exactly and identical invocations are byte-identical.
+0 success, 1 verification failure, 2 usage or input-parse error (a size
+above a command's limit included), 3 I/O error.  All numeric output is
+printed with 17 significant digits so files round-trip exactly and
+identical invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 import os
 import shutil
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
@@ -35,6 +37,13 @@ from .numerics import (
     matmul,
     max_entry_distance,
 )
+
+
+# apply and bounds refuse registers of more amplitudes than this, so that
+# their peak RSS stays within a 512 MiB budget.  At 2**20 amplitudes (2-vCPU
+# Linux VM, numpy path) apply peaked at 173 MiB from --basis and 308 MiB
+# from --in, and bounds at 167 MiB; every array either allocates is O(q**n).
+MAX_STATE_DIM = 2 ** 20
 
 
 class UsageError(Exception):
@@ -133,37 +142,42 @@ def render_matrix_csv(matrix: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-BOUNDS_HEADER = "q,n,target_digit,L,m,measured_t1,measured_max_t,bound_new,bound_coppersmith"
-
-
-def render_bounds_csv(rows) -> str:
-    lines = [BOUNDS_HEADER]
-    for row in rows:
-        lines.append(
-            f"{row.radix},{row.digits},{row.target_digit},{row.fraction_len},"
-            f"{row.dropped_count},{_fmt(row.measured_t1)},{_fmt(row.measured_max_t)},"
-            f"{_fmt(row.bound_new)},{_fmt(row.bound_coppersmith)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def render_bounds_json(rows) -> str:
-    objs = []
-    for row in rows:
-        objs.append(
-            "  {"
-            f'"q": {row.radix}, "n": {row.digits}, '
-            f'"target_digit": {row.target_digit}, "L": {row.fraction_len}, '
-            f'"m": {row.dropped_count}, "measured_t1": {_fmt(row.measured_t1)}, '
-            f'"measured_max_t": {_fmt(row.measured_max_t)}, '
-            f'"bound_new": {_fmt(row.bound_new)}, '
-            f'"bound_coppersmith": {_fmt(row.bound_coppersmith)}'
-            "}"
-        )
+def render_table(header: str, rows, fmt: str) -> str:
+    """Render report rows as CSV under ``header``, or as a JSON list of
+    objects keyed by its column names.  Floats print with 17 significant
+    digits, every other value with ``str``."""
+    cells = [[_fmt(v) if isinstance(v, float) else str(v) for v in row] for row in rows]
+    if fmt == "csv":
+        return "\n".join([header, *map(",".join, cells)]) + "\n"
+    names = header.split(",")
+    objs = [
+        "  {" + ", ".join(f'"{name}": {v}' for name, v in zip(names, row)) + "}"
+        for row in cells
+    ]
     return "[\n" + ",\n".join(objs) + "\n]\n"
 
 
+BOUNDS_HEADER = "q,n,target_digit,L,m,measured_t1,measured_max_t,bound_new,bound_coppersmith"
+
 COMPARE_HEADER = "q,n,state_space,gates,state_space_ratio,qudit_savings_factor"
+
+# compare-radix prints every state space as a decimal integer, which Python
+# allows up to 4300 digits by default, and the ratio (q/2)**n as a float,
+# which overflows at 2**1024.  Larger sizes are refused.
+_COMPARE_MAX_DIGITS = 4300
+_COMPARE_MAX_BITS = _COMPARE_MAX_DIGITS / math.log10(2)
+
+
+def _check_compare_size(q: int, n: int) -> None:
+    # The base-2 row is the widest: 2**ceil(n*log2(q)) >= q**n states.
+    # Testing n first keeps a huge n from reaching the float products.
+    if (n >= _COMPARE_MAX_BITS or math.ceil(n * math.log2(q)) >= _COMPARE_MAX_BITS
+            or n * (math.log2(q) - 1) >= 1024):
+        raise UsageError(
+            f"compare-radix cannot report base {q} with {n} digits: the state "
+            f"space must print in at most {_COMPARE_MAX_DIGITS} decimal digits and "
+            "(q/2)**n must be a finite float"
+        )
 
 
 def _compare_rows(q: int, n: int):
@@ -187,27 +201,6 @@ def _compare_rows(q: int, n: int):
             )
         )
     return rows
-
-
-def render_compare_csv(rows) -> str:
-    lines = [COMPARE_HEADER]
-    for radix, width, space, gates, ratio, savings in rows:
-        lines.append(
-            f"{radix},{width},{space},{gates},{_fmt(ratio)},{_fmt(savings)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def render_compare_json(rows) -> str:
-    objs = [
-        "  {"
-        f'"q": {radix}, "n": {width}, "state_space": {space}, "gates": {gates}, '
-        f'"state_space_ratio": {_fmt(ratio)}, '
-        f'"qudit_savings_factor": {_fmt(savings)}'
-        "}"
-        for radix, width, space, gates, ratio, savings in rows
-    ]
-    return "[\n" + ",\n".join(objs) + "\n]\n"
 
 
 # ---------------------------------------------------------------- commands
@@ -245,7 +238,7 @@ def _emit(text: str, output_path: str | None) -> None:
         raise
 
 
-def _check_params(args, need_cap: bool = False) -> None:
+def _check_params(args, max_dim: int | None = None, cap_name: str = "") -> None:
     if args.radix < 2:
         raise UsageError("--radix must be at least 2")
     if args.digits < 1:
@@ -253,14 +246,17 @@ def _check_params(args, need_cap: bool = False) -> None:
     keep_depth = getattr(args, "keep_depth", None)
     if keep_depth is not None and keep_depth < 1:
         raise UsageError("--keep-depth must be at least 1")
-    if need_cap and args.radix ** args.digits > args.dim_cap:
+    # q**n >= 2**n, so a width at or past max_dim's bit length is refused
+    # before q**n is built (it could have billions of digits).
+    if max_dim is not None and (args.digits >= max_dim.bit_length()
+                                or args.radix ** args.digits > max_dim):
         raise UsageError(
-            f"dimension {args.radix ** args.digits} exceeds --dim-cap {args.dim_cap}"
+            f"dimension {args.radix}**{args.digits} exceeds {cap_name} {max_dim}"
         )
 
 
 def cmd_gen_matrix(args) -> int:
-    _check_params(args, need_cap=True)
+    _check_params(args, args.dim_cap, "--dim-cap")
     circuit = build_qft_circuit(args.radix, args.digits, args.keep_depth)
     matrix = circuit_to_matrix(circuit, dim_cap=args.dim_cap)
     render = render_matrix_csv if args.format == "csv" else render_matrix_json
@@ -269,7 +265,7 @@ def cmd_gen_matrix(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_params(args, need_cap=True)
+    _check_params(args, args.dim_cap, "--dim-cap")
     q, n = args.radix, args.digits
     circuit = build_qft_circuit(q, n)
     matrix = circuit_to_matrix(circuit, dim_cap=args.dim_cap)
@@ -298,7 +294,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    _check_params(args)
+    _check_params(args, MAX_STATE_DIM, "the state-dimension limit")
     q, n = args.radix, args.digits
     if args.input_path is not None and args.basis is not None:
         raise UsageError("--in and --basis are mutually exclusive")
@@ -317,18 +313,18 @@ def cmd_apply(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    _check_params(args)
+    _check_params(args, MAX_STATE_DIM, "the state-dimension limit")
     rows = approximation_report(args.radix, args.digits, args.keep_depth)
-    render = render_bounds_json if args.format == "json" else render_bounds_csv
-    _emit(render(rows), args.output_path)
+    table = render_table(BOUNDS_HEADER, map(astuple, rows), args.format)
+    _emit(table, args.output_path)
     return 0
 
 
 def cmd_compare_radix(args) -> int:
     _check_params(args)
+    _check_compare_size(args.radix, args.digits)
     rows = _compare_rows(args.radix, args.digits)
-    render = render_compare_json if args.format == "json" else render_compare_csv
-    _emit(render(rows), args.output_path)
+    _emit(render_table(COMPARE_HEADER, rows, args.format), args.output_path)
     return 0
 
 

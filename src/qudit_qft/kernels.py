@@ -1,117 +1,16 @@
-"""Hot amplitude-update kernels, with a numba fast path and a numpy fallback.
+"""Hot amplitude-update kernels, in numpy.
 
 Two operations dominate simulation time and both live here: applying a
 q x q gate to one digit of every state in a batch, and scaling a batch by
 a per-index diagonal phase vector (which is how runs of controlled phase
 shifts are applied).  Batches are laid out as the rows of a C-contiguous
-``(batch, dim)`` complex128 array.
-
-The active path is chosen at import time from the ``QUDIT_QFT_BACKEND``
-environment variable:
-
-* unset or ``auto``: numba when importable, numpy otherwise
-* ``numba``: require the jitted kernels (raises if numba is missing)
-* ``numpy``: force the pure-numpy fallback
-
-``use_backend`` switches paths within a process; the benchmark under
-``benchmarks/`` and the kernel tests rely on it.  Results of the two paths
-agree to float64 rounding, not bit for bit.
+``(batch, dim)`` complex128 array.  The simulator calls both through this
+module, so a profiler or tracer can wrap them here.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on numba-less installs
-    HAVE_NUMBA = False
-
-
-def _single_qudit_numpy(src: np.ndarray, dst: np.ndarray, q: int, stride: int,
-                        gate: np.ndarray) -> None:
-    batch, dim = src.shape
-    blocks = dim // (stride * q)
-    view = src.reshape(batch, blocks, q, stride)
-    np.einsum("rj,bhjl->bhrl", gate, view, out=dst.reshape(batch, blocks, q, stride))
-
-
-def _diagonal_numpy(amps: np.ndarray, phases: np.ndarray) -> None:
-    amps *= phases
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _single_qudit_numba(src, dst, q, stride, gate):  # pragma: no cover - jitted
-        batch, dim = src.shape
-        group = stride * q
-        for b in range(batch):
-            for base in range(0, dim, group):
-                for r in range(q):
-                    g = gate[r, 0]
-                    out = base + r * stride
-                    for lo in range(stride):
-                        dst[b, out + lo] = g * src[b, base + lo]
-                    for j in range(1, q):
-                        g = gate[r, j]
-                        off = base + j * stride
-                        for lo in range(stride):
-                            dst[b, out + lo] += g * src[b, off + lo]
-
-    @njit(cache=True)
-    def _diagonal_numba(amps, phases):  # pragma: no cover - jitted
-        batch, dim = amps.shape
-        for b in range(batch):
-            for i in range(dim):
-                amps[b, i] *= phases[i]
-
-    _IMPL = {
-        "numba": (_single_qudit_numba, _diagonal_numba),
-        "numpy": (_single_qudit_numpy, _diagonal_numpy),
-    }
-else:
-    _IMPL = {"numpy": (_single_qudit_numpy, _diagonal_numpy)}
-
-
-def _resolve_backend(name: str) -> str:
-    name = name.strip().lower()
-    if name in ("", "auto"):
-        return "numba" if HAVE_NUMBA else "numpy"
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}; expected 'numba' or 'numpy'")
-    if name == "numba" and not HAVE_NUMBA:
-        raise ValueError("backend 'numba' requested but numba is not installed")
-    return name
-
-
-_ACTIVE = _resolve_backend(os.environ.get("QUDIT_QFT_BACKEND", "auto"))
-
-
-def active_backend() -> str:
-    """Name of the kernel path in use: 'numba' or 'numpy'."""
-    return _ACTIVE
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_IMPL))
-
-
-@contextmanager
-def use_backend(name: str):
-    """Temporarily switch the kernel path (for tests and benchmarks)."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = _resolve_backend(name)
-    try:
-        yield
-    finally:
-        _ACTIVE = previous
 
 
 def apply_single_qudit(src: np.ndarray, dst: np.ndarray, q: int, stride: int,
@@ -121,10 +20,13 @@ def apply_single_qudit(src: np.ndarray, dst: np.ndarray, q: int, stride: int,
     Reads ``src`` and writes the transformed batch into ``dst``; the two
     buffers must be distinct, equal-shaped, C-contiguous complex128.
     """
-    _IMPL[_ACTIVE][0](src, dst, q, stride, gate)
+    batch, dim = src.shape
+    blocks = dim // (stride * q)
+    view = src.reshape(batch, blocks, q, stride)
+    np.einsum("rj,bhjl->bhrl", gate, view, out=dst.reshape(batch, blocks, q, stride))
 
 
 def apply_diagonal(amps: np.ndarray, phases: np.ndarray) -> None:
     """Multiply every row of ``amps`` by the length-dim vector ``phases``,
     in place."""
-    _IMPL[_ACTIVE][1](amps, phases)
+    amps *= phases

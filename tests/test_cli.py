@@ -316,6 +316,35 @@ class TestBounds:
         assert rows[2]["m"] == 1
         assert abs(rows[2]["measured_t1"] - 4 * math.pi / 27) < 1e-12
 
+    # The exact bytes of both formats, so a renderer change that alters a
+    # single character (17 significant digits, spacing, key order) shows.
+    @pytest.mark.parametrize("fmt,expected", [
+        ("csv",
+         "q,n,target_digit,L,m,measured_t1,measured_max_t,bound_new,bound_coppersmith\n"
+         "3,3,0,1,0,0,0,0,0\n"
+         "3,3,1,2,0,0,0,0,0\n"
+         "3,3,2,3,1,0.46542113386515455,0.93084226773030909,0.46542113386515455,"
+         "1.3962634015954636\n"),
+        ("json",
+         '[\n'
+         '  {"q": 3, "n": 3, "target_digit": 0, "L": 1, "m": 0, "measured_t1": 0, '
+         '"measured_max_t": 0, "bound_new": 0, "bound_coppersmith": 0},\n'
+         '  {"q": 3, "n": 3, "target_digit": 1, "L": 2, "m": 0, "measured_t1": 0, '
+         '"measured_max_t": 0, "bound_new": 0, "bound_coppersmith": 0},\n'
+         '  {"q": 3, "n": 3, "target_digit": 2, "L": 3, "m": 1, '
+         '"measured_t1": 0.46542113386515455, "measured_max_t": 0.93084226773030909, '
+         '"bound_new": 0.46542113386515455, "bound_coppersmith": 1.3962634015954636}\n'
+         ']\n'),
+    ])
+    def test_exact_bytes(self, fmt, expected, capsys):
+        code, out, _ = run(
+            ["bounds", "--radix", "3", "--digits", "3", "--keep-depth", "2",
+             "--format", fmt],
+            capsys,
+        )
+        assert code == 0
+        assert out == expected
+
 
     def test_cross_check_failure_is_verification_failure(self, monkeypatch, capsys):
         monkeypatch.setattr(analysis, "_CROSS_CHECK_TOL", -1.0)
@@ -360,6 +389,80 @@ class TestCompareRadix:
         )
         rows = json.loads(out)
         assert rows[-1]["state_space_ratio"] == 5.0625
+
+    # The exact bytes of both formats; integer-valued floats print bare.
+    @pytest.mark.parametrize("fmt,expected", [
+        ("csv",
+         "q,n,state_space,gates,state_space_ratio,qudit_savings_factor\n"
+         "2,7,128,28,1,1\n"
+         "3,4,81,10,5.0625,1.5849625007211561\n"),
+        ("json",
+         '[\n'
+         '  {"q": 2, "n": 7, "state_space": 128, "gates": 28, '
+         '"state_space_ratio": 1, "qudit_savings_factor": 1},\n'
+         '  {"q": 3, "n": 4, "state_space": 81, "gates": 10, '
+         '"state_space_ratio": 5.0625, "qudit_savings_factor": 1.5849625007211561}\n'
+         ']\n'),
+    ])
+    def test_exact_bytes(self, fmt, expected, capsys):
+        code, out, _ = run(
+            ["compare-radix", "--radix", "3", "--digits", "4", "--format", fmt], capsys
+        )
+        assert code == 0
+        assert out == expected
+
+    @pytest.mark.parametrize("q,n", [
+        (3, 2000), (3, 1751), (2, 100000), (2, 14285),
+        # too large to convert to a float
+        pytest.param(2, 10 ** 400, id="2-10**400"),
+    ])
+    def test_unprintable_sizes_refused(self, q, n, capsys):
+        code, out, err = run(["compare-radix", "--radix", str(q), "--digits", str(n)],
+                             capsys)
+        assert code == 2
+        assert out == ""
+        assert f"base {q} with {n} digits" in err
+        assert "Traceback" not in err
+
+    # The largest sizes that still print: 1.5**1750 < 2**1024, and 2**14284
+    # has 4300 decimal digits.
+    @pytest.mark.parametrize("q,n", [(3, 1750), (2, 14284)])
+    def test_largest_printable_sizes_accepted(self, q, n, capsys):
+        code, out, _ = run(["compare-radix", "--radix", str(q), "--digits", str(n)],
+                           capsys)
+        assert code == 0
+        assert out.splitlines()[-1].startswith(f"{q},{n},")
+
+
+class TestStateDimensionLimit:
+    @pytest.mark.parametrize("command,q,n,extra", [
+        ("apply", 2, 40, []),
+        ("apply", 2, 40, ["--in", "/no/such/file.json"]),
+        ("bounds", 2, 40, []),
+        ("bounds", 2, 40, ["--keep-depth", "3"]),
+        # refused without building the 1.6e9-bit integer 3**10**9
+        ("apply", 3, 10 ** 9, []),
+        ("bounds", 3, 10 ** 9, []),
+    ])
+    def test_oversized_register_refused(self, command, q, n, extra, capsys):
+        code, out, err = run([command, "--radix", str(q), "--digits", str(n), *extra],
+                             capsys)
+        assert code == 2
+        assert out == ""
+        assert f"dimension {q}**{n} exceeds" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["apply", "bounds"])
+    def test_limit_is_inclusive(self, command, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_STATE_DIM", 9)
+        code, _, _ = run([command, "--radix", "3", "--digits", "2"], capsys)
+        assert code == 0
+        code, _, err = run([command, "--radix", "2", "--digits", "4"], capsys)
+        assert code == 2
+        assert "dimension 2**4 exceeds" in err
+
+    def test_benchmark_sizes_accepted(self):
+        assert 2 ** 19 <= cli.MAX_STATE_DIM and 3 ** 7 <= cli.MAX_STATE_DIM
 
 
 class TestAtomicOutput:

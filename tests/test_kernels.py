@@ -1,4 +1,4 @@
-"""Backend-level tests: both kernel paths, and the fused phase runs they
+"""Kernel-level tests: the two numpy kernels, and the fused phase runs they
 apply, against dense-matrix oracles."""
 
 from itertools import groupby
@@ -28,48 +28,27 @@ def embedded_single(gate: np.ndarray, q: int, n: int, digit: int) -> np.ndarray:
     return np.kron(full, np.eye(q ** digit, dtype=complex))
 
 
-def test_active_backend_is_available():
-    assert kernels.active_backend() in kernels.available_backends()
-
-
-def test_use_backend_restores_previous():
-    before = kernels.active_backend()
-    with kernels.use_backend("numpy"):
-        assert kernels.active_backend() == "numpy"
-    assert kernels.active_backend() == before
-
-
-def test_use_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        with kernels.use_backend("cuda"):
-            pass
-
-
-@pytest.mark.parametrize("backend", kernels.available_backends())
 @pytest.mark.parametrize(
     "q,n,digit", [(2, 1, 0), (2, 3, 0), (2, 3, 2), (3, 2, 1), (5, 2, 0)]
 )
-def test_single_qudit_matches_kron_embedding(backend, q, n, digit):
+def test_single_qudit_matches_kron_embedding(q, n, digit):
     dim = q ** n
     gate = RNG.normal(size=(q, q)) + 1j * RNG.normal(size=(q, q))
     src = random_batch(4, dim)
     dst = np.empty_like(src)
-    with kernels.use_backend(backend):
-        kernels.apply_single_qudit(src, dst, q, q ** digit, gate)
+    kernels.apply_single_qudit(src, dst, q, q ** digit, gate)
     expected = src @ embedded_single(gate, q, n, digit).T
     np.testing.assert_allclose(dst, expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("backend", kernels.available_backends())
 @pytest.mark.parametrize("q,s", [(2, 2), (3, 2), (3, 3), (5, 2)])
 @pytest.mark.parametrize("control,target", [(0, 1), (1, 0)])
-def test_controlled_phase_vector_matches_dense_gate(backend, q, s, control, target):
+def test_controlled_phase_vector_matches_dense_gate(q, s, control, target):
     dim = q * q
     amps = random_batch(3, dim)
     expected = amps @ controlled_phase_matrix(q, s).T
     phases = _fused_phases(q, 2, (GateOp.controlled_phase(control, target, s),))
-    with kernels.use_backend(backend):
-        kernels.apply_diagonal(amps, phases)
+    kernels.apply_diagonal(amps, phases)
     # the gate is diagonal and symmetric in control/target, so both digit
     # assignments realize the same matrix
     np.testing.assert_allclose(amps, expected, atol=1e-12)
@@ -120,27 +99,3 @@ def test_fused_phases_match_dense_product_on_qft_runs(q, n, keep_depth):
 def test_fused_phases_match_dense_product_on_mixed_target_runs(q, n, run):
     assert len({op.target for op in run}) >= 2
     assert_fused_matches_dense(q, n, run)
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-@pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (5, 2)])
-def test_backends_agree(q, n):
-    dim = q ** n
-    gate = RNG.normal(size=(q, q)) + 1j * RNG.normal(size=(q, q))
-    src = random_batch(5, dim)
-    results = {}
-    for backend in kernels.available_backends():
-        dst = np.empty_like(src)
-        with kernels.use_backend(backend):
-            kernels.apply_single_qudit(src, dst, q, q ** (n // 2), gate)
-        results[backend] = dst
-    np.testing.assert_allclose(results["numba"], results["numpy"], atol=1e-13)
-
-    phases = _fused_phases(q, n, (GateOp.controlled_phase(0, n - 1, 2),))
-    results = {}
-    for backend in kernels.available_backends():
-        amps = src.copy()
-        with kernels.use_backend(backend):
-            kernels.apply_diagonal(amps, phases)
-        results[backend] = amps
-    np.testing.assert_allclose(results["numba"], results["numpy"], atol=1e-13)
