@@ -4,8 +4,11 @@ Pruning a controlled phase with denominator exponent s removes a factor
 ``exp(-2j*pi * c*t / q**s)`` from one output bracket.  This module gives
 the single-gate error factor in closed, series, and trigonometric form,
 the two closed-form worst-case bounds for multi-gate pruning, and a
-measurement of the actual dropped phase over every basis input, read for
-all brackets from one chunked simulation of each circuit.  Phase
+measurement of the actual dropped phase over every basis input.  On a basis
+input the QFT register stays a product of single-digit states, one per
+output bracket, so the measurement runs every input through the
+product-state simulator (``n*q`` amplitudes per input) and keeps the dense
+simulator as a cross-check on the two boundary chunks of inputs only.  Phase
 magnitudes are accumulated from the dropped-gate exponents directly, never
 recovered through ``arg()``, so values above pi are reported without
 wrap-around.
@@ -19,18 +22,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import _run_batch, _validate_params, build_qft_circuit
+from .circuit import _run_batch, _run_product, _validate_params, build_qft_circuit
 
 # Simulated per-digit phases must agree with the dropped-exponent sums to
 # this tolerance; a violation means the circuit and the closed form have
 # diverged and is reported as an error rather than a measurement.
 _CROSS_CHECK_TOL = 1e-9
 
-# The measurement simulates the identity basis max(1, _CHUNK_AMPLITUDES // dim)
-# rows at a time, so each of its buffers holds about max(_CHUNK_AMPLITUDES,
-# dim) amplitudes (2 MiB at complex128 up to dim 2**17) instead of the
-# dim x dim identity.  Chunks of 2**15 to 2**22 amplitudes took the same
-# time at dims 2187 to 4096.
+# The measurement runs max(1, _CHUNK_AMPLITUDES // (n*q)) basis inputs at a
+# time through the product-state simulator, and its two dense boundary
+# chunks hold max(1, _CHUNK_AMPLITUDES // dim) rows each, so every buffer
+# holds about max(_CHUNK_AMPLITUDES, dim) amplitudes (2 MiB at complex128 up
+# to dim 2**17).  2**17 was the fastest of 2**15 to 2**19 at (q, n) = (2, 18)
+# and (4, 9) and the fastest dense chunk at dims 2187 to 4096.
 _CHUNK_AMPLITUDES = 2 ** 17
 
 
@@ -154,49 +158,75 @@ def _dropped_gates(keep_depth: int | None, target_digit: int) -> list[tuple[int,
 def _bracket_phase_maxima(q: int, n: int, keep_depth: int | None) -> list[float]:
     """Worst dropped phase on every bracket's |1> component, in target order.
 
-    Simulates the exact and the pruned circuit once each on the identity
-    basis, ``max(1, _CHUNK_AMPLITUDES // q**n)`` basis rows at a time, and
-    keeps of each output only column 0 and the |t> components of every
-    bracket.  The per-digit phase each bracket picks up is checked, for every
-    input and every t in 1..q-1, against the sum of the dropped
-    controlled-phase exponents; the maxima are taken over that (unwrapped)
-    sum.
+    Runs the exact and the pruned circuit on every basis input through the
+    product-state simulator ``_run_product``, ``max(1, _CHUNK_AMPLITUDES //
+    (n*q))`` inputs at a time, and through the dense ``_run_batch`` on the
+    two boundary row chunks of ``max(1, _CHUNK_AMPLITUDES // q**n)`` rows:
+    the one holding input 0 and the one holding input ``q**n - 1``, where
+    every dropped shift peaks.  The per-digit phase each bracket picks up
+    is checked, for every input and every t in 1..q-1, against the sum of
+    the dropped controlled-phase exponents; the maxima are taken over that
+    (unwrapped) sum.  A mismatch raises ``CrossCheckError`` naming the
+    smallest failing input.
     """
     dim = q ** n
-    components = np.arange(1, q)
-    # After the output reversal, the bracket of register digit l sits at
-    # output position n - 1 - l: its |t> component is column t*q**(n-1-l).
-    slots = q ** (n - 1 - np.arange(n))
-    columns = np.concatenate(([0], np.outer(slots, components).ravel()))
     dropped = [_dropped_gates(keep_depth, l) for l in range(n)]
     exact = build_qft_circuit(q, n)
     pruned = build_qft_circuit(q, n, keep_depth)
-    rows = max(1, _CHUNK_AMPLITUDES // dim)
-    maxima = np.zeros(n)
-    for start in range(0, dim, rows):
-        x = np.arange(start, min(start + rows, dim))
-        basis = np.zeros((len(x), dim), dtype=np.complex128)
-        basis[np.arange(len(x)), x] = 1.0
-        exact_cols = _run_batch(exact, basis)[:, columns]
-        pruned_cols = _run_batch(pruned, basis)[:, columns]
-        simulated = (pruned_cols[:, 1:] / pruned_cols[:, :1]) / (
-            exact_cols[:, 1:] / exact_cols[:, :1]
-        )
+
+    def shifts_of(x):
         digits = [(x // q ** k) % q for k in range(n)]
         shifts = np.zeros((len(x), n))
         for l in range(n):
             for k, s in dropped[l]:
                 shifts[:, l] += 2.0 * math.pi * digits[k] / q ** s
-        expected = np.exp(1j * components * shifts[:, :, np.newaxis])
-        failed = np.abs(simulated.reshape(len(x), n, q - 1) - expected) > _CROSS_CHECK_TOL
-        if failed.any():
-            row, l, t = np.unravel_index(np.argmax(failed), failed.shape)
-            raise CrossCheckError(
-                "simulated bracket phase disagrees with the dropped-gate "
-                f"exponent sum at input {x[row]}, component {t + 1} "
-                f"(target digit {l})"
-            )
+        return shifts
+
+    def first_mismatch(x, exact_slots, pruned_slots, shifts):
+        """(input, target digit, component) of the first disagreement, or None."""
+        simulated = (pruned_slots[:, :, 1:] / pruned_slots[:, :, :1]) / (
+            exact_slots[:, :, 1:] / exact_slots[:, :, :1]
+        )
+        expected = np.exp(1j * np.arange(1, q) * shifts[:, :, np.newaxis])
+        failed = np.abs(simulated - expected) > _CROSS_CHECK_TOL
+        if not failed.any():
+            return None
+        row, l, t = np.unravel_index(np.argmax(failed), failed.shape)
+        return int(x[row]), int(l), int(t) + 1
+
+    mismatches = []
+    # After the output reversal, component t of the bracket of register
+    # digit l sits at output position n - 1 - l, in column t*q**(n-1-l);
+    # column 0 holds every bracket's |0> component.
+    columns = np.outer(q ** (n - 1 - np.arange(n)), np.arange(q))
+    rows = max(1, _CHUNK_AMPLITUDES // dim)
+    for start in sorted({0, (dim - 1) // rows * rows}):
+        x = np.arange(start, min(start + rows, dim))
+        basis = np.zeros((len(x), dim), dtype=np.complex128)
+        basis[np.arange(len(x)), x] = 1.0
+        mismatches.append(first_mismatch(
+            x, _run_batch(exact, basis)[:, columns], _run_batch(pruned, basis)[:, columns],
+            shifts_of(x),
+        ))
+    rows = max(1, _CHUNK_AMPLITUDES // (n * q))
+    maxima = np.zeros(n)
+    for start in range(0, dim, rows):
+        x = np.arange(start, min(start + rows, dim))
+        shifts = shifts_of(x)
+        mismatches.append(first_mismatch(
+            x, _run_product(exact, x), _run_product(pruned, x), shifts,
+        ))
+        # inputs rise chunk by chunk, so later chunks hold no smaller failure
+        if mismatches[-1] is not None:
+            break
         maxima = np.maximum(maxima, shifts.max(axis=0))
+    failures = [mismatch for mismatch in mismatches if mismatch is not None]
+    if failures:
+        value, l, t = min(failures)
+        raise CrossCheckError(
+            "simulated bracket phase disagrees with the dropped-gate "
+            f"exponent sum at input {value}, component {t} (target digit {l})"
+        )
     return [float(worst) for worst in maxima]
 
 
@@ -205,12 +235,12 @@ def measure_bracket_phase_error(q: int, n: int, keep_depth: int | None,
     """Worst dropped phase on one bracket's |1> component, over every basis input.
 
     One entry of the same measurement ``approximation_report`` makes, so it
-    costs the same two simulations: the exact and the pruned circuit are
-    each run once on the identity basis, in row chunks of about
-    ``_CHUNK_AMPLITUDES`` amplitudes.  Every bracket's simulated per-digit
-    phase is checked against the sum of its dropped controlled-phase
-    exponents (a mismatch raises ``CrossCheckError``); the returned maximum
-    is taken over that (unwrapped) sum.
+    costs the same: the exact and the pruned circuit run on every basis
+    input through the product-state simulator, and on the two boundary
+    chunks of inputs through the dense one.  Every bracket's simulated
+    per-digit phase is checked against the sum of its dropped
+    controlled-phase exponents (a mismatch raises ``CrossCheckError``); the
+    returned maximum is taken over that (unwrapped) sum.
     """
     _validate_params(q, n, keep_depth)
     if not 0 <= target_digit < n:
@@ -221,10 +251,12 @@ def measure_bracket_phase_error(q: int, n: int, keep_depth: int | None,
 def approximation_report(q: int, n: int, keep_depth: int | None) -> list[BoundRow]:
     """One BoundRow per output bracket for the given pruning depth.
 
-    Every row's measurement comes from one pair of simulations, the exact and
-    the pruned circuit on the identity basis in row chunks, so each
-    simulation buffer holds about ``max(_CHUNK_AMPLITUDES, q**n)``
-    amplitudes rather than ``q**(2n)``.
+    Every row's measurement comes from one pass over the basis inputs, which
+    runs the exact and the pruned circuit through the product-state
+    simulator in chunks of inputs, with work per input that grows with the
+    gate count and ``n*q`` rather than with ``q**n``, and through the dense
+    simulator on the two boundary chunks only.  Each buffer holds about
+    ``max(_CHUNK_AMPLITUDES, q**n)`` amplitudes.
     """
     _validate_params(q, n, keep_depth)
     maxima = _bracket_phase_maxima(q, n, keep_depth)
@@ -252,11 +284,18 @@ def approximation_report(q: int, n: int, keep_depth: int | None) -> list[BoundRo
 
 
 def capacity_metrics(q: int, n: int) -> CapacityMetrics:
-    """State-space factor ``(q/2)**n`` and digit-savings factor ``log2(q)``."""
+    """State-space factor ``(q/2)**n`` and digit-savings factor ``log2(q)``.
+
+    Raises ``ValueError`` when ``(q/2)**n`` does not fit in a float.
+    """
     _validate_params(q, n, None)
+    try:
+        state_space_ratio = (q / 2) ** n
+    except OverflowError:
+        raise ValueError(f"state-space ratio ({q}/2)**{n} overflows a float") from None
     return CapacityMetrics(
         radix=q,
         digits=n,
-        state_space_ratio=(q / 2) ** n,
+        state_space_ratio=state_space_ratio,
         qudit_savings_factor=math.log2(q),
     )

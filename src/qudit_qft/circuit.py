@@ -1,4 +1,4 @@
-"""Circuit IR, QFT builders, reference transform matrices, and the simulator.
+"""Circuit IR, QFT builders, reference transform matrices, and the simulators.
 
 A circuit is an ordered list of gate operations over an n-digit base-q
 register plus a flag for the final output-digit reversal.  The builders
@@ -12,6 +12,11 @@ its phase at every index is ``exp(-2j*pi * k / q**m)``, where ``m`` is the
 run's largest denominator exponent and ``k`` the exact int64 sum of the
 shifts' exponents mod ``q**m``, read from one table of roots of unity.
 
+A second simulator, ``_run_product``, runs basis inputs through circuits
+whose controlled phases only read digits that are still basis digits, as
+the QFT's do.  The register then stays a product of n single-digit states,
+so each input costs ``n*q`` amplitudes instead of ``q**n``.
+
 Digit conventions: ``x_0`` is the least significant digit, state index
 ``i = sum_j x_j * q**j``, and the leftmost Kronecker factor addresses the
 most significant digit.
@@ -20,6 +25,8 @@ most significant digit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -34,6 +41,7 @@ CONTROLLED_PHASE = "controlled_phase"
 # exponents stay below twice the modulus (see _fused_phases), and
 # 2 * 2**62 - 1 is the int64 maximum.
 _MAX_PHASE_MODULUS = 2 ** 62
+_INT64_MAX = 2 ** 63 - 1
 
 
 @dataclass(frozen=True)
@@ -204,10 +212,8 @@ def digit_reversal_perm(q: int, n: int) -> Permutation:
     """Permutation sending digits ``(x_{n-1}, ..., x_0)`` to ``(x_0, ..., x_{n-1})``."""
     _validate_params(q, n, None)
     dim = q ** n
-    idx = np.arange(dim, dtype=np.int64)
-    reversed_idx = np.zeros(dim, dtype=np.int64)
-    for j in range(n):
-        reversed_idx += ((idx // q ** j) % q) * q ** (n - 1 - j)
+    # Reversing the axes of the (q,)*n digit view reverses the digit order.
+    reversed_idx = np.arange(dim, dtype=np.int64).reshape((q,) * n).transpose().ravel()
     return Permutation(dim, reversed_idx)
 
 
@@ -252,6 +258,17 @@ def _fused_phases(q: int, n: int, ops: tuple[GateOp, ...]) -> np.ndarray:
     return np.broadcast_to(phases, (q,) * n).reshape(q ** n)
 
 
+def _segments(ops: tuple[GateOp, ...]):
+    """Split a gate list into single Chrestenson ops and maximal runs of
+    controlled phase shifts, in order: yields ``(kind, ops)`` pairs."""
+    for kind, group in groupby(ops, key=attrgetter("kind")):
+        if kind == CHRESTENSON:
+            for op in group:
+                yield kind, (op,)
+        else:
+            yield kind, tuple(group)
+
+
 def _run_batch(circuit: Circuit, amplitude_rows: np.ndarray) -> np.ndarray:
     """Apply a circuit to every row of a (batch, dim) amplitude array.
 
@@ -264,25 +281,85 @@ def _run_batch(circuit: Circuit, amplitude_rows: np.ndarray) -> np.ndarray:
     current = np.array(amplitude_rows, dtype=np.complex128, order="C")
     spare = np.empty_like(current)
     gate = chrestenson_gate(q)
-    ops = circuit.ops
-    position = 0
-    while position < len(ops):
-        op = ops[position]
-        if op.kind == CHRESTENSON:
-            kernels.apply_single_qudit(current, spare, q, q ** op.target, gate)
+    for kind, run in _segments(circuit.ops):
+        if kind == CHRESTENSON:
+            kernels.apply_single_qudit(current, spare, q, q ** run[0].target, gate)
             current, spare = spare, current
-            position += 1
         else:
-            end = position + 1
-            while end < len(ops) and ops[end].kind == CONTROLLED_PHASE:
-                end += 1
-            kernels.apply_diagonal(current, _fused_phases(q, n, ops[position:end]))
-            position = end
+            kernels.apply_diagonal(current, _fused_phases(q, n, run))
     if circuit.reverse_output_digits:
         perm = digit_reversal_perm(q, circuit.digits)
         np.take(current, perm.mapping, axis=1, out=spare)
         current, spare = spare, current
     return current
+
+
+def _run_product(circuit: Circuit, x: np.ndarray) -> np.ndarray:
+    """Apply a circuit to basis inputs ``x`` as a product of single-digit states.
+
+    Returns a ``(len(x), n, q)`` complex128 array whose slot ``l`` holds
+    the state of register digit ``l``.  The register stays a product state
+    as long as every controlled phase reads a control digit that is still
+    a basis digit, which ``build_qft_circuit`` guarantees; a phase whose
+    control has already received its Chrestenson gate raises
+    ``ValueError``.  The output digit reversal only relabels positions, so
+    slot ``l`` is output digit ``n-1-l`` when the circuit reverses and
+    output digit ``l`` when it does not; for the QFT slot ``l`` is the
+    bracket of fraction length ``l + 1`` either way.
+
+    Each Chrestenson gate maps its slot through ``chrestenson_gate(q)``.
+    Each maximal run of controlled phases is applied per target: with ``m``
+    the run's largest denominator exponent, component t of a target picks
+    up ``exp(-2j*pi * k / q**m)``, where ``k = sum x_c*t*q**(m-s) mod
+    q**m`` over the target's shifts, built and rounded as in
+    ``_fused_phases``.
+    """
+    q = circuit.radix
+    n = circuit.digits
+    x = np.asarray(x, dtype=np.int64)
+    digits = np.stack([(x // q ** k) % q for k in range(n)])
+    # digit-major, so each slot and each digit row is contiguous
+    slots = np.zeros((n, len(x), q), dtype=np.complex128)
+    np.put_along_axis(slots, digits[:, :, np.newaxis], 1.0, axis=2)
+    gate = chrestenson_gate(q).T
+    # component 0 of every target keeps phase 1
+    component = np.arange(1, q, dtype=np.int64)
+    transformed = set()
+    for kind, run in _segments(circuit.ops):
+        if kind == CHRESTENSON:
+            target = run[0].target
+            slots[target] = slots[target] @ gate
+            transformed.add(target)
+            continue
+        m = max(op.denom_exp for op in run)
+        modulus = q ** m
+        targets = list(dict.fromkeys(op.target for op in run))
+        exponent = np.zeros((len(targets), len(x), q - 1), dtype=np.int64)
+        # Every term c*t*q**(m-s) is below q**m (see _fused_phases), so
+        # sums are reduced only when the next one could leave int64.
+        largest = 0
+        for op in run:
+            if op.control in transformed:
+                raise ValueError(
+                    f"{op} reads control digit {op.control} after its Chrestenson "
+                    "gate, so the register is no longer a product of basis digits"
+                )
+            weights = component * q ** (m - op.denom_exp)
+            term_max = (q - 1) * int(weights[-1])
+            if largest + term_max > _INT64_MAX:
+                exponent %= modulus
+                largest = modulus - 1
+            term = digits[op.control, :, np.newaxis] * weights
+            exponent[targets.index(op.target)] += term
+            largest += term_max
+        exponent %= modulus
+        if modulus <= exponent.size:
+            phases = roots_of_unity(np.arange(modulus), modulus)[exponent]
+        else:
+            # a table would outgrow the exponents it is indexed by
+            phases = roots_of_unity(exponent, modulus)
+        slots[targets, :, 1:] *= phases
+    return slots.transpose(1, 0, 2)
 
 
 def apply_circuit(circuit: Circuit, state: StateVector) -> StateVector:

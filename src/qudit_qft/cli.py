@@ -42,7 +42,8 @@ from .numerics import (
 # apply and bounds refuse registers of more amplitudes than this, so that
 # their peak RSS stays within a 512 MiB budget.  At 2**20 amplitudes (2-vCPU
 # Linux VM, numpy path) apply peaked at 173 MiB from --basis and 308 MiB
-# from --in, and bounds at 167 MiB; every array either allocates is O(q**n).
+# from --in, and bounds at 150 MiB (q=2, keep-depth 3) and 145 MiB (q=4,
+# keep-depth 2); every array either allocates is O(q**n).
 MAX_STATE_DIM = 2 ** 20
 
 

@@ -247,6 +247,38 @@ def record_batch_sizes(monkeypatch):
     return sizes
 
 
+def record_product_calls(monkeypatch):
+    """Make the analysis record the circuit and inputs of every product run."""
+    calls = []
+    original = analysis._run_product
+
+    def recording(circuit, x):
+        calls.append((circuit, x.copy()))
+        return original(circuit, x)
+
+    monkeypatch.setattr(analysis, "_run_product", recording)
+    return calls
+
+
+def boundary_chunk_sizes(dim, rows_per_chunk):
+    """Row counts of the dense chunks holding input 0 and input dim - 1."""
+    starts = sorted({0, (dim - 1) // rows_per_chunk * rows_per_chunk})
+    return [min(rows_per_chunk, dim - start) for start in starts]
+
+
+def assert_one_product_run_per_chunk(calls, q, n, keep_depth):
+    """Each product chunk runs the exact, then the pruned circuit, once each,
+    and the chunks cover every input once, in order."""
+    exact = analysis.build_qft_circuit(q, n)
+    pruned = analysis.build_qft_circuit(q, n, keep_depth)
+    assert [circuit for circuit, _ in calls] == [exact, pruned] * (len(calls) // 2)
+    chunks = [x for _, x in calls[::2]]
+    assert [x.tolist() for x in chunks] == [x.tolist() for _, x in calls[1::2]]
+    rows = max(1, analysis._CHUNK_AMPLITUDES // (n * q))
+    assert all(len(x) == rows for x in chunks[:-1])
+    assert np.array_equal(np.concatenate(chunks), np.arange(q ** n))
+
+
 class TestOneSimulationPerReport:
     @pytest.mark.parametrize("keep_depth", [None, 1, 2, 3])
     @pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (4, 3), (5, 3)])
@@ -260,8 +292,10 @@ class TestOneSimulationPerReport:
 
     def test_one_simulation_per_circuit(self, monkeypatch):
         sizes = record_batch_sizes(monkeypatch)
+        calls = record_product_calls(monkeypatch)
         approximation_report(3, 4, 2)
         assert sizes == [81, 81]
+        assert_one_product_run_per_chunk(calls, 3, 4, 2)
 
     @pytest.mark.parametrize("q,n,keep_depth", [(3, 3, 2), (2, 5, 2), (3, 3, None)])
     @pytest.mark.parametrize("rows_per_chunk", [1, 7])
@@ -270,12 +304,24 @@ class TestOneSimulationPerReport:
         dim = q ** n
         whole = approximation_report(q, n, keep_depth)
         sizes = record_batch_sizes(monkeypatch)
+        calls = record_product_calls(monkeypatch)
         monkeypatch.setattr(analysis, "_CHUNK_AMPLITUDES", rows_per_chunk * dim)
         assert approximation_report(q, n, keep_depth) == whole
-        chunks = [rows_per_chunk] * (dim // rows_per_chunk)
-        if dim % rows_per_chunk:
-            chunks.append(dim % rows_per_chunk)
+        chunks = boundary_chunk_sizes(dim, rows_per_chunk)
         assert sizes == [size for size in chunks for _ in range(2)]
+        assert_one_product_run_per_chunk(calls, q, n, keep_depth)
+
+    def test_large_register_attains_the_closed_forms(self):
+        # measured_t1 is a float sum of the dropped shifts, so it may sit
+        # an ulp above the closed form (0.7838641826095627 at target 11)
+        q, n = 2, 16
+        for row in approximation_report(q, n, 3):
+            assert row.measured_t1 <= row.bound_new + 1e-12
+            assert row.bound_new <= row.bound_coppersmith
+            m, fraction_len = row.dropped_count, row.fraction_len
+            if m >= 1:
+                witness = 2 * math.pi * (q ** m - 1) / q ** fraction_len
+                assert abs(row.measured_t1 - witness) < 1e-12
 
 
 class TestCrossCheck:
@@ -313,6 +359,54 @@ class TestCrossCheck:
         with pytest.raises(CrossCheckError, match=r"input 26, component 2 \(target digit 1\)"):
             approximation_report(3, 3, 2)
 
+    @pytest.mark.parametrize("rows_per_chunk", [1, 7, 27])
+    def test_product_check_names_a_mid_range_input(self, monkeypatch, rows_per_chunk):
+        # Input 13 lies in neither dense boundary chunk, so only the product
+        # check can see a nudge of its |2> component of bracket 1.
+        pruned = analysis.build_qft_circuit(3, 3, 2)
+        original = analysis._run_product
+
+        def nudged(circuit, x):
+            out = original(circuit, x)
+            if circuit == pruned:
+                out[x == 13, 1, 2] *= cmath.exp(1e-6j)
+            return out
+
+        monkeypatch.setattr(analysis, "_run_product", nudged)
+        monkeypatch.setattr(analysis, "_CHUNK_AMPLITUDES", rows_per_chunk * 27)
+        with pytest.raises(CrossCheckError, match=r"input 13, component 2 \(target digit 1\)"):
+            approximation_report(3, 3, 2)
+
+    @pytest.mark.parametrize("dense_input,message", [
+        (0, r"input 0, component 1 \(target digit 2\)"),
+        (26, r"input 13, component 2 \(target digit 1\)"),
+    ])
+    def test_names_the_smallest_input_over_both_checks(self, monkeypatch, dense_input,
+                                                       message):
+        # A dense failure at a boundary input (column 1 is bracket 2's |1>)
+        # and a product failure at input 13: the smaller input is reported,
+        # whichever check finds it.
+        pruned = analysis.build_qft_circuit(3, 3, 2)
+        dense, product = analysis._run_batch, analysis._run_product
+
+        def dense_nudged(circuit, amplitude_rows):
+            out = dense(circuit, amplitude_rows)
+            if circuit == pruned:
+                out[amplitude_rows[:, dense_input] == 1, 1] *= cmath.exp(1e-6j)
+            return out
+
+        def product_nudged(circuit, x):
+            out = product(circuit, x)
+            if circuit == pruned:
+                out[x == 13, 1, 2] *= cmath.exp(1e-6j)
+            return out
+
+        monkeypatch.setattr(analysis, "_run_batch", dense_nudged)
+        monkeypatch.setattr(analysis, "_run_product", product_nudged)
+        monkeypatch.setattr(analysis, "_CHUNK_AMPLITUDES", 7 * 27)
+        with pytest.raises(CrossCheckError, match=message):
+            approximation_report(3, 3, 2)
+
 
 class TestCapacityMetrics:
     def test_binary_baseline(self):
@@ -338,3 +432,11 @@ class TestCapacityMetrics:
             capacity_metrics(1, 3)
         with pytest.raises(ValueError):
             capacity_metrics(3, 0)
+
+    @pytest.mark.parametrize("q,n", [(3, 2000), (3, 1751), (4, 1024)])
+    def test_overflowing_ratio_raises_value_error(self, q, n):
+        with pytest.raises(ValueError, match=rf"\({q}/2\)\*\*{n}"):
+            capacity_metrics(q, n)
+
+    def test_largest_finite_ratio(self):
+        assert capacity_metrics(3, 1750).state_space_ratio == 1.5 ** 1750

@@ -1,4 +1,7 @@
-"""Tests for the circuit IR, the builders, the simulator, and compilation."""
+"""Tests for the circuit IR, the builders, the simulators, and compilation."""
+
+import re
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from qudit_qft import (
     max_entry_distance,
     walsh_hadamard_gate,
 )
+from qudit_qft.circuit import _run_batch, _run_product
 
 RNG = np.random.default_rng(55021)
 
@@ -220,6 +224,12 @@ class TestDigitReversal:
         mapping = digit_reversal_perm(q, n).mapping
         np.testing.assert_array_equal(mapping[mapping], np.arange(q ** n))
 
+    @pytest.mark.parametrize("q,n", [(2, 1), (2, 6), (3, 4), (5, 3), (7, 2)])
+    def test_matches_digit_formula(self, q, n):
+        index = np.arange(q ** n)
+        expected = sum(((index // q ** j) % q) * q ** (n - 1 - j) for j in range(n))
+        np.testing.assert_array_equal(digit_reversal_perm(q, n).mapping, expected)
+
     def test_permutation_requires_bijection(self):
         with pytest.raises(ValueError):
             Permutation(3, np.array([0, 0, 2]))
@@ -335,3 +345,70 @@ class TestCircuitToMatrix:
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             circuit_to_matrix(build_qft_circuit(2, 3), dim_cap=4)
+
+
+def product_to_dense(slots, reverse):
+    """Kronecker product of each input's ``_run_product`` slots in output
+    order: the leftmost factor is the most significant output digit."""
+    n = slots.shape[1]
+    order = range(n) if reverse else range(n - 1, -1, -1)
+    return np.array([reduce(np.kron, [row[l] for l in order]) for row in slots])
+
+
+# Hand-built runs over several targets: a phase on a target that is still a
+# basis digit, targets phased before and after their Chrestenson gates, and
+# denominator exponents above the register width.
+MIXED_OPS = (
+    GateOp.controlled_phase(0, 1, 2),
+    GateOp.chrestenson(3),
+    GateOp.chrestenson(2),
+    GateOp.controlled_phase(1, 3, 2),
+    GateOp.controlled_phase(0, 2, 3),
+    GateOp.controlled_phase(0, 3, 6),
+    GateOp.controlled_phase(1, 2, 2),
+    GateOp.chrestenson(1),
+    GateOp.controlled_phase(0, 1, 4),
+    GateOp.controlled_phase(0, 3, 2),
+    GateOp.chrestenson(0),
+)
+
+
+class TestRunProduct:
+    def assert_matches_dense(self, circuit):
+        dim = circuit.radix ** circuit.digits
+        slots = _run_product(circuit, np.arange(dim))
+        assert slots.shape == (dim, circuit.digits, circuit.radix)
+        assert slots.dtype == np.complex128
+        np.testing.assert_allclose(
+            product_to_dense(slots, circuit.reverse_output_digits),
+            _run_batch(circuit, np.eye(dim)),
+            rtol=0, atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("keep_depth", [None, 1, 2])
+    @pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (4, 3), (5, 3)])
+    def test_qft_matches_dense(self, q, n, keep_depth):
+        self.assert_matches_dense(build_qft_circuit(q, n, keep_depth))
+
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (5, 2)])
+    def test_walsh_hadamard_matches_dense(self, q, n):
+        self.assert_matches_dense(build_walsh_hadamard_transform_circuit(q, n))
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_mixed_target_runs_match_dense(self, q, reverse):
+        self.assert_matches_dense(Circuit(q, 4, MIXED_OPS, reverse_output_digits=reverse))
+
+    def test_fine_phases_match_dense(self):
+        # four shifts of up to 36 * 7**20 each: unreduced, their sum would
+        # overflow int64
+        ops = ((1, 2, 2), (1, 2, 2), (0, 2, 22), (1, 2, 2), (1, 2, 2))
+        circuit = Circuit(7, 3, tuple(GateOp.controlled_phase(*op) for op in ops)
+                          + (GateOp.chrestenson(2),))
+        self.assert_matches_dense(circuit)
+
+    def test_refuses_a_control_after_its_chrestenson(self):
+        op = GateOp.controlled_phase(0, 1, 2)
+        circuit = Circuit(3, 2, (GateOp.chrestenson(0), GateOp.chrestenson(1), op))
+        with pytest.raises(ValueError, match=re.escape(f"{op} reads control digit 0")):
+            _run_product(circuit, np.arange(9))
