@@ -183,14 +183,15 @@ def build_walsh_hadamard_transform_circuit(q: int, n: int) -> Circuit:
     return Circuit(q, n, ops, reverse_output_digits=False)
 
 
-def dft_matrix(t: int) -> np.ndarray:
+def dft_matrix(t: int, rows: slice | None = None) -> np.ndarray:
     """Discrete Fourier transform over ``Z_t``: entry (y, x) is
     ``exp(-2j*pi*x*y/t) / sqrt(t)``.  Used as the oracle the compiled QFT
-    circuits are checked against."""
+    circuits are checked against.  ``rows`` selects a block of rows y,
+    whose entries equal those of the full matrix bit for bit."""
     if t < 2:
         raise ValueError("transform size must be at least 2")
     x = np.arange(t, dtype=np.int64)
-    exponents = np.outer(x, x) % t
+    exponents = np.outer(x if rows is None else x[rows], x) % t
     roots = np.exp(-2j * np.pi * np.arange(t) / t)
     return roots[exponents] / np.sqrt(t)
 
@@ -208,13 +209,17 @@ def chrestenson_transform_matrix(q: int, n: int,
     return out
 
 
+def _digit_reversal_index(q: int, n: int) -> np.ndarray:
+    """Image array of ``digit_reversal_perm``, built without validation: it
+    is a bijection by construction."""
+    # Reversing the axes of the (q,)*n digit view reverses the digit order.
+    return np.arange(q ** n, dtype=np.int64).reshape((q,) * n).transpose().ravel()
+
+
 def digit_reversal_perm(q: int, n: int) -> Permutation:
     """Permutation sending digits ``(x_{n-1}, ..., x_0)`` to ``(x_0, ..., x_{n-1})``."""
     _validate_params(q, n, None)
-    dim = q ** n
-    # Reversing the axes of the (q,)*n digit view reverses the digit order.
-    reversed_idx = np.arange(dim, dtype=np.int64).reshape((q,) * n).transpose().ravel()
-    return Permutation(dim, reversed_idx)
+    return Permutation(q ** n, _digit_reversal_index(q, n))
 
 
 def _along_digit(q: int, n: int, digit: int, values: np.ndarray) -> np.ndarray:
@@ -223,6 +228,20 @@ def _along_digit(q: int, n: int, digit: int, values: np.ndarray) -> np.ndarray:
     shape = [1] * n
     shape[n - 1 - digit] = q
     return values.reshape(shape)
+
+
+def _roots(exponent: np.ndarray, modulus: int, largest_table: int,
+           tables: dict) -> np.ndarray:
+    """``roots_of_unity(exponent, modulus)``, read from a table of all
+    ``modulus`` roots when that table holds at most ``largest_table``
+    entries, and evaluated directly otherwise.  Each entry is the same
+    once-rounded long-double value either way.  ``tables`` keeps every
+    table built, keyed by modulus, for later calls."""
+    if modulus > largest_table:
+        return roots_of_unity(exponent, modulus)
+    if modulus not in tables:
+        tables[modulus] = roots_of_unity(np.arange(modulus), modulus)
+    return tables[modulus][exponent]
 
 
 def _fused_phases(q: int, n: int, ops: tuple[GateOp, ...]) -> np.ndarray:
@@ -250,11 +269,8 @@ def _fused_phases(q: int, n: int, ops: tuple[GateOp, ...]) -> np.ndarray:
         weight = _along_digit(q, n, op.control, digit * q ** (m - op.denom_exp))
         exponent = exponent + weight * _along_digit(q, n, op.target, digit)
         exponent %= modulus
-    if modulus <= exponent.size:
-        phases = roots_of_unity(np.arange(modulus), modulus)[exponent]
-    else:
-        # a table would outgrow the exponents it is indexed by
-        phases = roots_of_unity(exponent, modulus)
+    # a table larger than the exponents it is indexed by would not pay
+    phases = _roots(exponent, modulus, exponent.size, {})
     return np.broadcast_to(phases, (q,) * n).reshape(q ** n)
 
 
@@ -288,13 +304,15 @@ def _run_batch(circuit: Circuit, amplitude_rows: np.ndarray) -> np.ndarray:
         else:
             kernels.apply_diagonal(current, _fused_phases(q, n, run))
     if circuit.reverse_output_digits:
-        perm = digit_reversal_perm(q, circuit.digits)
-        np.take(current, perm.mapping, axis=1, out=spare)
+        # mode="wrap" skips the bounds check of the default mode="raise",
+        # which writes into a hidden temporary as large as ``spare``; the
+        # index is a bijection, so wrapping never applies
+        np.take(current, _digit_reversal_index(q, n), axis=1, out=spare, mode="wrap")
         current, spare = spare, current
     return current
 
 
-def _run_product(circuit: Circuit, x: np.ndarray) -> np.ndarray:
+def _run_product(circuit: Circuit, x: np.ndarray, cache: dict) -> np.ndarray:
     """Apply a circuit to basis inputs ``x`` as a product of single-digit states.
 
     Returns a ``(len(x), n, q)`` complex128 array whose slot ``l`` holds
@@ -312,7 +330,11 @@ def _run_product(circuit: Circuit, x: np.ndarray) -> np.ndarray:
     the run's largest denominator exponent, component t of a target picks
     up ``exp(-2j*pi * k / q**m)``, where ``k = sum x_c*t*q**(m-s) mod
     q**m`` over the target's shifts, built and rounded as in
-    ``_fused_phases``.
+    ``_fused_phases``.  Its phases are read from a table of the ``q**m``
+    roots of unity where that table is no larger than the register
+    (``q**n`` entries), and evaluated directly otherwise.  The gate and the
+    tables are kept in ``cache``: a caller that runs every input in chunks
+    passes one dict to every call, so each is built once.
     """
     q = circuit.radix
     n = circuit.digits
@@ -321,7 +343,9 @@ def _run_product(circuit: Circuit, x: np.ndarray) -> np.ndarray:
     # digit-major, so each slot and each digit row is contiguous
     slots = np.zeros((n, len(x), q), dtype=np.complex128)
     np.put_along_axis(slots, digits[:, :, np.newaxis], 1.0, axis=2)
-    gate = chrestenson_gate(q).T
+    if ("chrestenson", q) not in cache:
+        cache["chrestenson", q] = chrestenson_gate(q).T
+    gate = cache["chrestenson", q]
     # component 0 of every target keeps phase 1
     component = np.arange(1, q, dtype=np.int64)
     transformed = set()
@@ -353,12 +377,7 @@ def _run_product(circuit: Circuit, x: np.ndarray) -> np.ndarray:
             exponent[targets.index(op.target)] += term
             largest += term_max
         exponent %= modulus
-        if modulus <= exponent.size:
-            phases = roots_of_unity(np.arange(modulus), modulus)[exponent]
-        else:
-            # a table would outgrow the exponents it is indexed by
-            phases = roots_of_unity(exponent, modulus)
-        slots[targets, :, 1:] *= phases
+        slots[targets, :, 1:] *= _roots(exponent, modulus, q ** n, cache)
     return slots.transpose(1, 0, 2)
 
 

@@ -12,7 +12,13 @@ Data goes to --out (or stdout); diagnostics go to stderr.  Exit codes:
 0 success, 1 verification failure, 2 usage or input-parse error (a size
 above a command's limit included), 3 I/O error.  All numeric output is
 printed with 17 significant digits so files round-trip exactly and
-identical invocations are byte-identical.
+identical invocations are byte-identical.  Output is written chunk by
+chunk, so a state document is never held whole in memory.
+
+verify compares the compiled matrix with the DFT one block of rows at a
+time, and takes the unitarity residual from the blocks of ``M @ M^H`` on
+and above the diagonal (``numerics.unitarity_residual``); it builds no full
+oracle, product or identity matrix.
 """
 
 from __future__ import annotations
@@ -30,12 +36,12 @@ import numpy as np
 from .analysis import CrossCheckError, approximation_report, capacity_metrics
 from .circuit import apply_circuit, build_qft_circuit, circuit_to_matrix, dft_matrix
 from .numerics import (
+    BLOCK_ROWS,
     DEFAULT_DIM_CAP,
     NORM_TOL,
     StateVector,
-    adjoint,
-    matmul,
     max_entry_distance,
+    unitarity_residual,
 )
 
 
@@ -45,6 +51,13 @@ from .numerics import (
 # from --in, and bounds at 150 MiB (q=2, keep-depth 3) and 145 MiB (q=4,
 # keep-depth 2); every array either allocates is O(q**n).
 MAX_STATE_DIM = 2 ** 20
+
+# apply and bounds also refuse a radix above this: the dense q x q
+# Chrestenson gate is built through long-double intermediates, so peak RSS
+# grows as q**2.  At n = 1 (2-vCPU Linux VM, numpy path) apply peaked at
+# 102 MiB with radix 1024 and 318 MiB with radix 2048, and bounds at 116
+# and 323 MiB; 2048 is the largest radix measured inside the 512 MiB budget.
+MAX_RADIX = 2048
 
 
 class UsageError(Exception):
@@ -62,24 +75,24 @@ def _fmt(x: float) -> str:
 _STATE_CHUNK = 4096
 
 
-def render_state(state: StateVector) -> str:
+def render_state(state: StateVector):
+    """Yield the state document in chunks of ``_STATE_CHUNK`` amplitudes;
+    ``"".join`` of the chunks is the whole document."""
     amps = state.amplitudes
     pair = "    [{:.17g}, {:.17g}]".format
-    chunks = [
-        ",\n".join(map(pair, amps.real[i:i + _STATE_CHUNK].tolist(),
-                       amps.imag[i:i + _STATE_CHUNK].tolist()))
-        for i in range(0, len(amps), _STATE_CHUNK)
-    ]
-    # The header and footer ride on the first and last chunk, so one join
-    # builds the document without a second copy of the amplitude text.
-    chunks[0] = (
+    # The header rides on the first chunk and the footer on the last, so
+    # no more than one chunk of amplitude text exists at a time.
+    lead = (
         "{\n"
         f'  "radix": {state.radix},\n'
         f'  "digits": {state.digits},\n'
         '  "amplitudes": [\n'
-    ) + chunks[0]
-    chunks[-1] += "\n  ]\n}\n"
-    return ",\n".join(chunks)
+    )
+    for i in range(0, len(amps), _STATE_CHUNK):
+        end = i + _STATE_CHUNK
+        text = ",\n".join(map(pair, amps.real[i:end].tolist(), amps.imag[i:end].tolist()))
+        yield lead + text + ("\n  ]\n}\n" if end >= len(amps) else "")
+        lead = ",\n"
 
 
 def parse_state(text: str, radix: int, digits: int, tolerance: float) -> StateVector:
@@ -206,8 +219,9 @@ def _compare_rows(q: int, n: int):
 
 # ---------------------------------------------------------------- commands
 
-def _emit(text: str, output_path: str | None) -> None:
-    """Write ``text`` to stdout, or atomically to ``output_path``.
+def _emit(chunks, output_path: str | None) -> None:
+    """Write an iterable of text chunks to stdout, or atomically to
+    ``output_path``.  Callers pass a list or generator, never a bare str.
 
     A regular file is written whole into a temporary file beside it and
     renamed into place, so an error leaves any existing file untouched and
@@ -216,13 +230,13 @@ def _emit(text: str, output_path: str | None) -> None:
     over and is written directly.
     """
     if output_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     target = os.path.realpath(output_path)
     exists = os.path.exists(target)
     if exists and not os.path.isfile(target):
         with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         return
     directory, name = os.path.split(target)
     temporary = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
@@ -230,7 +244,7 @@ def _emit(text: str, output_path: str | None) -> None:
     fh = open(temporary, "x", encoding="utf-8")
     try:
         with fh:
-            fh.write(text)
+            fh.writelines(chunks)
         if exists:
             shutil.copymode(target, temporary)
         os.replace(temporary, target)
@@ -239,9 +253,12 @@ def _emit(text: str, output_path: str | None) -> None:
         raise
 
 
-def _check_params(args, max_dim: int | None = None, cap_name: str = "") -> None:
+def _check_params(args, max_dim: int | None = None, cap_name: str = "",
+                  max_radix: int | None = None) -> None:
     if args.radix < 2:
         raise UsageError("--radix must be at least 2")
+    if max_radix is not None and args.radix > max_radix:
+        raise UsageError(f"--radix {args.radix} exceeds the radix limit {max_radix}")
     if args.digits < 1:
         raise UsageError("--digits must be at least 1")
     keep_depth = getattr(args, "keep_depth", None)
@@ -261,19 +278,21 @@ def cmd_gen_matrix(args) -> int:
     circuit = build_qft_circuit(args.radix, args.digits, args.keep_depth)
     matrix = circuit_to_matrix(circuit, dim_cap=args.dim_cap)
     render = render_matrix_csv if args.format == "csv" else render_matrix_json
-    _emit(render(matrix), args.output_path)
+    _emit([render(matrix)], args.output_path)
     return 0
 
 
 def cmd_verify(args) -> int:
     _check_params(args, args.dim_cap, "--dim-cap")
     q, n = args.radix, args.digits
+    dim = q ** n
     circuit = build_qft_circuit(q, n)
     matrix = circuit_to_matrix(circuit, dim_cap=args.dim_cap)
-    distance = max_entry_distance(matrix, dft_matrix(q ** n))
-    residual = max_entry_distance(
-        matmul(matrix, adjoint(matrix)), np.eye(q ** n, dtype=np.complex128)
-    )
+    blocks = [slice(start, start + BLOCK_ROWS) for start in range(0, dim, BLOCK_ROWS)]
+    # np.max, unlike the builtin max, carries a NaN in any block through
+    distance = float(np.max([max_entry_distance(matrix[rows], dft_matrix(dim, rows))
+                             for rows in blocks]))
+    residual = unitarity_residual(matrix)
     expected_gates = n * (n + 1) // 2
     checks = [
         ("gate_count", circuit.gate_count == expected_gates,
@@ -286,7 +305,7 @@ def cmd_verify(args) -> int:
     lines = [f"{text} {'PASS' if ok else 'FAIL'}" for _, ok, text in checks]
     all_ok = all(ok for _, ok, _ in checks)
     lines.append(f"verify {'PASS' if all_ok else 'FAIL'}")
-    _emit("\n".join(lines) + "\n", args.output_path)
+    _emit(["\n".join(lines) + "\n"], args.output_path)
     if not all_ok:
         for name, ok, _ in checks:
             if not ok:
@@ -295,7 +314,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    _check_params(args, MAX_STATE_DIM, "the state-dimension limit")
+    _check_params(args, MAX_STATE_DIM, "the state-dimension limit", MAX_RADIX)
     q, n = args.radix, args.digits
     if args.input_path is not None and args.basis is not None:
         raise UsageError("--in and --basis are mutually exclusive")
@@ -314,10 +333,10 @@ def cmd_apply(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    _check_params(args, MAX_STATE_DIM, "the state-dimension limit")
+    _check_params(args, MAX_STATE_DIM, "the state-dimension limit", MAX_RADIX)
     rows = approximation_report(args.radix, args.digits, args.keep_depth)
     table = render_table(BOUNDS_HEADER, map(astuple, rows), args.format)
-    _emit(table, args.output_path)
+    _emit([table], args.output_path)
     return 0
 
 
@@ -325,7 +344,7 @@ def cmd_compare_radix(args) -> int:
     _check_params(args)
     _check_compare_size(args.radix, args.digits)
     rows = _compare_rows(args.radix, args.digits)
-    _emit(render_table(COMPARE_HEADER, rows, args.format), args.output_path)
+    _emit([render_table(COMPARE_HEADER, rows, args.format)], args.output_path)
     return 0
 
 

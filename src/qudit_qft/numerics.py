@@ -18,6 +18,14 @@ DEFAULT_DIM_CAP = 4096
 # Unit-norm requirement on state vectors.
 NORM_TOL = 1e-10
 
+# Row-block height of the blocked full-matrix checks: unitarity_residual
+# forms its Gram blocks from row blocks of this many rows, and cli verify
+# compares the matrix with the DFT in blocks of as many rows.  At the 4096
+# cap heights of 256, 512 and 1024 all took 4.0-4.3 s for the residual
+# (2-vCPU VM), against 6.5 s for one full product; the smallest keeps the
+# temporaries smallest.
+BLOCK_ROWS = 256
+
 
 def _as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
@@ -64,14 +72,36 @@ def max_entry_distance(a, b) -> float:
     return float(np.abs(a - b).max())
 
 
-def is_unitary(a, tol: float = 1e-10) -> bool:
-    """True iff ``a @ adjoint(a)`` is the identity to within ``tol`` per entry."""
+def unitarity_residual(a) -> float:
+    """Largest entry of ``|a @ adjoint(a) - I|``, computed in row blocks.
+
+    ``G = a @ adjoint(a)`` is Hermitian for any ``a``, so every entry below
+    the diagonal blocks is the conjugate of one above them.  Only the blocks
+    ``G[i, j] = a[i] @ adjoint(a[j])`` with i <= j are formed, one at a
+    time and ``BLOCK_ROWS`` rows high, which halves the product; no full
+    product, adjoint or identity is built.  The identity is subtracted on
+    the diagonal blocks alone.  A NaN in any block makes the result NaN.
+    """
     a = _as_matrix(a)
     _require_square(a)
+    dim = a.shape[0]
+    maxima = []
+    for j in range(0, dim, BLOCK_ROWS):
+        right = a[j:j + BLOCK_ROWS].conj()
+        for i in range(0, j + 1, BLOCK_ROWS):
+            block = a[i:i + BLOCK_ROWS] @ right.T
+            if i == j:
+                block[np.diag_indices(len(block))] -= 1
+            maxima.append(np.abs(block).max())
+    # np.max, unlike the builtin max, carries a NaN through
+    return float(np.max(maxima))
+
+
+def is_unitary(a, tol: float = 1e-10) -> bool:
+    """True iff ``a @ adjoint(a)`` is the identity to within ``tol`` per entry."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    residual = a @ a.conj().T - np.eye(a.shape[0])
-    return float(np.abs(residual).max()) <= tol
+    return unitarity_residual(a) <= tol
 
 
 def spectral_norm(a, iterations: int = 200) -> float:

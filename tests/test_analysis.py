@@ -18,6 +18,7 @@ from qudit_qft import (
     phase_error_series,
     phase_error_trig,
 )
+from qudit_qft import circuit as circuit_module
 from qudit_qft.analysis import CrossCheckError
 from qudit_qft.cli import main
 
@@ -252,9 +253,9 @@ def record_product_calls(monkeypatch):
     calls = []
     original = analysis._run_product
 
-    def recording(circuit, x):
+    def recording(circuit, x, cache):
         calls.append((circuit, x.copy()))
-        return original(circuit, x)
+        return original(circuit, x, cache)
 
     monkeypatch.setattr(analysis, "_run_product", recording)
     return calls
@@ -311,6 +312,26 @@ class TestOneSimulationPerReport:
         assert sizes == [size for size in chunks for _ in range(2)]
         assert_one_product_run_per_chunk(calls, q, n, keep_depth)
 
+    def test_gate_and_tables_are_built_once_per_report(self, monkeypatch):
+        # 81 and 12 product chunks, both with two one-row dense chunks: the
+        # number of gates and root tables built must not grow with chunks
+        builds = []
+        for name in ("chrestenson_gate", "roots_of_unity"):
+            original = getattr(circuit_module, name)
+
+            def counting(*args, original=original, name=name):
+                builds.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(circuit_module, name, counting)
+        counts = []
+        for inputs_per_chunk in (1, 7):
+            monkeypatch.setattr(analysis, "_CHUNK_AMPLITUDES", inputs_per_chunk * 4 * 3)
+            builds.clear()
+            approximation_report(3, 4, 2)
+            counts.append(sorted(builds))
+        assert counts[0] == counts[1]
+
     def test_large_register_attains_the_closed_forms(self):
         # measured_t1 is a float sum of the dropped shifts, so it may sit
         # an ulp above the closed form (0.7838641826095627 at target 11)
@@ -366,8 +387,8 @@ class TestCrossCheck:
         pruned = analysis.build_qft_circuit(3, 3, 2)
         original = analysis._run_product
 
-        def nudged(circuit, x):
-            out = original(circuit, x)
+        def nudged(circuit, x, cache):
+            out = original(circuit, x, cache)
             if circuit == pruned:
                 out[x == 13, 1, 2] *= cmath.exp(1e-6j)
             return out
@@ -395,8 +416,8 @@ class TestCrossCheck:
                 out[amplitude_rows[:, dense_input] == 1, 1] *= cmath.exp(1e-6j)
             return out
 
-        def product_nudged(circuit, x):
-            out = product(circuit, x)
+        def product_nudged(circuit, x, cache):
+            out = product(circuit, x, cache)
             if circuit == pruned:
                 out[x == 13, 1, 2] *= cmath.exp(1e-6j)
             return out

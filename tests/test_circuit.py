@@ -184,6 +184,11 @@ class TestDftMatrix:
         with pytest.raises(ValueError):
             dft_matrix(1)
 
+    @pytest.mark.parametrize("rows", [slice(0, 16), slice(16, 32), slice(64, 96)])
+    def test_row_blocks_are_bit_identical(self, rows):
+        # the last block runs past row 80 and is cut there, as a slice is
+        np.testing.assert_array_equal(dft_matrix(81, rows), dft_matrix(81)[rows])
+
 
 class TestChrestensonTransform:
     def test_single_digit(self):
@@ -376,7 +381,7 @@ MIXED_OPS = (
 class TestRunProduct:
     def assert_matches_dense(self, circuit):
         dim = circuit.radix ** circuit.digits
-        slots = _run_product(circuit, np.arange(dim))
+        slots = _run_product(circuit, np.arange(dim), {})
         assert slots.shape == (dim, circuit.digits, circuit.radix)
         assert slots.dtype == np.complex128
         np.testing.assert_allclose(
@@ -411,4 +416,4 @@ class TestRunProduct:
         op = GateOp.controlled_phase(0, 1, 2)
         circuit = Circuit(3, 2, (GateOp.chrestenson(0), GateOp.chrestenson(1), op))
         with pytest.raises(ValueError, match=re.escape(f"{op} reads control digit 0")):
-            _run_product(circuit, np.arange(9))
+            _run_product(circuit, np.arange(9), {})

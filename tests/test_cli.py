@@ -127,6 +127,39 @@ class TestVerify:
         assert code == 2
         assert "radix" in err
 
+    @pytest.mark.parametrize("row", [0, 2 ** 9 - 1])
+    def test_nudge_in_the_first_or_last_row_block_fails(self, row, monkeypatch, capsys):
+        # 2**9 rows span two row blocks of both checks
+        assert 2 ** 9 > cli.BLOCK_ROWS
+        compile_matrix = cli.circuit_to_matrix
+
+        def nudged(circuit, dim_cap):
+            matrix = compile_matrix(circuit, dim_cap=dim_cap)
+            matrix[row, 5] *= 1 + 1e-6
+            return matrix
+
+        monkeypatch.setattr(cli, "circuit_to_matrix", nudged)
+        code, out, err = run(["verify", "--radix", "2", "--digits", "9"], capsys)
+        assert code == 1
+        assert "oracle_distance" in out and "unitarity_residual" in out
+        assert all(line.endswith("FAIL") for line in out.splitlines()[1:])
+        assert "verification failed: unitarity_residual" in err
+
+    @pytest.mark.parametrize("row", [0, 2 ** 9 - 1])
+    def test_nan_in_the_first_or_last_row_block_fails(self, row, monkeypatch, capsys):
+        compile_matrix = cli.circuit_to_matrix
+
+        def poisoned(circuit, dim_cap):
+            matrix = compile_matrix(circuit, dim_cap=dim_cap)
+            matrix[row, 5] = np.nan
+            return matrix
+
+        monkeypatch.setattr(cli, "circuit_to_matrix", poisoned)
+        code, out, err = run(["verify", "--radix", "2", "--digits", "9"], capsys)
+        assert code == 1
+        assert "oracle_distance nan" in out and "unitarity_residual nan" in out
+        assert all(line.endswith("FAIL") for line in out.splitlines()[1:])
+
     def test_impossible_tolerance_fails(self, capsys):
         code, out, err = run(
             ["verify", "--radix", "2", "--digits", "3", "--tolerance", "1e-30"],
@@ -152,7 +185,18 @@ def test_render_state_matches_per_amplitude_format():
     expected = (
         f'{{\n  "radix": 3,\n  "digits": 8,\n  "amplitudes": [\n{pairs}\n  ]\n}}\n'
     )
-    assert render_state(state) == expected
+    assert "".join(render_state(state)) == expected
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_render_state_chunks_end_on_a_chunk_boundary(n):
+    # 2**12 and 2**13 amplitudes fill one and two rendering chunks exactly
+    state = StateVector(2, n, np.full(2 ** n, 2 ** (-n / 2)))
+    chunks = list(render_state(state))
+    assert len(chunks) == 2 ** n // 4096
+    assert chunks[-1].endswith("\n  ]\n}\n")
+    doc = json.loads("".join(chunks))
+    assert len(doc["amplitudes"]) == 2 ** n
 
 
 class TestApply:
@@ -194,11 +238,11 @@ class TestApply:
             reparsed.amplitudes, state_from_json(text), atol=1e-12
         )
         # serializing again reproduces the exact bytes
-        assert render_state(reparsed) == text
+        assert "".join(render_state(reparsed)) == text
 
     def test_file_input(self, tmp_path, capsys):
         path = tmp_path / "in.json"
-        path.write_text(render_state(StateVector.basis(2, 2, 3)))
+        path.write_text("".join(render_state(StateVector.basis(2, 2, 3))))
         code, out, _ = run(
             ["apply", "--radix", "2", "--digits", "2", "--in", str(path)], capsys
         )
@@ -241,7 +285,7 @@ class TestApply:
 
     def test_shape_mismatch(self, tmp_path, capsys):
         path = tmp_path / "threedigit.json"
-        path.write_text(render_state(StateVector.basis(2, 3, 0)))
+        path.write_text("".join(render_state(StateVector.basis(2, 3, 0))))
         code, _, err = run(
             ["apply", "--radix", "2", "--digits", "2", "--in", str(path)], capsys
         )
@@ -258,7 +302,7 @@ class TestApply:
 
     def test_basis_and_file_conflict(self, tmp_path, capsys):
         path = tmp_path / "s.json"
-        path.write_text(render_state(StateVector.basis(2, 1, 0)))
+        path.write_text("".join(render_state(StateVector.basis(2, 1, 0))))
         code, _, err = run(
             ["apply", "--radix", "2", "--digits", "1", "--in", str(path),
              "--basis", "0"],
@@ -465,6 +509,33 @@ class TestStateDimensionLimit:
         assert 2 ** 19 <= cli.MAX_STATE_DIM and 3 ** 7 <= cli.MAX_STATE_DIM
 
 
+class ReachedSimulation(Exception):
+    """Raised in place of the simulation, once every size check has passed."""
+
+
+class TestRadixLimit:
+    @pytest.fixture
+    def no_simulation(self, monkeypatch):
+        def reached(*args, **kwargs):
+            raise ReachedSimulation
+
+        monkeypatch.setattr(cli, "build_qft_circuit", reached)
+        monkeypatch.setattr(cli, "approximation_report", reached)
+
+    @pytest.mark.parametrize("command", ["apply", "bounds"])
+    def test_radix_above_the_limit_refused(self, command, no_simulation, capsys):
+        radix = cli.MAX_RADIX + 1
+        code, out, err = run([command, "--radix", str(radix), "--digits", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"--radix {radix} exceeds the radix limit {cli.MAX_RADIX}" in err
+
+    @pytest.mark.parametrize("command", ["apply", "bounds"])
+    def test_radix_at_the_limit_accepted(self, command, no_simulation):
+        with pytest.raises(ReachedSimulation):
+            main([command, "--radix", str(cli.MAX_RADIX), "--digits", "1"])
+
+
 class TestAtomicOutput:
     COMMAND = ["compare-radix", "--radix", "3", "--digits", "2", "--out"]
 
@@ -487,6 +558,10 @@ class TestAtomicOutput:
                 self.fh.flush()
                 partial.append(os.path.getsize(self.fh.name))
                 raise OSError(errno.ENOSPC, "No space left on device")
+
+            def writelines(self, chunks):
+                for chunk in chunks:
+                    self.write(chunk)
 
             def __enter__(self):
                 return self

@@ -28,17 +28,36 @@ def embedded_single(gate: np.ndarray, q: int, n: int, digit: int) -> np.ndarray:
     return np.kron(full, np.eye(q ** digit, dtype=complex))
 
 
-@pytest.mark.parametrize(
-    "q,n,digit", [(2, 1, 0), (2, 3, 0), (2, 3, 2), (3, 2, 1), (5, 2, 0)]
-)
-def test_single_qudit_matches_kron_embedding(q, n, digit):
+# Blocks of q*stride amplitudes up to kernels._GEMM_MAX_BLOCK (64) take the
+# Kronecker GEMM, larger ones the stacked matmul; the last six cases sit on
+# both sides of that switch: q*stride = 64, 128, 81, 64, 256 and 125.
+SINGLE_QUDIT_CASES = [(2, 1, 0), (2, 3, 0), (2, 3, 2), (3, 2, 1), (5, 2, 0),
+                      (2, 8, 5), (2, 8, 6), (3, 5, 3), (4, 4, 2), (4, 4, 3), (5, 3, 2)]
+
+
+def test_cases_cover_both_kernel_shapes():
+    gemm = {q * q ** digit <= kernels._GEMM_MAX_BLOCK for q, _, digit in SINGLE_QUDIT_CASES}
+    assert gemm == {True, False}
+
+
+def assert_single_qudit_matches_kron_embedding(q, n, digit, batch):
     dim = q ** n
     gate = RNG.normal(size=(q, q)) + 1j * RNG.normal(size=(q, q))
-    src = random_batch(4, dim)
+    src = random_batch(batch, dim)
     dst = np.empty_like(src)
     kernels.apply_single_qudit(src, dst, q, q ** digit, gate)
     expected = src @ embedded_single(gate, q, n, digit).T
     np.testing.assert_allclose(dst, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("q,n,digit", SINGLE_QUDIT_CASES)
+def test_single_qudit_matches_kron_embedding(q, n, digit):
+    assert_single_qudit_matches_kron_embedding(q, n, digit, batch=4)
+
+
+@pytest.mark.parametrize("q,n,digit", SINGLE_QUDIT_CASES)
+def test_single_qudit_on_one_row_matches_kron_embedding(q, n, digit):
+    assert_single_qudit_matches_kron_embedding(q, n, digit, batch=1)
 
 
 @pytest.mark.parametrize("q,s", [(2, 2), (3, 2), (3, 3), (5, 2)])

@@ -17,6 +17,8 @@ from qudit_qft import (
     spectral_norm,
     walsh_hadamard_gate,
 )
+from qudit_qft import numerics
+from qudit_qft.numerics import unitarity_residual
 
 RNG = np.random.default_rng(20250810)
 
@@ -116,6 +118,46 @@ class TestIsUnitary:
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError):
             is_unitary(np.eye(2), 0.0)
+
+
+def full_product_residual(a: np.ndarray) -> float:
+    return float(np.abs(a @ a.conj().T - np.eye(len(a))).max())
+
+
+class TestUnitarityResidual:
+    # One-row blocks are left out here: BLAS forms their 1 x 1 products as
+    # dot products, rounded differently, and at (3, 4) that moves the
+    # residual itself (2.3e-15) to 4.4e-16.  They are covered below.
+    @pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (5, 3)])
+    @pytest.mark.parametrize("block_rows", [7, 16, 256])
+    def test_equals_the_full_product_residual(self, q, n, block_rows, monkeypatch):
+        monkeypatch.setattr(numerics, "BLOCK_ROWS", block_rows)
+        matrix = circuit_to_matrix(build_qft_circuit(q, n))
+        blocked = unitarity_residual(matrix)
+        assert abs(blocked - full_product_residual(matrix)) <= 1e-15
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 16, 256])
+    def test_finds_the_largest_entry_in_any_block(self, block_rows, monkeypatch):
+        # a non-unitary matrix, so every Gram entry counts; each row of
+        # G = a a^H below the diagonal mirrors one above it
+        monkeypatch.setattr(numerics, "BLOCK_ROWS", block_rows)
+        a = random_matrix(45)
+        assert abs(unitarity_residual(a) - full_product_residual(a)) <= (
+            1e-12 * full_product_residual(a))
+
+    @pytest.mark.parametrize("index", [0, 1, 2, 3])
+    def test_nan_in_any_block_is_not_unitary(self, index, monkeypatch):
+        # one-row blocks: the NaN sits in the first block or a later one
+        monkeypatch.setattr(numerics, "BLOCK_ROWS", 1)
+        a = np.eye(2, dtype=complex)
+        a.flat[index] = np.nan
+        assert np.isnan(unitarity_residual(a))
+        assert not is_unitary(a)
+
+    def test_nan_in_the_last_default_block_is_not_unitary(self):
+        a = np.eye(2 * numerics.BLOCK_ROWS, dtype=complex)
+        a[-1, -1] = np.nan
+        assert not is_unitary(a)
 
 
 class TestMaxEntryDistance:
