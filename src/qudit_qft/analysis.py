@@ -211,13 +211,15 @@ def _bracket_phase_maxima(q: int, n: int, keep_depth: int | None) -> list[float]
     rows = max(1, _CHUNK_AMPLITUDES // (n * q))
     maxima = np.zeros(n)
     # both circuits read the Chrestenson gate and their roots-of-unity
-    # tables from here, each built once for the whole pass
+    # tables, of up to q**n entries, from here, each built once for the
+    # whole pass
     cache = {}
     for start in range(0, dim, rows):
         x = np.arange(start, min(start + rows, dim))
         shifts = shifts_of(x)
         mismatches.append(first_mismatch(
-            x, _run_product(exact, x, cache), _run_product(pruned, x, cache), shifts,
+            x, _run_product(exact, x, cache, dim), _run_product(pruned, x, cache, dim),
+            shifts,
         ))
         # inputs rise chunk by chunk, so later chunks hold no smaller failure
         if mismatches[-1] is not None:

@@ -15,7 +15,12 @@ shifts' exponents mod ``q**m``, read from one table of roots of unity.
 A second simulator, ``_run_product``, runs basis inputs through circuits
 whose controlled phases only read digits that are still basis digits, as
 the QFT's do.  The register then stays a product of n single-digit states,
-so each input costs ``n*q`` amplitudes instead of ``q**n``.
+so each input costs ``n*q`` amplitudes instead of ``q**n``.  It serves
+every basis input: ``bounds`` checks each input's slots, and
+``_basis_columns`` expands them into output states, from which
+``circuit_to_matrix`` compiles such a circuit and ``apply`` runs a basis
+state.  The dense simulator runs state inputs, the two boundary chunks of
+``bounds``, and the compile of a circuit that ``_breaks_product``.
 
 Digit conventions: ``x_0`` is the least significant digit, state index
 ``i = sum_j x_j * q**j``, and the leftmost Kronecker factor addresses the
@@ -312,33 +317,57 @@ def _run_batch(circuit: Circuit, amplitude_rows: np.ndarray) -> np.ndarray:
     return current
 
 
-def _run_product(circuit: Circuit, x: np.ndarray, cache: dict) -> np.ndarray:
+def _breaks_product(circuit: Circuit) -> GateOp | None:
+    """The first controlled phase that reads a control digit after that
+    digit's Chrestenson gate, or None.  Until such a phase the register
+    stays a product of single-digit states on every basis input; the QFT
+    builders emit none."""
+    transformed = set()
+    for op in circuit.ops:
+        if op.kind == CHRESTENSON:
+            transformed.add(op.target)
+        elif op.control in transformed:
+            return op
+    return None
+
+
+def _run_product(circuit: Circuit, x: np.ndarray, cache: dict,
+                 largest_table: int) -> np.ndarray:
     """Apply a circuit to basis inputs ``x`` as a product of single-digit states.
 
     Returns a ``(len(x), n, q)`` complex128 array whose slot ``l`` holds
     the state of register digit ``l``.  The register stays a product state
     as long as every controlled phase reads a control digit that is still
-    a basis digit, which ``build_qft_circuit`` guarantees; a phase whose
-    control has already received its Chrestenson gate raises
-    ``ValueError``.  The output digit reversal only relabels positions, so
-    slot ``l`` is output digit ``n-1-l`` when the circuit reverses and
-    output digit ``l`` when it does not; for the QFT slot ``l`` is the
-    bracket of fraction length ``l + 1`` either way.
+    a basis digit, which ``build_qft_circuit`` guarantees; a circuit that
+    ``_breaks_product`` raises ``ValueError``.  The output digit reversal
+    only relabels positions, so slot ``l`` is output digit ``n-1-l`` when
+    the circuit reverses and output digit ``l`` when it does not; for the
+    QFT slot ``l`` is the bracket of fraction length ``l + 1`` either way.
 
-    Each Chrestenson gate maps its slot through ``chrestenson_gate(q)``.
-    Each maximal run of controlled phases is applied per target: with ``m``
-    the run's largest denominator exponent, component t of a target picks
-    up ``exp(-2j*pi * k / q**m)``, where ``k = sum x_c*t*q**(m-s) mod
-    q**m`` over the target's shifts, built and rounded as in
+    A slot's first Chrestenson gate meets a scaled basis digit ``c|d>``, so
+    it selects row ``d`` of ``chrestenson_gate(q)`` times ``c``; a second
+    Chrestenson gate on the same slot is a dense ``(len(x), q) @ (q, q)``
+    product.  Each maximal run of controlled phases is applied per target:
+    with ``m`` the run's largest denominator exponent, component t of a
+    target picks up ``exp(-2j*pi * k / q**m)``, where ``k = sum x_c*t*q**(m-s)
+    mod q**m`` over the target's shifts, built and rounded as in
     ``_fused_phases``.  Its phases are read from a table of the ``q**m``
-    roots of unity where that table is no larger than the register
-    (``q**n`` entries), and evaluated directly otherwise.  The gate and the
-    tables are kept in ``cache``: a caller that runs every input in chunks
-    passes one dict to every call, so each is built once.
+    roots of unity where that table holds at most ``largest_table``
+    entries, and evaluated directly otherwise; each is the same
+    once-rounded value either way.  The gate and the tables are kept in
+    ``cache``: a caller that runs every input in chunks passes one dict to
+    every call, so each is built once.
     """
     q = circuit.radix
     n = circuit.digits
+    broken = _breaks_product(circuit)
+    if broken is not None:
+        raise ValueError(
+            f"{broken} reads control digit {broken.control} after its Chrestenson "
+            "gate, so the register is no longer a product of basis digits"
+        )
     x = np.asarray(x, dtype=np.int64)
+    inputs = np.arange(len(x))
     digits = np.stack([(x // q ** k) % q for k in range(n)])
     # digit-major, so each slot and each digit row is contiguous
     slots = np.zeros((n, len(x), q), dtype=np.complex128)
@@ -352,8 +381,12 @@ def _run_product(circuit: Circuit, x: np.ndarray, cache: dict) -> np.ndarray:
     for kind, run in _segments(circuit.ops):
         if kind == CHRESTENSON:
             target = run[0].target
-            slots[target] = slots[target] @ gate
-            transformed.add(target)
+            if target in transformed:
+                slots[target] = slots[target] @ gate
+            else:
+                row = digits[target]
+                slots[target] = slots[target, inputs, row][:, np.newaxis] * gate[row]
+                transformed.add(target)
             continue
         m = max(op.denom_exp for op in run)
         modulus = q ** m
@@ -363,11 +396,6 @@ def _run_product(circuit: Circuit, x: np.ndarray, cache: dict) -> np.ndarray:
         # sums are reduced only when the next one could leave int64.
         largest = 0
         for op in run:
-            if op.control in transformed:
-                raise ValueError(
-                    f"{op} reads control digit {op.control} after its Chrestenson "
-                    "gate, so the register is no longer a product of basis digits"
-                )
             weights = component * q ** (m - op.denom_exp)
             term_max = (q - 1) * int(weights[-1])
             if largest + term_max > _INT64_MAX:
@@ -377,8 +405,43 @@ def _run_product(circuit: Circuit, x: np.ndarray, cache: dict) -> np.ndarray:
             exponent[targets.index(op.target)] += term
             largest += term_max
         exponent %= modulus
-        slots[targets, :, 1:] *= _roots(exponent, modulus, q ** n, cache)
+        slots[targets, :, 1:] *= _roots(exponent, modulus, largest_table, cache)
     return slots.transpose(1, 0, 2)
+
+
+def _outer_rows(factors: list[np.ndarray]) -> np.ndarray:
+    """Row-wise Kronecker product of ``(rows_i, batch)`` factors: the
+    ``(prod rows_i, batch)`` array whose row ``(i_0, i_1, ...)``, in C
+    order, is ``factors[0][i_0] * factors[1][i_1] * ...``.  The factors are
+    paired as a balanced tree, so ``len(factors) - 1`` broadcast products
+    build it and the last one writes the result from two factors of about
+    its square root in rows."""
+    if len(factors) == 1:
+        return factors[0]
+    half = len(factors) // 2
+    left, right = _outer_rows(factors[:half]), _outer_rows(factors[half:])
+    return (left[:, np.newaxis] * right).reshape(-1, left.shape[1])
+
+
+def _basis_columns(circuit: Circuit, x) -> np.ndarray:
+    """The circuit applied to basis inputs ``x``, as the ``(q**n, len(x))``
+    complex128 array whose column j is the output state of input ``x[j]``.
+
+    The register stays a product of single-digit states (see
+    ``_run_product``), so the outputs are the row-wise Kronecker products
+    of the slots taken as ``(q, len(x))`` factors in output-digit order,
+    most significant first.  No dense simulation runs and no identity is
+    built.  A roots-of-unity table is built only where it holds at most
+    ``len(x)`` entries.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    # (n, q, len(x)), C-contiguous, so every product is laid out in C order
+    # and the reshapes in _outer_rows copy nothing
+    factors = np.ascontiguousarray(_run_product(circuit, x, {}, len(x)).transpose(1, 2, 0))
+    n = circuit.digits
+    # slot l is output digit n-1-l when the circuit reverses, l otherwise
+    order = range(n) if circuit.reverse_output_digits else range(n - 1, -1, -1)
+    return _outer_rows([factors[l] for l in order])
 
 
 def apply_circuit(circuit: Circuit, state: StateVector) -> StateVector:
@@ -394,10 +457,18 @@ def apply_circuit(circuit: Circuit, state: StateVector) -> StateVector:
 
 def circuit_to_matrix(circuit: Circuit, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
     """Compile a circuit to its dense unitary: column x is the circuit
-    applied to basis state x."""
+    applied to basis state x.
+
+    A circuit that keeps basis inputs product states (every one the
+    builders emit) is expanded from ``_run_product`` slots by
+    ``_basis_columns``.  One that ``_breaks_product`` runs the dense
+    simulator on the identity instead.
+    """
     dim = circuit.radix ** circuit.digits
     if dim > dim_cap:
         raise ValueError(f"dimension {dim} exceeds cap {dim_cap}")
+    if _breaks_product(circuit) is None:
+        return _basis_columns(circuit, np.arange(dim))
     basis_rows = np.eye(dim, dtype=np.complex128)
     out_rows = _run_batch(circuit, basis_rows)
     return np.ascontiguousarray(out_rows.T)

@@ -15,10 +15,19 @@ printed with 17 significant digits so files round-trip exactly and
 identical invocations are byte-identical.  Output is written chunk by
 chunk, so a state document is never held whole in memory.
 
-verify compares the compiled matrix with the DFT one block of rows at a
-time, and takes the unitarity residual from the blocks of ``M @ M^H`` on
-and above the diagonal (``numerics.unitarity_residual``); it builds no full
-oracle, product or identity matrix.
+gen-matrix and verify compile the QFT from its product form
+(``circuit._basis_columns``): every basis input's output is a product of n
+single-digit states, so the matrix is built from their row-wise Kronecker
+products, with no dense simulation and no identity input.  apply on a basis
+state (``--basis``, or state 0 by default) builds its output the same way;
+only a state read with ``--in`` runs the dense simulator.  verify compares
+the compiled matrix with the DFT one block of rows at a time, and takes the
+unitarity residual from the blocks of ``M @ M^H`` on and above the diagonal
+(``numerics.unitarity_residual``); it builds no full oracle, product or
+identity matrix.
+
+Usage errors are ``UsageError``s raised by up-front checks; any other
+exception is a fault of the program and propagates.
 """
 
 from __future__ import annotations
@@ -34,7 +43,13 @@ from dataclasses import astuple
 import numpy as np
 
 from .analysis import CrossCheckError, approximation_report, capacity_metrics
-from .circuit import apply_circuit, build_qft_circuit, circuit_to_matrix, dft_matrix
+from .circuit import (
+    _basis_columns,
+    apply_circuit,
+    build_qft_circuit,
+    circuit_to_matrix,
+    dft_matrix,
+)
 from .numerics import (
     BLOCK_ROWS,
     DEFAULT_DIM_CAP,
@@ -47,7 +62,7 @@ from .numerics import (
 
 # apply and bounds refuse registers of more amplitudes than this, so that
 # their peak RSS stays within a 512 MiB budget.  At 2**20 amplitudes (2-vCPU
-# Linux VM, numpy path) apply peaked at 173 MiB from --basis and 308 MiB
+# Linux VM, numpy path) apply peaked at 70 MiB from --basis and 308 MiB
 # from --in, and bounds at 150 MiB (q=2, keep-depth 3) and 145 MiB (q=4,
 # keep-depth 2); every array either allocates is O(q**n).
 MAX_STATE_DIM = 2 ** 20
@@ -58,6 +73,13 @@ MAX_STATE_DIM = 2 ** 20
 # 102 MiB with radix 1024 and 318 MiB with radix 2048, and bounds at 116
 # and 323 MiB; 2048 is the largest radix measured inside the 512 MiB budget.
 MAX_RADIX = 2048
+
+# gen-matrix and verify refuse a --dim-cap above this, so that verify's peak
+# RSS stays within the same 512 MiB budget: at 4096 (same VM) it peaked at
+# 337 MiB, of which the compiled matrix is 256 MiB, and at 8192 that matrix
+# alone would take 1024 MiB.  gen-matrix at 4096 exceeds the budget in its
+# renderers, which build the whole document as one string.
+MAX_DIM_CAP = 4096
 
 
 class UsageError(Exception):
@@ -95,7 +117,19 @@ def render_state(state: StateVector):
         lead = ",\n"
 
 
+def _finite_number(v) -> bool:
+    """True for a JSON number that is a finite float (booleans are not numbers)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def parse_state(text: str, radix: int, digits: int, tolerance: float) -> StateVector:
+    if math.isnan(tolerance):
+        raise UsageError("the norm tolerance must be a number, not nan")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -112,10 +146,7 @@ def parse_state(text: str, radix: int, digits: int, tolerance: float) -> StateVe
         )
     raw = doc["amplitudes"]
     if not isinstance(raw, list) or not all(
-        isinstance(p, list) and len(p) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                and math.isfinite(v) for v in p)
-        for p in raw
+        isinstance(p, list) and len(p) == 2 and all(map(_finite_number, p)) for p in raw
     ):
         raise UsageError(
             "malformed state file: amplitudes must be [re, im] pairs of finite numbers"
@@ -273,8 +304,15 @@ def _check_params(args, max_dim: int | None = None, cap_name: str = "",
         )
 
 
-def cmd_gen_matrix(args) -> int:
+def _check_dense_params(args) -> None:
+    if args.dim_cap > MAX_DIM_CAP:
+        raise UsageError(f"--dim-cap {args.dim_cap} exceeds the dimension-cap limit "
+                         f"{MAX_DIM_CAP}")
     _check_params(args, args.dim_cap, "--dim-cap")
+
+
+def cmd_gen_matrix(args) -> int:
+    _check_dense_params(args)
     circuit = build_qft_circuit(args.radix, args.digits, args.keep_depth)
     matrix = circuit_to_matrix(circuit, dim_cap=args.dim_cap)
     render = render_matrix_csv if args.format == "csv" else render_matrix_json
@@ -283,7 +321,7 @@ def cmd_gen_matrix(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_params(args, args.dim_cap, "--dim-cap")
+    _check_dense_params(args)
     q, n = args.radix, args.digits
     dim = q ** n
     circuit = build_qft_circuit(q, n)
@@ -318,16 +356,17 @@ def cmd_apply(args) -> int:
     q, n = args.radix, args.digits
     if args.input_path is not None and args.basis is not None:
         raise UsageError("--in and --basis are mutually exclusive")
+    circuit = build_qft_circuit(q, n, args.keep_depth)
     if args.input_path is not None:
         with open(args.input_path, "r", encoding="utf-8") as fh:
             state = parse_state(fh.read(), q, n, args.tolerance)
+        result = apply_circuit(circuit, state)
     else:
         index = args.basis if args.basis is not None else 0
         if not 0 <= index < q ** n:
             raise UsageError(f"--basis {index} out of range for dimension {q ** n}")
-        state = StateVector.basis(q, n, index)
-    circuit = build_qft_circuit(q, n, args.keep_depth)
-    result = apply_circuit(circuit, state)
+        # a basis input stays a product state: no dense simulation runs
+        result = StateVector(q, n, _basis_columns(circuit, [index])[:, 0])
     _emit(render_state(result), args.output_path)
     return 0
 
@@ -432,9 +471,6 @@ def main(argv=None) -> int:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

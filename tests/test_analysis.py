@@ -253,9 +253,9 @@ def record_product_calls(monkeypatch):
     calls = []
     original = analysis._run_product
 
-    def recording(circuit, x, cache):
+    def recording(circuit, x, cache, largest_table):
         calls.append((circuit, x.copy()))
-        return original(circuit, x, cache)
+        return original(circuit, x, cache, largest_table)
 
     monkeypatch.setattr(analysis, "_run_product", recording)
     return calls
@@ -387,8 +387,8 @@ class TestCrossCheck:
         pruned = analysis.build_qft_circuit(3, 3, 2)
         original = analysis._run_product
 
-        def nudged(circuit, x, cache):
-            out = original(circuit, x, cache)
+        def nudged(circuit, x, cache, largest_table):
+            out = original(circuit, x, cache, largest_table)
             if circuit == pruned:
                 out[x == 13, 1, 2] *= cmath.exp(1e-6j)
             return out
@@ -416,8 +416,8 @@ class TestCrossCheck:
                 out[amplitude_rows[:, dense_input] == 1, 1] *= cmath.exp(1e-6j)
             return out
 
-        def product_nudged(circuit, x, cache):
-            out = product(circuit, x, cache)
+        def product_nudged(circuit, x, cache, largest_table):
+            out = product(circuit, x, cache, largest_table)
             if circuit == pruned:
                 out[x == 13, 1, 2] *= cmath.exp(1e-6j)
             return out

@@ -28,7 +28,8 @@ from qudit_qft import (
     max_entry_distance,
     walsh_hadamard_gate,
 )
-from qudit_qft.circuit import _run_batch, _run_product
+from qudit_qft import circuit as circuit_module, kernels
+from qudit_qft.circuit import _basis_columns, _breaks_product, _run_batch, _run_product
 
 RNG = np.random.default_rng(55021)
 
@@ -381,7 +382,7 @@ MIXED_OPS = (
 class TestRunProduct:
     def assert_matches_dense(self, circuit):
         dim = circuit.radix ** circuit.digits
-        slots = _run_product(circuit, np.arange(dim), {})
+        slots = _run_product(circuit, np.arange(dim), {}, dim)
         assert slots.shape == (dim, circuit.digits, circuit.radix)
         assert slots.dtype == np.complex128
         np.testing.assert_allclose(
@@ -416,4 +417,112 @@ class TestRunProduct:
         op = GateOp.controlled_phase(0, 1, 2)
         circuit = Circuit(3, 2, (GateOp.chrestenson(0), GateOp.chrestenson(1), op))
         with pytest.raises(ValueError, match=re.escape(f"{op} reads control digit 0")):
-            _run_product(circuit, np.arange(9), {})
+            _run_product(circuit, np.arange(9), {}, 9)
+
+
+def dense_reference(circuit):
+    """The circuit's matrix from the dense simulator on the identity."""
+    dim = circuit.radix ** circuit.digits
+    return _run_batch(circuit, np.eye(dim)).T
+
+
+def embedded(q, n, digit, gate):
+    """A q x q gate on one digit of an n-digit register, by Kronecker products."""
+    factors = [np.eye(q)] * n
+    factors[n - 1 - digit] = gate
+    return reduce(np.kron, factors)
+
+
+@pytest.fixture
+def no_dense_simulation(monkeypatch):
+    """Make the dense simulator and both kernels raise when called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense simulator ran")
+
+    monkeypatch.setattr(circuit_module, "_run_batch", refuse)
+    monkeypatch.setattr(kernels, "apply_single_qudit", refuse)
+    monkeypatch.setattr(kernels, "apply_diagonal", refuse)
+
+
+PRODUCT_CIRCUITS = [
+    *(pytest.param(build_qft_circuit(q, n, depth), id=f"qft-{q}-{n}-{depth}")
+      for q, n in [(2, 5), (3, 4), (4, 3), (5, 3)] for depth in (None, 1, 2)),
+    *(pytest.param(build_walsh_hadamard_transform_circuit(q, n), id=f"walsh-{q}-{n}")
+      for q, n in [(2, 4), (3, 3), (5, 2)]),
+    *(pytest.param(Circuit(q, 4, MIXED_OPS, reverse_output_digits=reverse),
+                   id=f"mixed-{q}-{reverse}")
+      for q in (2, 3) for reverse in (False, True)),
+]
+
+
+class TestBasisColumns:
+    @pytest.mark.parametrize("circuit", PRODUCT_CIRCUITS)
+    def test_compile_matches_dense_simulator(self, circuit):
+        expected = dense_reference(circuit)
+        dim = len(expected)
+        columns = _basis_columns(circuit, np.arange(dim))
+        assert columns.shape == (dim, dim) and columns.dtype == np.complex128
+        assert columns.flags.c_contiguous
+        np.testing.assert_allclose(columns, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(circuit_to_matrix(circuit), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("circuit", PRODUCT_CIRCUITS[:3] + PRODUCT_CIRCUITS[-2:])
+    def test_selected_inputs_are_their_columns(self, circuit):
+        expected = dense_reference(circuit)
+        x = [len(expected) - 1, 0, 5, 5]
+        np.testing.assert_allclose(_basis_columns(circuit, x), expected[:, x],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_basis_columns(circuit, [7])[:, 0], expected[:, 7],
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("q,n,depth", [(2, 10, None), (3, 6, None), (4, 4, 3),
+                                           (32, 2, None)])
+    def test_qft_compile_runs_no_dense_simulation(self, q, n, depth, no_dense_simulation):
+        matrix = circuit_to_matrix(build_qft_circuit(q, n, depth))
+        if depth is None:
+            assert max_entry_distance(matrix, dft_matrix(q ** n)) < 1e-13
+        assert is_unitary(matrix, 1e-12)
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_slot_with_two_chrestenson_gates_is_exact(self, q):
+        # digit 0 is transformed, phased by the still-basis digit 1, and
+        # transformed again: its second gate is a dense product
+        ops = (GateOp.chrestenson(0), GateOp.controlled_phase(1, 0, 2),
+               GateOp.chrestenson(0), GateOp.chrestenson(1))
+        circuit = Circuit(q, 2, ops)
+        assert _breaks_product(circuit) is None
+        gate = chrestenson_gate(q)
+        expected = (embedded(q, 2, 1, gate) @ embedded(q, 2, 0, gate)
+                    @ controlled_phase_matrix(q, 2) @ embedded(q, 2, 0, gate))
+        np.testing.assert_allclose(circuit_to_matrix(circuit), expected, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(dense_reference(circuit), expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_non_product_circuit_compiles_through_the_dense_path(self, q, monkeypatch):
+        # the phase reads digit 0 after its Chrestenson gate
+        ops = (GateOp.chrestenson(0), GateOp.controlled_phase(0, 1, 2),
+               GateOp.chrestenson(1), GateOp.controlled_phase(1, 2, 3))
+        circuit = Circuit(q, 3, ops, reverse_output_digits=True)
+        assert _breaks_product(circuit) == ops[1]
+        dense_calls = []
+        dense = circuit_module._run_batch
+
+        def recording(circuit, amplitude_rows):
+            dense_calls.append(len(amplitude_rows))
+            return dense(circuit, amplitude_rows)
+
+        monkeypatch.setattr(circuit_module, "_run_batch", recording)
+        matrix = circuit_to_matrix(circuit)
+        assert dense_calls == [q ** 3]
+        gate = chrestenson_gate(q)
+        # controlled phases are diagonal in the digits they read
+        x = np.arange(q ** 3)
+        digit = [(x // q ** k) % q for k in range(3)]
+        phase_01 = np.exp(-2j * np.pi * digit[0] * digit[1] / q ** 2)
+        phase_12 = np.exp(-2j * np.pi * digit[1] * digit[2] / q ** 3)
+        expected = (np.diag(phase_12) @ embedded(q, 3, 1, gate) @ np.diag(phase_01)
+                    @ embedded(q, 3, 0, gate))
+        expected = expected[digit_reversal_perm(q, 3).mapping]
+        np.testing.assert_allclose(matrix, expected, rtol=0, atol=1e-14)
+        with pytest.raises(ValueError, match="reads control digit 0"):
+            _basis_columns(circuit, [0])

@@ -11,10 +11,12 @@ import pytest
 
 from qudit_qft import (
     analysis,
+    circuit,
     cli,
     chrestenson_gate,
     dft_matrix,
     digit_reversal_perm,
+    kernels,
     kron,
 )
 from qudit_qft.cli import BOUNDS_HEADER, COMPARE_HEADER, main, parse_state, render_state
@@ -623,3 +625,119 @@ class TestAtomicOutput:
             os.close(reader)
         assert stat.S_ISFIFO(os.stat(pipe).st_mode)
         assert os.listdir(tmp_path) == ["pipe"]
+
+
+@pytest.mark.parametrize("amplitudes,message", [
+    # an int too large for a float is not a finite number
+    pytest.param("[[1" + "0" * 400 + ", 0], [0, 0]]", "malformed state file",
+                 id="int-beyond-float"),
+    pytest.param("[[1.0, 0.0], [0.0, 0.0]]", "norm tolerance must be a number",
+                 id="nan-tolerance-unit-state"),
+    pytest.param("[[1.0, 0.0], [1.0, 0.0]]", "norm tolerance must be a number",
+                 id="nan-tolerance-unnormalized"),
+])
+def test_state_file_edge_cases_are_usage_errors(amplitudes, message, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(f'{{"radix": 2, "digits": 1, "amplitudes": {amplitudes}}}')
+    tolerance = ["--tolerance", "nan"] if "tolerance" in message else []
+    code, out, err = run(
+        ["apply", "--radix", "2", "--digits", "1", "--in", str(path), *tolerance], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.fixture
+def no_dense_simulation(monkeypatch):
+    """Make the dense simulator, both kernels and the state-input path raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense simulator ran")
+
+    monkeypatch.setattr(circuit, "_run_batch", refuse)
+    monkeypatch.setattr(kernels, "apply_single_qudit", refuse)
+    monkeypatch.setattr(kernels, "apply_diagonal", refuse)
+    monkeypatch.setattr(cli, "apply_circuit", refuse)
+
+
+class TestBasisInputs:
+    @pytest.mark.parametrize("q,n,k,depth", [
+        (2, 6, 45, None), (3, 4, 17, 2), (5, 2, 24, None), (4, 3, 0, 1), (2, 1, 1, None),
+    ])
+    def test_basis_equals_the_same_state_from_a_file(self, q, n, k, depth, tmp_path,
+                                                    capsys):
+        path = tmp_path / "basis.json"
+        path.write_text("".join(render_state(StateVector.basis(q, n, k))))
+        size = ["--radix", str(q), "--digits", str(n)]
+        if depth is not None:
+            size += ["--keep-depth", str(depth)]
+        code, from_basis, _ = run(["apply", *size, "--basis", str(k)], capsys)
+        assert code == 0
+        code, from_file, _ = run(["apply", *size, "--in", str(path)], capsys)
+        assert code == 0
+        np.testing.assert_allclose(state_from_json(from_basis), state_from_json(from_file),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("q,n,k", [(2, 12, 1234), (3, 5, 0), (7, 3, 300)])
+    def test_apply_runs_no_dense_simulation(self, q, n, k, no_dense_simulation, capsys):
+        argv = ["apply", "--radix", str(q), "--digits", str(n)]
+        code, out, _ = run(argv + (["--basis", str(k)] if k else []), capsys)
+        assert code == 0
+        basis = np.zeros(q ** n)
+        basis[k] = 1.0
+        np.testing.assert_allclose(state_from_json(out), np.fft.fft(basis, norm="ortho"),
+                                   rtol=0, atol=1e-12)
+
+    def test_verify_runs_no_dense_simulation(self, no_dense_simulation, capsys):
+        code, out, _ = run(["verify", "--radix", "3", "--digits", "5"], capsys)
+        assert code == 0
+        assert out.endswith("verify PASS\n")
+
+    def test_gen_matrix_runs_no_dense_simulation(self, no_dense_simulation, capsys):
+        code, out, _ = run(["gen-matrix", "--radix", "2", "--digits", "3"], capsys)
+        assert code == 0
+        np.testing.assert_allclose(matrix_from_json(out), dft_matrix(8), atol=1e-15)
+
+
+class TestDimCapLimit:
+    @pytest.fixture
+    def no_compile(self, monkeypatch):
+        def reached(*args, **kwargs):
+            raise ReachedSimulation
+
+        monkeypatch.setattr(cli, "build_qft_circuit", reached)
+        monkeypatch.setattr(cli, "circuit_to_matrix", reached)
+
+    # numpy's "array is too big" and Circuit's phase-modulus refusal used to
+    # surface here as exit 2 through a catch-all for ValueError
+    @pytest.mark.parametrize("command,n,cap", [
+        ("gen-matrix", 40, 2 ** 62),
+        ("verify", 63, 2 ** 63),
+    ])
+    def test_cap_above_the_limit_refused(self, command, n, cap, no_compile, capsys):
+        code, out, err = run([command, "--radix", "2", "--digits", str(n),
+                              "--dim-cap", str(cap)], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"--dim-cap {cap} exceeds the dimension-cap limit {cli.MAX_DIM_CAP}" in err
+
+    @pytest.mark.parametrize("command", ["gen-matrix", "verify"])
+    def test_cap_at_the_limit_accepted(self, command, no_compile):
+        with pytest.raises(ReachedSimulation):
+            main([command, "--radix", "2", "--digits", "12",
+                  "--dim-cap", str(cli.MAX_DIM_CAP)])
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("circuit_to_matrix", ["verify", "--radix", "2", "--digits", "3"]),
+    ("circuit_to_matrix", ["gen-matrix", "--radix", "2", "--digits", "3"]),
+    ("_basis_columns", ["apply", "--radix", "2", "--digits", "3"]),
+    ("approximation_report", ["bounds", "--radix", "2", "--digits", "3"]),
+])
+def test_internal_value_error_propagates(name, argv, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, name, broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(argv)
