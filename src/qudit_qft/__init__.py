@@ -14,14 +14,10 @@ from .numerics import (
     kron,
     matmul,
     max_entry_distance,
-    spectral_norm,
 )
 from .gates import (
-    RootOfUnity,
     chrestenson_gate,
     controlled_phase_matrix,
-    phase_shift_gate,
-    root_of_unity,
     walsh_hadamard_gate,
 )
 from .circuit import (
@@ -29,7 +25,6 @@ from .circuit import (
     CONTROLLED_PHASE,
     Circuit,
     GateOp,
-    Permutation,
     apply_circuit,
     build_qft_circuit,
     build_walsh_hadamard_transform_circuit,
@@ -59,18 +54,13 @@ __all__ = [
     "kron",
     "matmul",
     "max_entry_distance",
-    "spectral_norm",
-    "RootOfUnity",
     "chrestenson_gate",
     "controlled_phase_matrix",
-    "phase_shift_gate",
-    "root_of_unity",
     "walsh_hadamard_gate",
     "CHRESTENSON",
     "CONTROLLED_PHASE",
     "Circuit",
     "GateOp",
-    "Permutation",
     "apply_circuit",
     "build_qft_circuit",
     "build_walsh_hadamard_transform_circuit",

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import _run_batch, _run_product, _validate_params, build_qft_circuit
+from .circuit import _run_batch, _run_product, build_qft_circuit
+from .numerics import check_params
 
 # Simulated per-digit phases must agree with the dropped-exponent sums to
 # this tolerance; a violation means the circuit and the closed form have
@@ -80,17 +81,10 @@ class CapacityMetrics:
     qudit_savings_factor: float
 
 
-def _validate_ql(q: int, l: int) -> None:
-    if q < 2:
-        raise ValueError("radix must be at least 2")
-    if l < 1:
-        raise ValueError("denominator exponent must be at least 1")
-
-
 def phase_error_factor(q: int, l: int) -> complex:
     """Worst-case multiplicative error ``exp(-2j*pi*(q-1)/q**l)`` from
     omitting a single controlled phase with denominator exponent l."""
-    _validate_ql(q, l)
+    check_params(radix=q, denom_exp=l)
     return cmath.exp(-2j * cmath.pi * (q - 1) / q ** l)
 
 
@@ -101,9 +95,7 @@ def phase_error_series(q: int, l: int, terms: int) -> complex:
     Because z is purely imaginary, the integral form of the remainder gives
     ``|sum - exp(z)| <= |z|**terms / terms!``; rounding adds to that.
     """
-    _validate_ql(q, l)
-    if terms < 1:
-        raise ValueError("terms must be at least 1")
+    check_params(radix=q, denom_exp=l, terms=terms)
     z = -2j * cmath.pi * (q - 1) / q ** l
     total = 0j
     term = 1.0 + 0j
@@ -115,24 +107,17 @@ def phase_error_series(q: int, l: int, terms: int) -> complex:
 
 def phase_error_trig(q: int, l: int) -> complex:
     """The same single-gate error factor written as cos(theta) - i sin(theta)."""
-    _validate_ql(q, l)
+    check_params(radix=q, denom_exp=l)
     theta = 2.0 * math.pi * (q - 1) / q ** l
     return complex(math.cos(theta), -math.sin(theta))
-
-
-def _validate_bound_args(q: int, fraction_len: int, dropped_count: int) -> None:
-    if q < 2:
-        raise ValueError("radix must be at least 2")
-    if dropped_count < 0:
-        raise ValueError("dropped count must be non-negative")
-    if dropped_count > fraction_len:
-        raise ValueError("cannot drop more digits than the fraction holds")
 
 
 def bound_coppersmith(q: int, fraction_len: int, dropped_count: int) -> float:
     """Classical worst-case phase bound ``2*pi*m*q**m*(q-1) / q**L`` for a
     bracket of fraction length L with m digits dropped."""
-    _validate_bound_args(q, fraction_len, dropped_count)
+    check_params(radix=q, dropped_count=dropped_count)
+    if dropped_count > fraction_len:
+        raise ValueError("cannot drop more digits than the fraction holds")
     m = dropped_count
     return 2.0 * math.pi * m * q ** m * (q - 1) / q ** fraction_len
 
@@ -140,7 +125,9 @@ def bound_coppersmith(q: int, fraction_len: int, dropped_count: int) -> float:
 def bound_new(q: int, fraction_len: int, dropped_count: int) -> float:
     """Tighter phase bound ``2*pi*(q**m - 1) / q**L`` from summing the
     dropped digit weights in closed form."""
-    _validate_bound_args(q, fraction_len, dropped_count)
+    check_params(radix=q, dropped_count=dropped_count)
+    if dropped_count > fraction_len:
+        raise ValueError("cannot drop more digits than the fraction holds")
     return 2.0 * math.pi * (q ** dropped_count - 1) / q ** fraction_len
 
 
@@ -247,7 +234,7 @@ def measure_bracket_phase_error(q: int, n: int, keep_depth: int | None,
     controlled-phase exponents (a mismatch raises ``CrossCheckError``); the
     returned maximum is taken over that (unwrapped) sum.
     """
-    _validate_params(q, n, keep_depth)
+    check_params(radix=q, digits=n, keep_depth=keep_depth)
     if not 0 <= target_digit < n:
         raise ValueError(f"target digit {target_digit} out of range for {n} digits")
     return _bracket_phase_maxima(q, n, keep_depth)[target_digit]
@@ -263,7 +250,7 @@ def approximation_report(q: int, n: int, keep_depth: int | None) -> list[BoundRo
     simulator on the two boundary chunks only.  Each buffer holds about
     ``max(_CHUNK_AMPLITUDES, q**n)`` amplitudes.
     """
-    _validate_params(q, n, keep_depth)
+    check_params(radix=q, digits=n, keep_depth=keep_depth)
     maxima = _bracket_phase_maxima(q, n, keep_depth)
     rows = []
     for target_digit, measured in enumerate(maxima):
@@ -293,7 +280,7 @@ def capacity_metrics(q: int, n: int) -> CapacityMetrics:
 
     Raises ``ValueError`` when ``(q/2)**n`` does not fit in a float.
     """
-    _validate_params(q, n, None)
+    check_params(radix=q, digits=n)
     try:
         state_space_ratio = (q / 2) ** n
     except OverflowError:

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import kernels
 from .gates import chrestenson_gate, roots_of_unity
-from .numerics import DEFAULT_DIM_CAP, StateVector, kron
+from .numerics import DEFAULT_DIM_CAP, StateVector, check_params, kron
 
 CHRESTENSON = "chrestenson"
 CONTROLLED_PHASE = "controlled_phase"
@@ -100,10 +100,7 @@ class Circuit:
     reverse_output_digits: bool = False
 
     def __post_init__(self):
-        if self.radix < 2:
-            raise ValueError("radix must be at least 2")
-        if self.digits < 1:
-            raise ValueError("digits must be at least 1")
+        check_params(radix=self.radix, digits=self.digits)
         ops = tuple(self.ops)
         for op in ops:
             if op.target >= self.digits:
@@ -129,32 +126,6 @@ class Circuit:
         return sum(1 for op in self.ops if op.kind == CHRESTENSON)
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection on [0, size), stored as the image array ``mapping``."""
-
-    size: int
-    mapping: np.ndarray
-
-    def __post_init__(self):
-        mapping = np.asarray(self.mapping, dtype=np.int64)
-        if mapping.shape != (self.size,) or not np.array_equal(
-            np.sort(mapping), np.arange(self.size)
-        ):
-            raise ValueError("mapping is not a bijection on [0, size)")
-        mapping.setflags(write=False)
-        object.__setattr__(self, "mapping", mapping)
-
-
-def _validate_params(q: int, n: int, keep_depth: int | None) -> None:
-    if q < 2:
-        raise ValueError("radix must be at least 2")
-    if n < 1:
-        raise ValueError("digits must be at least 1")
-    if keep_depth is not None and keep_depth < 1:
-        raise ValueError("keep_depth must be at least 1 (or None for unbounded)")
-
-
 def build_qft_circuit(q: int, n: int, keep_depth: int | None = None) -> Circuit:
     """Fourier transform over ``Z_{q**n}`` as a gate-level circuit.
 
@@ -170,7 +141,7 @@ def build_qft_circuit(q: int, n: int, keep_depth: int | None = None) -> Circuit:
     its denominator exponent is <= keep_depth.  ``None`` keeps everything,
     giving the exact transform with ``n*(n+1)/2`` gates.
     """
-    _validate_params(q, n, keep_depth)
+    check_params(radix=q, digits=n, keep_depth=keep_depth)
     ops = []
     for target in range(n - 1, -1, -1):
         ops.append(GateOp.chrestenson(target))
@@ -183,7 +154,7 @@ def build_qft_circuit(q: int, n: int, keep_depth: int | None = None) -> Circuit:
 
 def build_walsh_hadamard_transform_circuit(q: int, n: int) -> Circuit:
     """n parallel Chrestenson gates: the Fourier transform over ``(Z_q)**n``."""
-    _validate_params(q, n, None)
+    check_params(radix=q, digits=n)
     ops = tuple(GateOp.chrestenson(target) for target in range(n - 1, -1, -1))
     return Circuit(q, n, ops, reverse_output_digits=False)
 
@@ -204,7 +175,7 @@ def dft_matrix(t: int, rows: slice | None = None) -> np.ndarray:
 def chrestenson_transform_matrix(q: int, n: int,
                                  dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
     """n-fold Kronecker power of the Chrestenson gate."""
-    _validate_params(q, n, None)
+    check_params(radix=q, digits=n)
     if q ** n > dim_cap:
         raise ValueError(f"dimension {q ** n} exceeds cap {dim_cap}")
     gate = chrestenson_gate(q)
@@ -214,17 +185,14 @@ def chrestenson_transform_matrix(q: int, n: int,
     return out
 
 
-def _digit_reversal_index(q: int, n: int) -> np.ndarray:
-    """Image array of ``digit_reversal_perm``, built without validation: it
-    is a bijection by construction."""
+def digit_reversal_perm(q: int, n: int) -> np.ndarray:
+    """Read-only int64 index array that sends digits ``(x_{n-1}, ..., x_0)``
+    to ``(x_0, ..., x_{n-1})``: output index i reads input index ``perm[i]``."""
+    check_params(radix=q, digits=n)
     # Reversing the axes of the (q,)*n digit view reverses the digit order.
-    return np.arange(q ** n, dtype=np.int64).reshape((q,) * n).transpose().ravel()
-
-
-def digit_reversal_perm(q: int, n: int) -> Permutation:
-    """Permutation sending digits ``(x_{n-1}, ..., x_0)`` to ``(x_0, ..., x_{n-1})``."""
-    _validate_params(q, n, None)
-    return Permutation(q ** n, _digit_reversal_index(q, n))
+    perm = np.arange(q ** n, dtype=np.int64).reshape((q,) * n).transpose().ravel()
+    perm.setflags(write=False)
+    return perm
 
 
 def _along_digit(q: int, n: int, digit: int, values: np.ndarray) -> np.ndarray:
@@ -312,7 +280,7 @@ def _run_batch(circuit: Circuit, amplitude_rows: np.ndarray) -> np.ndarray:
         # mode="wrap" skips the bounds check of the default mode="raise",
         # which writes into a hidden temporary as large as ``spare``; the
         # index is a bijection, so wrapping never applies
-        np.take(current, _digit_reversal_index(q, n), axis=1, out=spare, mode="wrap")
+        np.take(current, digit_reversal_perm(q, n), axis=1, out=spare, mode="wrap")
         current, spare = spare, current
     return current
 

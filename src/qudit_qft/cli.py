@@ -12,8 +12,9 @@ Data goes to --out (or stdout); diagnostics go to stderr.  Exit codes:
 0 success, 1 verification failure, 2 usage or input-parse error (a size
 above a command's limit included), 3 I/O error.  All numeric output is
 printed with 17 significant digits so files round-trip exactly and
-identical invocations are byte-identical.  Output is written chunk by
-chunk, so a state document is never held whole in memory.
+identical invocations are byte-identical.  Every amplitude document (a
+state, or a matrix in JSON or CSV) is written chunk by chunk, so none is
+held whole in memory.
 
 gen-matrix and verify compile the QFT from its product form
 (``circuit._basis_columns``): every basis input's output is a product of n
@@ -26,8 +27,9 @@ unitarity residual from the blocks of ``M @ M^H`` on and above the diagonal
 (``numerics.unitarity_residual``); it builds no full oracle, product or
 identity matrix.
 
-Usage errors are ``UsageError``s raised by up-front checks; any other
-exception is a fault of the program and propagates.
+Usage errors are ``UsageError``s raised by one up-front check per command
+(``_check_args``); any other exception is a fault of the program and
+propagates.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .numerics import (
     DEFAULT_DIM_CAP,
     NORM_TOL,
     StateVector,
+    check_params,
     max_entry_distance,
     unitarity_residual,
 )
@@ -74,11 +77,12 @@ MAX_STATE_DIM = 2 ** 20
 # and 323 MiB; 2048 is the largest radix measured inside the 512 MiB budget.
 MAX_RADIX = 2048
 
-# gen-matrix and verify refuse a --dim-cap above this, so that verify's peak
-# RSS stays within the same 512 MiB budget: at 4096 (same VM) it peaked at
-# 337 MiB, of which the compiled matrix is 256 MiB, and at 8192 that matrix
-# alone would take 1024 MiB.  gen-matrix at 4096 exceeds the budget in its
-# renderers, which build the whole document as one string.
+# gen-matrix and verify refuse a --dim-cap above this, so that their peak
+# RSS stays within the same 512 MiB budget: at 4096 (same VM) verify peaked
+# at 337 MiB, of which the compiled matrix is 256 MiB, and gen-matrix at
+# 296 MiB in both formats (3048 MiB for JSON and 3926 MiB for CSV when the
+# whole document was built as one string).  At 8192 the matrix alone would
+# take 1024 MiB.
 MAX_DIM_CAP = 4096
 
 
@@ -92,29 +96,46 @@ def _fmt(x: float) -> str:
 
 # ---------------------------------------------------------------- formats
 
-# render_state converts amplitudes to Python floats this many at a time;
-# converting a large state in one go would raise the peak memory.
+# Amplitude documents are rendered this many entries at a time; converting
+# a large state or matrix in one go would raise the peak memory.
 _STATE_CHUNK = 4096
+
+_JSON_PAIR = "    [{:.17g}, {:.17g}]".format
+_CSV_ENTRY = "{},{},{:.17g},{:.17g}".format
+_JSON_FOOTER = "\n  ]\n}\n"
+
+
+def _render_amplitudes(header: str, values: np.ndarray, footer: str,
+                       cols: int | None = None):
+    """Yield ``header``, the entries of ``values`` in C order and ``footer``,
+    in chunks of ``_STATE_CHUNK`` entries; ``"".join`` of the chunks is the
+    whole document.
+
+    Entries are JSON ``[re, im]`` pairs, one per line and comma-separated,
+    or, given the column count ``cols`` of a matrix, ``row,col,re,im`` CSV
+    lines.  The header rides on the first chunk and the footer on the last,
+    so no more than one chunk of entry text exists at a time.
+    """
+    values = values.ravel()
+    size = len(values)
+    separator = ",\n" if cols is None else "\n"
+    lead = header
+    for i in range(0, size, _STATE_CHUNK):
+        end = min(i + _STATE_CHUNK, size)
+        real, imag = values.real[i:end].tolist(), values.imag[i:end].tolist()
+        if cols is None:
+            entries = map(_JSON_PAIR, real, imag)
+        else:
+            row, col = np.divmod(np.arange(i, end), cols)
+            entries = map(_CSV_ENTRY, row.tolist(), col.tolist(), real, imag)
+        yield lead + separator.join(entries) + (footer if end == size else "")
+        lead = separator
 
 
 def render_state(state: StateVector):
-    """Yield the state document in chunks of ``_STATE_CHUNK`` amplitudes;
-    ``"".join`` of the chunks is the whole document."""
-    amps = state.amplitudes
-    pair = "    [{:.17g}, {:.17g}]".format
-    # The header rides on the first chunk and the footer on the last, so
-    # no more than one chunk of amplitude text exists at a time.
-    lead = (
-        "{\n"
-        f'  "radix": {state.radix},\n'
-        f'  "digits": {state.digits},\n'
-        '  "amplitudes": [\n'
-    )
-    for i in range(0, len(amps), _STATE_CHUNK):
-        end = i + _STATE_CHUNK
-        text = ",\n".join(map(pair, amps.real[i:end].tolist(), amps.imag[i:end].tolist()))
-        yield lead + text + ("\n  ]\n}\n" if end >= len(amps) else "")
-        lead = ",\n"
+    """The state document, in chunks (see ``_render_amplitudes``)."""
+    header = f'{{\n  "radix": {state.radix},\n  "digits": {state.digits},\n  "amplitudes": [\n'
+    return _render_amplitudes(header, state.amplitudes, _JSON_FOOTER)
 
 
 def _finite_number(v) -> bool:
@@ -163,28 +184,16 @@ def parse_state(text: str, radix: int, digits: int, tolerance: float) -> StateVe
     return StateVector(radix, digits, amps)
 
 
-def render_matrix_json(matrix: np.ndarray) -> str:
+def render_matrix_json(matrix: np.ndarray):
+    """The matrix as a JSON document of row-major entries, in chunks."""
     rows, cols = matrix.shape
-    entries = ",\n".join(
-        f"    [{_fmt(v.real)}, {_fmt(v.imag)}]" for v in matrix.ravel()
-    )
-    return (
-        "{\n"
-        f'  "rows": {rows},\n'
-        f'  "cols": {cols},\n'
-        f'  "entries": [\n{entries}\n  ]\n'
-        "}\n"
-    )
+    header = f'{{\n  "rows": {rows},\n  "cols": {cols},\n  "entries": [\n'
+    return _render_amplitudes(header, matrix, _JSON_FOOTER)
 
 
-def render_matrix_csv(matrix: np.ndarray) -> str:
-    lines = ["row,col,re,im"]
-    rows, cols = matrix.shape
-    for r in range(rows):
-        for c in range(cols):
-            v = matrix[r, c]
-            lines.append(f"{r},{c},{_fmt(v.real)},{_fmt(v.imag)}")
-    return "\n".join(lines) + "\n"
+def render_matrix_csv(matrix: np.ndarray):
+    """The matrix as ``row,col,re,im`` CSV lines, row-major, in chunks."""
+    return _render_amplitudes("row,col,re,im\n", matrix, "\n", cols=matrix.shape[1])
 
 
 def render_table(header: str, rows, fmt: str) -> str:
@@ -284,17 +293,29 @@ def _emit(chunks, output_path: str | None) -> None:
         raise
 
 
-def _check_params(args, max_dim: int | None = None, cap_name: str = "",
-                  max_radix: int | None = None) -> None:
-    if args.radix < 2:
-        raise UsageError("--radix must be at least 2")
+def _check_args(args, max_dim: int | None = None, max_radix: int | None = None,
+                **params) -> None:
+    """Refuse a command's arguments up front, before anything is built.
+
+    ``--radix``, ``--digits``, ``--keep-depth`` and ``params`` go through
+    ``numerics.check_params``, whose ``ValueError`` becomes a ``UsageError``
+    here.  Then come the CLI's own limits: ``max_radix``, and a dimension
+    ``q**n`` above ``max_dim`` or above ``--dim-cap``, which itself may not
+    exceed ``MAX_DIM_CAP``.
+    """
+    try:
+        check_params(radix=args.radix, digits=args.digits,
+                     keep_depth=getattr(args, "keep_depth", None), **params)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if max_radix is not None and args.radix > max_radix:
         raise UsageError(f"--radix {args.radix} exceeds the radix limit {max_radix}")
-    if args.digits < 1:
-        raise UsageError("--digits must be at least 1")
-    keep_depth = getattr(args, "keep_depth", None)
-    if keep_depth is not None and keep_depth < 1:
-        raise UsageError("--keep-depth must be at least 1")
+    cap_name = "the state-dimension limit"
+    if hasattr(args, "dim_cap"):
+        if args.dim_cap > MAX_DIM_CAP:
+            raise UsageError(f"--dim-cap {args.dim_cap} exceeds the dimension-cap limit "
+                             f"{MAX_DIM_CAP}")
+        max_dim, cap_name = args.dim_cap, "--dim-cap"
     # q**n >= 2**n, so a width at or past max_dim's bit length is refused
     # before q**n is built (it could have billions of digits).
     if max_dim is not None and (args.digits >= max_dim.bit_length()
@@ -304,24 +325,17 @@ def _check_params(args, max_dim: int | None = None, cap_name: str = "",
         )
 
 
-def _check_dense_params(args) -> None:
-    if args.dim_cap > MAX_DIM_CAP:
-        raise UsageError(f"--dim-cap {args.dim_cap} exceeds the dimension-cap limit "
-                         f"{MAX_DIM_CAP}")
-    _check_params(args, args.dim_cap, "--dim-cap")
-
-
 def cmd_gen_matrix(args) -> int:
-    _check_dense_params(args)
+    _check_args(args)
     circuit = build_qft_circuit(args.radix, args.digits, args.keep_depth)
     matrix = circuit_to_matrix(circuit, dim_cap=args.dim_cap)
     render = render_matrix_csv if args.format == "csv" else render_matrix_json
-    _emit([render(matrix)], args.output_path)
+    _emit(render(matrix), args.output_path)
     return 0
 
 
 def cmd_verify(args) -> int:
-    _check_dense_params(args)
+    _check_args(args, tolerance=args.tolerance)
     q, n = args.radix, args.digits
     dim = q ** n
     circuit = build_qft_circuit(q, n)
@@ -352,7 +366,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    _check_params(args, MAX_STATE_DIM, "the state-dimension limit", MAX_RADIX)
+    _check_args(args, MAX_STATE_DIM, MAX_RADIX)
     q, n = args.radix, args.digits
     if args.input_path is not None and args.basis is not None:
         raise UsageError("--in and --basis are mutually exclusive")
@@ -372,7 +386,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    _check_params(args, MAX_STATE_DIM, "the state-dimension limit", MAX_RADIX)
+    _check_args(args, MAX_STATE_DIM, MAX_RADIX)
     rows = approximation_report(args.radix, args.digits, args.keep_depth)
     table = render_table(BOUNDS_HEADER, map(astuple, rows), args.format)
     _emit([table], args.output_path)
@@ -380,7 +394,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_compare_radix(args) -> int:
-    _check_params(args)
+    _check_args(args)
     _check_compare_size(args.radix, args.digits)
     rows = _compare_rows(args.radix, args.digits)
     _emit([render_table(COMPARE_HEADER, rows, args.format)], args.output_path)

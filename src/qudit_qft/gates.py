@@ -1,4 +1,4 @@
-"""The gate family: roots of unity, Walsh-Hadamard, Chrestenson, phase shifts.
+"""The gate family: roots of unity, Walsh-Hadamard, Chrestenson, controlled phases.
 
 Sign convention, used package-wide: transforms carry ``exp(-2j*pi * ... )``
 in the exponent.  The positive-sign variants are obtained as adjoints.
@@ -6,10 +6,9 @@ in the exponent.  The positive-sign variants are obtained as adjoints.
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass
-
 import numpy as np
+
+from .numerics import check_params
 
 
 # pi to the precision of np.longdouble: a 64-bit significand on x86-64
@@ -34,21 +33,6 @@ def roots_of_unity(exponents, modulus: int, scale=1) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class RootOfUnity:
-    """Primitive q-th root of unity ``exp(-2j*pi/q)`` together with its radix."""
-
-    radix: int
-    value: complex
-
-
-def root_of_unity(q: int) -> RootOfUnity:
-    """Primitive q-th root of unity under the negative-exponent convention."""
-    if q < 2:
-        raise ValueError("radix must be at least 2")
-    return RootOfUnity(q, cmath.exp(-2j * cmath.pi / q))
-
-
 def walsh_hadamard_gate() -> np.ndarray:
     """The 2x2 gate (1/sqrt(2)) [[1, 1], [1, -1]]."""
     return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
@@ -61,15 +45,9 @@ def chrestenson_gate(q: int) -> np.ndarray:
     first row and column are all ``1/sqrt(q)``, and q = 2 reduces to the
     Walsh-Hadamard gate.
     """
-    if q < 2:
-        raise ValueError("radix must be at least 2")
+    check_params(radix=q)
     k = np.arange(q)
     return roots_of_unity(np.outer(k, k) % q, q, 1 / np.sqrt(np.longdouble(q)))
-
-
-def phase_shift_gate(alpha: float) -> np.ndarray:
-    """Single-qubit phase shift diag(1, exp(1j*alpha))."""
-    return np.array([[1.0, 0.0], [0.0, cmath.exp(1j * alpha)]], dtype=np.complex128)
 
 
 def controlled_phase_matrix(q: int, denom_exp: int) -> np.ndarray:
@@ -80,10 +58,7 @@ def controlled_phase_matrix(q: int, denom_exp: int) -> np.ndarray:
     leaves every target untouched; the gate is diagonal and symmetric in
     the roles of control and target.
     """
-    if q < 2:
-        raise ValueError("radix must be at least 2")
-    if denom_exp < 1:
-        raise ValueError("denom_exp must be at least 1")
+    check_params(radix=q, denom_exp=denom_exp)
     modulus = q ** denom_exp
     c, t = np.divmod(np.arange(q * q), q)
     phases = np.exp(-2j * np.pi * ((c * t) % modulus) / modulus)

@@ -1,4 +1,5 @@
-"""Dense complex matrix/vector arithmetic and the metrics used everywhere else.
+"""Dense complex matrix/vector arithmetic, the metrics used everywhere else,
+and ``check_params``, the one range check of the package's parameters.
 
 Matrices are plain ``numpy.ndarray`` objects of dtype complex128.  Everything
 here is pure and allocates fresh outputs, so values can be shared freely
@@ -25,6 +26,19 @@ NORM_TOL = 1e-10
 # (2-vCPU VM), against 6.5 s for one full product; the smallest keeps the
 # temporaries smallest.
 BLOCK_ROWS = 256
+
+# The least value of each parameter that check_params knows.
+_LEAST = {"radix": 2, "digits": 1, "keep_depth": 1, "denom_exp": 1, "terms": 1,
+          "dropped_count": 0, "tolerance": 0}
+
+
+def check_params(**params) -> None:
+    """Raise ``ValueError`` naming the first parameter below its least value
+    in ``_LEAST``: a radix below 2, a width or keep depth below 1, and so
+    on.  ``None`` passes, as an unpruned ``keep_depth`` does; NaN fails."""
+    for name, value in params.items():
+        if value is not None and not value >= _LEAST[name]:
+            raise ValueError(f"{name} must be at least {_LEAST[name]}, got {value!r}")
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -104,30 +118,6 @@ def is_unitary(a, tol: float = 1e-10) -> bool:
     return unitarity_residual(a) <= tol
 
 
-def spectral_norm(a, iterations: int = 200) -> float:
-    """Largest singular value of ``a``, approximated by power iteration.
-
-    Iterates on the Gram matrix ``adjoint(a) @ a`` from the fixed start
-    vector with all entries 1/sqrt(dim), so the result is reproducible
-    run to run.  200 iterations resolve the norm to well below 1e-6 for
-    the matrix sizes this package works with.
-    """
-    a = _as_matrix(a)
-    _require_square(a)
-    if iterations < 1:
-        raise ValueError("iterations must be at least 1")
-    dim = a.shape[0]
-    gram = a.conj().T @ a
-    v = np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
-    for _ in range(iterations):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-    return float(np.linalg.norm(a @ v))
-
-
 @dataclass(frozen=True)
 class StateVector:
     """Unit-norm amplitudes of an n-digit base-q register.
@@ -143,10 +133,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.radix < 2:
-            raise ValueError("radix must be at least 2")
-        if self.digits < 1:
-            raise ValueError("digits must be at least 1")
+        check_params(radix=self.radix, digits=self.digits)
         amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.ndim != 1 or amps.shape[0] != self.radix ** self.digits:
             raise ValueError(

@@ -6,6 +6,8 @@ per guarantee.
 """
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,3 +158,12 @@ def test_scaling_metrics():
             metrics = capacity_metrics(q, n)
             assert metrics.state_space_ratio == (q / 2) ** n, f"q={q} n={n}"
             assert metrics.qudit_savings_factor == math.log2(q), f"q={q} n={n}"
+
+
+def test_readme_library_example_runs(capsys):
+    """The README's Library example runs as printed."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```$", readme, re.M | re.S)
+    assert block, "README.md has no python block under '## Library'"
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 4

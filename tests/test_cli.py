@@ -73,7 +73,7 @@ class TestGenMatrix:
         )
         assert code == 0
         gate = chrestenson_gate(3)
-        expected = kron(gate, gate)[digit_reversal_perm(3, 2).mapping, :]
+        expected = kron(gate, gate)[digit_reversal_perm(3, 2), :]
         np.testing.assert_allclose(matrix_from_json(out), expected, atol=1e-12)
 
     def test_csv_equals_json(self, capsys):
@@ -190,15 +190,96 @@ def test_render_state_matches_per_amplitude_format():
     assert "".join(render_state(state)) == expected
 
 
-@pytest.mark.parametrize("n", [12, 13])
-def test_render_state_chunks_end_on_a_chunk_boundary(n):
-    # 2**12 and 2**13 amplitudes fill one and two rendering chunks exactly
-    state = StateVector(2, n, np.full(2 ** n, 2 ** (-n / 2)))
-    chunks = list(render_state(state))
+class TestParameterRanges:
+    @pytest.mark.parametrize("tolerance", ["nan", "-1"])
+    def test_bad_verify_tolerance_is_refused_before_compiling(self, tolerance, monkeypatch,
+                                                             capsys):
+        def compiled(*args, **kwargs):
+            raise AssertionError("the circuit was compiled")
+
+        monkeypatch.setattr(cli, "circuit_to_matrix", compiled)
+        code, out, err = run(["verify", "--radix", "2", "--digits", "3",
+                              "--tolerance", tolerance], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"tolerance must be at least 0, got {float(tolerance)!r}" in err
+
+    @pytest.mark.parametrize("command", ["gen-matrix", "apply", "bounds"])
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--radix", "1", "radix"), ("--digits", "0", "digits"), ("--keep-depth", "0", "keep_depth"),
+    ])
+    def test_out_of_range_parameter_is_named(self, command, flag, value, name, capsys):
+        args = {"--radix": "3", "--digits": "2", "--keep-depth": "1", flag: value}
+        code, out, err = run([command, *[x for item in args.items() for x in item]], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"error: {name} must be at least" in err
+
+
+def reference_matrix_text(matrix: np.ndarray, fmt: str) -> str:
+    """The gen-matrix document, each entry formatted on its own."""
+    def g(x):
+        return format(float(x), ".17g")
+
+    rows, cols = matrix.shape
+    if fmt == "csv":
+        lines = [f"{r},{c},{g(matrix[r, c].real)},{g(matrix[r, c].imag)}"
+                 for r in range(rows) for c in range(cols)]
+        return "row,col,re,im\n" + "\n".join(lines) + "\n"
+    entries = ",\n".join(f"    [{g(v.real)}, {g(v.imag)}]" for v in matrix.ravel())
+    return f'{{\n  "rows": {rows},\n  "cols": {cols},\n  "entries": [\n{entries}\n  ]\n}}\n'
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_render_matrix_matches_per_entry_format(fmt):
+    # a rectangular matrix over several rendering chunks, with a partial
+    # last chunk, signed zeros and a subnormal
+    rng = np.random.default_rng(9002)
+    matrix = rng.normal(size=(97, 130)) + 1j * rng.normal(size=(97, 130))
+    matrix[0, 1] = complex(-0.0, -0.0)
+    matrix[-1, -1] = complex(1e-300, -5e-310)
+    render = cli.render_matrix_csv if fmt == "csv" else cli.render_matrix_json
+    assert "".join(render(matrix)) == reference_matrix_text(matrix, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_gen_matrix_matches_per_entry_format(fmt, capsys):
+    code, out, _ = run(["gen-matrix", "--radix", "3", "--digits", "5", "--keep-depth", "2",
+                        "--format", fmt], capsys)
+    assert code == 0
+    matrix = circuit.circuit_to_matrix(circuit.build_qft_circuit(3, 5, 2))
+    assert out == reference_matrix_text(matrix, fmt)
+
+
+def state_document(n):
+    return render_state(StateVector(2, n, np.full(2 ** n, 2 ** (-n / 2))))
+
+
+def matrix_document(fmt):
+    render = cli.render_matrix_csv if fmt == "csv" else cli.render_matrix_json
+    return lambda n: render(np.full((2 ** 6, 2 ** (n - 6)), 0.5 - 0.25j))
+
+
+@pytest.mark.parametrize("document,n", [
+    pytest.param(state_document, 12, id="12"),
+    pytest.param(state_document, 13, id="13"),
+    pytest.param(matrix_document("json"), 12, id="matrix-json-12"),
+    pytest.param(matrix_document("json"), 13, id="matrix-json-13"),
+    pytest.param(matrix_document("csv"), 12, id="matrix-csv-12"),
+    pytest.param(matrix_document("csv"), 13, id="matrix-csv-13"),
+])
+def test_render_state_chunks_end_on_a_chunk_boundary(document, n):
+    # 2**12 and 2**13 entries fill one and two rendering chunks exactly
+    chunks = list(document(n))
     assert len(chunks) == 2 ** n // 4096
-    assert chunks[-1].endswith("\n  ]\n}\n")
-    doc = json.loads("".join(chunks))
-    assert len(doc["amplitudes"]) == 2 ** n
+    text = "".join(chunks)
+    if text.startswith("row,col"):
+        assert chunks[-1].endswith("\n") and not chunks[-1].endswith("\n\n")
+        assert text.count("\n") == 2 ** n + 1
+    else:
+        assert chunks[-1].endswith("\n  ]\n}\n")
+        doc = json.loads(text)
+        assert len(doc.get("amplitudes", doc.get("entries"))) == 2 ** n
 
 
 class TestApply:

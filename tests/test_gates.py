@@ -10,35 +10,30 @@ from qudit_qft import (
     chrestenson_gate,
     controlled_phase_matrix,
     is_unitary,
-    phase_shift_gate,
-    root_of_unity,
     walsh_hadamard_gate,
 )
 from qudit_qft.gates import roots_of_unity
 
 
 class TestRootOfUnity:
+    """The primitive root ``roots_of_unity(1, q)`` and its powers."""
+
     def test_base3_value(self):
-        root = root_of_unity(3)
-        assert root.radix == 3
-        assert abs(root.value.real - (-0.5)) < 5e-4
-        assert abs(root.value.imag - (-0.866)) < 5e-4
+        root = roots_of_unity(1, 3)
+        assert abs(root.real - (-0.5)) < 5e-4
+        assert abs(root.imag - (-0.866)) < 5e-4
 
     def test_base2_is_minus_one(self):
-        assert abs(root_of_unity(2).value - (-1.0)) < 1e-15
+        assert abs(roots_of_unity(1, 2) - (-1.0)) < 1e-15
 
     def test_base4_is_minus_i(self):
-        assert abs(root_of_unity(4).value - (-1j)) < 1e-15
-
-    def test_rejects_radix_below_two(self):
-        with pytest.raises(ValueError):
-            root_of_unity(1)
+        assert abs(roots_of_unity(1, 4) - (-1j)) < 1e-15
 
     @pytest.mark.parametrize("q", range(2, 8))
     def test_power_identities(self, q):
-        value = root_of_unity(q).value
+        value = complex(roots_of_unity(1, q))
         assert abs(value ** q - 1.0) < 1e-12
-        assert abs(sum(value ** k for k in range(q))) < 1e-12
+        assert abs(roots_of_unity(np.arange(q), q).sum()) < 1e-12
 
 
 class TestWalshHadamard:
@@ -112,26 +107,6 @@ class TestChrestenson:
     def test_rejects_radix_below_two(self):
         with pytest.raises(ValueError):
             chrestenson_gate(1)
-
-
-class TestPhaseShift:
-    def test_zero_angle_is_identity(self):
-        np.testing.assert_array_equal(phase_shift_gate(0.0), np.eye(2))
-
-    def test_pi(self):
-        np.testing.assert_allclose(
-            phase_shift_gate(np.pi), np.diag([1.0, -1.0]), atol=1e-15
-        )
-
-    def test_half_pi(self):
-        np.testing.assert_allclose(
-            phase_shift_gate(np.pi / 2), np.diag([1.0, 1j]), atol=1e-15
-        )
-
-    @pytest.mark.parametrize("alpha", [0.3, 1.7, np.pi, 5.0])
-    def test_opposite_angles_cancel(self, alpha):
-        product = phase_shift_gate(alpha) @ phase_shift_gate(-alpha)
-        assert np.abs(product - np.eye(2)).max() < 1e-12
 
 
 class TestControlledPhase:

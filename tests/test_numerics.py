@@ -9,22 +9,16 @@ from qudit_qft import (
     build_qft_circuit,
     chrestenson_gate,
     circuit_to_matrix,
-    dft_matrix,
     is_unitary,
     kron,
     matmul,
     max_entry_distance,
-    spectral_norm,
     walsh_hadamard_gate,
 )
 from qudit_qft import numerics
-from qudit_qft.numerics import unitarity_residual
+from qudit_qft.numerics import check_params, unitarity_residual
 
 RNG = np.random.default_rng(20250810)
-
-# Largest singular value of dft_matrix(27) minus the keep-depth-1 compiled
-# circuit, frozen from numpy.linalg.svd.
-PRUNED_GAP_NORM = 1.969615506024417
 
 
 def random_matrix(n: int) -> np.ndarray:
@@ -177,32 +171,20 @@ class TestMaxEntryDistance:
             max_entry_distance(chrestenson_gate(3), walsh_hadamard_gate())
 
 
-class TestSpectralNorm:
-    def test_identity(self):
-        assert abs(spectral_norm(np.eye(4)) - 1.0) < 1e-9
+class TestCheckParams:
+    @pytest.mark.parametrize("params,message", [
+        ({"radix": 1, "digits": 0}, "radix must be at least 2, got 1"),
+        ({"radix": 2, "digits": 0}, "digits must be at least 1, got 0"),
+        ({"radix": 3, "digits": 2, "keep_depth": 0}, "keep_depth must be at least 1, got 0"),
+        ({"dropped_count": -1}, "dropped_count must be at least 0, got -1"),
+        ({"tolerance": float("nan")}, "tolerance must be at least 0, got nan"),
+    ])
+    def test_names_the_first_parameter_out_of_range(self, params, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_params(**params)
 
-    def test_scaling(self):
-        assert abs(spectral_norm(2.0 * np.eye(3)) - 2.0) < 1e-9
-
-    def test_pruning_gap_matches_svd_oracle(self):
-        diff = dft_matrix(27) - circuit_to_matrix(build_qft_circuit(3, 3, keep_depth=1))
-        estimate = spectral_norm(diff)
-        assert abs(estimate - PRUNED_GAP_NORM) < 1e-6
-        # independent runtime oracle, same value to fresh precision
-        top = float(np.linalg.svd(diff, compute_uv=False)[0])
-        assert abs(estimate - top) < 1e-6
-
-    @pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (5, 1)])
-    def test_unitary_norm_is_one(self, q, n):
-        matrix = circuit_to_matrix(build_qft_circuit(q, n))
-        assert abs(spectral_norm(matrix) - 1.0) < 1e-6
-
-    def test_zero_matrix(self):
-        assert spectral_norm(np.zeros((3, 3))) == 0.0
-
-    def test_iterations_validated(self):
-        with pytest.raises(ValueError):
-            spectral_norm(np.eye(2), iterations=0)
+    def test_least_values_and_none_pass(self):
+        check_params(radix=2, digits=1, keep_depth=None, dropped_count=0, tolerance=0.0)
 
 
 class TestStateVector:
