@@ -14,7 +14,10 @@ above a command's limit included), 3 I/O error.  All numeric output is
 printed with 17 significant digits so files round-trip exactly and
 identical invocations are byte-identical.  Every amplitude document (a
 state, or a matrix in JSON or CSV) is written chunk by chunk, so none is
-held whole in memory.
+held whole in memory.  The chunks are formatted on every CPU the process
+may run on: forked workers format interleaved chunks, send them back
+through pipes, and the process writes them in order
+(``_render_amplitudes``), so the bytes do not depend on the CPU count.
 
 gen-matrix and verify compile the QFT from its product form
 (``circuit._basis_columns``): every basis input's output is a product of n
@@ -40,6 +43,7 @@ import math
 import os
 import shutil
 import sys
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -105,6 +109,66 @@ _CSV_ENTRY = "{},{},{:.17g},{:.17g}".format
 _JSON_FOOTER = "\n  ]\n}\n"
 
 
+def _render_workers() -> int:
+    """How many processes format amplitude chunks: the CPUs this process
+    may run on, or 1 where ``os.fork`` or ``os.sched_getaffinity`` is
+    missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _format_chunk(values: np.ndarray, start: int, cols: int | None) -> str:
+    """The entries ``values[start:start + _STATE_CHUNK]``, without a
+    leading or trailing separator (see ``_render_amplitudes``)."""
+    end = min(start + _STATE_CHUNK, len(values))
+    real, imag = values.real[start:end].tolist(), values.imag[start:end].tolist()
+    if cols is None:
+        return ",\n".join(map(_JSON_PAIR, real, imag))
+    row, col = np.divmod(np.arange(start, end), cols)
+    return "\n".join(map(_CSV_ENTRY, row.tolist(), col.tolist(), real, imag))
+
+
+def _format_in_child(values: np.ndarray, starts, cols: int | None, out_fd: int,
+                     inherited_fds: list[int]):
+    """The body of a forked render worker; it never returns.
+
+    It sends each chunk of ``starts`` to ``out_fd`` as an 8-byte
+    little-endian length and that many bytes of UTF-8, and leaves through
+    ``os._exit``, so it never flushes a buffer inherited from the parent
+    (stdout, or ``_emit``'s file) and never returns into the caller.  It
+    only formats the built array: no BLAS call, whose threads the fork
+    did not copy.
+    """
+    status = 1
+    try:
+        for fd in inherited_fds:
+            os.close(fd)
+        with open(out_fd, "wb") as out:
+            for start in starts:
+                data = _format_chunk(values, start, cols).encode()
+                out.write(len(data).to_bytes(8, "little"))
+                out.write(data)
+        status = 0
+    except BrokenPipeError:
+        pass  # the parent closed the pipe: the document was abandoned
+    except Exception:
+        import traceback
+        os.write(2, f"render worker failed:\n{traceback.format_exc()}".encode())
+    finally:
+        os._exit(status)
+
+
+def _receive_chunk(reader, k: int) -> str:
+    """Chunk ``k``, as a worker sent it through ``reader``."""
+    head = reader.read(8)
+    size = int.from_bytes(head, "little")
+    data = reader.read(size)
+    if len(head) != 8 or len(data) != size:
+        raise RuntimeError(f"render worker ended before sending chunk {k} whole")
+    return data.decode()
+
+
 def _render_amplitudes(header: str, values: np.ndarray, footer: str,
                        cols: int | None = None):
     """Yield ``header``, the entries of ``values`` in C order and ``footer``,
@@ -113,23 +177,55 @@ def _render_amplitudes(header: str, values: np.ndarray, footer: str,
 
     Entries are JSON ``[re, im]`` pairs, one per line and comma-separated,
     or, given the column count ``cols`` of a matrix, ``row,col,re,im`` CSV
-    lines.  The header rides on the first chunk and the footer on the last,
-    so no more than one chunk of entry text exists at a time.
+    lines.  The header rides on the first chunk and the footer on the last.
+
+    Chunk ``k`` is formatted by worker ``k % W``, ``W`` being
+    ``_render_workers()`` capped at the number of chunks.  Worker 0 is this
+    process; every other worker is a forked child that sends its chunks
+    through its own pipe, and the chunks are yielded strictly in order.  A
+    worker blocks once its pipe is full (64 KiB on Linux, less than a
+    chunk of full-precision entries), so it runs about one chunk ahead and
+    about ``W`` chunks of entry text exist at a time.  A short
+    read or a failed worker raises ``RuntimeError``.  However the generator
+    ends (finished, failed or closed early) every pipe is closed and every
+    child reaped.
     """
     values = values.ravel()
-    size = len(values)
+    starts = range(0, len(values), _STATE_CHUNK)
+    workers = min(_render_workers(), len(starts))
     separator = ",\n" if cols is None else "\n"
-    lead = header
-    for i in range(0, size, _STATE_CHUNK):
-        end = min(i + _STATE_CHUNK, size)
-        real, imag = values.real[i:end].tolist(), values.imag[i:end].tolist()
-        if cols is None:
-            entries = map(_JSON_PAIR, real, imag)
-        else:
-            row, col = np.divmod(np.arange(i, end), cols)
-            entries = map(_CSV_ENTRY, row.tolist(), col.tolist(), real, imag)
-        yield lead + separator.join(entries) + (footer if end == size else "")
-        lead = separator
+    children, readers = [], []
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            readers.append(open(read_fd, "rb"))
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns on forking a threaded process
+                    # (numpy's BLAS threads); the child only formats.
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:
+                    _format_in_child(values, starts[w::workers], cols, write_fd,
+                                     [r.fileno() for r in readers])
+            finally:
+                os.close(write_fd)
+            children.append(pid)
+        lead = header
+        for k, start in enumerate(starts):
+            w = k % workers
+            entries = (_format_chunk(values, start, cols) if w == 0
+                       else _receive_chunk(readers[w - 1], k))
+            yield lead + entries + (footer if k == len(starts) - 1 else "")
+            lead = separator
+    finally:
+        # a worker still writing gets EPIPE from the closed pipe and exits
+        for reader in readers:
+            reader.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in children]
+    failed = [s for s in statuses if s != 0]
+    if failed:
+        raise RuntimeError(f"render worker exited with wait status {failed[0]}")
 
 
 def render_state(state: StateVector):
@@ -149,8 +245,6 @@ def _finite_number(v) -> bool:
 
 
 def parse_state(text: str, radix: int, digits: int, tolerance: float) -> StateVector:
-    if math.isnan(tolerance):
-        raise UsageError("the norm tolerance must be a number, not nan")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -366,7 +460,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    _check_args(args, MAX_STATE_DIM, MAX_RADIX)
+    _check_args(args, MAX_STATE_DIM, MAX_RADIX, tolerance=args.tolerance)
     q, n = args.radix, args.digits
     if args.input_path is not None and args.basis is not None:
         raise UsageError("--in and --basis are mutually exclusive")

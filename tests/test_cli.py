@@ -5,6 +5,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -172,6 +174,16 @@ class TestVerify:
         assert "verification failed" in err
 
 
+def reference_state_text(state: StateVector) -> str:
+    """The state document, each amplitude formatted on its own."""
+    pairs = ",\n".join(
+        f"    [{format(float(a.real), '.17g')}, {format(float(a.imag), '.17g')}]"
+        for a in state.amplitudes
+    )
+    return (f'{{\n  "radix": {state.radix},\n  "digits": {state.digits},\n'
+            f'  "amplitudes": [\n{pairs}\n  ]\n}}\n')
+
+
 def test_render_state_matches_per_amplitude_format():
     # the reference formats each amplitude on its own; the state spans
     # several rendering chunks and holds signed zeros and a subnormal
@@ -180,14 +192,7 @@ def test_render_state_matches_per_amplitude_format():
     amps[1] = complex(-0.0, -0.0)
     amps[-1] = complex(1e-300, -5e-310)
     state = StateVector(3, 8, amps / np.linalg.norm(amps))
-    pairs = ",\n".join(
-        f"    [{format(float(a.real), '.17g')}, {format(float(a.imag), '.17g')}]"
-        for a in state.amplitudes
-    )
-    expected = (
-        f'{{\n  "radix": 3,\n  "digits": 8,\n  "amplitudes": [\n{pairs}\n  ]\n}}\n'
-    )
-    assert "".join(render_state(state)) == expected
+    assert "".join(render_state(state)) == reference_state_text(state)
 
 
 class TestParameterRanges:
@@ -280,6 +285,181 @@ def test_render_state_chunks_end_on_a_chunk_boundary(document, n):
         assert chunks[-1].endswith("\n  ]\n}\n")
         doc = json.loads(text)
         assert len(doc.get("amplitudes", doc.get("entries"))) == 2 ** n
+
+
+# ------------------------------------------------ parallel amplitude writer
+
+def with_specials(values: np.ndarray) -> np.ndarray:
+    """``values`` with signed zeros and subnormals in the first chunk, in
+    the second (a forked worker's) and in the last entry, scaled so that
+    the other entries have unit norm."""
+    flat = values.reshape(-1)
+    special = [1, min(4097, flat.size - 2), flat.size - 1]
+    flat[special] = [complex(-0.0, -0.0), complex(5e-324, -0.0), complex(1e-300, -5e-310)]
+    rest = np.ones(flat.size, dtype=bool)
+    rest[special] = False
+    flat[rest] /= np.linalg.norm(flat[rest])
+    return values
+
+
+# (radix, digits) of a state and (rows, cols) of a matrix, of about as many
+# entries: one chunk, two whole chunks (fewer than three workers), whole
+# chunks beyond the worker count, and a partial last chunk
+DOCUMENT_SIZES = {
+    "one-chunk": ((2, 6), (8, 8)),
+    "two-chunks": ((2, 13), (64, 128)),
+    "whole-chunks": ((2, 14), (96, 128)),
+    "partial-last-chunk": ((3, 9), (73, 137)),
+}
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Record every ``os.fork`` that returns in the parent."""
+    real_fork, pids = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("size", DOCUMENT_SIZES)
+@pytest.mark.parametrize("kind", ["state", "json", "csv"])
+def test_parallel_render_matches_per_entry_format(kind, size, workers, forks, monkeypatch):
+    monkeypatch.setattr(cli, "_render_workers", lambda: workers)
+    rng = np.random.default_rng(9003)
+    (q, n), shape = DOCUMENT_SIZES[size]
+    if kind == "state":
+        state = StateVector(q, n, with_specials(rng.normal(size=q ** n) + 0j))
+        chunks, expected = list(render_state(state)), reference_state_text(state)
+    else:
+        matrix = with_specials(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        render = cli.render_matrix_csv if kind == "csv" else cli.render_matrix_json
+        chunks, expected = list(render(matrix)), reference_matrix_text(matrix, kind)
+    assert "".join(chunks) == expected
+    assert len(forks) == min(workers, len(chunks)) - 1
+
+
+def test_render_workers_follow_the_cpu_affinity(monkeypatch):
+    assert cli._render_workers() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "fork")
+    assert cli._render_workers() == 1
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_parallel_apply_matches_per_entry_format(to_file, tmp_path, forks, monkeypatch,
+                                                 capsys):
+    monkeypatch.setattr(cli, "_render_workers", lambda: 3)
+    path = tmp_path / "out.json"
+    code, out, _ = run(["apply", "--radix", "2", "--digits", "14", "--basis", "5",
+                        *(["--out", str(path)] if to_file else [])], capsys)
+    assert code == 0 and len(forks) == 2
+    qft = circuit.build_qft_circuit(2, 14)
+    expected = reference_state_text(StateVector(2, 14, circuit._basis_columns(qft, [5])[:, 0]))
+    assert (path.read_text() if to_file else out) == expected
+    if to_file:
+        assert out == "" and os.listdir(tmp_path) == ["out.json"]
+
+
+def run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this package, with
+    stdout block-buffered; its stdout."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    return proc.stdout
+
+
+def test_text_buffered_before_the_fork_is_written_once():
+    # stdout is a pipe, so the first line still sits in its buffer when the
+    # workers fork; a worker that flushed it would write it again
+    out = run_python(
+        "import sys; from qudit_qft import cli; cli._render_workers = lambda: 3; "
+        "sys.stdout.write('buffered before the fork\\n'); "
+        "sys.exit(cli.main(['apply', '--radix', '2', '--digits', '14', '--basis', '5']))"
+    )
+    qft = circuit.build_qft_circuit(2, 14)
+    state = StateVector(2, 14, circuit._basis_columns(qft, [5])[:, 0])
+    assert out == "buffered before the fork\n" + reference_state_text(state)
+
+
+def test_cli_setup_imports_no_process_pool():
+    # a pool module would lengthen every command's start-up
+    out = run_python(
+        "import sys; from qudit_qft.cli import build_parser; build_parser(); "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    assert out == "[]\n"
+
+
+class TestParallelRenderFailures:
+    # apply at 2**14 renders 4 chunks: the parent formats chunks 0 and 2,
+    # one forked worker chunks 1 and 3
+    COMMAND = ["apply", "--radix", "2", "--digits", "14", "--basis", "3", "--out"]
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(cli, "_render_workers", lambda: 2)
+
+    @staticmethod
+    def assert_no_children():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("chunk,error", [
+        pytest.param(1, RuntimeError, id="worker"),
+        pytest.param(2, ZeroDivisionError, id="parent"),
+    ])
+    def test_failed_chunk_keeps_the_old_file(self, chunk, error, tmp_path, monkeypatch,
+                                             capfd):
+        real_format = cli._format_chunk
+
+        def format_chunk(values, start, cols):
+            if start == chunk * cli._STATE_CHUNK:
+                raise ZeroDivisionError("chunk formatter fault")
+            return real_format(values, start, cols)
+
+        monkeypatch.setattr(cli, "_format_chunk", format_chunk)
+        path = tmp_path / "out.json"
+        path.write_text("old content\n")
+        with pytest.raises(error):
+            main(self.COMMAND + [str(path)])
+        assert path.read_text() == "old content\n"
+        assert os.listdir(tmp_path) == ["out.json"]
+        self.assert_no_children()
+        # a worker's traceback reaches stderr; the parent's propagates
+        assert ("chunk formatter fault" in capfd.readouterr().err) == (error is RuntimeError)
+
+    def test_failed_worker_exit_status_raises(self, tmp_path, monkeypatch):
+        # the worker sends every chunk, then exits with status 7
+        real_exit = os._exit
+        monkeypatch.setattr(os, "_exit", lambda status: real_exit(7))
+        path = tmp_path / "out.json"
+        with pytest.raises(RuntimeError, match="render worker exited"):
+            main(self.COMMAND + [str(path)])
+        assert os.listdir(tmp_path) == []
+        self.assert_no_children()
+
+    def test_worker_that_sends_nothing_is_a_short_read(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_format_in_child", lambda *args: os._exit(0))
+        with pytest.raises(RuntimeError, match="before sending chunk 1 whole"):
+            main(self.COMMAND + [str(tmp_path / "out.json")])
+        assert os.listdir(tmp_path) == []
+        self.assert_no_children()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_abandoned_document_reaps_its_workers(self, workers, monkeypatch):
+        monkeypatch.setattr(cli, "_render_workers", lambda: workers)
+        chunks = render_state(StateVector(2, 15, np.full(2 ** 15, 2 ** -7.5)))
+        assert next(chunks).startswith("{")
+        chunks.close()
+        self.assert_no_children()
 
 
 class TestApply:
@@ -708,25 +888,35 @@ class TestAtomicOutput:
         assert os.listdir(tmp_path) == ["pipe"]
 
 
-@pytest.mark.parametrize("amplitudes,message", [
+@pytest.mark.parametrize("amplitudes,tolerance,message", [
     # an int too large for a float is not a finite number
-    pytest.param("[[1" + "0" * 400 + ", 0], [0, 0]]", "malformed state file",
+    pytest.param("[[1" + "0" * 400 + ", 0], [0, 0]]", None, "malformed state file",
                  id="int-beyond-float"),
-    pytest.param("[[1.0, 0.0], [0.0, 0.0]]", "norm tolerance must be a number",
+    # a tolerance out of range is refused before the state is read, whatever
+    # the state holds, and with --basis too
+    pytest.param("[[1.0, 0.0], [0.0, 0.0]]", "nan", "tolerance must be at least 0, got nan",
                  id="nan-tolerance-unit-state"),
-    pytest.param("[[1.0, 0.0], [1.0, 0.0]]", "norm tolerance must be a number",
+    pytest.param("[[1.0, 0.0], [1.0, 0.0]]", "nan", "tolerance must be at least 0, got nan",
                  id="nan-tolerance-unnormalized"),
+    pytest.param("[[1.0, 0.0], [0.0, 0.0]]", "-1", "tolerance must be at least 0, got -1.0",
+                 id="negative-tolerance-unit-state"),
+    pytest.param(None, "nan", "tolerance must be at least 0, got nan",
+                 id="nan-tolerance-basis"),
 ])
-def test_state_file_edge_cases_are_usage_errors(amplitudes, message, tmp_path, capsys):
-    path = tmp_path / "state.json"
-    path.write_text(f'{{"radix": 2, "digits": 1, "amplitudes": {amplitudes}}}')
-    tolerance = ["--tolerance", "nan"] if "tolerance" in message else []
-    code, out, err = run(
-        ["apply", "--radix", "2", "--digits", "1", "--in", str(path), *tolerance], capsys
-    )
+def test_state_file_edge_cases_are_usage_errors(amplitudes, tolerance, message, tmp_path,
+                                                capsys):
+    if amplitudes is None:
+        source = ["--basis", "1"]
+    else:
+        path = tmp_path / "state.json"
+        path.write_text(f'{{"radix": 2, "digits": 1, "amplitudes": {amplitudes}}}')
+        source = ["--in", str(path)]
+    tolerance = [] if tolerance is None else ["--tolerance", tolerance]
+    code, out, err = run(["apply", "--radix", "2", "--digits", "1", *source, *tolerance],
+                         capsys)
     assert code == 2
     assert out == ""
-    assert message in err
+    assert f"error: {message}" in err
 
 
 @pytest.fixture
