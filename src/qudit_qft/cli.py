@@ -19,6 +19,21 @@ may run on: forked workers format interleaved chunks, send them back
 through pipes, and the process writes them in order
 (``_render_amplitudes``), so the bytes do not depend on the CPU count.
 
+Each chunk is formatted by a numpy kernel (``_float_rows``) that writes
+exactly the bytes of ``format(x, ".17g")`` for a whole array at once.  For
+``1e-6 < |x| < 1e17`` it estimates the decimal exponent E with
+``floor(log10|x|)`` and forms ``|x| * 10**(16 - E)`` exactly as the sum of a
+double and its rounding error (Dekker's product; the power is an exact
+double for E in [-6, 16]).  That product is at least 1e16 > 2**53, so the
+double is an even integer and adding the rounded error rounds the 17
+digits half to even, as ``format`` does; an estimate one off is seen from
+the product and corrected.  The digits are looked up four at a time, and
+each float's text is one fixed row of a layout table (sign, leading
+``0.000``, decimal point, ``e-0X``) with its digits XORed in; NUL bytes
+are dropped.  Exact zeros have their own row, and subnormals, ``|x| <=
+1e-6`` and ``|x| >= 1e17`` go to ``format`` itself, one list per chunk.
+The tables are built on the first document, not on import.
+
 gen-matrix and verify compile the QFT from its product form
 (``circuit._basis_columns``): every basis input's output is a product of n
 single-digit states, so the matrix is built from their row-wise Kronecker
@@ -38,6 +53,7 @@ propagates.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -45,6 +61,7 @@ import shutil
 import sys
 import warnings
 from dataclasses import astuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,7 +75,7 @@ from .circuit import (
 )
 from .numerics import (
     BLOCK_ROWS,
-    DEFAULT_DIM_CAP,
+    DEFAULT_DIM_CAP as MAX_DIM_CAP,
     NORM_TOL,
     StateVector,
     check_params,
@@ -81,14 +98,6 @@ MAX_STATE_DIM = 2 ** 20
 # and 323 MiB; 2048 is the largest radix measured inside the 512 MiB budget.
 MAX_RADIX = 2048
 
-# gen-matrix and verify refuse a --dim-cap above this, so that their peak
-# RSS stays within the same 512 MiB budget: at 4096 (same VM) verify peaked
-# at 337 MiB, of which the compiled matrix is 256 MiB, and gen-matrix at
-# 296 MiB in both formats (3048 MiB for JSON and 3926 MiB for CSV when the
-# whole document was built as one string).  At 8192 the matrix alone would
-# take 1024 MiB.
-MAX_DIM_CAP = 4096
-
 
 class UsageError(Exception):
     """Invalid arguments or malformed input data; mapped to exit code 2."""
@@ -104,9 +113,206 @@ def _fmt(x: float) -> str:
 # a large state or matrix in one go would raise the peak memory.
 _STATE_CHUNK = 4096
 
-_JSON_PAIR = "    [{:.17g}, {:.17g}]".format
-_CSV_ENTRY = "{},{},{:.17g},{:.17g}".format
 _JSON_FOOTER = "\n  ]\n}\n"
+
+# The decimal exponents of 1e-6 < |x| < 1e17, the range ``_float_rows``
+# formats itself, and the number of digits it prints.
+_LEAST_E, _MOST_E = -6, 16
+_EXPONENTS = _MOST_E - _LEAST_E + 1
+_DIGITS = 17
+_SPLIT = 2.0 ** 27 + 1  # Veltkamp's splitter for float64
+
+# A float's text is built in a row of 48 bytes, read as six uint64 words:
+# the sign, the "0.000" prefix of E in [-4, -1], the 17 digits from byte 6
+# on, each followed by a slot for the decimal point (so digits 1-16 fill
+# words 1-4, four to a word), and the "e-0X" suffix of E in [-6, -5] at
+# byte 40.  Unused bytes are NUL and are dropped from the document.
+_FLOAT_WIDTH = 48
+_DIGIT0, _SUFFIX = 6, 40
+
+
+def _layout(negative: bool, e: int, kept: int) -> bytes:
+    """The row of a float of exponent ``e`` whose first ``kept`` of its 17
+    digits are printed, to be XORed with the row of its digits: a kept
+    digit's byte is NUL, a dropped one's is "0", which the XOR clears
+    (every dropped digit is a trailing zero)."""
+    row = bytearray(_FLOAT_WIDTH)
+    if negative:
+        row[0] = ord("-")
+    if -4 <= e <= -1:
+        row[1:2 - e] = b"0." + b"0" * (-e - 1)
+    kept = max(kept, e + 1)  # integer digits are printed even when zero
+    for j in range(kept, _DIGITS):
+        row[_DIGIT0 + 2 * j] = ord("0")
+    point = e if e >= 0 else 0 if e <= -5 else None
+    if point is not None and point < kept - 1:
+        row[_DIGIT0 + 2 * point + 1] = ord(".")
+    if e <= -5:
+        row[_SUFFIX:_SUFFIX + 4] = b"e-0%d" % -e
+    return bytes(row)
+
+
+class _Tables(NamedTuple):
+    """The kernel's lookup tables.  The first five are indexed by a group
+    ``g`` of four digits (0-9999), or by one digit for ``leads``."""
+    groups: np.ndarray   # uint32: the ASCII of f"{g:04d}"
+    bare: np.ndarray     # uint32: the same with its leading zeros NUL (all four of 0)
+    spread: np.ndarray   # uint64: the four digits in the even bytes (a row word's digit slots)
+    leads: np.ndarray    # uint64: digit g at byte 6 (a row's first digit slot)
+    zeros: np.ndarray    # int64: the number of trailing zeros of the four digits
+    layouts: np.ndarray  # (782, 6) uint64: _layout rows, (sign * 23 + E + 6) * 17 + kept - 1
+    powers: np.ndarray   # (3, 23) float64: 10**k and its two Veltkamp halves
+
+
+@functools.cache
+def _format_tables() -> _Tables:
+    """The kernel's lookup tables, built on first use.  ``_render_amplitudes``
+    builds them before it forks, so its workers inherit them."""
+    places = 10 ** np.arange(3, -1, -1)
+    digits = (np.arange(10000)[:, None] // places % 10 + ord("0")).astype(np.uint8)
+    bare = np.where(digits.cumsum(axis=1) == ord("0") * np.arange(1, 5), 0, digits)
+    spread = np.zeros((10000, 8), np.uint8)
+    spread[:, ::2] = digits
+    leads = np.zeros((10, 8), np.uint8)
+    leads[:, _DIGIT0] = digits[:10, 3]
+    zeros = np.zeros(10000, np.int64)
+    for step in (10, 100, 1000, 10000):
+        zeros[::step] += 1
+    layouts = np.frombuffer(b"".join(
+        _layout(negative, e, kept) for negative in (False, True)
+        for e in range(_LEAST_E, _MOST_E + 1) for kept in range(1, _DIGITS + 1)
+    ), np.uint64).reshape(-1, _FLOAT_WIDTH // 8)
+    powers = np.array([float(10 ** k) for k in range(_EXPONENTS)])
+    t = _SPLIT * powers
+    high = t - (t - powers)
+    tables = _Tables(digits.view(np.uint32)[:, 0], bare.astype(np.uint8).view(np.uint32)[:, 0],
+                     spread.view(np.uint64)[:, 0], leads.view(np.uint64)[:, 0], zeros,
+                     layouts, np.stack([powers, high, powers - high]))
+    for table in tables:  # every caller shares them
+        table.flags.writeable = False
+    return tables
+
+
+def _scaled(a: np.ndarray, e: np.ndarray, powers: np.ndarray):
+    """``a * 10**(16 - e)`` exactly, as ``p + err`` (Dekker's TwoProduct
+    with Veltkamp splits; numpy has no fused multiply-add)."""
+    b, b_hi, b_lo = np.take(powers, _DIGITS - 1 - e, axis=1)
+    p = a * b
+    t = _SPLIT * a
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    err = a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+    return p, err
+
+
+def _outside(p: np.ndarray, err: np.ndarray):
+    """Where the exact ``p + err`` is below 1e16, and where it is 1e17 or
+    more (both powers are doubles, and ``p`` is ``p + err`` rounded)."""
+    return ((p < 1e16) | ((p == 1e16) & (err < 0)),
+            (p > 1e17) | ((p == 1e17) & (err >= 0)))
+
+
+def _split(v: np.ndarray, unit: int):
+    """``divmod(v, unit)``; a floor division and a product are quicker."""
+    quotient = v // unit
+    return quotient, v - quotient * unit
+
+
+def _float_rows(x: np.ndarray) -> np.ndarray:
+    """``format(v, ".17g")`` of each float64 ``v`` of ``x``, as one
+    NUL-padded ``_FLOAT_WIDTH``-byte row each.
+
+    For ``1e-6 < |v| < 1e17`` the decimal exponent E of the 17-digit value
+    is in [-6, 16].  It is estimated by ``floor(log10|v|)``, and
+    ``|v| * 10**(16 - E)`` is formed exactly as ``p + err``; the power is
+    an exact double because 0 <= 16 - E <= 22.  Near a power of ten the
+    estimate may be one off, which puts the product outside [1e16, 1e17);
+    E is moved and the product formed again.  In range, ``p`` exceeds
+    2**53, so it is an even integer and ``p + rint(err)`` is the product
+    rounded half to even to 17 digits, as ``format`` rounds it.  A carry
+    to 10**17 moves E up, never past 16: the doubles below 1e17 are
+    integers, so none of them rounds up to it.  Zeros get their own row;
+    every other value is formatted by ``format``.
+    """
+    tables = _format_tables()
+    a = np.abs(x)
+    fast = (a > 1e-6) & (a < 1e17)
+    a = np.where(fast, a, 1.0)
+    e = np.clip(np.floor(np.log10(a)).astype(np.int64), _LEAST_E, _MOST_E)
+    p, err = _scaled(a, e, tables.powers)
+    low, high = _outside(p, err)
+    moved = np.flatnonzero(low | high)
+    if len(moved):
+        e[moved] += np.where(high[moved], 1, -1)
+        p[moved], err[moved] = _scaled(a[moved], e[moved], tables.powers)
+        if np.any(np.logical_or(*_outside(p[moved], err[moved]))):
+            raise RuntimeError("log10 misjudged a decimal exponent by more than one")
+    d = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    carry = d == 10 ** _DIGITS
+    d[carry] = 10 ** (_DIGITS - 1)
+    e += carry
+
+    # the 17 digits: a leading one and four groups of four
+    lead, rest = _split(d, 10 ** 16)
+    upper, lower = _split(rest, 10 ** 8)
+    quads = [*_split(upper, 10 ** 4), *_split(lower, 10 ** 4)]
+    trailing = tables.zeros[quads[3]]
+    # few values end in a whole group of zeros; only they look further left
+    short = np.flatnonzero(trailing == 4)
+    for k, quad in enumerate(quads[2::-1], 2):
+        trailing[short] += tables.zeros[quad[short]]
+        short = short[trailing[short] == 4 * k]
+
+    key = ((np.signbit(x) * _EXPONENTS + e - _LEAST_E) * _DIGITS
+           + _DIGITS - 1 - trailing)
+    words = np.take(tables.layouts, key, axis=0)
+    words[:, 0] ^= tables.leads[lead]
+    for k, quad in enumerate(quads, 1):
+        words[:, k] ^= tables.spread[quad]
+    rows = words.view(np.uint8)
+    # a zero was formatted as the 1.0 of its sign
+    zero = x == 0
+    rows[zero, _DIGIT0] = ord("0")
+    other = np.flatnonzero(~fast & ~zero)
+    if len(other):
+        text = [format(v, ".17g") for v in x[other].tolist()]
+        rows[other] = np.array(text, dtype=f"S{_FLOAT_WIDTH}")[:, None].view(np.uint8)
+    return rows
+
+
+def _int_rows(v: np.ndarray) -> np.ndarray:
+    """``str`` of each non-negative int64 of ``v``, as one NUL-padded row
+    each of four bytes per group of four digits."""
+    tables = _format_tables()
+    count = max(1, -(-len(str(int(v.max(initial=0)))) // 4))
+    words = np.empty((len(v), count), np.uint32)
+    zero = v == 0
+    for k in range(count - 1, -1, -1):
+        v, quad = _split(v, 10 ** 4)
+        # a group prints its leading zeros only below a nonzero group
+        words[:, k] = np.where(v > 0, tables.groups[quad], tables.bare[quad])
+    rows = words.view(np.uint8)
+    rows[zero, -1] = ord("0")
+    return rows
+
+
+def _pack(fields, separator: bytes) -> str:
+    """The lines made of ``fields`` (byte strings, the same on every line,
+    and arrays of NUL-padded rows, one per line), without NUL bytes and
+    joined by ``separator``."""
+    fields = [*fields, separator]
+    lines = next(len(f) for f in fields if isinstance(f, np.ndarray))
+    widths = [f.shape[1] if isinstance(f, np.ndarray) else len(f) for f in fields]
+    text = bytearray(lines * sum(widths))  # bytearray.translate needs no bytes copy
+    out = np.frombuffer(text, np.uint8).reshape(lines, sum(widths))
+    at = 0
+    for field, width in zip(fields, widths):
+        if isinstance(field, bytes):
+            field = np.frombuffer(field, np.uint8)
+        out[:, at:at + width] = field
+        at += width
+    out[-1, -len(separator):] = 0  # no separator after the last line
+    return text.translate(None, b"\0").decode("ascii")
 
 
 def _render_workers() -> int:
@@ -122,11 +328,13 @@ def _format_chunk(values: np.ndarray, start: int, cols: int | None) -> str:
     """The entries ``values[start:start + _STATE_CHUNK]``, without a
     leading or trailing separator (see ``_render_amplitudes``)."""
     end = min(start + _STATE_CHUNK, len(values))
-    real, imag = values.real[start:end].tolist(), values.imag[start:end].tolist()
+    parts = np.ascontiguousarray(values[start:end], dtype=np.complex128).view(np.float64)
+    floats = _float_rows(parts).reshape(end - start, 2 * _FLOAT_WIDTH)
+    real, imag = floats[:, :_FLOAT_WIDTH], floats[:, _FLOAT_WIDTH:]
     if cols is None:
-        return ",\n".join(map(_JSON_PAIR, real, imag))
+        return _pack([b"    [", real, b", ", imag, b"]"], b",\n")
     row, col = np.divmod(np.arange(start, end), cols)
-    return "\n".join(map(_CSV_ENTRY, row.tolist(), col.tolist(), real, imag))
+    return _pack([_int_rows(row), b",", _int_rows(col), b",", real, b",", imag], b"\n")
 
 
 def _format_in_child(values: np.ndarray, starts, cols: int | None, out_fd: int,
@@ -191,6 +399,7 @@ def _render_amplitudes(header: str, values: np.ndarray, footer: str,
     child reaped.
     """
     values = values.ravel()
+    _format_tables()  # built here, before any fork, so every worker inherits them
     starts = range(0, len(values), _STATE_CHUNK)
     workers = min(_render_workers(), len(starts))
     separator = ",\n" if cols is None else "\n"
@@ -529,16 +738,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_size_args(p)
     _add_keep_depth(p)
     _add_out_args(p, "json")
-    p.add_argument("--dim-cap", dest="dim_cap", type=int, default=DEFAULT_DIM_CAP,
-                   help=f"largest allowed matrix dimension (default {DEFAULT_DIM_CAP})")
+    p.add_argument("--dim-cap", dest="dim_cap", type=int, default=MAX_DIM_CAP,
+                   help=f"largest allowed matrix dimension (default {MAX_DIM_CAP})")
     p.set_defaults(handler=cmd_gen_matrix)
 
     p = sub.add_parser("verify", help="check the compiled circuit against the DFT oracle")
     _add_size_args(p)
     p.add_argument("--tolerance", type=float, default=1e-10,
                    help="pass threshold for the distance checks (default 1e-10)")
-    p.add_argument("--dim-cap", dest="dim_cap", type=int, default=DEFAULT_DIM_CAP,
-                   help=f"largest allowed matrix dimension (default {DEFAULT_DIM_CAP})")
+    p.add_argument("--dim-cap", dest="dim_cap", type=int, default=MAX_DIM_CAP,
+                   help=f"largest allowed matrix dimension (default {MAX_DIM_CAP})")
     p.add_argument("--out", dest="output_path", default=None,
                    help="write the summary here instead of stdout")
     p.set_defaults(handler=cmd_verify)

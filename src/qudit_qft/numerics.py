@@ -14,6 +14,12 @@ import numpy as np
 
 # Full-matrix work (compilation, oracle comparison) is capped at this
 # dimension by default; q**n above it is refused rather than attempted.
+# The CLI imports it as ``MAX_DIM_CAP``: gen-matrix and verify refuse a
+# --dim-cap above it, so that their peak RSS stays within a 512 MiB
+# budget.  At 4096 (2-vCPU VM) verify peaked at 337 MiB, of which the
+# compiled matrix is 256 MiB, and gen-matrix at 296 MiB in both formats
+# (3048 MiB for JSON and 3926 MiB for CSV when the whole document was
+# built as one string).  At 8192 the matrix alone would take 1024 MiB.
 DEFAULT_DIM_CAP = 4096
 
 # Unit-norm requirement on state vectors.

@@ -7,6 +7,8 @@ import os
 import stat
 import subprocess
 import sys
+import textwrap
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -398,6 +400,28 @@ def test_cli_setup_imports_no_process_pool():
     assert out == "[]\n"
 
 
+def test_cli_setup_builds_no_format_tables():
+    # the tables would lengthen every command's start-up; a document builds
+    # them once, in the parent, before its workers fork and inherit them
+    out = run_python(textwrap.dedent("""
+        import os
+        import numpy as np
+        from qudit_qft import cli
+        from qudit_qft.numerics import StateVector
+        cli.build_parser()
+        print(cli._format_tables.cache_info().currsize)
+        cli._render_workers = lambda: 3
+        real_fork, built_at_fork = os.fork, []
+        def fork():
+            built_at_fork.append(cli._format_tables.cache_info().currsize)
+            return real_fork()
+        os.fork = fork
+        "".join(cli.render_state(StateVector(2, 14, np.full(2 ** 14, 2 ** -7 + 0j))))
+        print(built_at_fork, cli._format_tables.cache_info().misses)
+    """))
+    assert out == "0\n[1, 1] 1\n"
+
+
 class TestParallelRenderFailures:
     # apply at 2**14 renders 4 chunks: the parent formats chunks 0 and 2,
     # one forked worker chunks 1 and 3
@@ -460,6 +484,103 @@ class TestParallelRenderFailures:
         assert next(chunks).startswith("{")
         chunks.close()
         self.assert_no_children()
+
+
+# ------------------------------------------------ exact float kernel
+
+def assert_formats_exactly(values):
+    """``cli._float_rows`` writes ``format(v, ".17g")`` for every value."""
+    values = np.asarray(values, dtype=np.float64).ravel().tolist()
+    lines = cli._pack([cli._float_rows(np.array(values))], b"\n").split("\n")
+    expected = [format(v, ".17g") for v in values]
+    if lines != expected:
+        assert len(lines) == len(values)
+        wrong = [(v, line) for v, line, e in zip(values, lines, expected) if line != e]
+        pytest.fail(f"{len(wrong)} values misformatted, such as (value, text) {wrong[:5]}")
+
+
+def random_bits(rng, size, exponents=(0, 2048)):
+    """Random float64 bit patterns: any sign and mantissa, a biased binary
+    exponent drawn from ``range(*exponents)``."""
+    sign_and_mantissa = rng.integers(0, 2 ** 64, size, dtype=np.uint64)
+    sign_and_mantissa &= np.uint64(0x800F_FFFF_FFFF_FFFF)
+    exponent = rng.integers(*exponents, size, dtype=np.uint64) << np.uint64(52)
+    return (sign_and_mantissa | exponent).view(np.float64)
+
+
+def test_float_kernel_on_random_bit_patterns():
+    # 2**20 patterns: 2**16 with any exponent (most print through format,
+    # which is slow far from 1), the rest with binary exponents -24..60,
+    # the kernel's range 1e-6 < |v| < 1e17 and past both of its ends
+    rng = np.random.default_rng(1101)
+    values = np.concatenate([random_bits(rng, 2 ** 16),
+                             random_bits(rng, 2 ** 20 - 2 ** 16, (1023 - 24, 1023 + 61))])
+    exponents = values.view(np.uint64) >> np.uint64(52) & np.uint64(0x7FF)
+    assert len(np.unique(exponents)) == 2048  # every exponent, inf and NaN included
+    assert_formats_exactly(values)
+
+
+def test_float_kernel_rounds_half_way_ties_to_even():
+    # k / 2**j == k * 5**j / 10**j; for odd k with k * 5**j of 18 digits
+    # the 17-digit value is exactly half way between two neighbours
+    rng = np.random.default_rng(1102)
+    values = []
+    for j in range(2, 26):
+        least, most = -(-10 ** 17 // 5 ** j), min(10 ** 18 // 5 ** j, 2 ** 53)
+        k = rng.integers(least, most, 256) | 1
+        values.append(np.ldexp(k[k < most].astype(np.float64), -j))
+    values = np.concatenate(values)
+    assert all(len(Decimal(v).as_tuple().digits) == 18 and Decimal(v).as_tuple().digits[-1] == 5
+               for v in values.tolist())
+    assert_formats_exactly(np.concatenate([values, -values]))
+
+
+def with_neighbours(values, count=4):
+    """``values`` and the ``count`` doubles on either side of each."""
+    below, above = [values], [values]
+    for _ in range(count):
+        below.append(np.nextafter(below[-1], 0))
+        above.append(np.nextafter(above[-1], np.inf))
+    return np.concatenate(below + above[1:])
+
+
+def test_float_kernel_at_powers_of_ten_and_carries():
+    powers = np.array([float(f"1e{k}") for k in range(-9, 19)])
+    # within half a unit of the 17th digit of a power of ten: some round
+    # up to it and carry into E
+    nines = [float(f"{m}e{k}") for k in range(-9, 19)
+             for m in ("9.99999999999999999", "9.9999999999999999", "9.99999999999999949",
+                       "9.9999999999999995", "9.99999999999999951", "1.00000000000000005")]
+    values = np.concatenate([with_neighbours(powers), nines])
+    assert_formats_exactly(np.concatenate([values, -values]))
+
+
+def test_float_kernel_on_zeros_subnormals_and_range_borders():
+    rng = np.random.default_rng(1103)
+    borders = np.array([1e-6, 1e-5, 1e-4, 1.0, 1e16, 1e17, 5e-324, 2.2250738585072014e-308])
+    values = np.concatenate([[0.0, 1.7976931348623157e308],
+                             random_bits(rng, 4096, (0, 1)),  # subnormals
+                             with_neighbours(borders)])
+    assert_formats_exactly(np.concatenate([values, -values]))
+
+
+def test_float_kernel_on_command_outputs():
+    # every distinct value of the apply state at (2,19) and of the pruned
+    # (3,7,2) matrix; signed zeros are distinct values here
+    state = circuit._basis_columns(circuit.build_qft_circuit(2, 19), [59298])[:, 0]
+    matrix = circuit.circuit_to_matrix(circuit.build_qft_circuit(3, 7, 2))
+    for amplitudes in (state, matrix):
+        bits = np.unique(amplitudes.view(np.float64).view(np.uint64))
+        assert_formats_exactly(bits.view(np.float64))
+
+
+def test_int_rows_match_str():
+    # CSV row and column indices, up to many groups of four digits
+    rng = np.random.default_rng(1104)
+    values = np.concatenate([[0, 1, 9, 10, 9999, 10000, 10001, 99990000, 10 ** 8, 2 ** 63 - 1],
+                             rng.integers(0, 2 ** 63, 1000), rng.integers(0, 10 ** 5, 1000)])
+    for part in (values, values[values < 10000], np.zeros(3, np.int64)):
+        assert cli._pack([cli._int_rows(part)], b"\n") == "\n".join(map(str, part.tolist()))
 
 
 class TestApply:
