@@ -37,7 +37,7 @@ import numpy as np
 
 from . import kernels
 from .gates import chrestenson_gate, roots_of_unity
-from .numerics import DEFAULT_DIM_CAP, StateVector, check_params, kron
+from .numerics import DEFAULT_DIM_CAP, StateVector, _freeze, check_params, kron
 
 CHRESTENSON = "chrestenson"
 CONTROLLED_PHASE = "controlled_phase"
@@ -413,14 +413,15 @@ def _basis_columns(circuit: Circuit, x) -> np.ndarray:
 
 
 def apply_circuit(circuit: Circuit, state: StateVector) -> StateVector:
-    """Run a circuit on one state; returns a fresh unit-norm state."""
+    """Run a circuit on one state; returns a fresh unit-norm state, which
+    holds the simulator's output buffer itself."""
     if state.radix != circuit.radix or state.digits != circuit.digits:
         raise ValueError(
             f"state is base-{state.radix} with {state.digits} digits, circuit "
             f"expects base-{circuit.radix} with {circuit.digits}"
         )
     out = _run_batch(circuit, state.amplitudes[np.newaxis, :])[0]
-    return StateVector(circuit.radix, circuit.digits, out)
+    return StateVector(circuit.radix, circuit.digits, _freeze(out))
 
 
 def circuit_to_matrix(circuit: Circuit, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -78,6 +79,8 @@ from .numerics import (
     DEFAULT_DIM_CAP as MAX_DIM_CAP,
     NORM_TOL,
     StateVector,
+    _freeze,
+    _norm_sq,
     check_params,
     max_entry_distance,
     unitarity_residual,
@@ -86,16 +89,20 @@ from .numerics import (
 
 # apply and bounds refuse registers of more amplitudes than this, so that
 # their peak RSS stays within a 512 MiB budget.  At 2**20 amplitudes (2-vCPU
-# Linux VM, numpy path) apply peaked at 70 MiB from --basis and 308 MiB
-# from --in, and bounds at 150 MiB (q=2, keep-depth 3) and 145 MiB (q=4,
-# keep-depth 2); every array either allocates is O(q**n).
+# Linux VM, ru_maxrss of the child) apply peaked at 49 MiB from --basis and
+# 269 MiB from --in, most of it the parsed JSON list of pairs, and bounds
+# at 143 MiB (q=2, keep-depth 3) and 134 MiB (q=4, keep-depth 2).  Every
+# array either allocates is O(q**n), and each state exists once: a
+# StateVector holds the array its producer built, not a copy.
 MAX_STATE_DIM = 2 ** 20
 
 # apply and bounds also refuse a radix above this: the dense q x q
-# Chrestenson gate is built through long-double intermediates, so peak RSS
-# grows as q**2.  At n = 1 (2-vCPU Linux VM, numpy path) apply peaked at
-# 102 MiB with radix 1024 and 318 MiB with radix 2048, and bounds at 116
-# and 323 MiB; 2048 is the largest radix measured inside the 512 MiB budget.
+# Chrestenson gate takes 16*q**2 bytes, so peak RSS grows as q**2.  At
+# n = 1 (same VM) apply peaked at 58 MiB with radix 1024 and 129 MiB with
+# radix 2048, and bounds at 65 and 134 MiB (102, 318, 117 and 323 MiB when
+# roots_of_unity still held long-double temporaries of the whole gate).
+# Memory would admit a larger radix; the limit stays at the largest radix
+# measured until its time budget is decided (bounds took 10.3 s at 2048).
 MAX_RADIX = 2048
 
 
@@ -114,6 +121,17 @@ def _fmt(x: float) -> str:
 _STATE_CHUNK = 4096
 
 _JSON_FOOTER = "\n  ]\n}\n"
+
+# glibc's malloc serves a block above its mmap threshold (128 KiB at
+# start) with fresh pages, which the kernel faults in and zeroes on every
+# use, and raises the threshold to the size of such a block once it is
+# freed.  A chunk's digit rows and text take a few hundred KiB each, so
+# _render_amplitudes frees one untouched block of this size before it
+# forks; the chunks of every worker then reuse heap pages.  Rendering the
+# 2^19 apply state (2-vCPU VM, 2 workers) took 36-37 thousand minor page
+# faults and 0.21-0.23 s without it, 2.4 thousand and 0.17-0.20 s with it
+# (1 MiB was not enough: the heap was trimmed and faulted again).
+_HEAP_PRIMER_BYTES = 4 << 20
 
 # The decimal exponents of 1e-6 < |x| < 1e17, the range ``_float_rows``
 # formats itself, and the number of digits it prints.
@@ -400,6 +418,7 @@ def _render_amplitudes(header: str, values: np.ndarray, footer: str,
     """
     values = values.ravel()
     _format_tables()  # built here, before any fork, so every worker inherits them
+    np.empty(_HEAP_PRIMER_BYTES, np.uint8)  # freed at once, never touched
     starts = range(0, len(values), _STATE_CHUNK)
     workers = min(_render_workers(), len(starts))
     separator = ",\n" if cols is None else "\n"
@@ -463,6 +482,8 @@ def parse_state(text: str, radix: int, digits: int, tolerance: float) -> StateVe
             "malformed state file: expected an object with keys "
             "radix, digits, amplitudes"
         )
+    if not all(type(doc[key]) is int for key in ("radix", "digits")):
+        raise UsageError("malformed state file: radix and digits must be integers")
     if doc["radix"] != radix or doc["digits"] != digits:
         raise UsageError(
             f"state shape mismatch: file is base-{doc['radix']} with "
@@ -480,11 +501,13 @@ def parse_state(text: str, radix: int, digits: int, tolerance: float) -> StateVe
             f"state shape mismatch: expected {radix ** digits} amplitudes, "
             f"file holds {len(raw)}"
         )
-    amps = np.array([complex(re, im) for re, im in raw], dtype=np.complex128)
-    norm_sq = float(np.sum(np.abs(amps) ** 2))
+    # every pair holds two finite numbers: one float64 array, read as complex
+    amps = np.fromiter(itertools.chain.from_iterable(raw), dtype=np.float64,
+                       count=2 * len(raw)).view(np.complex128)
+    norm_sq = _norm_sq(amps)
     if abs(norm_sq - 1.0) > min(tolerance, NORM_TOL):
         raise UsageError(f"state norm violation: norm**2 is {norm_sq!r}, expected 1")
-    return StateVector(radix, digits, amps)
+    return StateVector(radix, digits, _freeze(amps))
 
 
 def render_matrix_json(matrix: np.ndarray):
@@ -683,7 +706,7 @@ def cmd_apply(args) -> int:
         if not 0 <= index < q ** n:
             raise UsageError(f"--basis {index} out of range for dimension {q ** n}")
         # a basis input stays a product state: no dense simulation runs
-        result = StateVector(q, n, _basis_columns(circuit, [index])[:, 0])
+        result = StateVector(q, n, _freeze(_basis_columns(circuit, [index])[:, 0]))
     _emit(render_state(result), args.output_path)
     return 0
 

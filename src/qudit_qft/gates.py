@@ -16,20 +16,30 @@ from .numerics import check_params
 _PI = np.longdouble("3.141592653589793238462643383279502884")
 
 
+# Entries roots_of_unity evaluates at a time: its long-double temporaries
+# (16 bytes an entry each on x86-64) stay a few MiB whatever the size.
+_ROOTS_CHUNK = 2 ** 16
+
+
 def roots_of_unity(exponents, modulus: int, scale=1) -> np.ndarray:
     """``scale * exp(-2j*pi * e / modulus)`` for every integer e in ``exponents``.
 
     Evaluated in long double and rounded once to complex128.  In float64
     the angle alone would carry an error of up to half an ulp of 2*pi,
-    several times the rounding of the result.
+    several times the rounding of the result.  Every entry is computed on
+    its own, so the ``_ROOTS_CHUNK`` entries evaluated at a time give the
+    same bits as one pass over all of them.
     """
-    angle = np.asarray(exponents).astype(np.longdouble) * (
-        -2 * _PI / np.longdouble(modulus)
-    )
+    exponents = np.asarray(exponents)
+    step = -2 * _PI / np.longdouble(modulus)
     scale = np.longdouble(scale)
-    out = np.empty(angle.shape, dtype=np.complex128)
-    out.real = scale * np.cos(angle)
-    out.imag = scale * np.sin(angle)
+    out = np.empty(exponents.shape, dtype=np.complex128)
+    flat_exponents, flat_out = exponents.reshape(-1), out.reshape(-1)
+    for start in range(0, flat_out.size, _ROOTS_CHUNK):
+        chunk = slice(start, start + _ROOTS_CHUNK)
+        angle = flat_exponents[chunk].astype(np.longdouble) * step
+        flat_out.real[chunk] = scale * np.cos(angle)
+        flat_out.imag[chunk] = scale * np.sin(angle)
     return out
 
 
@@ -47,7 +57,9 @@ def chrestenson_gate(q: int) -> np.ndarray:
     """
     check_params(radix=q)
     k = np.arange(q)
-    return roots_of_unity(np.outer(k, k) % q, q, 1 / np.sqrt(np.longdouble(q)))
+    exponents = np.outer(k, k)
+    exponents %= q
+    return roots_of_unity(exponents, q, 1 / np.sqrt(np.longdouble(q)))
 
 
 def controlled_phase_matrix(q: int, denom_exp: int) -> np.ndarray:

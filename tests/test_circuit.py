@@ -290,6 +290,15 @@ class TestApplyCircuit:
         apply_circuit(build_qft_circuit(2, 2), state)
         np.testing.assert_array_equal(state.amplitudes, before)
 
+    def test_peak_memory_is_bounded(self, traced_peak):
+        # the two simulator buffers, the largest fused phase table and its
+        # lookup; the output state holds one of the buffers, not a copy
+        state = StateVector.basis(2, 18, 5)
+        apply_circuit(build_qft_circuit(2, 2), StateVector.basis(2, 2, 1))
+        out, peak = traced_peak(apply_circuit, build_qft_circuit(2, 18), state)
+        assert not out.amplitudes.flags.writeable
+        assert peak <= 5 * state.amplitudes.nbytes
+
 
 class TestCircuitToMatrix:
     @pytest.mark.parametrize(

@@ -584,6 +584,19 @@ def test_int_rows_match_str():
 
 
 class TestApply:
+    def test_basis_peak_memory_is_the_state_and_a_little(self, traced_peak, tmp_path,
+                                                         monkeypatch):
+        # the output column is the state itself: no copy, no |a|**2 temporaries.
+        # The renderer's heap primer is allocated and freed untouched, so it
+        # is never resident; tracemalloc would count it all the same.
+        monkeypatch.setattr(cli, "_HEAP_PRIMER_BYTES", 0)
+        path = tmp_path / "out.json"
+        main(["apply", "--radix", "2", "--digits", "2", "--basis", "1", "--out", str(path)])
+        code, peak = traced_peak(main, ["apply", "--radix", "2", "--digits", "18",
+                                        "--basis", "5", "--out", str(path)])
+        assert code == 0
+        assert peak <= 2 ** 18 * 16 + 3 * 2 ** 20
+
     def test_basis_zero_base2(self, capsys):
         code, out, _ = run(["apply", "--radix", "2", "--digits", "1"], capsys)
         assert code == 0
@@ -1009,28 +1022,38 @@ class TestAtomicOutput:
         assert os.listdir(tmp_path) == ["pipe"]
 
 
-@pytest.mark.parametrize("amplitudes,tolerance,message", [
+def state_file(amplitudes: str, radix: str = "2", digits: str = "1") -> str:
+    return f'{{"radix": {radix}, "digits": {digits}, "amplitudes": {amplitudes}}}'
+
+
+@pytest.mark.parametrize("document,tolerance,message", [
     # an int too large for a float is not a finite number
-    pytest.param("[[1" + "0" * 400 + ", 0], [0, 0]]", None, "malformed state file",
-                 id="int-beyond-float"),
+    pytest.param(state_file("[[1" + "0" * 400 + ", 0], [0, 0]]"), None,
+                 "malformed state file", id="int-beyond-float"),
+    # the header's sizes are JSON integers: neither a boolean nor a float
+    # passes for one, although True == 1 and 2.0 == 2
+    pytest.param(state_file("[[1.0, 0.0], [0.0, 0.0]]", digits="true"), None,
+                 "malformed state file", id="boolean-digits"),
+    pytest.param(state_file("[[1.0, 0.0], [0.0, 0.0]]", radix="2.0", digits="1.0"), None,
+                 "malformed state file", id="float-radix-and-digits"),
     # a tolerance out of range is refused before the state is read, whatever
     # the state holds, and with --basis too
-    pytest.param("[[1.0, 0.0], [0.0, 0.0]]", "nan", "tolerance must be at least 0, got nan",
-                 id="nan-tolerance-unit-state"),
-    pytest.param("[[1.0, 0.0], [1.0, 0.0]]", "nan", "tolerance must be at least 0, got nan",
-                 id="nan-tolerance-unnormalized"),
-    pytest.param("[[1.0, 0.0], [0.0, 0.0]]", "-1", "tolerance must be at least 0, got -1.0",
-                 id="negative-tolerance-unit-state"),
+    pytest.param(state_file("[[1.0, 0.0], [0.0, 0.0]]"), "nan",
+                 "tolerance must be at least 0, got nan", id="nan-tolerance-unit-state"),
+    pytest.param(state_file("[[1.0, 0.0], [1.0, 0.0]]"), "nan",
+                 "tolerance must be at least 0, got nan", id="nan-tolerance-unnormalized"),
+    pytest.param(state_file("[[1.0, 0.0], [0.0, 0.0]]"), "-1",
+                 "tolerance must be at least 0, got -1.0", id="negative-tolerance-unit-state"),
     pytest.param(None, "nan", "tolerance must be at least 0, got nan",
                  id="nan-tolerance-basis"),
 ])
-def test_state_file_edge_cases_are_usage_errors(amplitudes, tolerance, message, tmp_path,
+def test_state_file_edge_cases_are_usage_errors(document, tolerance, message, tmp_path,
                                                 capsys):
-    if amplitudes is None:
+    if document is None:
         source = ["--basis", "1"]
     else:
         path = tmp_path / "state.json"
-        path.write_text(f'{{"radix": 2, "digits": 1, "amplitudes": {amplitudes}}}')
+        path.write_text(document)
         source = ["--in", str(path)]
     tolerance = [] if tolerance is None else ["--tolerance", tolerance]
     code, out, err = run(["apply", "--radix", "2", "--digits", "1", *source, *tolerance],

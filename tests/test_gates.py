@@ -12,6 +12,7 @@ from qudit_qft import (
     is_unitary,
     walsh_hadamard_gate,
 )
+from qudit_qft import gates
 from qudit_qft.gates import roots_of_unity
 
 
@@ -76,6 +77,15 @@ class TestRootsOfUnity:
             roots_of_unity(e, 9), np.exp(-2j * np.pi * e / 9), rtol=0, atol=1e-14
         )
 
+    @pytest.mark.parametrize("shape", [(), (1,), (5,), (7, 3), (4, 5, 6)])
+    def test_chunks_give_the_bits_of_one_pass(self, shape, monkeypatch):
+        e = np.arange(-11, int(np.prod(shape)) - 11).reshape(shape)
+        whole = roots_of_unity(e, 27, 0.5)
+        monkeypatch.setattr(gates, "_ROOTS_CHUNK", 4)
+        chunked = roots_of_unity(e, 27, 0.5)
+        assert chunked.shape == whole.shape == shape
+        assert chunked.tobytes() == whole.tobytes()
+
 
 class TestChrestenson:
     def test_base3_matrix(self):
@@ -107,6 +117,13 @@ class TestChrestenson:
     def test_rejects_radix_below_two(self):
         with pytest.raises(ValueError):
             chrestenson_gate(1)
+
+    def test_builds_no_temporary_as_large_as_the_gate(self, traced_peak):
+        # long-double angles, cosines and sines of all q*q entries would
+        # each be as large as the gate; evaluated in chunks they are small
+        chrestenson_gate(4)
+        gate, peak = traced_peak(chrestenson_gate, 1024)
+        assert peak <= 2 * gate.nbytes
 
 
 class TestControlledPhase:

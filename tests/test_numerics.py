@@ -220,3 +220,87 @@ class TestStateVector:
             StateVector.basis(1, 2, 0)
         with pytest.raises(ValueError):
             StateVector.basis(2, 0, 0)
+
+
+def frozen_state_array(dim: int) -> np.ndarray:
+    amps = np.zeros(dim, dtype=np.complex128)
+    amps[1] = 1.0
+    amps.setflags(write=False)
+    return amps
+
+
+class TestStateVectorSharing:
+    """An array nothing can write to is shared; anything else is copied."""
+
+    def test_frozen_complex_array_is_shared(self):
+        amps = frozen_state_array(4)
+        state = StateVector(2, 2, amps)
+        assert np.shares_memory(state.amplitudes, amps)
+
+    def test_frozen_view_of_frozen_base_is_shared(self):
+        base = np.zeros((4, 2), dtype=np.complex128)
+        base[1, 0] = 1.0
+        base.setflags(write=False)
+        state = StateVector(2, 2, base[:, 0])
+        assert np.shares_memory(state.amplitudes, base)
+
+    def test_writable_array_is_copied(self):
+        amps = np.zeros(4, dtype=np.complex128)
+        amps[1] = 1.0
+        state = StateVector(2, 2, amps)
+        assert not np.shares_memory(state.amplitudes, amps)
+        amps[1], amps[2] = 0.0, 1.0
+        assert state.amplitudes[1] == 1.0 and state.amplitudes[2] == 0.0
+
+    def test_read_only_view_of_writable_base_is_copied(self):
+        base = np.zeros(4, dtype=np.complex128)
+        base[1] = 1.0
+        view = base[:]
+        view.setflags(write=False)
+        state = StateVector(2, 2, view)
+        assert not np.shares_memory(state.amplitudes, base)
+        base[1], base[2] = 0.0, 1.0
+        assert state.amplitudes[1] == 1.0 and state.amplitudes[2] == 0.0
+
+    @pytest.mark.parametrize("amps", [
+        np.array([0.0, 1.0, 0.0, 0.0]),  # real
+        np.array([0, 1, 0, 0], dtype=np.complex64),
+        [0, 1, 0, 0],
+    ], ids=["float64", "complex64", "list"])
+    def test_other_inputs_are_copied_to_frozen_complex128(self, amps):
+        if isinstance(amps, np.ndarray):
+            amps.setflags(write=False)
+        state = StateVector(2, 2, amps)
+        assert state.amplitudes.dtype == np.complex128
+        assert not state.amplitudes.flags.writeable
+        assert not np.shares_memory(state.amplitudes, np.asarray(amps))
+        assert np.array_equal(state.amplitudes, [0, 1, 0, 0])
+
+
+class TestStateVectorChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan),
+                                     complex(0, np.inf), complex(0, -np.inf)],
+                             ids=["nan", "inf", "-inf", "nan-imag", "inf-imag", "-inf-imag"])
+    def test_non_finite_entry_is_named(self, bad):
+        amps = np.array([1.0, 0.0, bad, 0.0], dtype=np.complex128)
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            StateVector(2, 2, amps)
+
+    def test_huge_finite_entry_gets_the_norm_message(self):
+        # 1e200 squared overflows, but the entry itself is finite
+        with pytest.raises(ValueError, match=r"state norm\*\*2 is inf, expected 1"):
+            StateVector(2, 1, np.array([1e200, 0.0]))
+
+    def test_wrong_length_gets_the_shape_message(self):
+        with pytest.raises(ValueError, match=r"expected 4 amplitudes, got shape \(3,\)"):
+            StateVector(2, 2, frozen_state_array(3))
+
+    def test_two_dimensional_input_gets_the_shape_message(self):
+        with pytest.raises(ValueError, match=r"expected 4 amplitudes, got shape \(2, 2\)"):
+            StateVector(2, 2, np.eye(2, dtype=np.complex128))
+
+    def test_norm_tolerance_is_unchanged(self):
+        amps = np.array([np.sqrt(1 + 0.5e-10), 0.0])
+        StateVector(2, 1, amps)
+        with pytest.raises(ValueError, match="norm"):
+            StateVector(2, 1, np.array([np.sqrt(1 + 2e-10), 0.0]))
