@@ -19,8 +19,9 @@ so each input costs ``n*q`` amplitudes instead of ``q**n``.  It serves
 every basis input: ``bounds`` checks each input's slots, and
 ``_basis_columns`` expands them into output states, from which
 ``circuit_to_matrix`` compiles such a circuit and ``apply`` runs a basis
-state.  The dense simulator runs state inputs, the two boundary chunks of
-``bounds``, and the compile of a circuit that ``_breaks_product``.
+state; ``verify`` reads its two halves (``_product_halves``) instead.  The
+dense simulator runs state inputs, the two boundary chunks of ``bounds``,
+and the compile of a circuit that ``_breaks_product``.
 
 Digit conventions: ``x_0`` is the least significant digit, state index
 ``i = sum_j x_j * q**j``, and the leftmost Kronecker factor addresses the
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import kernels
 from .gates import chrestenson_gate, roots_of_unity
-from .numerics import DEFAULT_DIM_CAP, StateVector, _freeze, check_params, kron
+from .numerics import BLOCK_ROWS, DEFAULT_DIM_CAP, StateVector, _freeze, check_params, kron
 
 CHRESTENSON = "chrestenson"
 CONTROLLED_PHASE = "controlled_phase"
@@ -167,9 +168,10 @@ def dft_matrix(t: int, rows: slice | None = None) -> np.ndarray:
     if t < 2:
         raise ValueError("transform size must be at least 2")
     x = np.arange(t, dtype=np.int64)
-    exponents = np.outer(x if rows is None else x[rows], x) % t
-    roots = np.exp(-2j * np.pi * np.arange(t) / t)
-    return roots[exponents] / np.sqrt(t)
+    exponents = np.outer(x if rows is None else x[rows], x)
+    exponents %= t
+    # scaling the t roots once rounds each entry as scaling the block would
+    return (np.exp(-2j * np.pi * x / t) / np.sqrt(t))[exponents]
 
 
 def chrestenson_transform_matrix(q: int, n: int,
@@ -340,8 +342,11 @@ def _run_product(circuit: Circuit, x: np.ndarray, cache: dict,
     # digit-major, so each slot and each digit row is contiguous
     slots = np.zeros((n, len(x), q), dtype=np.complex128)
     np.put_along_axis(slots, digits[:, :, np.newaxis], 1.0, axis=2)
+    # slots are rows, so the gate acts as its transpose, which it equals bit
+    # for bit (entry (j, k) is read at j*k mod q); kept C-contiguous, it is
+    # read by np.take with no copy
     if ("chrestenson", q) not in cache:
-        cache["chrestenson", q] = chrestenson_gate(q).T
+        cache["chrestenson", q] = chrestenson_gate(q)
     gate = cache["chrestenson", q]
     # component 0 of every target keeps phase 1
     component = np.arange(1, q, dtype=np.int64)
@@ -353,7 +358,11 @@ def _run_product(circuit: Circuit, x: np.ndarray, cache: dict,
                 slots[target] = slots[target] @ gate
             else:
                 row = digits[target]
-                slots[target] = slots[target, inputs, row][:, np.newaxis] * gate[row]
+                scale = slots[target, inputs, row][:, np.newaxis]  # a copy
+                # the rows are written in place: mode="wrap" skips the hidden
+                # temporary of mode="raise" (see _run_batch); row is in range
+                np.take(gate, row, axis=0, out=slots[target], mode="wrap")
+                np.multiply(scale, slots[target], out=slots[target])
                 transformed.add(target)
             continue
         m = max(op.denom_exp for op in run)
@@ -391,16 +400,18 @@ def _outer_rows(factors: list[np.ndarray]) -> np.ndarray:
     return (left[:, np.newaxis] * right).reshape(-1, left.shape[1])
 
 
-def _basis_columns(circuit: Circuit, x) -> np.ndarray:
-    """The circuit applied to basis inputs ``x``, as the ``(q**n, len(x))``
-    complex128 array whose column j is the output state of input ``x[j]``.
+def _product_halves(circuit: Circuit, x) -> tuple[np.ndarray | None, np.ndarray]:
+    """The outputs of basis inputs ``x`` as two halves ``(left, right)``:
+    row ``(i, j)`` of input ``x[k]``'s output is ``left[i, k] * right[j, k]``.
 
     The register stays a product of single-digit states (see
-    ``_run_product``), so the outputs are the row-wise Kronecker products
-    of the slots taken as ``(q, len(x))`` factors in output-digit order,
-    most significant first.  No dense simulation runs and no identity is
-    built.  A roots-of-unity table is built only where it holds at most
-    ``len(x)`` entries.
+    ``_run_product``), so the outputs are the row-wise Kronecker products of
+    the slots taken as ``(q, len(x))`` factors, most significant first;
+    ``left`` is that of the first ``h = n // 2`` factors (None at n = 1),
+    ``right`` of the rest, as ``_outer_rows`` splits them.  A roots-of-unity
+    table is built only where it holds at most ``len(x)`` entries.  In the
+    QFT, ``left`` holds slots ``0..h-1``, which read only input digits
+    ``0..h-1``, so its column for input x depends only on ``x mod q**h``.
     """
     x = np.asarray(x, dtype=np.int64)
     # (n, q, len(x)), C-contiguous, so every product is laid out in C order
@@ -409,7 +420,32 @@ def _basis_columns(circuit: Circuit, x) -> np.ndarray:
     n = circuit.digits
     # slot l is output digit n-1-l when the circuit reverses, l otherwise
     order = range(n) if circuit.reverse_output_digits else range(n - 1, -1, -1)
-    return _outer_rows([factors[l] for l in order])
+    factors = [factors[l] for l in order]
+    h = n // 2
+    return (_outer_rows(factors[:h]) if h else None), _outer_rows(factors[h:])
+
+
+def _row_blocks(left: np.ndarray | None, right: np.ndarray):
+    """The matrix of ``_product_halves`` one block of rows at a time, as
+    ``(rows, block)`` pairs in row order: ``len(right)`` rows per row of
+    ``left``, or ``BLOCK_ROWS`` rows of ``right`` when ``left`` is None.
+    Each block is the last product of ``_outer_rows`` on its rows, so its
+    entries equal ``_basis_columns``'s bit for bit."""
+    if left is None:
+        for start in range(0, len(right), BLOCK_ROWS):
+            yield slice(start, start + BLOCK_ROWS), right[start:start + BLOCK_ROWS]
+        return
+    height = len(right)
+    for i in range(len(left)):
+        yield slice(i * height, (i + 1) * height), _outer_rows([left[i:i + 1], right])
+
+
+def _basis_columns(circuit: Circuit, x) -> np.ndarray:
+    """The circuit applied to basis inputs ``x``, as the ``(q**n, len(x))``
+    complex128 array whose column j is the output state of input ``x[j]``,
+    expanded from ``_product_halves`` with no dense simulation."""
+    left, right = _product_halves(circuit, x)
+    return right if left is None else _outer_rows([left, right])
 
 
 def apply_circuit(circuit: Circuit, state: StateVector) -> StateVector:

@@ -39,11 +39,13 @@ gen-matrix and verify compile the QFT from its product form
 single-digit states, so the matrix is built from their row-wise Kronecker
 products, with no dense simulation and no identity input.  apply on a basis
 state (``--basis``, or state 0 by default) builds its output the same way;
-only a state read with ``--in`` runs the dense simulator.  verify compares
-the compiled matrix with the DFT one block of rows at a time, and takes the
-unitarity residual from the blocks of ``M @ M^H`` on and above the diagonal
-(``numerics.unitarity_residual``); it builds no full oracle, product or
-identity matrix.
+only a state read with ``--in`` runs the dense simulator.  verify never
+builds the matrix M: it takes the two halves of its last product
+(``circuit._product_halves``), compares M with the DFT one block of rows at
+a time (``circuit._row_blocks``; the entries are the compiled ones bit for
+bit), and takes the unitarity residual from the Kronecker structure of the
+halves (``numerics.product_unitarity_residual``).  At n = 1, M is the single
+factor, and its residual is ``numerics.unitarity_residual``.
 
 Usage errors are ``UsageError``s raised by one up-front check per command
 (``_check_args``); any other exception is a fault of the program and
@@ -69,13 +71,14 @@ import numpy as np
 from .analysis import CrossCheckError, approximation_report, capacity_metrics
 from .circuit import (
     _basis_columns,
+    _product_halves,
+    _row_blocks,
     apply_circuit,
     build_qft_circuit,
     circuit_to_matrix,
     dft_matrix,
 )
 from .numerics import (
-    BLOCK_ROWS,
     DEFAULT_DIM_CAP as MAX_DIM_CAP,
     NORM_TOL,
     StateVector,
@@ -83,6 +86,7 @@ from .numerics import (
     _norm_sq,
     check_params,
     max_entry_distance,
+    product_unitarity_residual,
     unitarity_residual,
 )
 
@@ -132,6 +136,12 @@ _JSON_FOOTER = "\n  ]\n}\n"
 # faults and 0.21-0.23 s without it, 2.4 thousand and 0.17-0.20 s with it
 # (1 MiB was not enough: the heap was trimmed and faulted again).
 _HEAP_PRIMER_BYTES = 4 << 20
+
+# verify frees one such block before its row-block loops, whose iterations
+# each take about 16 MiB of temporaries at 2**12.  Without it glibc trimmed
+# and faulted them in again: 97 thousand page faults and 0.49 s for the
+# oracle, against none and 0.25 s (32 MiB, above glibc's cap, did not help).
+_VERIFY_PRIMER_BYTES = 16 << 20
 
 # The decimal exponents of 1e-6 < |x| < 1e17, the range ``_float_rows``
 # formats itself, and the number of digits it prints.
@@ -665,12 +675,13 @@ def cmd_verify(args) -> int:
     q, n = args.radix, args.digits
     dim = q ** n
     circuit = build_qft_circuit(q, n)
-    matrix = circuit_to_matrix(circuit, dim_cap=args.dim_cap)
-    blocks = [slice(start, start + BLOCK_ROWS) for start in range(0, dim, BLOCK_ROWS)]
+    left, right = _product_halves(circuit, np.arange(dim))
+    np.empty(_VERIFY_PRIMER_BYTES, np.uint8)  # freed at once, never touched
     # np.max, unlike the builtin max, carries a NaN in any block through
-    distance = float(np.max([max_entry_distance(matrix[rows], dft_matrix(dim, rows))
-                             for rows in blocks]))
-    residual = unitarity_residual(matrix)
+    distance = float(np.max([max_entry_distance(block, dft_matrix(dim, rows))
+                             for rows, block in _row_blocks(left, right)]))
+    residual = (unitarity_residual(right) if left is None
+                else product_unitarity_residual(left, right))
     expected_gates = n * (n + 1) // 2
     checks = [
         ("gate_count", circuit.gate_count == expected_gates,

@@ -16,22 +16,26 @@ import numpy as np
 # Full-matrix work (compilation, oracle comparison) is capped at this
 # dimension by default; q**n above it is refused rather than attempted.
 # The CLI imports it as ``MAX_DIM_CAP``: gen-matrix and verify refuse a
-# --dim-cap above it, so that their peak RSS stays within a 512 MiB
-# budget.  At 4096 (2-vCPU VM) verify peaked at 337 MiB, of which the
-# compiled matrix is 256 MiB, and gen-matrix at 296 MiB in both formats
-# (3048 MiB for JSON and 3926 MiB for CSV when the whole document was
-# built as one string).  At 8192 the matrix alone would take 1024 MiB.
+# --dim-cap above it.  Peak RSS at the cap (2-vCPU VM, ru_maxrss of the
+# child) is at most 672 MiB, reached at n = 1, radix 4096, by both
+# commands: the q x q gate, the slots of the product engine and the
+# compiled matrix are 256 MiB each, and two of them coexist (1054 MiB when
+# the engine still gathered gate rows into temporaries).  With two or more
+# digits gen-matrix peaked at 296 MiB in both formats, 256 MiB of it the
+# matrix, and verify, which builds no matrix, at 54 MiB at (2, 12) and
+# 105 MiB at (16, 3), its largest row blocks (337 MiB when it compiled the
+# matrix).  At 8192 the matrix alone would take 1024 MiB.
 DEFAULT_DIM_CAP = 4096
 
 # Unit-norm requirement on state vectors.
 NORM_TOL = 1e-10
 
 # Row-block height of the blocked full-matrix checks: unitarity_residual
-# forms its Gram blocks from row blocks of this many rows, and cli verify
-# compares the matrix with the DFT in blocks of as many rows.  At the 4096
-# cap heights of 256, 512 and 1024 all took 4.0-4.3 s for the residual
-# (2-vCPU VM), against 6.5 s for one full product; the smallest keeps the
-# temporaries smallest.
+# forms its Gram blocks from row blocks of this many rows, and verify
+# compares a single-digit matrix with the DFT in blocks of as many rows
+# (circuit._row_blocks).  At the 4096 cap heights of 256, 512 and 1024 all
+# took 4.0-4.3 s for the residual (2-vCPU VM), against 6.5 s for one full
+# product; the smallest keeps the temporaries smallest.
 BLOCK_ROWS = 256
 
 # The least value of each parameter that check_params knows.
@@ -114,6 +118,42 @@ def unitarity_residual(a) -> float:
             if i == j:
                 block[np.diag_indices(len(block))] -= 1
             maxima.append(np.abs(block).max())
+    # np.max, unlike the builtin max, carries a NaN through
+    return float(np.max(maxima))
+
+
+def product_unitarity_residual(left, right) -> float:
+    """``unitarity_residual`` of the matrix ``M`` whose row ``(i, j)``, in
+    C order, is ``left[i] * right[j]``, without building ``M``.
+
+    Premise, checked bit for bit: column x of ``left`` depends only on
+    ``x mod p``, with ``p = len(left)``; otherwise ``ValueError``.  Then,
+    with ``L = left[:, :p]`` and ``H_s = R_s @ adjoint(R_s)`` for the
+    columns ``R_s = right[:, s::p]``, entry ``((i, j), (k, l))`` of
+    ``M @ adjoint(M)`` is ``sum_s L[i, s] * conj(L[k, s]) * H_s[j, l]``.
+    One batched product builds every ``H_s``, and one GEMM per ``i`` the
+    entries of rows ``(i, .)`` in columns ``(k, .)`` with ``k >= i``: that
+    is ``p * r**3 + p**3 * r**2 / 2`` complex multiply-adds for
+    ``r = len(right)``, where the blocked form takes ``(p * r)**3 / 2``.
+    The sums run over the exact products, so the result may differ in its
+    last bits from ``unitarity_residual`` of the rounded ``M``.  A NaN
+    anywhere makes the result NaN.
+    """
+    left, right = _as_matrix(left), _as_matrix(right)
+    p, r = len(left), len(right)
+    bits = np.ascontiguousarray(left).view(np.uint64).reshape(p, -1, 2 * p)
+    if not (bits == bits[:, :1]).all():
+        raise ValueError(f"the columns of left do not repeat with period {p}")
+    low = left[:, :p]
+    # columns = (x_high, s) in C order, so R_s is right[:, :, s]
+    parts = right.reshape(r, -1, p).transpose(2, 0, 1)
+    gram = (parts @ parts.conj().transpose(0, 2, 1)).reshape(p, r * r)
+    maxima = []
+    for i in range(p):
+        # Hermitian, as in unitarity_residual: rows (i, .) against (k, .), k >= i
+        block = ((low[i] * low[i:].conj()) @ gram).reshape(p - i, r, r)
+        block[0][np.diag_indices(r)] -= 1
+        maxima.append(np.abs(block).max())
     # np.max, unlike the builtin max, carries a NaN through
     return float(np.max(maxima))
 

@@ -28,7 +28,14 @@ from qudit_qft import (
     walsh_hadamard_gate,
 )
 from qudit_qft import circuit as circuit_module, kernels
-from qudit_qft.circuit import _basis_columns, _breaks_product, _run_batch, _run_product
+from qudit_qft.circuit import (
+    _basis_columns,
+    _breaks_product,
+    _product_halves,
+    _row_blocks,
+    _run_batch,
+    _run_product,
+)
 
 RNG = np.random.default_rng(55021)
 
@@ -188,6 +195,19 @@ class TestDftMatrix:
     def test_row_blocks_are_bit_identical(self, rows):
         # the last block runs past row 80 and is cut there, as a slice is
         np.testing.assert_array_equal(dft_matrix(81, rows), dft_matrix(81)[rows])
+
+    @pytest.mark.parametrize("t,rows", [
+        (7, None), (81, None), (625, None),
+        *((t, rows) for t in (2187, 3125, 4096)
+          for rows in (slice(0, 64), slice(t // 2, t // 2 + 64), slice(t - 64, t))),
+    ])
+    def test_scaled_table_equals_the_scaled_gather(self, t, rows):
+        # dft_matrix scales its t roots once; the reference scales the
+        # gathered entries, as dft_matrix once did
+        x = np.arange(t, dtype=np.int64)
+        exponents = np.outer(x if rows is None else x[rows], x) % t
+        expected = np.exp(-2j * np.pi * np.arange(t) / t)[exponents] / np.sqrt(t)
+        assert np.array_equal(dft_matrix(t, rows).view(np.uint64), expected.view(np.uint64))
 
 
 class TestChrestensonTransform:
@@ -421,6 +441,18 @@ class TestRunProduct:
                           + (GateOp.chrestenson(2),))
         self.assert_matches_dense(circuit)
 
+    def test_first_chrestenson_writes_no_full_size_temporary(self, traced_peak):
+        # the selected gate rows are written into the slots in place; a
+        # product of the gathered rows would take two more slot-sized arrays
+        q = 512
+        cache = {("chrestenson", q): chrestenson_gate(q)}
+        x = np.arange(q)
+        slots, peak = traced_peak(_run_product, build_qft_circuit(q, 1), x, cache, q)
+        assert peak <= slots.nbytes + 2 ** 18  # one more slot array is 2 ** 22
+        # each input's basis digit carries amplitude 1, which scales its row
+        expected = np.ones((q, 1), dtype=complex) * chrestenson_gate(q)
+        assert np.array_equal(slots[:, 0].view(np.uint64), expected.view(np.uint64))
+
     def test_refuses_a_control_after_its_chrestenson(self):
         op = GateOp.controlled_phase(0, 1, 2)
         circuit = Circuit(3, 2, (GateOp.chrestenson(0), GateOp.chrestenson(1), op))
@@ -482,6 +514,31 @@ class TestBasisColumns:
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(_basis_columns(circuit, [7])[:, 0], expected[:, 7],
                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("circuit", [
+        *PRODUCT_CIRCUITS,
+        *(pytest.param(build_qft_circuit(q, n), id=f"qft-{q}-{n}")
+          for q, n in [(2, 1), (7, 1), (600, 1), (7, 2), (2, 9), (3, 7)]),
+    ])
+    def test_row_blocks_are_the_compiled_rows(self, circuit):
+        # verify's blocks hold the compiled matrix's entries bit for bit
+        dim = circuit.radix ** circuit.digits
+        left, right = _product_halves(circuit, np.arange(dim))
+        assert (left is None) == (circuit.digits == 1)
+        rows, blocks = zip(*_row_blocks(left, right))
+        assert [r.start for r in rows] == [0, *(r.stop for r in rows[:-1])]
+        assert min(rows[-1].stop, dim) == dim
+        matrix = circuit_to_matrix(circuit)
+        assert np.array_equal(np.concatenate(blocks).view(np.uint64), matrix.view(np.uint64))
+
+    @pytest.mark.parametrize("q,n", [(2, 2), (2, 9), (3, 4), (5, 3), (7, 2), (16, 3)])
+    def test_qft_left_half_repeats_with_its_height(self, q, n):
+        # left holds slots 0..h-1, which read input digits 0..h-1 only
+        left, _ = _product_halves(build_qft_circuit(q, n), np.arange(q ** n))
+        period = q ** (n // 2)
+        assert len(left) == period
+        assert np.array_equal(left.view(np.uint64),
+                              np.tile(left[:, :period], q ** n // period).view(np.uint64))
 
     @pytest.mark.parametrize("q,n,depth", [(2, 10, None), (3, 6, None), (4, 4, 3),
                                            (32, 2, None)])

@@ -22,6 +22,7 @@ from qudit_qft import (
     digit_reversal_perm,
     kernels,
     kron,
+    numerics,
 )
 from qudit_qft.cli import BOUNDS_HEADER, COMPARE_HEADER, main, parse_state, render_state
 from qudit_qft.numerics import StateVector
@@ -133,18 +134,28 @@ class TestVerify:
         assert code == 2
         assert "radix" in err
 
+    @staticmethod
+    def changed_factor(row, change, monkeypatch):
+        """Make verify at (2, 9) see a compiled matrix whose left-half
+        factor entry behind ``M[row, 5]`` is changed in every period of its
+        columns, so only the row block holding ``row`` changes."""
+        split = cli._product_halves
+
+        def changed(circuit, x):
+            left, right = split(circuit, x)
+            # 2**9 rows span len(left) row blocks of len(right) rows
+            assert len(left) > 1
+            change(left[row // len(right), 5::len(left)])
+            return left, right
+
+        monkeypatch.setattr(cli, "_product_halves", changed)
+
     @pytest.mark.parametrize("row", [0, 2 ** 9 - 1])
     def test_nudge_in_the_first_or_last_row_block_fails(self, row, monkeypatch, capsys):
-        # 2**9 rows span two row blocks of both checks
-        assert 2 ** 9 > cli.BLOCK_ROWS
-        compile_matrix = cli.circuit_to_matrix
+        def nudge(entries):
+            entries *= 1 + 1e-6
 
-        def nudged(circuit, dim_cap):
-            matrix = compile_matrix(circuit, dim_cap=dim_cap)
-            matrix[row, 5] *= 1 + 1e-6
-            return matrix
-
-        monkeypatch.setattr(cli, "circuit_to_matrix", nudged)
+        self.changed_factor(row, nudge, monkeypatch)
         code, out, err = run(["verify", "--radix", "2", "--digits", "9"], capsys)
         assert code == 1
         assert "oracle_distance" in out and "unitarity_residual" in out
@@ -153,18 +164,40 @@ class TestVerify:
 
     @pytest.mark.parametrize("row", [0, 2 ** 9 - 1])
     def test_nan_in_the_first_or_last_row_block_fails(self, row, monkeypatch, capsys):
-        compile_matrix = cli.circuit_to_matrix
+        def poison(entries):
+            entries[:] = np.nan
 
-        def poisoned(circuit, dim_cap):
-            matrix = compile_matrix(circuit, dim_cap=dim_cap)
-            matrix[row, 5] = np.nan
-            return matrix
-
-        monkeypatch.setattr(cli, "circuit_to_matrix", poisoned)
+        self.changed_factor(row, poison, monkeypatch)
         code, out, err = run(["verify", "--radix", "2", "--digits", "9"], capsys)
         assert code == 1
         assert "oracle_distance nan" in out and "unitarity_residual nan" in out
         assert all(line.endswith("FAIL") for line in out.splitlines()[1:])
+
+    @pytest.mark.parametrize("q,n", [(2, 1), (7, 1), (600, 1), (2, 3), (7, 2), (3, 5),
+                                     (2, 9)])
+    def test_values_of_the_compiled_matrix(self, q, n, capsys):
+        # the oracle distance is that of the compiled matrix bit for bit; so
+        # is the residual at n = 1, where the matrix is the single factor
+        code, out, _ = run(["verify", "--radix", str(q), "--digits", str(n)], capsys)
+        assert code == 0
+        matrix = circuit.circuit_to_matrix(circuit.build_qft_circuit(q, n))
+        distance = float(np.abs(matrix - dft_matrix(q ** n)).max())
+        residual = numerics.unitarity_residual(matrix)
+        printed = {line.split()[0]: float(line.split()[1]) for line in out.splitlines()[1:3]}
+        assert printed["oracle_distance"] == distance
+        if n == 1:
+            assert printed["unitarity_residual"] == residual
+        assert abs(printed["unitarity_residual"] - residual) <= 1e-14
+
+    def test_peak_memory_at_the_cap_is_far_below_the_matrix(self, traced_peak, tmp_path):
+        # the 4096 x 4096 matrix alone is 256 MiB; verify builds row blocks
+        # of it and the Gram blocks of its two halves
+        out = tmp_path / "verify.txt"
+        code, peak = traced_peak(main, ["verify", "--radix", "2", "--digits", "12",
+                                        "--out", str(out)])
+        assert code == 0
+        assert out.read_text().endswith("verify PASS\n")
+        assert peak <= 64 * 2 ** 20
 
     def test_impossible_tolerance_fails(self, capsys):
         code, out, err = run(
@@ -204,7 +237,7 @@ class TestParameterRanges:
         def compiled(*args, **kwargs):
             raise AssertionError("the circuit was compiled")
 
-        monkeypatch.setattr(cli, "circuit_to_matrix", compiled)
+        monkeypatch.setattr(cli, "_product_halves", compiled)
         code, out, err = run(["verify", "--radix", "2", "--digits", "3",
                               "--tolerance", tolerance], capsys)
         assert code == 2
@@ -1122,6 +1155,7 @@ class TestDimCapLimit:
 
         monkeypatch.setattr(cli, "build_qft_circuit", reached)
         monkeypatch.setattr(cli, "circuit_to_matrix", reached)
+        monkeypatch.setattr(cli, "_product_halves", reached)
 
     # numpy's "array is too big" and Circuit's phase-modulus refusal used to
     # surface here as exit 2 through a catch-all for ValueError
@@ -1144,7 +1178,7 @@ class TestDimCapLimit:
 
 
 @pytest.mark.parametrize("name,argv", [
-    ("circuit_to_matrix", ["verify", "--radix", "2", "--digits", "3"]),
+    ("_product_halves", ["verify", "--radix", "2", "--digits", "3"]),
     ("circuit_to_matrix", ["gen-matrix", "--radix", "2", "--digits", "3"]),
     ("_basis_columns", ["apply", "--radix", "2", "--digits", "3"]),
     ("approximation_report", ["bounds", "--radix", "2", "--digits", "3"]),

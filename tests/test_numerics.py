@@ -7,6 +7,7 @@ from qudit_qft import (
     StateVector,
     adjoint,
     build_qft_circuit,
+    build_walsh_hadamard_transform_circuit,
     chrestenson_gate,
     circuit_to_matrix,
     is_unitary,
@@ -16,7 +17,8 @@ from qudit_qft import (
     walsh_hadamard_gate,
 )
 from qudit_qft import numerics
-from qudit_qft.numerics import check_params, unitarity_residual
+from qudit_qft.circuit import _product_halves
+from qudit_qft.numerics import check_params, product_unitarity_residual, unitarity_residual
 
 RNG = np.random.default_rng(20250810)
 
@@ -152,6 +154,54 @@ class TestUnitarityResidual:
         a = np.eye(2 * numerics.BLOCK_ROWS, dtype=complex)
         a[-1, -1] = np.nan
         assert not is_unitary(a)
+
+
+def periodic_product(p: int, r: int):
+    """Random ``(left, right)`` halves of a ``(p*r, p*r)`` product matrix
+    whose left columns repeat with period p, and that matrix."""
+    left = np.tile(random_matrix(p), r)
+    right = RNG.normal(size=(r, p * r)) + 1j * RNG.normal(size=(r, p * r))
+    return left, right, (left[:, np.newaxis] * right).reshape(p * r, p * r)
+
+
+class TestProductUnitarityResidual:
+    @pytest.mark.parametrize("q,n", [(q, n) for n in range(2, 11) for q in range(2, 33)
+                                     if q ** n <= 1024])
+    def test_within_1e14_of_the_compiled_residual(self, q, n):
+        circuit = build_qft_circuit(q, n)
+        left, right = _product_halves(circuit, np.arange(q ** n))
+        compiled = unitarity_residual(circuit_to_matrix(circuit))
+        assert abs(product_unitarity_residual(left, right) - compiled) <= 1e-14
+
+    @pytest.mark.parametrize("p,r", [(1, 3), (3, 1), (4, 5), (6, 6)])
+    def test_finds_the_largest_entry_of_any_row(self, p, r):
+        # a non-unitary matrix, so every Gram entry counts
+        left, right, matrix = periodic_product(p, r)
+        full = full_product_residual(matrix)
+        assert abs(product_unitarity_residual(left, right) - full) <= 1e-12 * full
+
+    @pytest.mark.parametrize("half,index", [("left", (0, 1)), ("left", (3, 0)),
+                                            ("right", (0, 0)), ("right", (4, 19))])
+    def test_nan_anywhere_is_nan(self, half, index):
+        left, right, _ = periodic_product(4, 5)
+        if half == "left":
+            left[index[0], index[1]::4] = np.nan  # in every period
+        else:
+            right[index] = np.nan
+        assert np.isnan(product_unitarity_residual(left, right))
+
+    def test_refuses_left_columns_that_do_not_repeat(self):
+        # the Walsh-Hadamard circuit does not reverse its digits, so its
+        # left half holds the slots of the most significant input digits
+        circuit = build_walsh_hadamard_transform_circuit(2, 4)
+        left, right = _product_halves(circuit, np.arange(16))
+        with pytest.raises(ValueError, match="do not repeat with period 4"):
+            product_unitarity_residual(left, right)
+        # a NaN in one period only breaks the repetition too
+        left, right, _ = periodic_product(4, 5)
+        left[0, 1] = np.nan
+        with pytest.raises(ValueError, match="do not repeat"):
+            product_unitarity_residual(left, right)
 
 
 class TestMaxEntryDistance:
