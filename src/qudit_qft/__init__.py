@@ -9,10 +9,6 @@ closed-form bounds.
 from .numerics import (
     DEFAULT_DIM_CAP,
     StateVector,
-    adjoint,
-    is_unitary,
-    kron,
-    matmul,
     max_entry_distance,
 )
 from .gates import (
@@ -40,7 +36,6 @@ from .analysis import (
     bound_coppersmith,
     bound_new,
     capacity_metrics,
-    measure_bracket_phase_error,
     phase_error_factor,
     phase_error_series,
     phase_error_trig,
@@ -49,10 +44,6 @@ from .analysis import (
 __all__ = [
     "DEFAULT_DIM_CAP",
     "StateVector",
-    "adjoint",
-    "is_unitary",
-    "kron",
-    "matmul",
     "max_entry_distance",
     "chrestenson_gate",
     "controlled_phase_matrix",
@@ -74,7 +65,6 @@ __all__ = [
     "bound_coppersmith",
     "bound_new",
     "capacity_metrics",
-    "measure_bracket_phase_error",
     "phase_error_factor",
     "phase_error_series",
     "phase_error_trig",

@@ -163,19 +163,21 @@ def _bracket_phase_maxima(q: int, n: int, keep_depth: int | None) -> list[float]
 
     def shifts_of(x):
         digits = [(x // q ** k) % q for k in range(n)]
-        shifts = np.zeros((len(x), n))
+        shifts = np.zeros((n, len(x)))
         for l in range(n):
             for k, s in dropped[l]:
-                shifts[:, l] += 2.0 * math.pi * digits[k] / q ** s
+                shifts[l] += 2.0 * math.pi * digits[k] / q ** s
         return shifts
 
     def first_mismatch(x, exact_slots, pruned_slots, shifts):
-        """(input, target digit, component) of the first disagreement, or None."""
-        simulated = (pruned_slots[:, :, 1:] / pruned_slots[:, :, :1]) / (
-            exact_slots[:, :, 1:] / exact_slots[:, :, :1]
+        """(input, target digit, component) of the first disagreement over
+        ``(n, q, len(x))`` slots, smallest input first, or None."""
+        simulated = (pruned_slots[:, 1:] / pruned_slots[:, :1]) / (
+            exact_slots[:, 1:] / exact_slots[:, :1]
         )
-        expected = np.exp(1j * np.arange(1, q) * shifts[:, :, np.newaxis])
-        failed = np.abs(simulated - expected) > _CROSS_CHECK_TOL
+        expected = np.exp(1j * np.arange(1, q)[:, np.newaxis] * shifts[:, np.newaxis])
+        # (input, digit, component) order, so argmax finds the smallest input
+        failed = (np.abs(simulated - expected) > _CROSS_CHECK_TOL).transpose(2, 0, 1)
         if not failed.any():
             return None
         row, l, t = np.unravel_index(np.argmax(failed), failed.shape)
@@ -184,17 +186,18 @@ def _bracket_phase_maxima(q: int, n: int, keep_depth: int | None) -> list[float]
     mismatches = []
     # After the output reversal, component t of the bracket of register
     # digit l sits at output position n - 1 - l, in column t*q**(n-1-l);
-    # column 0 holds every bracket's |0> component.
+    # column 0 holds every bracket's |0> component.  Gathered and
+    # transposed, a dense chunk reads as the product engine's (n, q, rows)
+    # slots.
     columns = np.outer(q ** (n - 1 - np.arange(n)), np.arange(q))
     rows = max(1, _CHUNK_AMPLITUDES // dim)
     for start in sorted({0, (dim - 1) // rows * rows}):
         x = np.arange(start, min(start + rows, dim))
         basis = np.zeros((len(x), dim), dtype=np.complex128)
         basis[np.arange(len(x)), x] = 1.0
-        mismatches.append(first_mismatch(
-            x, _run_batch(exact, basis)[:, columns], _run_batch(pruned, basis)[:, columns],
-            shifts_of(x),
-        ))
+        slots = [_run_batch(circuit, basis)[:, columns].transpose(1, 2, 0)
+                 for circuit in (exact, pruned)]
+        mismatches.append(first_mismatch(x, *slots, shifts_of(x)))
     rows = max(1, _CHUNK_AMPLITUDES // (n * q))
     maxima = np.zeros(n)
     # both circuits read the Chrestenson gate and their roots-of-unity
@@ -211,7 +214,7 @@ def _bracket_phase_maxima(q: int, n: int, keep_depth: int | None) -> list[float]
         # inputs rise chunk by chunk, so later chunks hold no smaller failure
         if mismatches[-1] is not None:
             break
-        maxima = np.maximum(maxima, shifts.max(axis=0))
+        maxima = np.maximum(maxima, shifts.max(axis=1))
     failures = [mismatch for mismatch in mismatches if mismatch is not None]
     if failures:
         value, l, t = min(failures)
@@ -220,24 +223,6 @@ def _bracket_phase_maxima(q: int, n: int, keep_depth: int | None) -> list[float]
             f"exponent sum at input {value}, component {t} (target digit {l})"
         )
     return [float(worst) for worst in maxima]
-
-
-def measure_bracket_phase_error(q: int, n: int, keep_depth: int | None,
-                                target_digit: int) -> float:
-    """Worst dropped phase on one bracket's |1> component, over every basis input.
-
-    One entry of the same measurement ``approximation_report`` makes, so it
-    costs the same: the exact and the pruned circuit run on every basis
-    input through the product-state simulator, and on the two boundary
-    chunks of inputs through the dense one.  Every bracket's simulated
-    per-digit phase is checked against the sum of its dropped
-    controlled-phase exponents (a mismatch raises ``CrossCheckError``); the
-    returned maximum is taken over that (unwrapped) sum.
-    """
-    check_params(radix=q, digits=n, keep_depth=keep_depth)
-    if not 0 <= target_digit < n:
-        raise ValueError(f"target digit {target_digit} out of range for {n} digits")
-    return _bracket_phase_maxima(q, n, keep_depth)[target_digit]
 
 
 def approximation_report(q: int, n: int, keep_depth: int | None) -> list[BoundRow]:

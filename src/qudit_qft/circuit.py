@@ -10,12 +10,15 @@ The simulator applies each Chrestenson gate as one kernel pass.  Each
 maximal run of controlled phase shifts is diagonal and fused into one pass:
 its phase at every index is ``exp(-2j*pi * k / q**m)``, where ``m`` is the
 run's largest denominator exponent and ``k`` the exact int64 sum of the
-shifts' exponents mod ``q**m``, read from one table of roots of unity.
+shifts' exponents mod ``q**m`` (``_run_exponent``, the one place both
+simulators form it), read from one table of roots of unity.
 
 A second simulator, ``_run_product``, runs basis inputs through circuits
 whose controlled phases only read digits that are still basis digits, as
 the QFT's do.  The register then stays a product of n single-digit states,
-so each input costs ``n*q`` amplitudes instead of ``q**n``.  It serves
+so each input costs ``n*q`` amplitudes instead of ``q**n``.  Its slots are
+laid out ``(n, q, len(x))``, the factor layout ``_product_halves``
+multiplies, so no caller copies them into another.  It serves
 every basis input: ``bounds`` checks each input's slots, and
 ``_basis_columns`` expands them into output states, from which
 ``circuit_to_matrix`` compiles such a circuit and ``apply`` runs a basis
@@ -38,14 +41,14 @@ import numpy as np
 
 from . import kernels
 from .gates import chrestenson_gate, roots_of_unity
-from .numerics import BLOCK_ROWS, DEFAULT_DIM_CAP, StateVector, _freeze, check_params, kron
+from .numerics import BLOCK_ROWS, DEFAULT_DIM_CAP, StateVector, _freeze, check_params
 
 CHRESTENSON = "chrestenson"
 CONTROLLED_PHASE = "controlled_phase"
 
-# Largest phase modulus radix**denom_exp a circuit accepts: fused phase
-# exponents stay below twice the modulus (see _fused_phases), and
-# 2 * 2**62 - 1 is the int64 maximum.
+# Largest phase modulus radix**denom_exp a circuit accepts: every term of a
+# fused phase exponent is then below 2**62, so _run_exponent can add at
+# least one to any sum it has reduced below the modulus and stay in int64.
 _MAX_PHASE_MODULUS = 2 ** 62
 _INT64_MAX = 2 ** 63 - 1
 
@@ -123,9 +126,6 @@ class Circuit:
     def gate_count(self) -> int:
         return len(self.ops)
 
-    def chrestenson_count(self) -> int:
-        return sum(1 for op in self.ops if op.kind == CHRESTENSON)
-
 
 def build_qft_circuit(q: int, n: int, keep_depth: int | None = None) -> Circuit:
     """Fourier transform over ``Z_{q**n}`` as a gate-level circuit.
@@ -174,16 +174,16 @@ def dft_matrix(t: int, rows: slice | None = None) -> np.ndarray:
     return (np.exp(-2j * np.pi * x / t) / np.sqrt(t))[exponents]
 
 
-def chrestenson_transform_matrix(q: int, n: int,
-                                 dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-    """n-fold Kronecker power of the Chrestenson gate."""
+def chrestenson_transform_matrix(q: int, n: int) -> np.ndarray:
+    """n-fold Kronecker power of the Chrestenson gate, refused above
+    ``DEFAULT_DIM_CAP``."""
     check_params(radix=q, digits=n)
-    if q ** n > dim_cap:
-        raise ValueError(f"dimension {q ** n} exceeds cap {dim_cap}")
+    if q ** n > DEFAULT_DIM_CAP:
+        raise ValueError(f"dimension {q ** n} exceeds cap {DEFAULT_DIM_CAP}")
     gate = chrestenson_gate(q)
     out = gate
     for _ in range(n - 1):
-        out = kron(out, gate)
+        out = np.kron(out, gate)
     return out
 
 
@@ -219,33 +219,47 @@ def _roots(exponent: np.ndarray, modulus: int, largest_table: int,
     return tables[modulus][exponent]
 
 
+def _run_exponent(q: int, m: int, ops, digit) -> np.ndarray:
+    """Exact int64 exponent ``k = sum digit(c) * q**(m-s) * digit(t) mod q**m``
+    of a run of controlled phase shifts, over ops ``(c, t, s)`` with
+    denominator exponents ``s <= m``.
+
+    Every shift ``exp(-2j*pi * c*t / q**s)`` is ``exp(-2j*pi * c*t*q**(m-s)
+    / q**m)``, so the run is ``exp(-2j*pi * k / q**m)``.  ``digit(d)``
+    gives the int64 values of digit ``d``, shaped to broadcast against the
+    others; ``k`` has their broadcast shape.  A term is at most
+    ``(q-1)**2 * q**(m-s)``, so the sum is reduced only when the next term
+    could leave int64; ``Circuit`` keeps every term below ``2**62``.
+    """
+    modulus = q ** m
+    exponent, largest = 0, 0
+    for op in ops:
+        weight = q ** (m - op.denom_exp)
+        term_max = (q - 1) ** 2 * weight
+        if largest + term_max > _INT64_MAX:
+            exponent %= modulus
+            largest = modulus - 1
+        exponent = exponent + digit(op.control) * weight * digit(op.target)
+        largest += term_max
+    return exponent % modulus
+
+
 def _fused_phases(q: int, n: int, ops: tuple[GateOp, ...]) -> np.ndarray:
     """Per-index phases of a run of controlled phase shifts over a full register.
 
-    With ``m`` the largest denominator exponent in the run, every shift
-    ``exp(-2j*pi * c*t / q**s)`` is ``exp(-2j*pi * c*t*q**(m-s) / q**m)``, so
-    the whole run is ``exp(-2j*pi * k / q**m)`` for the exact integer
-    exponent ``k = sum c*t*q**(m-s) mod q**m``.  ``k`` is built on the
-    ``(q,)*n`` digit view by broadcasting: each op adds its length-q weights
-    ``c*q**(m-s)`` along its control axis times the target digit along its
-    target axis.  The array keeps unit length on every digit the run does
-    not touch, so it grows only with the digits the run has reached.  Its
-    phases are read from one table of the ``q**m`` roots of unity, or
-    evaluated directly where that table would be larger than the array, so
-    each phase is rounded once.  Each op adds less than ``q**m``, so
-    reducing after every sum keeps the int64 values below ``2*q**m``, which
-    ``Circuit`` guarantees to fit.
+    The run is ``exp(-2j*pi * k / q**m)`` with ``m`` its largest denominator
+    exponent and ``k`` from ``_run_exponent`` over the ``(q,)*n`` digit
+    view, each digit laid along its own axis.  The exponent array keeps
+    unit length on every digit the run does not touch, so it grows only
+    with the digits the run has reached.  Its phases are read from one
+    table of the ``q**m`` roots of unity, or evaluated directly where that
+    table would be larger than the array, so each phase is rounded once.
     """
     m = max(op.denom_exp for op in ops)
-    modulus = q ** m
-    digit = np.arange(q, dtype=np.int64)
-    exponent = np.zeros((1,) * n, dtype=np.int64)
-    for op in ops:
-        weight = _along_digit(q, n, op.control, digit * q ** (m - op.denom_exp))
-        exponent = exponent + weight * _along_digit(q, n, op.target, digit)
-        exponent %= modulus
+    values = np.arange(q, dtype=np.int64)
+    exponent = _run_exponent(q, m, ops, lambda d: _along_digit(q, n, d, values))
     # a table larger than the exponents it is indexed by would not pay
-    phases = _roots(exponent, modulus, exponent.size, {})
+    phases = _roots(exponent, q ** m, exponent.size, {})
     return np.broadcast_to(phases, (q,) * n).reshape(q ** n)
 
 
@@ -305,28 +319,30 @@ def _run_product(circuit: Circuit, x: np.ndarray, cache: dict,
                  largest_table: int) -> np.ndarray:
     """Apply a circuit to basis inputs ``x`` as a product of single-digit states.
 
-    Returns a ``(len(x), n, q)`` complex128 array whose slot ``l`` holds
-    the state of register digit ``l``.  The register stays a product state
-    as long as every controlled phase reads a control digit that is still
-    a basis digit, which ``build_qft_circuit`` guarantees; a circuit that
-    ``_breaks_product`` raises ``ValueError``.  The output digit reversal
+    Returns a C-contiguous ``(n, q, len(x))`` complex128 array whose slot
+    ``l`` holds the state of register digit ``l``, one input per column.
+    The register stays a product state as long as every controlled phase
+    reads a control digit that is still a basis digit, which
+    ``build_qft_circuit`` guarantees; a circuit that ``_breaks_product``
+    raises ``ValueError``.  The output digit reversal
     only relabels positions, so slot ``l`` is output digit ``n-1-l`` when
     the circuit reverses and output digit ``l`` when it does not; for the
     QFT slot ``l`` is the bracket of fraction length ``l + 1`` either way.
 
     A slot's first Chrestenson gate meets a scaled basis digit ``c|d>``, so
-    it selects row ``d`` of ``chrestenson_gate(q)`` times ``c``; a second
-    Chrestenson gate on the same slot is a dense ``(len(x), q) @ (q, q)``
+    it selects column ``d`` of ``chrestenson_gate(q)`` times ``c``; a second
+    Chrestenson gate on the same slot is a dense ``(q, q) @ (q, len(x))``
     product.  Each maximal run of controlled phases is applied per target:
     with ``m`` the run's largest denominator exponent, component t of a
-    target picks up ``exp(-2j*pi * k / q**m)``, where ``k = sum x_c*t*q**(m-s)
-    mod q**m`` over the target's shifts, built and rounded as in
-    ``_fused_phases``.  Its phases are read from a table of the ``q**m``
-    roots of unity where that table holds at most ``largest_table``
-    entries, and evaluated directly otherwise; each is the same
-    once-rounded value either way.  The gate and the tables are kept in
-    ``cache``: a caller that runs every input in chunks passes one dict to
-    every call, so each is built once.
+    target picks up ``exp(-2j*pi * k / q**m)``, where ``k`` is
+    ``_run_exponent`` over the target's shifts with the components
+    ``1..q-1`` as its digit and the inputs' basis digits as the controls.
+    The run-wide ``m`` keeps each phase the value ``_fused_phases`` rounds.
+    Its phases are read from a table of the ``q**m`` roots of unity where
+    that table holds at most ``largest_table`` entries, and evaluated
+    directly otherwise; each is the same once-rounded value either way.
+    The gate and the tables are kept in ``cache``: a caller that runs every
+    input in chunks passes one dict to every call, so each is built once.
     """
     q = circuit.radix
     n = circuit.digits
@@ -340,50 +356,38 @@ def _run_product(circuit: Circuit, x: np.ndarray, cache: dict,
     inputs = np.arange(len(x))
     digits = np.stack([(x // q ** k) % q for k in range(n)])
     # digit-major, so each slot and each digit row is contiguous
-    slots = np.zeros((n, len(x), q), dtype=np.complex128)
-    np.put_along_axis(slots, digits[:, :, np.newaxis], 1.0, axis=2)
-    # slots are rows, so the gate acts as its transpose, which it equals bit
-    # for bit (entry (j, k) is read at j*k mod q); kept C-contiguous, it is
-    # read by np.take with no copy
+    slots = np.zeros((n, q, len(x)), dtype=np.complex128)
+    np.put_along_axis(slots, digits[:, np.newaxis], 1.0, axis=1)
+    # kept C-contiguous, the gate is read by np.take with no copy
     if ("chrestenson", q) not in cache:
         cache["chrestenson", q] = chrestenson_gate(q)
     gate = cache["chrestenson", q]
     # component 0 of every target keeps phase 1
-    component = np.arange(1, q, dtype=np.int64)
+    component = np.arange(1, q, dtype=np.int64)[:, np.newaxis]
     transformed = set()
     for kind, run in _segments(circuit.ops):
         if kind == CHRESTENSON:
             target = run[0].target
             if target in transformed:
-                slots[target] = slots[target] @ gate
+                slots[target] = gate @ slots[target]
             else:
                 row = digits[target]
-                scale = slots[target, inputs, row][:, np.newaxis]  # a copy
-                # the rows are written in place: mode="wrap" skips the hidden
-                # temporary of mode="raise" (see _run_batch); row is in range
-                np.take(gate, row, axis=0, out=slots[target], mode="wrap")
-                np.multiply(scale, slots[target], out=slots[target])
+                scale = slots[target, row, inputs]  # a copy
+                # the columns are written in place: mode="wrap" skips the
+                # hidden temporary of mode="raise" (see _run_batch); row is
+                # in range
+                np.take(gate, row, axis=1, out=slots[target], mode="wrap")
+                slots[target] *= scale
                 transformed.add(target)
             continue
         m = max(op.denom_exp for op in run)
-        modulus = q ** m
-        targets = list(dict.fromkeys(op.target for op in run))
-        exponent = np.zeros((len(targets), len(x), q - 1), dtype=np.int64)
-        # Every term c*t*q**(m-s) is below q**m (see _fused_phases), so
-        # sums are reduced only when the next one could leave int64.
-        largest = 0
-        for op in run:
-            weights = component * q ** (m - op.denom_exp)
-            term_max = (q - 1) * int(weights[-1])
-            if largest + term_max > _INT64_MAX:
-                exponent %= modulus
-                largest = modulus - 1
-            term = digits[op.control, :, np.newaxis] * weights
-            exponent[targets.index(op.target)] += term
-            largest += term_max
-        exponent %= modulus
-        slots[targets, :, 1:] *= _roots(exponent, modulus, largest_table, cache)
-    return slots.transpose(1, 0, 2)
+        for target in dict.fromkeys(op.target for op in run):
+            exponent = _run_exponent(
+                q, m, [op for op in run if op.target == target],
+                lambda d: component if d == target else digits[d],
+            )
+            slots[target, 1:] *= _roots(exponent, q ** m, largest_table, cache)
+    return slots
 
 
 def _outer_rows(factors: list[np.ndarray]) -> np.ndarray:
@@ -406,17 +410,16 @@ def _product_halves(circuit: Circuit, x) -> tuple[np.ndarray | None, np.ndarray]
 
     The register stays a product of single-digit states (see
     ``_run_product``), so the outputs are the row-wise Kronecker products of
-    the slots taken as ``(q, len(x))`` factors, most significant first;
+    its ``(q, len(x))`` slots, most significant first;
     ``left`` is that of the first ``h = n // 2`` factors (None at n = 1),
     ``right`` of the rest, as ``_outer_rows`` splits them.  A roots-of-unity
     table is built only where it holds at most ``len(x)`` entries.  In the
     QFT, ``left`` holds slots ``0..h-1``, which read only input digits
     ``0..h-1``, so its column for input x depends only on ``x mod q**h``.
     """
-    x = np.asarray(x, dtype=np.int64)
-    # (n, q, len(x)), C-contiguous, so every product is laid out in C order
-    # and the reshapes in _outer_rows copy nothing
-    factors = np.ascontiguousarray(_run_product(circuit, x, {}, len(x)).transpose(1, 2, 0))
+    # the slots are C-contiguous, so every product is laid out in C order and
+    # the reshapes in _outer_rows copy nothing
+    factors = _run_product(circuit, x, {}, len(x))
     n = circuit.digits
     # slot l is output digit n-1-l when the circuit reverses, l otherwise
     order = range(n) if circuit.reverse_output_digits else range(n - 1, -1, -1)

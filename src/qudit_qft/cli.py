@@ -19,20 +19,9 @@ may run on: forked workers format interleaved chunks, send them back
 through pipes, and the process writes them in order
 (``_render_amplitudes``), so the bytes do not depend on the CPU count.
 
-Each chunk is formatted by a numpy kernel (``_float_rows``) that writes
-exactly the bytes of ``format(x, ".17g")`` for a whole array at once.  For
-``1e-6 < |x| < 1e17`` it estimates the decimal exponent E with
-``floor(log10|x|)`` and forms ``|x| * 10**(16 - E)`` exactly as the sum of a
-double and its rounding error (Dekker's product; the power is an exact
-double for E in [-6, 16]).  That product is at least 1e16 > 2**53, so the
-double is an even integer and adding the rounded error rounds the 17
-digits half to even, as ``format`` does; an estimate one off is seen from
-the product and corrected.  The digits are looked up four at a time, and
-each float's text is one fixed row of a layout table (sign, leading
-``0.000``, decimal point, ``e-0X``) with its digits XORed in; NUL bytes
-are dropped.  Exact zeros have their own row, and subnormals, ``|x| <=
-1e-6`` and ``|x| >= 1e17`` go to ``format`` itself, one list per chunk.
-The tables are built on the first document, not on import.
+Each chunk is formatted by a numpy kernel that writes exactly the bytes of
+``format(x, ".17g")`` for a whole array at once (``_float_rows``, with its
+rows from ``_layout`` and its lookup tables in ``_Tables``).
 
 gen-matrix and verify compile the QFT from its product form
 (``circuit._basis_columns``): every basis input's output is a product of n
@@ -103,8 +92,7 @@ MAX_STATE_DIM = 2 ** 20
 # apply and bounds also refuse a radix above this: the dense q x q
 # Chrestenson gate takes 16*q**2 bytes, so peak RSS grows as q**2.  At
 # n = 1 (same VM) apply peaked at 58 MiB with radix 1024 and 129 MiB with
-# radix 2048, and bounds at 65 and 134 MiB (102, 318, 117 and 323 MiB when
-# roots_of_unity still held long-double temporaries of the whole gate).
+# radix 2048, and bounds at 65 and 134 MiB.
 # Memory would admit a larger radix; the limit stays at the largest radix
 # measured until its time budget is decided (bounds took 10.3 s at 2048).
 MAX_RADIX = 2048

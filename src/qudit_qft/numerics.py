@@ -1,10 +1,12 @@
-"""Dense complex matrix/vector arithmetic, the metrics used everywhere else,
-and ``check_params``, the one range check of the package's parameters.
+"""The matrix metrics used everywhere else (max-entry distance and the
+unitarity residuals), the state-vector container, and ``check_params``, the
+one range check of the package's parameters.
 
-Matrices are plain ``numpy.ndarray`` objects of dtype complex128.  Everything
-here is pure and allocates fresh outputs, so values can be shared freely
-between threads; the exceptions are ``StateVector``, which shares an input
-array that nothing can write to, and ``_freeze``, which makes such arrays.
+Matrices are plain ``numpy.ndarray`` objects of dtype complex128; products,
+adjoints and Kronecker products are numpy's own.  Everything here is pure
+and allocates fresh outputs, so values can be shared freely between
+threads; the exceptions are ``StateVector``, which shares an input array
+that nothing can write to, and ``_freeze``, which makes such arrays.
 """
 
 from __future__ import annotations
@@ -19,12 +21,11 @@ import numpy as np
 # --dim-cap above it.  Peak RSS at the cap (2-vCPU VM, ru_maxrss of the
 # child) is at most 672 MiB, reached at n = 1, radix 4096, by both
 # commands: the q x q gate, the slots of the product engine and the
-# compiled matrix are 256 MiB each, and two of them coexist (1054 MiB when
-# the engine still gathered gate rows into temporaries).  With two or more
-# digits gen-matrix peaked at 296 MiB in both formats, 256 MiB of it the
-# matrix, and verify, which builds no matrix, at 54 MiB at (2, 12) and
-# 105 MiB at (16, 3), its largest row blocks (337 MiB when it compiled the
-# matrix).  At 8192 the matrix alone would take 1024 MiB.
+# compiled matrix are 256 MiB each, and two of them coexist.  With two or
+# more digits gen-matrix peaked at 296 MiB in both formats, 256 MiB of it
+# the matrix, and verify, which builds no matrix, at 54 MiB at (2, 12) and
+# 105 MiB at (16, 3), its largest row blocks.  At 8192 the matrix alone
+# would take 1024 MiB.
 DEFAULT_DIM_CAP = 4096
 
 # Unit-norm requirement on state vectors.
@@ -62,31 +63,6 @@ def _as_matrix(a) -> np.ndarray:
 def _require_square(m: np.ndarray) -> None:
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-
-
-def adjoint(a) -> np.ndarray:
-    """Hermitian conjugate: conjugate transpose of ``a``."""
-    return _as_matrix(a).conj().T.copy()
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two square matrices.
-
-    The left factor addresses the most significant digit of the compound
-    row/column index.
-    """
-    a, b = _as_matrix(a), _as_matrix(b)
-    _require_square(a)
-    _require_square(b)
-    return np.kron(a, b)
-
-
-def matmul(a, b) -> np.ndarray:
-    """Standard matrix product; inner dimensions must agree."""
-    a, b = _as_matrix(a), _as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def max_entry_distance(a, b) -> float:
@@ -156,13 +132,6 @@ def product_unitarity_residual(left, right) -> float:
         maxima.append(np.abs(block).max())
     # np.max, unlike the builtin max, carries a NaN through
     return float(np.max(maxima))
-
-
-def is_unitary(a, tol: float = 1e-10) -> bool:
-    """True iff ``a @ adjoint(a)`` is the identity to within ``tol`` per entry."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return unitarity_residual(a) <= tol
 
 
 def _read_only(a) -> bool:

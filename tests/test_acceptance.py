@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qudit_qft import (
-    adjoint,
+    CHRESTENSON,
     approximation_report,
     build_qft_circuit,
     capacity_metrics,
@@ -21,9 +21,7 @@ from qudit_qft import (
     chrestenson_transform_matrix,
     circuit_to_matrix,
     dft_matrix,
-    matmul,
     max_entry_distance,
-    measure_bracket_phase_error,
     phase_error_factor,
     phase_error_series,
     phase_error_trig,
@@ -59,14 +57,15 @@ def test_gate_counts():
     for q, n in FULL_MATRIX_GRID:
         circuit = build_qft_circuit(q, n)
         assert circuit.gate_count == n * (n + 1) // 2, f"q={q} n={n}"
-        assert circuit.chrestenson_count() == n, f"q={q} n={n}"
+        chrestenson_count = sum(op.kind == CHRESTENSON for op in circuit.ops)
+        assert chrestenson_count == n, f"q={q} n={n}"
 
 
 def test_chrestenson_gate_algebra():
     """Gate unitarity, the printed base-3 matrix, and the recursive blocks."""
     for q in range(2, 8):
         gate = chrestenson_gate(q)
-        residual = max_entry_distance(matmul(gate, adjoint(gate)), np.eye(q))
+        residual = max_entry_distance(gate @ gate.conj().T, np.eye(q))
         assert residual <= 1e-12, f"q={q}: residual {residual}"
 
     # base-3 entries against the three-decimal root -0.5 - 0.866i
@@ -111,7 +110,7 @@ def test_pruning_bounds_and_witness():
 def test_most_significant_bracket_exact():
     """Pruning never perturbs the shortest bracket."""
     for q, n, keep_depth in PRUNING_GRID:
-        assert measure_bracket_phase_error(q, n, keep_depth, 0) == 0.0, (
+        assert approximation_report(q, n, keep_depth)[0].measured_t1 == 0.0, (
             f"q={q} n={n} keep_depth={keep_depth}"
         )
 

@@ -13,7 +13,6 @@ from qudit_qft import (
     bound_coppersmith,
     bound_new,
     capacity_metrics,
-    measure_bracket_phase_error,
     phase_error_factor,
     phase_error_series,
     phase_error_trig,
@@ -160,21 +159,26 @@ class TestBounds:
         assert all(b < a for a, b in zip(limits, limits[1:]))
 
 
+def measured_t1(q, n, keep_depth, target_digit):
+    """One bracket's worst dropped phase, from the whole report."""
+    return approximation_report(q, n, keep_depth)[target_digit].measured_t1
+
+
 class TestMeasurement:
     @pytest.mark.parametrize("target", range(3))
     def test_unpruned_circuit_has_no_error(self, target):
-        assert measure_bracket_phase_error(3, 3, None, target) == 0.0
-        assert measure_bracket_phase_error(3, 3, 3, target) == 0.0
+        assert measured_t1(3, 3, None, target) == 0.0
+        assert measured_t1(3, 3, 3, target) == 0.0
 
     def test_base3_single_drop(self):
-        measured = measure_bracket_phase_error(3, 3, 2, 2)
+        measured = measured_t1(3, 3, 2, 2)
         assert abs(measured - 4 * math.pi / 27) < 1e-12
         assert abs(measured - bound_new(3, 3, 1)) < 1e-12
 
     @pytest.mark.parametrize("keep_depth", [1, 2, 3, None])
     def test_most_significant_bracket_exact(self, keep_depth):
-        assert measure_bracket_phase_error(2, 4, keep_depth, 0) == 0.0
-        assert measure_bracket_phase_error(3, 4, keep_depth, 0) == 0.0
+        assert measured_t1(2, 4, keep_depth, 0) == 0.0
+        assert measured_t1(3, 4, keep_depth, 0) == 0.0
 
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("fraction_len,dropped", [(2, 1), (3, 1), (3, 2), (4, 2)])
@@ -182,17 +186,15 @@ class TestMeasurement:
         # digits q-1 in every dropped position push the sum to (q**m - 1)
         n = fraction_len
         keep_depth = fraction_len - dropped
-        measured = measure_bracket_phase_error(q, n, keep_depth, fraction_len - 1)
+        measured = measured_t1(q, n, keep_depth, fraction_len - 1)
         expected = 2 * math.pi * (q ** dropped - 1) / q ** fraction_len
         assert abs(measured - expected) < 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            measure_bracket_phase_error(3, 3, 0, 1)
+            approximation_report(3, 3, 0)
         with pytest.raises(ValueError):
-            measure_bracket_phase_error(3, 3, 2, 3)
-        with pytest.raises(ValueError):
-            measure_bracket_phase_error(1, 3, 2, 0)
+            approximation_report(1, 3, 2)
 
 
 class TestApproximationReport:
@@ -288,8 +290,6 @@ class TestOneSimulationPerReport:
         rows = approximation_report(q, n, keep_depth)
         assert [row.measured_t1 for row in rows] == expected
         assert [row.measured_max_t for row in rows] == [(q - 1) * w for w in expected]
-        assert [measure_bracket_phase_error(q, n, keep_depth, target)
-                for target in range(n)] == expected
 
     def test_one_simulation_per_circuit(self, monkeypatch):
         sizes = record_batch_sizes(monkeypatch)
@@ -383,20 +383,26 @@ class TestCrossCheck:
     @pytest.mark.parametrize("rows_per_chunk", [1, 7, 27])
     def test_product_check_names_a_mid_range_input(self, monkeypatch, rows_per_chunk):
         # Input 13 lies in neither dense boundary chunk, so only the product
-        # check can see a nudge of its |2> component of bracket 1.
+        # check can see a nudge of its |2> component of bracket 1.  In the
+        # second case input 14 is nudged too, on a lower digit and
+        # component, in the same product chunk of 3, 21 or 81 inputs: the
+        # smaller input is still named, where a digit-first search would
+        # name 14.
         pruned = analysis.build_qft_circuit(3, 3, 2)
         original = analysis._run_product
-
-        def nudged(circuit, x, cache, largest_table):
-            out = original(circuit, x, cache, largest_table)
-            if circuit == pruned:
-                out[x == 13, 1, 2] *= cmath.exp(1e-6j)
-            return out
-
-        monkeypatch.setattr(analysis, "_run_product", nudged)
         monkeypatch.setattr(analysis, "_CHUNK_AMPLITUDES", rows_per_chunk * 27)
-        with pytest.raises(CrossCheckError, match=r"input 13, component 2 \(target digit 1\)"):
-            approximation_report(3, 3, 2)
+        for nudges in ([(13, 1, 2)], [(13, 1, 2), (14, 0, 1)]):
+            def nudged(circuit, x, cache, largest_table, nudges=nudges):
+                out = original(circuit, x, cache, largest_table)
+                if circuit == pruned:
+                    for value, digit, component in nudges:
+                        out[digit, component, x == value] *= cmath.exp(1e-6j)
+                return out
+
+            monkeypatch.setattr(analysis, "_run_product", nudged)
+            with pytest.raises(CrossCheckError,
+                               match=r"input 13, component 2 \(target digit 1\)"):
+                approximation_report(3, 3, 2)
 
     @pytest.mark.parametrize("dense_input,message", [
         (0, r"input 0, component 1 \(target digit 2\)"),
@@ -419,7 +425,7 @@ class TestCrossCheck:
         def product_nudged(circuit, x, cache, largest_table):
             out = product(circuit, x, cache, largest_table)
             if circuit == pruned:
-                out[x == 13, 1, 2] *= cmath.exp(1e-6j)
+                out[1, 2, x == 13] *= cmath.exp(1e-6j)
             return out
 
         monkeypatch.setattr(analysis, "_run_batch", dense_nudged)

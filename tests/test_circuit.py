@@ -22,20 +22,21 @@ from qudit_qft import (
     controlled_phase_matrix,
     dft_matrix,
     digit_reversal_perm,
-    is_unitary,
-    kron,
     max_entry_distance,
     walsh_hadamard_gate,
 )
 from qudit_qft import circuit as circuit_module, kernels
 from qudit_qft.circuit import (
+    _along_digit,
     _basis_columns,
     _breaks_product,
     _product_halves,
     _row_blocks,
     _run_batch,
+    _run_exponent,
     _run_product,
 )
+from qudit_qft.numerics import unitarity_residual
 
 RNG = np.random.default_rng(55021)
 
@@ -114,7 +115,7 @@ class TestQftBuilder:
     def test_gate_counts(self, q, n):
         circuit = build_qft_circuit(q, n)
         assert circuit.gate_count == n * (n + 1) // 2
-        assert circuit.chrestenson_count() == n
+        assert sum(op.kind == CHRESTENSON for op in circuit.ops) == n
 
     def test_pruning_monotone(self):
         full = set(build_qft_circuit(3, 5).ops)
@@ -159,7 +160,7 @@ class TestWalshHadamardBuilder:
     def test_compiles_to_kron_power(self):
         matrix = circuit_to_matrix(build_walsh_hadamard_transform_circuit(3, 2))
         gate = chrestenson_gate(3)
-        assert max_entry_distance(matrix, kron(gate, gate)) < 1e-12
+        assert max_entry_distance(matrix, np.kron(gate, gate)) < 1e-12
 
     @pytest.mark.parametrize("q,n", [(2, 2), (2, 4), (3, 3), (4, 2)])
     def test_matches_transform_matrix(self, q, n):
@@ -232,9 +233,15 @@ class TestChrestensonTransform:
     def test_base2_two_digit_corner_entry(self):
         assert abs(chrestenson_transform_matrix(2, 2)[3, 3] - 0.5) < 1e-14
 
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            chrestenson_transform_matrix(2, 4, dim_cap=8)
+    def test_dimension_cap(self, monkeypatch):
+        # sizes above the cap are refused before the gate is built
+        def refuse(*args):
+            raise AssertionError("the gate was built")
+
+        monkeypatch.setattr(circuit_module, "chrestenson_gate", refuse)
+        for q, n in [(2, 13), (4096, 2)]:
+            with pytest.raises(ValueError, match=f"dimension {q ** n} exceeds cap"):
+                chrestenson_transform_matrix(q, n)
 
 
 class TestDigitReversal:
@@ -335,7 +342,7 @@ class TestCircuitToMatrix:
     def test_walsh_pair(self):
         matrix = circuit_to_matrix(build_walsh_hadamard_transform_circuit(2, 2))
         w = walsh_hadamard_gate()
-        assert max_entry_distance(matrix, kron(w, w)) < 1e-12
+        assert max_entry_distance(matrix, np.kron(w, w)) < 1e-12
 
     def test_two_digit_controlled_phase_block(self):
         circuit = Circuit(3, 2, (GateOp.controlled_phase(0, 1, 2),))
@@ -374,7 +381,7 @@ class TestCircuitToMatrix:
 
     @pytest.mark.parametrize("q,n,depth", [(2, 4, None), (3, 3, 2), (5, 2, 1)])
     def test_compiled_circuits_unitary(self, q, n, depth):
-        assert is_unitary(circuit_to_matrix(build_qft_circuit(q, n, depth)), 1e-10)
+        assert unitarity_residual(circuit_to_matrix(build_qft_circuit(q, n, depth))) <= 1e-10
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
@@ -384,9 +391,10 @@ class TestCircuitToMatrix:
 def product_to_dense(slots, reverse):
     """Kronecker product of each input's ``_run_product`` slots in output
     order: the leftmost factor is the most significant output digit."""
-    n = slots.shape[1]
+    n = len(slots)
     order = range(n) if reverse else range(n - 1, -1, -1)
-    return np.array([reduce(np.kron, [row[l] for l in order]) for row in slots])
+    return np.array([reduce(np.kron, [slots[l, :, i] for l in order])
+                     for i in range(slots.shape[2])])
 
 
 # Hand-built runs over several targets: a phase on a target that is still a
@@ -407,12 +415,67 @@ MIXED_OPS = (
 )
 
 
+# Four shifts of up to 36 * 7**20 each and one of up to 36, with m = 22:
+# unreduced, their sum would overflow int64.
+FINE_RUN = tuple(GateOp.controlled_phase(*op) for op in
+                 ((1, 2, 2), (1, 2, 2), (0, 2, 22), (1, 2, 2), (1, 2, 2)))
+
+
+class TestRunExponent:
+    q, n, m = 7, 3, 22
+
+    def python_sum(self, digit_of):
+        """The run's exponent for one index, in Python ints."""
+        return sum(digit_of(op.control) * self.q ** (self.m - op.denom_exp)
+                   * digit_of(op.target) for op in FINE_RUN) % self.q ** self.m
+
+    def dense(self):
+        values = np.arange(self.q, dtype=np.int64)
+        exponent = _run_exponent(self.q, self.m, FINE_RUN,
+                                 lambda d: _along_digit(self.q, self.n, d, values))
+        assert exponent.dtype == np.int64
+        return np.broadcast_to(exponent, (self.q,) * self.n).reshape(-1)
+
+    def product(self, x):
+        digits = [(x // self.q ** k) % self.q for k in range(self.n)]
+        component = np.arange(1, self.q, dtype=np.int64)[:, np.newaxis]
+        exponent = _run_exponent(self.q, self.m, FINE_RUN,
+                                 lambda d: component if d == 2 else digits[d])
+        assert exponent.dtype == np.int64 and exponent.shape == (self.q - 1, len(x))
+        return exponent
+
+    def test_the_unreduced_sum_leaves_int64(self):
+        # attained where the control digit 1 and the target digit 2 are q - 1
+        largest = sum((self.q - 1) ** 2 * self.q ** (self.m - op.denom_exp) for op in FINE_RUN)
+        assert largest > 2 ** 63 - 1
+
+    def test_dense_digit_view_is_exact(self):
+        q = self.q
+        expected = [self.python_sum(lambda d: i // q ** d % q) for i in range(q ** self.n)]
+        assert self.dense().tolist() == expected
+
+    def test_product_digit_arrays_are_exact(self):
+        q = self.q
+        x = np.arange(q ** self.n, dtype=np.int64)
+        expected = [[self.python_sum(lambda d: t if d == 2 else int(i) // q ** d % q)
+                     for i in x] for t in range(1, q)]
+        assert self.product(x).tolist() == expected
+
+    def test_product_exponent_is_the_dense_one(self):
+        # component t of target digit 2 for input x is dense index
+        # t*q**2 + (x mod q**2)
+        q = self.q
+        x = np.arange(q ** self.n, dtype=np.int64)
+        t = np.arange(1, q)[:, np.newaxis]
+        assert np.array_equal(self.product(x), self.dense()[t * q ** 2 + x % q ** 2])
+
+
 class TestRunProduct:
     def assert_matches_dense(self, circuit):
         dim = circuit.radix ** circuit.digits
         slots = _run_product(circuit, np.arange(dim), {}, dim)
-        assert slots.shape == (dim, circuit.digits, circuit.radix)
-        assert slots.dtype == np.complex128
+        assert slots.shape == (circuit.digits, circuit.radix, dim)
+        assert slots.dtype == np.complex128 and slots.flags.c_contiguous
         np.testing.assert_allclose(
             product_to_dense(slots, circuit.reverse_output_digits),
             _run_batch(circuit, np.eye(dim)),
@@ -434,11 +497,7 @@ class TestRunProduct:
         self.assert_matches_dense(Circuit(q, 4, MIXED_OPS, reverse_output_digits=reverse))
 
     def test_fine_phases_match_dense(self):
-        # four shifts of up to 36 * 7**20 each: unreduced, their sum would
-        # overflow int64
-        ops = ((1, 2, 2), (1, 2, 2), (0, 2, 22), (1, 2, 2), (1, 2, 2))
-        circuit = Circuit(7, 3, tuple(GateOp.controlled_phase(*op) for op in ops)
-                          + (GateOp.chrestenson(2),))
+        circuit = Circuit(7, 3, FINE_RUN + (GateOp.chrestenson(2),))
         self.assert_matches_dense(circuit)
 
     def test_first_chrestenson_writes_no_full_size_temporary(self, traced_peak):
@@ -449,9 +508,9 @@ class TestRunProduct:
         x = np.arange(q)
         slots, peak = traced_peak(_run_product, build_qft_circuit(q, 1), x, cache, q)
         assert peak <= slots.nbytes + 2 ** 18  # one more slot array is 2 ** 22
-        # each input's basis digit carries amplitude 1, which scales its row
-        expected = np.ones((q, 1), dtype=complex) * chrestenson_gate(q)
-        assert np.array_equal(slots[:, 0].view(np.uint64), expected.view(np.uint64))
+        # each input's basis digit carries amplitude 1, which scales its column
+        expected = chrestenson_gate(q) * np.ones(q, dtype=complex)
+        assert np.array_equal(slots[0].view(np.uint64), expected.view(np.uint64))
 
     def test_refuses_a_control_after_its_chrestenson(self):
         op = GateOp.controlled_phase(0, 1, 2)
@@ -546,7 +605,7 @@ class TestBasisColumns:
         matrix = circuit_to_matrix(build_qft_circuit(q, n, depth))
         if depth is None:
             assert max_entry_distance(matrix, dft_matrix(q ** n)) < 1e-13
-        assert is_unitary(matrix, 1e-12)
+        assert unitarity_residual(matrix) <= 1e-12
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_slot_with_two_chrestenson_gates_is_exact(self, q):

@@ -21,7 +21,6 @@ from qudit_qft import (
     dft_matrix,
     digit_reversal_perm,
     kernels,
-    kron,
     numerics,
 )
 from qudit_qft.cli import BOUNDS_HEADER, COMPARE_HEADER, main, parse_state, render_state
@@ -78,7 +77,7 @@ class TestGenMatrix:
         )
         assert code == 0
         gate = chrestenson_gate(3)
-        expected = kron(gate, gate)[digit_reversal_perm(3, 2), :]
+        expected = np.kron(gate, gate)[digit_reversal_perm(3, 2), :]
         np.testing.assert_allclose(matrix_from_json(out), expected, atol=1e-12)
 
     def test_csv_equals_json(self, capsys):

@@ -5,14 +5,11 @@ import pytest
 
 from qudit_qft import (
     StateVector,
-    adjoint,
     build_qft_circuit,
     build_walsh_hadamard_transform_circuit,
     chrestenson_gate,
+    chrestenson_transform_matrix,
     circuit_to_matrix,
-    is_unitary,
-    kron,
-    matmul,
     max_entry_distance,
     walsh_hadamard_gate,
 )
@@ -28,31 +25,20 @@ def random_matrix(n: int) -> np.ndarray:
 
 
 class TestAdjoint:
+    """The positive-sign variants of the gates, their adjoints."""
+
     def test_base3_numerator_pattern(self):
         # conjugating the base-3 root swaps a and a**2 off the first row/column
         a = np.exp(-2j * np.pi / 3)
-        numerator = np.array([[1, 1, 1], [1, a, a**2], [1, a**2, a]])
         expected = np.array(
             [[1, 1, 1], [1, np.conj(a), a], [1, a, np.conj(a)]]
         )
-        np.testing.assert_allclose(adjoint(numerator), expected, atol=1e-15)
-
-    def test_identity_fixed(self):
-        eye = np.eye(5, dtype=complex)
-        np.testing.assert_array_equal(adjoint(eye), eye)
-
-    def test_involution(self):
-        m = random_matrix(4)
-        np.testing.assert_array_equal(adjoint(adjoint(m)), m)
-
-    def test_transposes_dimensions(self):
-        m = RNG.normal(size=(2, 3)) + 0j
-        assert adjoint(m).shape == (3, 2)
+        numerator = chrestenson_gate(3) * np.sqrt(3)
+        np.testing.assert_allclose(numerator.conj().T, expected, atol=1e-15)
 
 
 class TestKron:
-    def test_identity_blocks(self):
-        np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+    """Kronecker products of the gates: the multi-digit transforms."""
 
     def test_chrestenson_square_matches_block_form(self):
         gate = chrestenson_gate(3)
@@ -64,56 +50,38 @@ class TestKron:
                 [gate, a**2 * gate, a * gate],
             ]
         ) / np.sqrt(3)
-        np.testing.assert_allclose(kron(gate, gate), blocks, atol=1e-14)
+        np.testing.assert_allclose(chrestenson_transform_matrix(3, 2), blocks, atol=1e-14)
 
     def test_walsh_pair_on_basis_zero_is_uniform(self):
         w = walsh_hadamard_gate()
         basis0 = np.zeros(4, dtype=complex)
         basis0[0] = 1.0
-        np.testing.assert_allclose(kron(w, w) @ basis0, np.full(4, 0.5), atol=1e-15)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            kron(np.ones((2, 3)), np.eye(2))
-
-    def test_associative(self):
-        a, b, c = random_matrix(2), random_matrix(3), random_matrix(2)
-        left = kron(kron(a, b), c)
-        right = kron(a, kron(b, c))
-        assert max_entry_distance(left, right) < 1e-12
+        np.testing.assert_allclose(np.kron(w, w) @ basis0, np.full(4, 0.5), atol=1e-15)
 
 
 class TestMatmul:
+    """Products of the gates."""
+
     def test_chrestenson_times_adjoint_is_identity(self):
         gate = chrestenson_gate(3)
-        assert max_entry_distance(matmul(gate, adjoint(gate)), np.eye(3)) < 1e-12
-
-    def test_identity_neutral(self):
-        m = random_matrix(4)
-        np.testing.assert_allclose(matmul(m, np.eye(4)), m, atol=1e-15)
+        assert max_entry_distance(gate @ gate.conj().T, np.eye(3)) < 1e-12
 
     def test_walsh_is_involutory(self):
         w = walsh_hadamard_gate()
-        assert max_entry_distance(matmul(w, w), np.eye(2)) < 1e-15
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.eye(2), np.eye(3))
+        assert max_entry_distance(w @ w, np.eye(2)) < 1e-15
 
 
 class TestIsUnitary:
+    """Unitarity as ``unitarity_residual(a) <= tol``."""
+
     def test_chrestenson(self):
-        assert is_unitary(chrestenson_gate(3), 1e-10)
+        assert unitarity_residual(chrestenson_gate(3)) <= 1e-10
 
     def test_identity_tight_tolerance(self):
-        assert is_unitary(np.eye(4), 1e-12)
+        assert unitarity_residual(np.eye(4)) <= 1e-12
 
     def test_all_ones_is_not(self):
-        assert not is_unitary(np.ones((2, 2)), 1e-10)
-
-    def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValueError):
-            is_unitary(np.eye(2), 0.0)
+        assert not unitarity_residual(np.ones((2, 2))) <= 1e-10
 
 
 def full_product_residual(a: np.ndarray) -> float:
@@ -148,12 +116,12 @@ class TestUnitarityResidual:
         a = np.eye(2, dtype=complex)
         a.flat[index] = np.nan
         assert np.isnan(unitarity_residual(a))
-        assert not is_unitary(a)
+        assert not unitarity_residual(a) <= 1e-10
 
     def test_nan_in_the_last_default_block_is_not_unitary(self):
         a = np.eye(2 * numerics.BLOCK_ROWS, dtype=complex)
         a[-1, -1] = np.nan
-        assert not is_unitary(a)
+        assert not unitarity_residual(a) <= 1e-10
 
 
 def periodic_product(p: int, r: int):
