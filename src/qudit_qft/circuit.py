@@ -22,7 +22,8 @@ multiplies, so no caller copies them into another.  It serves
 every basis input: ``bounds`` checks each input's slots, and
 ``_basis_columns`` expands them into output states, from which
 ``circuit_to_matrix`` compiles such a circuit and ``apply`` runs a basis
-state; ``verify`` reads its two halves (``_product_halves``) instead.  The
+state; ``verify`` reads its two halves (``_product_halves``) instead and
+checks them against the DFT tile by tile (``_oracle_distance``).  The
 dense simulator runs state inputs, the two boundary chunks of ``bounds``,
 and the compile of a circuit that ``_breaks_product``.
 
@@ -33,6 +34,7 @@ most significant digit.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
@@ -41,7 +43,7 @@ import numpy as np
 
 from . import kernels
 from .gates import chrestenson_gate, roots_of_unity
-from .numerics import BLOCK_ROWS, DEFAULT_DIM_CAP, StateVector, _freeze, check_params
+from .numerics import DEFAULT_DIM_CAP, StateVector, _freeze, check_params
 
 CHRESTENSON = "chrestenson"
 CONTROLLED_PHASE = "controlled_phase"
@@ -51,6 +53,12 @@ CONTROLLED_PHASE = "controlled_phase"
 # least one to any sum it has reduced below the modulus and stay in int64.
 _MAX_PHASE_MODULUS = 2 ** 62
 _INT64_MAX = 2 ** 63 - 1
+
+# Rows of M per tile of verify's oracle check (_oracle_distance): each
+# worker holds four buffers of this many rows, 1.5 MiB at t = 4096.
+# Heights of 4 to 32 gave verify the same wall time and peak RSS within
+# noise at (2, 12) and (16, 3) (2-vCPU VM, 6 child runs each).
+_TILE_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -170,8 +178,15 @@ def dft_matrix(t: int, rows: slice | None = None) -> np.ndarray:
     x = np.arange(t, dtype=np.int64)
     exponents = np.outer(x if rows is None else x[rows], x)
     exponents %= t
-    # scaling the t roots once rounds each entry as scaling the block would
-    return (np.exp(-2j * np.pi * x / t) / np.sqrt(t))[exponents]
+    return _scaled_roots(t)[exponents]
+
+
+def _scaled_roots(t: int) -> np.ndarray:
+    """The t values ``exp(-2j*pi*x/t) / sqrt(t)`` that every entry of
+    ``dft_matrix(t)`` is read from.  Scaling the t roots once rounds each
+    entry as scaling a whole block of entries would."""
+    x = np.arange(t, dtype=np.int64)
+    return np.exp(-2j * np.pi * x / t) / np.sqrt(t)
 
 
 def chrestenson_transform_matrix(q: int, n: int) -> np.ndarray:
@@ -428,19 +443,100 @@ def _product_halves(circuit: Circuit, x) -> tuple[np.ndarray | None, np.ndarray]
     return (_outer_rows(factors[:h]) if h else None), _outer_rows(factors[h:])
 
 
-def _row_blocks(left: np.ndarray | None, right: np.ndarray):
-    """The matrix of ``_product_halves`` one block of rows at a time, as
-    ``(rows, block)`` pairs in row order: ``len(right)`` rows per row of
-    ``left``, or ``BLOCK_ROWS`` rows of ``right`` when ``left`` is None.
-    Each block is the last product of ``_outer_rows`` on its rows, so its
-    entries equal ``_basis_columns``'s bit for bit."""
-    if left is None:
-        for start in range(0, len(right), BLOCK_ROWS):
-            yield slice(start, start + BLOCK_ROWS), right[start:start + BLOCK_ROWS]
-        return
-    height = len(right)
-    for i in range(len(left)):
-        yield slice(i * height, (i + 1) * height), _outer_rows([left[i:i + 1], right])
+def _tiles(left: np.ndarray | None, right: np.ndarray) -> list[tuple[int, int, int]]:
+    """The tiles of the matrix ``M`` of ``_product_halves``, in row order,
+    as ``(i, s, rows)``: the ``rows`` rows of ``M`` from row ``i *
+    len(right) + s`` on, which are ``left[i] * right[s:s + rows]``, or
+    ``right[s:s + rows]`` when ``left`` is None.  A tile holds at most ``_TILE_ROWS``
+    rows and never crosses a block of ``len(right)`` rows."""
+    r = len(right)
+    return [(i, s, min(_TILE_ROWS, r - s))
+            for i in range(1 if left is None else len(left))
+            for s in range(0, r, _TILE_ROWS)]
+
+
+def _dft_rows(t: int):
+    """A function ``gather(y0, index, out)`` that writes rows ``y0`` to
+    ``y0 + len(out)`` of ``dft_matrix(t)``, at most ``_TILE_ROWS`` of them,
+    into ``out`` and returns it; ``index`` is intp scratch of ``out``'s
+    shape.
+
+    Entry ``(y0 + j, x)`` is root ``(x*y0 mod t + x*j mod t) mod t`` of
+    ``_scaled_roots(t)``.  The ``x*j mod t`` are one table built here, the
+    ``x*y0 mod t`` one length-t vector per call, and their sum, below 2t,
+    indexes the scaled roots laid twice end to end, so no entry takes a
+    modulo and each is ``dft_matrix(t)``'s bit for bit.
+    """
+    x = np.arange(t, dtype=np.intp)
+    steps = np.outer(np.arange(_TILE_ROWS, dtype=np.intp), x) % t
+    roots = np.tile(_scaled_roots(t), 2)
+
+    def gather(y0: int, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+        offset = x * y0
+        offset %= t
+        np.add(steps[:len(out)], offset, out=index)
+        # mode="wrap" skips the hidden copy of mode="raise" (see
+        # _run_batch); every index is in range
+        return np.take(roots, index, out=out, mode="wrap")
+    return gather
+
+
+def _oracle_distance(left: np.ndarray | None, right: np.ndarray, workers: int) -> float:
+    """Largest entry distance ``max |M - dft_matrix(t)|`` of the matrix
+    ``M`` of ``_product_halves``, whose row ``(i, j)`` is ``left[i] *
+    right[j]`` (``M`` is ``right`` when ``left`` is None), building neither.
+
+    Tile ``k`` of ``_tiles`` is checked by worker ``k % W``, with ``W =
+    min(workers, tiles)``.  Worker 0 is the calling thread and the others
+    are threads of their own; numpy releases the GIL in every step of a
+    tile.  Each worker allocates its buffers once, 1.5 MiB at t = 4096.  A
+    tile's entries of ``M`` are the products of the compile's last step
+    (``_outer_rows``), so they are the compiled entries bit for bit; its
+    DFT rows come from ``_dft_rows``, and the difference and its magnitude
+    are taken in place.  The largest magnitude does not depend on which
+    worker saw it, so the result is the same bit for bit for every
+    ``workers``; a NaN anywhere makes it NaN.  An exception in any worker
+    is raised here once every worker has ended.
+    """
+    r = len(right)
+    t = r * (1 if left is None else len(left))
+    tiles = _tiles(left, right)
+    workers = min(workers, len(tiles))
+    gather = _dft_rows(t)
+    maxima = [[] for _ in range(workers)]
+    errors = [None] * workers
+
+    def check(w: int) -> None:
+        try:
+            block = np.empty((_TILE_ROWS, t), np.complex128)
+            dft = np.empty((_TILE_ROWS, t), np.complex128)
+            index = np.empty((_TILE_ROWS, t), np.intp)
+            magnitude = np.empty((_TILE_ROWS, t), np.float64)
+            for i, s, rows in tiles[w::workers]:
+                entries = right[s:s + rows]
+                if left is not None:
+                    entries = np.multiply(left[i], entries, out=block[:rows])
+                diff = gather(i * r + s, index[:rows], dft[:rows])
+                np.subtract(entries, diff, out=diff)
+                maxima[w].append(np.abs(diff, out=magnitude[:rows]).max())
+        except Exception as exc:  # a thread would only print it
+            errors[w] = exc
+
+    threads = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=check, args=(w,))
+            thread.start()
+            threads.append(thread)
+        check(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    # np.max, unlike the builtin max, carries a NaN through
+    return float(np.max([m for part in maxima for m in part]))
 
 
 def _basis_columns(circuit: Circuit, x) -> np.ndarray:

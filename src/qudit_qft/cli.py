@@ -30,10 +30,12 @@ products, with no dense simulation and no identity input.  apply on a basis
 state (``--basis``, or state 0 by default) builds its output the same way;
 only a state read with ``--in`` runs the dense simulator.  verify never
 builds the matrix M: it takes the two halves of its last product
-(``circuit._product_halves``), compares M with the DFT one block of rows at
-a time (``circuit._row_blocks``; the entries are the compiled ones bit for
-bit), and takes the unitarity residual from the Kronecker structure of the
-halves (``numerics.product_unitarity_residual``).  At n = 1, M is the single
+(``circuit._product_halves``), compares M with the DFT in tiles of a few
+rows on every CPU the process may run on (``circuit._oracle_distance``,
+with ``_render_workers()`` threads; the entries are the compiled ones bit
+for bit, and the distance does not depend on the thread count), and takes
+the unitarity residual from the Kronecker structure of the halves
+(``numerics.product_unitarity_residual``).  At n = 1, M is the single
 factor, and its residual is ``numerics.unitarity_residual``.
 
 Usage errors are ``UsageError``s raised by one up-front check per command
@@ -60,12 +62,11 @@ import numpy as np
 from .analysis import CrossCheckError, approximation_report, capacity_metrics
 from .circuit import (
     _basis_columns,
+    _oracle_distance,
     _product_halves,
-    _row_blocks,
     apply_circuit,
     build_qft_circuit,
     circuit_to_matrix,
-    dft_matrix,
 )
 from .numerics import (
     DEFAULT_DIM_CAP as MAX_DIM_CAP,
@@ -74,7 +75,6 @@ from .numerics import (
     _freeze,
     _norm_sq,
     check_params,
-    max_entry_distance,
     product_unitarity_residual,
     unitarity_residual,
 )
@@ -124,12 +124,6 @@ _JSON_FOOTER = "\n  ]\n}\n"
 # faults and 0.21-0.23 s without it, 2.4 thousand and 0.17-0.20 s with it
 # (1 MiB was not enough: the heap was trimmed and faulted again).
 _HEAP_PRIMER_BYTES = 4 << 20
-
-# verify frees one such block before its row-block loops, whose iterations
-# each take about 16 MiB of temporaries at 2**12.  Without it glibc trimmed
-# and faulted them in again: 97 thousand page faults and 0.49 s for the
-# oracle, against none and 0.25 s (32 MiB, above glibc's cap, did not help).
-_VERIFY_PRIMER_BYTES = 16 << 20
 
 # The decimal exponents of 1e-6 < |x| < 1e17, the range ``_float_rows``
 # formats itself, and the number of digits it prints.
@@ -332,9 +326,9 @@ def _pack(fields, separator: bytes) -> str:
 
 
 def _render_workers() -> int:
-    """How many processes format amplitude chunks: the CPUs this process
-    may run on, or 1 where ``os.fork`` or ``os.sched_getaffinity`` is
-    missing."""
+    """How many processes format amplitude chunks, and how many threads
+    check verify's oracle tiles: the CPUs this process may run on, or 1
+    where ``os.fork`` or ``os.sched_getaffinity`` is missing."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     return len(os.sched_getaffinity(0))
@@ -664,10 +658,7 @@ def cmd_verify(args) -> int:
     dim = q ** n
     circuit = build_qft_circuit(q, n)
     left, right = _product_halves(circuit, np.arange(dim))
-    np.empty(_VERIFY_PRIMER_BYTES, np.uint8)  # freed at once, never touched
-    # np.max, unlike the builtin max, carries a NaN in any block through
-    distance = float(np.max([max_entry_distance(block, dft_matrix(dim, rows))
-                             for rows, block in _row_blocks(left, right)]))
+    distance = _oracle_distance(left, right, _render_workers())
     residual = (unitarity_residual(right) if left is None
                 else product_unitarity_residual(left, right))
     expected_gates = n * (n + 1) // 2

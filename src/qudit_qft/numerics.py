@@ -23,18 +23,16 @@ import numpy as np
 # commands: the q x q gate, the slots of the product engine and the
 # compiled matrix are 256 MiB each, and two of them coexist.  With two or
 # more digits gen-matrix peaked at 296 MiB in both formats, 256 MiB of it
-# the matrix, and verify, which builds no matrix, at 54 MiB at (2, 12) and
-# 105 MiB at (16, 3), its largest row blocks.  At 8192 the matrix alone
-# would take 1024 MiB.
+# the matrix, and verify, which builds no matrix, at 52 MiB at (2, 12) and
+# 99 MiB at (16, 3).  At 8192 the matrix alone would take 1024 MiB.
 DEFAULT_DIM_CAP = 4096
 
 # Unit-norm requirement on state vectors.
 NORM_TOL = 1e-10
 
-# Row-block height of the blocked full-matrix checks: unitarity_residual
-# forms its Gram blocks from row blocks of this many rows, and verify
-# compares a single-digit matrix with the DFT in blocks of as many rows
-# (circuit._row_blocks).  At the 4096 cap heights of 256, 512 and 1024 all
+# Row-block height of unitarity_residual, which forms its Gram blocks from
+# row blocks of this many rows; verify takes it at n = 1, where the matrix
+# is the single factor.  At the 4096 cap heights of 256, 512 and 1024 all
 # took 4.0-4.3 s for the residual (2-vCPU VM), against 6.5 s for one full
 # product; the smallest keeps the temporaries smallest.
 BLOCK_ROWS = 256

@@ -1,6 +1,7 @@
 """Tests for the circuit IR, the builders, the simulators, and compilation."""
 
 import re
+import sys
 from functools import reduce
 
 import numpy as np
@@ -30,11 +31,13 @@ from qudit_qft.circuit import (
     _along_digit,
     _basis_columns,
     _breaks_product,
+    _dft_rows,
+    _oracle_distance,
     _product_halves,
-    _row_blocks,
     _run_batch,
     _run_exponent,
     _run_product,
+    _tiles,
 )
 from qudit_qft.numerics import unitarity_residual
 
@@ -209,6 +212,33 @@ class TestDftMatrix:
         exponents = np.outer(x if rows is None else x[rows], x) % t
         expected = np.exp(-2j * np.pi * np.arange(t) / t)[exponents] / np.sqrt(t)
         assert np.array_equal(dft_matrix(t, rows).view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("q,n,which", [
+        *((q, n, which) for q, n in [(3, 7), (5, 5), (2, 12)]
+          for which in ("first", "middle", "last")),
+        # the last tile of a block of 81 and of 125 rows is 1 and 5 rows high
+        (3, 7, "short"), (5, 5, "short"),
+    ])
+    def test_tile_gather_equals_the_dft_rows(self, q, n, which):
+        # verify gathers each tile's DFT rows into buffers it reuses; they
+        # are dft_matrix's bit for bit
+        t = q ** n
+        left, right = _product_halves(build_qft_circuit(q, n), np.arange(t))
+        tiles = _tiles(left, right)
+        if which == "short":
+            i, s, rows = next(tile for tile in tiles if tile[2] < 8)
+        else:
+            i, s, rows = {"first": tiles[0], "middle": tiles[len(tiles) // 2],
+                          "last": tiles[-1]}[which]
+        y0 = i * len(right) + s
+        gather = _dft_rows(t)
+        index = np.full((8, t), -1, dtype=np.intp)
+        out = np.full((8, t), np.nan, dtype=np.complex128)
+        gather(t - 8, index, out)  # the buffers hold another tile's values first
+        got = gather(y0, index[:rows], out[:rows])
+        assert np.shares_memory(got, out)
+        expected = dft_matrix(t, slice(y0, y0 + rows))
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestChrestensonTransform:
@@ -579,16 +609,57 @@ class TestBasisColumns:
         *(pytest.param(build_qft_circuit(q, n), id=f"qft-{q}-{n}")
           for q, n in [(2, 1), (7, 1), (600, 1), (7, 2), (2, 9), (3, 7)]),
     ])
-    def test_row_blocks_are_the_compiled_rows(self, circuit):
-        # verify's blocks hold the compiled matrix's entries bit for bit
+    def test_row_blocks_are_the_compiled_rows(self, circuit, monkeypatch):
+        # verify's tiles cover every row once, in order, and hold the
+        # compiled matrix's entries: against the compiled rows themselves
+        # in place of the DFT's, the oracle distance is 0
         dim = circuit.radix ** circuit.digits
         left, right = _product_halves(circuit, np.arange(dim))
         assert (left is None) == (circuit.digits == 1)
-        rows, blocks = zip(*_row_blocks(left, right))
-        assert [r.start for r in rows] == [0, *(r.stop for r in rows[:-1])]
-        assert min(rows[-1].stop, dim) == dim
+        tiles = _tiles(left, right)
+        starts = [i * len(right) + s for i, s, _ in tiles]
+        assert starts == np.cumsum([0, *(rows for *_, rows in tiles[:-1])]).tolist()
+        assert starts[-1] + tiles[-1][2] == dim
+        assert all(0 < rows <= 8 and s + rows <= len(right) for _, s, rows in tiles)
         matrix = circuit_to_matrix(circuit)
-        assert np.array_equal(np.concatenate(blocks).view(np.uint64), matrix.view(np.uint64))
+        seen = []
+
+        def compiled_rows(t):
+            def gather(y0, index, out):
+                seen.append(y0)
+                out[:] = matrix[y0:y0 + len(out)]
+                return out
+            return gather
+
+        monkeypatch.setattr(circuit_module, "_dft_rows", compiled_rows)
+        assert _oracle_distance(left, right, 3) == 0.0
+        assert sorted(seen) == starts
+
+    def test_many_oracle_threads_check_every_tile_once(self, monkeypatch):
+        # more workers than CPUs, switching threads as often as the
+        # interpreter allows: the same distance, every tile checked once
+        left, right = _product_halves(build_qft_circuit(3, 5), np.arange(3 ** 5))
+        one = _oracle_distance(left, right, 1)
+        gather_rows = circuit_module._dft_rows
+        seen = []
+
+        def counted(t):
+            gather = gather_rows(t)
+
+            def gather_counted(y0, index, out):
+                seen.append(y0)
+                return gather(y0, index, out)
+            return gather_counted
+
+        monkeypatch.setattr(circuit_module, "_dft_rows", counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = _oracle_distance(left, right, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.float64(many).view(np.uint64) == np.float64(one).view(np.uint64)
+        assert sorted(seen) == [i * len(right) + s for i, s, _ in _tiles(left, right)]
 
     @pytest.mark.parametrize("q,n", [(2, 2), (2, 9), (3, 4), (5, 3), (7, 2), (16, 3)])
     def test_qft_left_half_repeats_with_its_height(self, q, n):

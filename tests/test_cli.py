@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import textwrap
+import threading
 from decimal import Decimal
 
 import numpy as np
@@ -149,12 +150,19 @@ class TestVerify:
 
         monkeypatch.setattr(cli, "_product_halves", changed)
 
+    @staticmethod
+    def nudge(entries):
+        entries *= 1 + 1e-6
+
+    @staticmethod
+    def poison(entries):
+        entries[:] = np.nan
+
     @pytest.mark.parametrize("row", [0, 2 ** 9 - 1])
     def test_nudge_in_the_first_or_last_row_block_fails(self, row, monkeypatch, capsys):
-        def nudge(entries):
-            entries *= 1 + 1e-6
-
-        self.changed_factor(row, nudge, monkeypatch)
+        # with 3 workers each row block's tiles go to every worker thread
+        monkeypatch.setattr(cli, "_render_workers", lambda: 3)
+        self.changed_factor(row, self.nudge, monkeypatch)
         code, out, err = run(["verify", "--radix", "2", "--digits", "9"], capsys)
         assert code == 1
         assert "oracle_distance" in out and "unitarity_residual" in out
@@ -163,22 +171,66 @@ class TestVerify:
 
     @pytest.mark.parametrize("row", [0, 2 ** 9 - 1])
     def test_nan_in_the_first_or_last_row_block_fails(self, row, monkeypatch, capsys):
-        def poison(entries):
-            entries[:] = np.nan
-
-        self.changed_factor(row, poison, monkeypatch)
+        monkeypatch.setattr(cli, "_render_workers", lambda: 3)
+        self.changed_factor(row, self.poison, monkeypatch)
         code, out, err = run(["verify", "--radix", "2", "--digits", "9"], capsys)
         assert code == 1
         assert "oracle_distance nan" in out and "unitarity_residual nan" in out
         assert all(line.endswith("FAIL") for line in out.splitlines()[1:])
 
+    @pytest.mark.parametrize("change", ["nudge", "poison"])
+    def test_change_in_a_worker_threads_tile_fails(self, change, monkeypatch, capsys):
+        # at n = 1 a row of the single factor is a row of M: row 9 lies in
+        # tile 1 alone (rows 8..15), which worker thread 1 of 3 checks
+        split = cli._product_halves
+
+        def changed(circuit, x):
+            left, right = split(circuit, x)
+            getattr(self, change)(right[9])
+            return left, right
+
+        monkeypatch.setattr(cli, "_product_halves", changed)
+        monkeypatch.setattr(cli, "_render_workers", lambda: 3)
+        code, out, _ = run(["verify", "--radix", "64", "--digits", "1"], capsys)
+        assert code == 1
+        assert all(line.endswith("FAIL") for line in out.splitlines()[1:])
+        assert ("oracle_distance nan" in out) == (change == "poison")
+
+    @pytest.mark.parametrize("tile", [0, 1, 2])
+    def test_exception_in_a_tile_leaves_main(self, tile, monkeypatch):
+        # tile k is checked by worker k % 3; worker 0 is the calling thread
+        gather_rows = circuit._dft_rows
+
+        def failing(t):
+            gather = gather_rows(t)
+
+            def gather_or_fail(y0, index, out):
+                if y0 == 8 * tile:
+                    raise RuntimeError(f"tile {tile} failed")
+                return gather(y0, index, out)
+            return gather_or_fail
+
+        monkeypatch.setattr(circuit, "_dft_rows", failing)
+        monkeypatch.setattr(cli, "_render_workers", lambda: 3)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"tile {tile} failed"):
+            main(["verify", "--radix", "2", "--digits", "9"])
+        assert threading.active_count() == threads
+
     @pytest.mark.parametrize("q,n", [(2, 1), (7, 1), (600, 1), (2, 3), (7, 2), (3, 5),
                                      (2, 9)])
-    def test_values_of_the_compiled_matrix(self, q, n, capsys):
+    def test_values_of_the_compiled_matrix(self, q, n, monkeypatch, capsys):
         # the oracle distance is that of the compiled matrix bit for bit; so
-        # is the residual at n = 1, where the matrix is the single factor
-        code, out, _ = run(["verify", "--radix", str(q), "--digits", str(n)], capsys)
-        assert code == 0
+        # is the residual at n = 1, where the matrix is the single factor.
+        # Every line is the same for 1, 2 and 3 oracle workers; at (3, 5) a
+        # block of 27 rows ends in a tile of 3
+        outputs = set()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(cli, "_render_workers", lambda: workers)
+            code, out, _ = run(["verify", "--radix", str(q), "--digits", str(n)], capsys)
+            assert code == 0
+            outputs.add(out)
+        assert len(outputs) == 1
         matrix = circuit.circuit_to_matrix(circuit.build_qft_circuit(q, n))
         distance = float(np.abs(matrix - dft_matrix(q ** n)).max())
         residual = numerics.unitarity_residual(matrix)
@@ -189,14 +241,20 @@ class TestVerify:
         assert abs(printed["unitarity_residual"] - residual) <= 1e-14
 
     def test_peak_memory_at_the_cap_is_far_below_the_matrix(self, traced_peak, tmp_path):
-        # the 4096 x 4096 matrix alone is 256 MiB; verify builds row blocks
-        # of it and the Gram blocks of its two halves
+        # the 4096 x 4096 matrix alone is 256 MiB; verify builds tiles of 8
+        # rows of it and the Gram blocks of its two halves
         out = tmp_path / "verify.txt"
         code, peak = traced_peak(main, ["verify", "--radix", "2", "--digits", "12",
                                         "--out", str(out)])
         assert code == 0
         assert out.read_text().endswith("verify PASS\n")
         assert peak <= 64 * 2 ** 20
+
+    def test_peak_memory_with_eight_workers(self, traced_peak, monkeypatch, tmp_path):
+        # each oracle worker allocates its tile buffers once, about 1.5 MiB
+        # at the cap, so eight of them stay within the same bound
+        monkeypatch.setattr(cli, "_render_workers", lambda: 8)
+        self.test_peak_memory_at_the_cap_is_far_below_the_matrix(traced_peak, tmp_path)
 
     def test_impossible_tolerance_fails(self, capsys):
         code, out, err = run(
