@@ -16,13 +16,13 @@ simulators form it), read from one table of roots of unity.
 A second simulator, ``_run_product``, runs basis inputs through circuits
 whose controlled phases only read digits that are still basis digits, as
 the QFT's do.  The register then stays a product of n single-digit states,
-so each input costs ``n*q`` amplitudes instead of ``q**n``.  Its slots are
-laid out ``(n, q, len(x))``, the factor layout ``_product_halves``
-multiplies, so no caller copies them into another.  It serves
-every basis input: ``bounds`` checks each input's slots, and
-``_basis_columns`` expands them into output states, from which
-``circuit_to_matrix`` compiles such a circuit and ``apply`` runs a basis
-state; ``verify`` reads its two halves (``_product_halves``) instead and
+so each input costs ``n*q`` amplitudes instead of ``q**n``.  Its
+``(n, q, len(x))`` slots are the factors that ``_output_factors`` lists in
+output-digit order, with no copy.  It serves every basis input: ``bounds``
+checks each input's slots, and ``_basis_columns`` multiplies them out into
+output states, from which ``circuit_to_matrix`` compiles such a circuit and
+``apply`` runs a basis state; ``verify`` reads them as two halves at every
+width (``_product_halves``; at n = 1 the left one is a row of ones) and
 checks them against the DFT tile by tile (``_oracle_distance``).  The
 dense simulator runs state inputs, the two boundary chunks of ``bounds``,
 and the compile of a circuit that ``_breaks_product``.
@@ -339,10 +339,9 @@ def _run_product(circuit: Circuit, x: np.ndarray, cache: dict,
     The register stays a product state as long as every controlled phase
     reads a control digit that is still a basis digit, which
     ``build_qft_circuit`` guarantees; a circuit that ``_breaks_product``
-    raises ``ValueError``.  The output digit reversal
-    only relabels positions, so slot ``l`` is output digit ``n-1-l`` when
-    the circuit reverses and output digit ``l`` when it does not; for the
-    QFT slot ``l`` is the bracket of fraction length ``l + 1`` either way.
+    raises ``ValueError``.  The output digit reversal only relabels
+    positions (``_output_factors``); for the QFT slot ``l`` is the bracket
+    of fraction length ``l + 1`` either way.
 
     A slot's first Chrestenson gate meets a scaled basis digit ``c|d>``, so
     it selects column ``d`` of ``chrestenson_gate(q)`` times ``c``; a second
@@ -419,40 +418,42 @@ def _outer_rows(factors: list[np.ndarray]) -> np.ndarray:
     return (left[:, np.newaxis] * right).reshape(-1, left.shape[1])
 
 
-def _product_halves(circuit: Circuit, x) -> tuple[np.ndarray | None, np.ndarray]:
+def _output_factors(circuit: Circuit, x) -> list[np.ndarray]:
+    """The ``(q, len(x))`` slots of ``_run_product`` on basis inputs ``x``
+    in output-digit order, most significant first; a roots-of-unity table
+    is built only where it holds at most ``len(x)`` entries."""
+    slots = _run_product(circuit, x, {}, len(x))
+    # slot l is output digit n-1-l when the circuit reverses, l otherwise
+    return list(slots if circuit.reverse_output_digits else slots[::-1])
+
+
+def _product_halves(circuit: Circuit, x) -> tuple[np.ndarray, np.ndarray]:
     """The outputs of basis inputs ``x`` as two halves ``(left, right)``:
     row ``(i, j)`` of input ``x[k]``'s output is ``left[i, k] * right[j, k]``.
 
-    The register stays a product of single-digit states (see
-    ``_run_product``), so the outputs are the row-wise Kronecker products of
-    its ``(q, len(x))`` slots, most significant first;
-    ``left`` is that of the first ``h = n // 2`` factors (None at n = 1),
-    ``right`` of the rest, as ``_outer_rows`` splits them.  A roots-of-unity
-    table is built only where it holds at most ``len(x)`` entries.  In the
+    ``left`` is the row-wise Kronecker product of the first ``h = n // 2``
+    of ``_output_factors``, ``right`` of the rest, as ``_outer_rows`` splits
+    them; the product of no factors, at n = 1, is one row of ones.  In the
     QFT, ``left`` holds slots ``0..h-1``, which read only input digits
     ``0..h-1``, so its column for input x depends only on ``x mod q**h``.
     """
     # the slots are C-contiguous, so every product is laid out in C order and
     # the reshapes in _outer_rows copy nothing
-    factors = _run_product(circuit, x, {}, len(x))
-    n = circuit.digits
-    # slot l is output digit n-1-l when the circuit reverses, l otherwise
-    order = range(n) if circuit.reverse_output_digits else range(n - 1, -1, -1)
-    factors = [factors[l] for l in order]
-    h = n // 2
-    return (_outer_rows(factors[:h]) if h else None), _outer_rows(factors[h:])
+    factors = _output_factors(circuit, x)
+    h = len(factors) // 2
+    left = _outer_rows(factors[:h]) if h else np.ones((1, len(x)), np.complex128)
+    return left, _outer_rows(factors[h:])
 
 
-def _tiles(left: np.ndarray | None, right: np.ndarray) -> list[tuple[int, int, int]]:
+def _tiles(left: np.ndarray, right: np.ndarray) -> list[tuple[int, int, int]]:
     """The tiles of the matrix ``M`` of ``_product_halves``, in row order,
     as ``(i, s, rows)``: the ``rows`` rows of ``M`` from row ``i *
-    len(right) + s`` on, which are ``left[i] * right[s:s + rows]``, or
-    ``right[s:s + rows]`` when ``left`` is None.  A tile holds at most ``_TILE_ROWS``
-    rows and never crosses a block of ``len(right)`` rows."""
+    len(right) + s`` on, which are ``left[i] * right[s:s + rows]``.  A tile
+    holds at most ``_TILE_ROWS`` rows and never crosses a block of
+    ``len(right)`` rows."""
     r = len(right)
     return [(i, s, min(_TILE_ROWS, r - s))
-            for i in range(1 if left is None else len(left))
-            for s in range(0, r, _TILE_ROWS)]
+            for i in range(len(left)) for s in range(0, r, _TILE_ROWS)]
 
 
 def _dft_rows(t: int):
@@ -481,25 +482,25 @@ def _dft_rows(t: int):
     return gather
 
 
-def _oracle_distance(left: np.ndarray | None, right: np.ndarray, workers: int) -> float:
+def _oracle_distance(left: np.ndarray, right: np.ndarray, workers: int) -> float:
     """Largest entry distance ``max |M - dft_matrix(t)|`` of the matrix
     ``M`` of ``_product_halves``, whose row ``(i, j)`` is ``left[i] *
-    right[j]`` (``M`` is ``right`` when ``left`` is None), building neither.
+    right[j]``, building neither.
 
     Tile ``k`` of ``_tiles`` is checked by worker ``k % W``, with ``W =
     min(workers, tiles)``.  Worker 0 is the calling thread and the others
     are threads of their own; numpy releases the GIL in every step of a
     tile.  Each worker allocates its buffers once, 1.5 MiB at t = 4096.  A
     tile's entries of ``M`` are the products of the compile's last step
-    (``_outer_rows``), so they are the compiled entries bit for bit; its
-    DFT rows come from ``_dft_rows``, and the difference and its magnitude
-    are taken in place.  The largest magnitude does not depend on which
+    (``_outer_rows``), the compiled entries bit for bit (at n = 1, ``1 *
+    z`` may flip a zero's sign, not the distance); its DFT rows come from
+    ``_dft_rows``, and the difference and its magnitude are taken in place.  The largest magnitude does not depend on which
     worker saw it, so the result is the same bit for bit for every
     ``workers``; a NaN anywhere makes it NaN.  An exception in any worker
     is raised here once every worker has ended.
     """
     r = len(right)
-    t = r * (1 if left is None else len(left))
+    t = len(left) * r
     tiles = _tiles(left, right)
     workers = min(workers, len(tiles))
     gather = _dft_rows(t)
@@ -513,9 +514,7 @@ def _oracle_distance(left: np.ndarray | None, right: np.ndarray, workers: int) -
             index = np.empty((_TILE_ROWS, t), np.intp)
             magnitude = np.empty((_TILE_ROWS, t), np.float64)
             for i, s, rows in tiles[w::workers]:
-                entries = right[s:s + rows]
-                if left is not None:
-                    entries = np.multiply(left[i], entries, out=block[:rows])
+                entries = np.multiply(left[i], right[s:s + rows], out=block[:rows])
                 diff = gather(i * r + s, index[:rows], dft[:rows])
                 np.subtract(entries, diff, out=diff)
                 maxima[w].append(np.abs(diff, out=magnitude[:rows]).max())
@@ -542,9 +541,9 @@ def _oracle_distance(left: np.ndarray | None, right: np.ndarray, workers: int) -
 def _basis_columns(circuit: Circuit, x) -> np.ndarray:
     """The circuit applied to basis inputs ``x``, as the ``(q**n, len(x))``
     complex128 array whose column j is the output state of input ``x[j]``,
-    expanded from ``_product_halves`` with no dense simulation."""
-    left, right = _product_halves(circuit, x)
-    return right if left is None else _outer_rows([left, right])
+    expanded from ``_output_factors`` with no dense simulation; at n = 1
+    it is the single slot itself."""
+    return _outer_rows(_output_factors(circuit, x))
 
 
 def apply_circuit(circuit: Circuit, state: StateVector) -> StateVector:

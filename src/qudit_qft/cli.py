@@ -35,8 +35,8 @@ rows on every CPU the process may run on (``circuit._oracle_distance``,
 with ``_render_workers()`` threads; the entries are the compiled ones bit
 for bit, and the distance does not depend on the thread count), and takes
 the unitarity residual from the Kronecker structure of the halves
-(``numerics.product_unitarity_residual``).  At n = 1, M is the single
-factor, and its residual is ``numerics.unitarity_residual``.
+(``numerics.product_unitarity_residual``).  At n = 1 the left half is one
+row of ones, M is the right half, and its residual is the blocked one.
 
 Usage errors are ``UsageError``s raised by one up-front check per command
 (``_check_args``); any other exception is a fault of the program and
@@ -76,7 +76,6 @@ from .numerics import (
     _norm_sq,
     check_params,
     product_unitarity_residual,
-    unitarity_residual,
 )
 
 
@@ -91,10 +90,10 @@ MAX_STATE_DIM = 2 ** 20
 
 # apply and bounds also refuse a radix above this: the dense q x q
 # Chrestenson gate takes 16*q**2 bytes, so peak RSS grows as q**2.  At
-# n = 1 (same VM) apply peaked at 58 MiB with radix 1024 and 129 MiB with
-# radix 2048, and bounds at 65 and 134 MiB.
-# Memory would admit a larger radix; the limit stays at the largest radix
-# measured until its time budget is decided (bounds took 10.3 s at 2048).
+# n = 1 (same VM) apply peaked at 54 MiB with radix 1024 and 126 MiB with
+# radix 2048, and bounds (keep depth 1) at 67 and 140 MiB.  Memory would
+# admit a larger radix; the limit stays at the largest radix measured until
+# its time budget is decided (at 2048 bounds took 1.1-1.2 s, apply 0.26 s).
 MAX_RADIX = 2048
 
 
@@ -659,8 +658,7 @@ def cmd_verify(args) -> int:
     circuit = build_qft_circuit(q, n)
     left, right = _product_halves(circuit, np.arange(dim))
     distance = _oracle_distance(left, right, _render_workers())
-    residual = (unitarity_residual(right) if left is None
-                else product_unitarity_residual(left, right))
+    residual = product_unitarity_residual(left, right)
     expected_gates = n * (n + 1) // 2
     checks = [
         ("gate_count", circuit.gate_count == expected_gates,

@@ -51,15 +51,15 @@ def walsh_hadamard_gate() -> np.ndarray:
 def chrestenson_gate(q: int) -> np.ndarray:
     """Base-q generalization of the Walsh-Hadamard gate.
 
-    Entry (j, k) is ``a**(j*k) / sqrt(q)`` with ``a = exp(-2j*pi/q)``; the
-    first row and column are all ``1/sqrt(q)``, and q = 2 reduces to the
-    Walsh-Hadamard gate.
+    Entry (j, k) is ``a**(j*k) / sqrt(q)`` with ``a = exp(-2j*pi/q)``, read
+    from a table of the q scaled roots; the first row and column are all
+    ``1/sqrt(q)``, and q = 2 reduces to the Walsh-Hadamard gate.
     """
     check_params(radix=q)
     k = np.arange(q)
     exponents = np.outer(k, k)
     exponents %= q
-    return roots_of_unity(exponents, q, 1 / np.sqrt(np.longdouble(q)))
+    return roots_of_unity(k, q, 1 / np.sqrt(np.longdouble(q)))[exponents]
 
 
 def controlled_phase_matrix(q: int, denom_exp: int) -> np.ndarray:

@@ -19,22 +19,22 @@ import numpy as np
 # dimension by default; q**n above it is refused rather than attempted.
 # The CLI imports it as ``MAX_DIM_CAP``: gen-matrix and verify refuse a
 # --dim-cap above it.  Peak RSS at the cap (2-vCPU VM, ru_maxrss of the
-# child) is at most 672 MiB, reached at n = 1, radix 4096, by both
-# commands: the q x q gate, the slots of the product engine and the
-# compiled matrix are 256 MiB each, and two of them coexist.  With two or
-# more digits gen-matrix peaked at 296 MiB in both formats, 256 MiB of it
-# the matrix, and verify, which builds no matrix, at 52 MiB at (2, 12) and
-# 99 MiB at (16, 3).  At 8192 the matrix alone would take 1024 MiB.
+# child) is at most 672 MiB, reached at n = 1, radix 4096, by both commands
+# (verify in 3.6-3.8 s, gen-matrix in 8.6-8.7 s): the q x q gate, the slots
+# of the product engine and the compiled matrix are 256 MiB each, and two
+# of them coexist.  With two or more digits gen-matrix peaked at 296 MiB in
+# both formats, 256 MiB of it the matrix, and verify, which builds no
+# matrix, at 52 MiB at (2, 12) and 99 MiB at (16, 3).  At 8192 the matrix
+# alone would take 1024 MiB.
 DEFAULT_DIM_CAP = 4096
 
 # Unit-norm requirement on state vectors.
 NORM_TOL = 1e-10
 
-# Row-block height of unitarity_residual, which forms its Gram blocks from
-# row blocks of this many rows; verify takes it at n = 1, where the matrix
-# is the single factor.  At the 4096 cap heights of 256, 512 and 1024 all
-# took 4.0-4.3 s for the residual (2-vCPU VM), against 6.5 s for one full
-# product; the smallest keeps the temporaries smallest.
+# Row-block height of unitarity_residual's Gram blocks, which verify takes
+# at n = 1 (through product_unitarity_residual).  At the 4096 cap heights of
+# 256, 512 and 1024 all took 4.0-4.3 s for the residual (2-vCPU VM), against
+# 6.5 s for one full product; the smallest keeps the temporaries smallest.
 BLOCK_ROWS = 256
 
 # The least value of each parameter that check_params knows.
@@ -110,14 +110,17 @@ def product_unitarity_residual(left, right) -> float:
     is ``p * r**3 + p**3 * r**2 / 2`` complex multiply-adds for
     ``r = len(right)``, where the blocked form takes ``(p * r)**3 / 2``.
     The sums run over the exact products, so the result may differ in its
-    last bits from ``unitarity_residual`` of the rounded ``M``.  A NaN
-    anywhere makes the result NaN.
+    last bits from ``unitarity_residual`` of the rounded ``M``; where
+    ``left`` is one row of ones, ``M`` is ``right`` and the result is
+    ``unitarity_residual(right)``.  A NaN anywhere makes the result NaN.
     """
     left, right = _as_matrix(left), _as_matrix(right)
     p, r = len(left), len(right)
     bits = np.ascontiguousarray(left).view(np.uint64).reshape(p, -1, 2 * p)
     if not (bits == bits[:, :1]).all():
         raise ValueError(f"the columns of left do not repeat with period {p}")
+    if p == 1 and left[0, 0] == 1:
+        return unitarity_residual(right)
     low = left[:, :p]
     # columns = (x_high, s) in C order, so R_s is right[:, :, s]
     parts = right.reshape(r, -1, p).transpose(2, 0, 1)

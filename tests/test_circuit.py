@@ -615,7 +615,11 @@ class TestBasisColumns:
         # in place of the DFT's, the oracle distance is 0
         dim = circuit.radix ** circuit.digits
         left, right = _product_halves(circuit, np.arange(dim))
-        assert (left is None) == (circuit.digits == 1)
+        # at n = 1 the left half is the product of no factors: one row of ones
+        assert (len(left) == 1) == (circuit.digits == 1)
+        if circuit.digits == 1:
+            ones = np.ones((1, dim), np.complex128)
+            assert np.array_equal(left.view(np.uint64), ones.view(np.uint64))
         tiles = _tiles(left, right)
         starts = [i * len(right) + s for i, s, _ in tiles]
         assert starts == np.cumsum([0, *(rows for *_, rows in tiles[:-1])]).tolist()
@@ -660,6 +664,22 @@ class TestBasisColumns:
             sys.setswitchinterval(interval)
         assert np.float64(many).view(np.uint64) == np.float64(one).view(np.uint64)
         assert sorted(seen) == [i * len(right) + s for i, s, _ in _tiles(left, right)]
+
+    @pytest.mark.parametrize("q", [2, 7, 600])
+    def test_single_digit_columns_are_the_slot_itself(self, q, monkeypatch):
+        # no product with the ones row is formed: the columns are a view
+        # of the product engine's (1, q, q) slots
+        products = []
+        outer_rows = circuit_module._outer_rows
+
+        def recording(factors):
+            products.append(len(factors))
+            return outer_rows(factors)
+
+        monkeypatch.setattr(circuit_module, "_outer_rows", recording)
+        columns = _basis_columns(build_qft_circuit(q, 1), np.arange(q))
+        assert products == [1]
+        assert columns.base.shape == (1, q, q)
 
     @pytest.mark.parametrize("q,n", [(2, 2), (2, 9), (3, 4), (5, 3), (7, 2), (16, 3)])
     def test_qft_left_half_repeats_with_its_height(self, q, n):

@@ -118,6 +118,14 @@ class TestChrestenson:
         with pytest.raises(ValueError):
             chrestenson_gate(1)
 
+    @pytest.mark.parametrize("q", [2, 3, 7, 256, 1000, 1024])
+    def test_table_gives_the_bits_of_every_entry_evaluated(self, q):
+        # entry (j, k) read from the q roots is the root of j*k mod q
+        # evaluated on its own
+        k = np.arange(q)
+        each = roots_of_unity(np.outer(k, k) % q, q, 1 / np.sqrt(np.longdouble(q)))
+        assert np.array_equal(chrestenson_gate(q).view(np.uint64), each.view(np.uint64))
+
     def test_builds_no_temporary_as_large_as_the_gate(self, traced_peak):
         # long-double angles, cosines and sines of all q*q entries would
         # each be as large as the gate; evaluated in chunks they are small

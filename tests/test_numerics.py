@@ -158,6 +158,29 @@ class TestProductUnitarityResidual:
             right[index] = np.nan
         assert np.isnan(product_unitarity_residual(left, right))
 
+    @pytest.mark.parametrize("q", [2, 7, 600])
+    def test_ones_row_takes_the_blocked_residual_of_right(self, q, monkeypatch):
+        # at n = 1 the left half is one row of ones, so M is right itself
+        left, right = _product_halves(build_qft_circuit(q, 1), np.arange(q))
+        blocked = unitarity_residual(right)
+        calls = []
+
+        def recording(a):
+            calls.append(a)
+            return unitarity_residual(a)
+
+        monkeypatch.setattr(numerics, "unitarity_residual", recording)
+        residual = product_unitarity_residual(left, right)
+        assert len(calls) == 1 and calls[0] is right
+        assert np.float64(residual).view(np.uint64) == np.float64(blocked).view(np.uint64)
+
+    def test_one_row_that_is_not_ones_keeps_the_kronecker_form(self, monkeypatch):
+        left, right = _product_halves(build_qft_circuit(7, 1), np.arange(7))
+        left = np.exp(0.3j) * left
+        expected = unitarity_residual(left[0] * right)
+        monkeypatch.setattr(numerics, "unitarity_residual", None)  # never called
+        assert abs(product_unitarity_residual(left, right) - expected) <= 1e-15
+
     def test_refuses_left_columns_that_do_not_repeat(self):
         # the Walsh-Hadamard circuit does not reverse its digits, so its
         # left half holds the slots of the most significant input digits
