@@ -465,19 +465,19 @@ def _dft_rows(t: int):
     Entry ``(y0 + j, x)`` is root ``(x*y0 mod t + x*j mod t) mod t`` of
     ``_scaled_roots(t)``.  The ``x*j mod t`` are one table built here, the
     ``x*y0 mod t`` one length-t vector per call, and their sum, below 2t,
-    indexes the scaled roots laid twice end to end, so no entry takes a
-    modulo and each is ``dft_matrix(t)``'s bit for bit.
+    indexes the t scaled roots with ``mode="wrap"``, which wraps it into
+    range, so each entry is ``dft_matrix(t)``'s bit for bit.
     """
     x = np.arange(t, dtype=np.intp)
     steps = np.outer(np.arange(_TILE_ROWS, dtype=np.intp), x) % t
-    roots = np.tile(_scaled_roots(t), 2)
+    roots = _scaled_roots(t)
 
     def gather(y0: int, index: np.ndarray, out: np.ndarray) -> np.ndarray:
         offset = x * y0
         offset %= t
         np.add(steps[:len(out)], offset, out=index)
-        # mode="wrap" skips the hidden copy of mode="raise" (see
-        # _run_batch); every index is in range
+        # mode="wrap" maps a sum in [t, 2t) to root sum - t, and skips
+        # the hidden copy of mode="raise" (see _run_batch)
         return np.take(roots, index, out=out, mode="wrap")
     return gather
 
@@ -494,10 +494,10 @@ def _oracle_distance(left: np.ndarray, right: np.ndarray, workers: int) -> float
     tile's entries of ``M`` are the products of the compile's last step
     (``_outer_rows``), the compiled entries bit for bit (at n = 1, ``1 *
     z`` may flip a zero's sign, not the distance); its DFT rows come from
-    ``_dft_rows``, and the difference and its magnitude are taken in place.  The largest magnitude does not depend on which
-    worker saw it, so the result is the same bit for bit for every
-    ``workers``; a NaN anywhere makes it NaN.  An exception in any worker
-    is raised here once every worker has ended.
+    ``_dft_rows``; the difference and its magnitude are taken in place.
+    The largest magnitude does not depend on which worker saw it, so the
+    result is the same bit for bit for every ``workers``; a NaN anywhere
+    makes it NaN.  A worker's exception is raised once all have ended.
     """
     r = len(right)
     t = len(left) * r
@@ -558,9 +558,9 @@ def apply_circuit(circuit: Circuit, state: StateVector) -> StateVector:
     return StateVector(circuit.radix, circuit.digits, _freeze(out))
 
 
-def circuit_to_matrix(circuit: Circuit, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+def circuit_to_matrix(circuit: Circuit) -> np.ndarray:
     """Compile a circuit to its dense unitary: column x is the circuit
-    applied to basis state x.
+    applied to basis state x.  Refused above ``DEFAULT_DIM_CAP``.
 
     A circuit that keeps basis inputs product states (every one the
     builders emit) is expanded from ``_run_product`` slots by
@@ -568,8 +568,8 @@ def circuit_to_matrix(circuit: Circuit, dim_cap: int = DEFAULT_DIM_CAP) -> np.nd
     simulator on the identity instead.
     """
     dim = circuit.radix ** circuit.digits
-    if dim > dim_cap:
-        raise ValueError(f"dimension {dim} exceeds cap {dim_cap}")
+    if dim > DEFAULT_DIM_CAP:
+        raise ValueError(f"dimension {dim} exceeds cap {DEFAULT_DIM_CAP}")
     if _breaks_product(circuit) is None:
         return _basis_columns(circuit, np.arange(dim))
     basis_rows = np.eye(dim, dtype=np.complex128)

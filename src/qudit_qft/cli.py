@@ -14,10 +14,10 @@ above a command's limit included), 3 I/O error.  All numeric output is
 printed with 17 significant digits so files round-trip exactly and
 identical invocations are byte-identical.  Every amplitude document (a
 state, or a matrix in JSON or CSV) is written chunk by chunk, so none is
-held whole in memory.  The chunks are formatted on every CPU the process
-may run on: forked workers format interleaved chunks, send them back
-through pipes, and the process writes them in order
-(``_render_amplitudes``), so the bytes do not depend on the CPU count.
+held whole in memory.  Forked workers format interleaved chunks on every
+CPU the process may run on and send them back through pipes; the process
+writes them in order (``_render_amplitudes``), so the output does not
+depend on the CPU count.  Chunks stay bytes from the kernel to the file.
 
 Each chunk is formatted by a numpy kernel that writes exactly the bytes of
 ``format(x, ".17g")`` for a whole array at once (``_float_rows``, with its
@@ -111,7 +111,7 @@ def _fmt(x: float) -> str:
 # a large state or matrix in one go would raise the peak memory.
 _STATE_CHUNK = 4096
 
-_JSON_FOOTER = "\n  ]\n}\n"
+_JSON_FOOTER = b"\n  ]\n}\n"
 
 # glibc's malloc serves a block above its mmap threshold (128 KiB at
 # start) with fresh pages, which the kernel faults in and zeroes on every
@@ -305,7 +305,7 @@ def _int_rows(v: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _pack(fields, separator: bytes) -> str:
+def _pack(fields, separator: bytes) -> bytes:
     """The lines made of ``fields`` (byte strings, the same on every line,
     and arrays of NUL-padded rows, one per line), without NUL bytes and
     joined by ``separator``."""
@@ -321,7 +321,7 @@ def _pack(fields, separator: bytes) -> str:
         out[:, at:at + width] = field
         at += width
     out[-1, -len(separator):] = 0  # no separator after the last line
-    return text.translate(None, b"\0").decode("ascii")
+    return text.translate(None, b"\0")
 
 
 def _render_workers() -> int:
@@ -333,7 +333,7 @@ def _render_workers() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _format_chunk(values: np.ndarray, start: int, cols: int | None) -> str:
+def _format_chunk(values: np.ndarray, start: int, cols: int | None) -> bytes:
     """The entries ``values[start:start + _STATE_CHUNK]``, without a
     leading or trailing separator (see ``_render_amplitudes``)."""
     end = min(start + _STATE_CHUNK, len(values))
@@ -351,11 +351,11 @@ def _format_in_child(values: np.ndarray, starts, cols: int | None, out_fd: int,
     """The body of a forked render worker; it never returns.
 
     It sends each chunk of ``starts`` to ``out_fd`` as an 8-byte
-    little-endian length and that many bytes of UTF-8, and leaves through
-    ``os._exit``, so it never flushes a buffer inherited from the parent
-    (stdout, or ``_emit``'s file) and never returns into the caller.  It
-    only formats the built array: no BLAS call, whose threads the fork
-    did not copy.
+    little-endian length and the bytes ``_pack`` made, unconverted, and
+    leaves through ``os._exit``, so it never flushes a buffer inherited
+    from the parent (stdout, or ``_emit``'s file) and never returns into
+    the caller.  It only formats the built array: no BLAS call, whose
+    threads the fork did not copy.
     """
     status = 1
     try:
@@ -363,7 +363,7 @@ def _format_in_child(values: np.ndarray, starts, cols: int | None, out_fd: int,
             os.close(fd)
         with open(out_fd, "wb") as out:
             for start in starts:
-                data = _format_chunk(values, start, cols).encode()
+                data = _format_chunk(values, start, cols)
                 out.write(len(data).to_bytes(8, "little"))
                 out.write(data)
         status = 0
@@ -376,20 +376,20 @@ def _format_in_child(values: np.ndarray, starts, cols: int | None, out_fd: int,
         os._exit(status)
 
 
-def _receive_chunk(reader, k: int) -> str:
+def _receive_chunk(reader, k: int) -> bytes:
     """Chunk ``k``, as a worker sent it through ``reader``."""
     head = reader.read(8)
     size = int.from_bytes(head, "little")
     data = reader.read(size)
     if len(head) != 8 or len(data) != size:
         raise RuntimeError(f"render worker ended before sending chunk {k} whole")
-    return data.decode()
+    return data
 
 
-def _render_amplitudes(header: str, values: np.ndarray, footer: str,
+def _render_amplitudes(header: bytes, values: np.ndarray, footer: bytes,
                        cols: int | None = None):
     """Yield ``header``, the entries of ``values`` in C order and ``footer``,
-    in chunks of ``_STATE_CHUNK`` entries; ``"".join`` of the chunks is the
+    in chunks of ``_STATE_CHUNK`` entries; ``b"".join`` of the chunks is the
     whole document.
 
     Entries are JSON ``[re, im]`` pairs, one per line and comma-separated,
@@ -412,7 +412,7 @@ def _render_amplitudes(header: str, values: np.ndarray, footer: str,
     np.empty(_HEAP_PRIMER_BYTES, np.uint8)  # freed at once, never touched
     starts = range(0, len(values), _STATE_CHUNK)
     workers = min(_render_workers(), len(starts))
-    separator = ",\n" if cols is None else "\n"
+    separator = b",\n" if cols is None else b"\n"
     children, readers = [], []
     try:
         for w in range(1, workers):
@@ -435,7 +435,7 @@ def _render_amplitudes(header: str, values: np.ndarray, footer: str,
             w = k % workers
             entries = (_format_chunk(values, start, cols) if w == 0
                        else _receive_chunk(readers[w - 1], k))
-            yield lead + entries + (footer if k == len(starts) - 1 else "")
+            yield lead + entries + (footer if k == len(starts) - 1 else b"")
             lead = separator
     finally:
         # a worker still writing gets EPIPE from the closed pipe and exits
@@ -450,7 +450,7 @@ def _render_amplitudes(header: str, values: np.ndarray, footer: str,
 def render_state(state: StateVector):
     """The state document, in chunks (see ``_render_amplitudes``)."""
     header = f'{{\n  "radix": {state.radix},\n  "digits": {state.digits},\n  "amplitudes": [\n'
-    return _render_amplitudes(header, state.amplitudes, _JSON_FOOTER)
+    return _render_amplitudes(header.encode(), state.amplitudes, _JSON_FOOTER)
 
 
 def _finite_number(v) -> bool:
@@ -505,27 +505,27 @@ def render_matrix_json(matrix: np.ndarray):
     """The matrix as a JSON document of row-major entries, in chunks."""
     rows, cols = matrix.shape
     header = f'{{\n  "rows": {rows},\n  "cols": {cols},\n  "entries": [\n'
-    return _render_amplitudes(header, matrix, _JSON_FOOTER)
+    return _render_amplitudes(header.encode(), matrix, _JSON_FOOTER)
 
 
 def render_matrix_csv(matrix: np.ndarray):
     """The matrix as ``row,col,re,im`` CSV lines, row-major, in chunks."""
-    return _render_amplitudes("row,col,re,im\n", matrix, "\n", cols=matrix.shape[1])
+    return _render_amplitudes(b"row,col,re,im\n", matrix, b"\n", cols=matrix.shape[1])
 
 
-def render_table(header: str, rows, fmt: str) -> str:
+def render_table(header: str, rows, fmt: str) -> bytes:
     """Render report rows as CSV under ``header``, or as a JSON list of
-    objects keyed by its column names.  Floats print with 17 significant
-    digits, every other value with ``str``."""
+    objects keyed by its column names, as ASCII bytes.  Floats print with
+    17 significant digits, every other value with ``str``."""
     cells = [[_fmt(v) if isinstance(v, float) else str(v) for v in row] for row in rows]
     if fmt == "csv":
-        return "\n".join([header, *map(",".join, cells)]) + "\n"
+        return ("\n".join([header, *map(",".join, cells)]) + "\n").encode()
     names = header.split(",")
     objs = [
         "  {" + ", ".join(f'"{name}": {v}' for name, v in zip(names, row)) + "}"
         for row in cells
     ]
-    return "[\n" + ",\n".join(objs) + "\n]\n"
+    return ("[\n" + ",\n".join(objs) + "\n]\n").encode()
 
 
 BOUNDS_HEADER = "q,n,target_digit,L,m,measured_t1,measured_max_t,bound_new,bound_coppersmith"
@@ -577,8 +577,8 @@ def _compare_rows(q: int, n: int):
 # ---------------------------------------------------------------- commands
 
 def _emit(chunks, output_path: str | None) -> None:
-    """Write an iterable of text chunks to stdout, or atomically to
-    ``output_path``.  Callers pass a list or generator, never a bare str.
+    """Write an iterable of byte chunks to stdout, or atomically to
+    ``output_path``.  Callers pass a list or generator, never bare bytes.
 
     A regular file is written whole into a temporary file beside it and
     renamed into place, so an error leaves any existing file untouched and
@@ -587,18 +587,19 @@ def _emit(chunks, output_path: str | None) -> None:
     over and is written directly.
     """
     if output_path is None:
-        sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # text printed to it earlier comes first
+        sys.stdout.buffer.writelines(chunks)
         return
     target = os.path.realpath(output_path)
     exists = os.path.exists(target)
     if exists and not os.path.isfile(target):
-        with open(target, "w", encoding="utf-8") as fh:
+        with open(target, "wb") as fh:
             fh.writelines(chunks)
         return
     directory, name = os.path.split(target)
     temporary = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-    # mode "x" creates the file as open(..., "w") would, with the umask applied
-    fh = open(temporary, "x", encoding="utf-8")
+    # mode "xb" creates the file as open(..., "wb") would, with the umask applied
+    fh = open(temporary, "xb")
     try:
         with fh:
             fh.writelines(chunks)
@@ -645,7 +646,7 @@ def _check_args(args, max_dim: int | None = None, max_radix: int | None = None,
 def cmd_gen_matrix(args) -> int:
     _check_args(args)
     circuit = build_qft_circuit(args.radix, args.digits, args.keep_depth)
-    matrix = circuit_to_matrix(circuit, dim_cap=args.dim_cap)
+    matrix = circuit_to_matrix(circuit)
     render = render_matrix_csv if args.format == "csv" else render_matrix_json
     _emit(render(matrix), args.output_path)
     return 0
@@ -671,7 +672,7 @@ def cmd_verify(args) -> int:
     lines = [f"{text} {'PASS' if ok else 'FAIL'}" for _, ok, text in checks]
     all_ok = all(ok for _, ok, _ in checks)
     lines.append(f"verify {'PASS' if all_ok else 'FAIL'}")
-    _emit(["\n".join(lines) + "\n"], args.output_path)
+    _emit([("\n".join(lines) + "\n").encode()], args.output_path)
     if not all_ok:
         for name, ok, _ in checks:
             if not ok:
@@ -686,8 +687,11 @@ def cmd_apply(args) -> int:
         raise UsageError("--in and --basis are mutually exclusive")
     circuit = build_qft_circuit(q, n, args.keep_depth)
     if args.input_path is not None:
-        with open(args.input_path, "r", encoding="utf-8") as fh:
-            state = parse_state(fh.read(), q, n, args.tolerance)
+        try:
+            with open(args.input_path, "r", encoding="utf-8") as fh:
+                state = parse_state(fh.read(), q, n, args.tolerance)
+        except UnicodeDecodeError as exc:  # read as text: no second copy of the file
+            raise UsageError(f"malformed state file: not UTF-8 ({exc})") from None
         result = apply_circuit(circuit, state)
     else:
         index = args.basis if args.basis is not None else 0

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Full-matrix work (compilation, oracle comparison) is capped at this
-# dimension by default; q**n above it is refused rather than attempted.
+# circuit_to_matrix and chrestenson_transform_matrix refuse a q**n above
+# this; verify builds no matrix but is held to the same cap.
 # The CLI imports it as ``MAX_DIM_CAP``: gen-matrix and verify refuse a
 # --dim-cap above it.  Peak RSS at the cap (2-vCPU VM, ru_maxrss of the
 # child) is at most 672 MiB, reached at n = 1, radix 4096, by both commands

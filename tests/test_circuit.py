@@ -413,9 +413,16 @@ class TestCircuitToMatrix:
     def test_compiled_circuits_unitary(self, q, n, depth):
         assert unitarity_residual(circuit_to_matrix(build_qft_circuit(q, n, depth))) <= 1e-10
 
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            circuit_to_matrix(build_qft_circuit(2, 3), dim_cap=4)
+    def test_dimension_cap(self, monkeypatch):
+        # sizes above the fixed cap are refused before either simulator runs
+        def refuse(*args):
+            raise AssertionError("a simulator ran")
+
+        monkeypatch.setattr(circuit_module, "_run_product", refuse)
+        monkeypatch.setattr(circuit_module, "_run_batch", refuse)
+        for q, n in [(2, 13), (4096, 2)]:
+            with pytest.raises(ValueError, match=f"dimension {q ** n} exceeds cap"):
+                circuit_to_matrix(build_qft_circuit(q, n))
 
 
 def product_to_dense(slots, reverse):

@@ -284,7 +284,7 @@ def test_render_state_matches_per_amplitude_format():
     amps[1] = complex(-0.0, -0.0)
     amps[-1] = complex(1e-300, -5e-310)
     state = StateVector(3, 8, amps / np.linalg.norm(amps))
-    assert "".join(render_state(state)) == reference_state_text(state)
+    assert b"".join(render_state(state)).decode() == reference_state_text(state)
 
 
 class TestParameterRanges:
@@ -336,7 +336,7 @@ def test_render_matrix_matches_per_entry_format(fmt):
     matrix[0, 1] = complex(-0.0, -0.0)
     matrix[-1, -1] = complex(1e-300, -5e-310)
     render = cli.render_matrix_csv if fmt == "csv" else cli.render_matrix_json
-    assert "".join(render(matrix)) == reference_matrix_text(matrix, fmt)
+    assert b"".join(render(matrix)).decode() == reference_matrix_text(matrix, fmt)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -369,12 +369,12 @@ def test_render_state_chunks_end_on_a_chunk_boundary(document, n):
     # 2**12 and 2**13 entries fill one and two rendering chunks exactly
     chunks = list(document(n))
     assert len(chunks) == 2 ** n // 4096
-    text = "".join(chunks)
+    text = b"".join(chunks).decode()
     if text.startswith("row,col"):
-        assert chunks[-1].endswith("\n") and not chunks[-1].endswith("\n\n")
+        assert chunks[-1].endswith(b"\n") and not chunks[-1].endswith(b"\n\n")
         assert text.count("\n") == 2 ** n + 1
     else:
-        assert chunks[-1].endswith("\n  ]\n}\n")
+        assert chunks[-1].endswith(b"\n  ]\n}\n")
         doc = json.loads(text)
         assert len(doc.get("amplitudes", doc.get("entries"))) == 2 ** n
 
@@ -433,7 +433,7 @@ def test_parallel_render_matches_per_entry_format(kind, size, workers, forks, mo
         matrix = with_specials(rng.normal(size=shape) + 1j * rng.normal(size=shape))
         render = cli.render_matrix_csv if kind == "csv" else cli.render_matrix_json
         chunks, expected = list(render(matrix)), reference_matrix_text(matrix, kind)
-    assert "".join(chunks) == expected
+    assert b"".join(chunks).decode() == expected
     assert len(forks) == min(workers, len(chunks)) - 1
 
 
@@ -456,6 +456,35 @@ def test_parallel_apply_matches_per_entry_format(to_file, tmp_path, forks, monke
     assert (path.read_text() if to_file else out) == expected
     if to_file:
         assert out == "" and os.listdir(tmp_path) == ["out.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["gen-matrix", "--radix", "3", "--digits", "5", "--keep-depth", "2"],
+                 id="gen-matrix-json"),
+    pytest.param(["gen-matrix", "--radix", "3", "--digits", "5", "--keep-depth", "2",
+                  "--format", "csv"], id="gen-matrix-csv"),
+    pytest.param(["verify", "--radix", "2", "--digits", "8"], id="verify"),
+    pytest.param(["apply", "--radix", "2", "--digits", "14", "--basis", "5"], id="apply-basis"),
+    pytest.param(["apply", "--radix", "2", "--digits", "14", "--in"], id="apply-in"),
+    pytest.param(["bounds", "--radix", "3", "--digits", "5", "--keep-depth", "2"],
+                 id="bounds-csv"),
+    pytest.param(["bounds", "--radix", "3", "--digits", "5", "--keep-depth", "2",
+                  "--format", "json"], id="bounds-json"),
+    pytest.param(["compare-radix", "--radix", "3", "--digits", "4"], id="compare-radix"),
+])
+def test_stdout_and_out_file_carry_the_same_bytes(argv, tmp_path, monkeypatch, capsysbinary):
+    # amplitude documents are rendered by the parent and one forked worker
+    monkeypatch.setattr(cli, "_render_workers", lambda: 2)
+    if argv[-1] == "--in":
+        state = tmp_path / "in.json"
+        state.write_bytes(b"".join(render_state(StateVector.basis(2, 14, 5))))
+        argv = [*argv, str(state)]
+    assert main(argv) == 0
+    printed = capsysbinary.readouterr().out
+    path = tmp_path / "out"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert printed and path.read_bytes() == printed
 
 
 def run_python(code: str) -> str:
@@ -506,7 +535,7 @@ def test_cli_setup_builds_no_format_tables():
             built_at_fork.append(cli._format_tables.cache_info().currsize)
             return real_fork()
         os.fork = fork
-        "".join(cli.render_state(StateVector(2, 14, np.full(2 ** 14, 2 ** -7 + 0j))))
+        b"".join(cli.render_state(StateVector(2, 14, np.full(2 ** 14, 2 ** -7 + 0j))))
         print(built_at_fork, cli._format_tables.cache_info().misses)
     """))
     assert out == "0\n[1, 1] 1\n"
@@ -571,7 +600,7 @@ class TestParallelRenderFailures:
     def test_abandoned_document_reaps_its_workers(self, workers, monkeypatch):
         monkeypatch.setattr(cli, "_render_workers", lambda: workers)
         chunks = render_state(StateVector(2, 15, np.full(2 ** 15, 2 ** -7.5)))
-        assert next(chunks).startswith("{")
+        assert next(chunks).startswith(b"{")
         chunks.close()
         self.assert_no_children()
 
@@ -581,7 +610,7 @@ class TestParallelRenderFailures:
 def assert_formats_exactly(values):
     """``cli._float_rows`` writes ``format(v, ".17g")`` for every value."""
     values = np.asarray(values, dtype=np.float64).ravel().tolist()
-    lines = cli._pack([cli._float_rows(np.array(values))], b"\n").split("\n")
+    lines = cli._pack([cli._float_rows(np.array(values))], b"\n").decode().split("\n")
     expected = [format(v, ".17g") for v in values]
     if lines != expected:
         assert len(lines) == len(values)
@@ -670,7 +699,8 @@ def test_int_rows_match_str():
     values = np.concatenate([[0, 1, 9, 10, 9999, 10000, 10001, 99990000, 10 ** 8, 2 ** 63 - 1],
                              rng.integers(0, 2 ** 63, 1000), rng.integers(0, 10 ** 5, 1000)])
     for part in (values, values[values < 10000], np.zeros(3, np.int64)):
-        assert cli._pack([cli._int_rows(part)], b"\n") == "\n".join(map(str, part.tolist()))
+        text = cli._pack([cli._int_rows(part)], b"\n").decode()
+        assert text == "\n".join(map(str, part.tolist()))
 
 
 class TestApply:
@@ -725,11 +755,11 @@ class TestApply:
             reparsed.amplitudes, state_from_json(text), atol=1e-12
         )
         # serializing again reproduces the exact bytes
-        assert "".join(render_state(reparsed)) == text
+        assert b"".join(render_state(reparsed)).decode() == text
 
     def test_file_input(self, tmp_path, capsys):
         path = tmp_path / "in.json"
-        path.write_text("".join(render_state(StateVector.basis(2, 2, 3))))
+        path.write_bytes(b"".join(render_state(StateVector.basis(2, 2, 3))))
         code, out, _ = run(
             ["apply", "--radix", "2", "--digits", "2", "--in", str(path)], capsys
         )
@@ -772,7 +802,7 @@ class TestApply:
 
     def test_shape_mismatch(self, tmp_path, capsys):
         path = tmp_path / "threedigit.json"
-        path.write_text("".join(render_state(StateVector.basis(2, 3, 0))))
+        path.write_bytes(b"".join(render_state(StateVector.basis(2, 3, 0))))
         code, _, err = run(
             ["apply", "--radix", "2", "--digits", "2", "--in", str(path)], capsys
         )
@@ -789,7 +819,7 @@ class TestApply:
 
     def test_basis_and_file_conflict(self, tmp_path, capsys):
         path = tmp_path / "s.json"
-        path.write_text("".join(render_state(StateVector.basis(2, 1, 0))))
+        path.write_bytes(b"".join(render_state(StateVector.basis(2, 1, 0))))
         code, _, err = run(
             ["apply", "--radix", "2", "--digits", "1", "--in", str(path),
              "--basis", "0"],
@@ -1136,6 +1166,12 @@ def state_file(amplitudes: str, radix: str = "2", digits: str = "1") -> str:
                  "tolerance must be at least 0, got -1.0", id="negative-tolerance-unit-state"),
     pytest.param(None, "nan", "tolerance must be at least 0, got nan",
                  id="nan-tolerance-basis"),
+    # a file that is not UTF-8, from its first byte or inside a string value
+    pytest.param(b"\xff" + state_file("[[1.0, 0.0], [0.0, 0.0]]").encode(), None,
+                 "malformed state file: not UTF-8", id="not-utf8-first-byte"),
+    pytest.param(state_file('[[1.0, 0.0], [0.0, 0.0]], "note": "?"').encode()
+                 .replace(b"?", b"\xff"), None,
+                 "malformed state file: not UTF-8", id="not-utf8-string-value"),
 ])
 def test_state_file_edge_cases_are_usage_errors(document, tolerance, message, tmp_path,
                                                 capsys):
@@ -1143,7 +1179,10 @@ def test_state_file_edge_cases_are_usage_errors(document, tolerance, message, tm
         source = ["--basis", "1"]
     else:
         path = tmp_path / "state.json"
-        path.write_text(document)
+        if isinstance(document, bytes):
+            path.write_bytes(document)
+        else:
+            path.write_text(document)
         source = ["--in", str(path)]
     tolerance = [] if tolerance is None else ["--tolerance", tolerance]
     code, out, err = run(["apply", "--radix", "2", "--digits", "1", *source, *tolerance],
@@ -1172,7 +1211,7 @@ class TestBasisInputs:
     def test_basis_equals_the_same_state_from_a_file(self, q, n, k, depth, tmp_path,
                                                     capsys):
         path = tmp_path / "basis.json"
-        path.write_text("".join(render_state(StateVector.basis(q, n, k))))
+        path.write_bytes(b"".join(render_state(StateVector.basis(q, n, k))))
         size = ["--radix", str(q), "--digits", str(n)]
         if depth is not None:
             size += ["--keep-depth", str(depth)]
