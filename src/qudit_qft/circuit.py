@@ -19,11 +19,13 @@ the QFT's do.  The register then stays a product of n single-digit states,
 so each input costs ``n*q`` amplitudes instead of ``q**n``.  Its
 ``(n, q, len(x))`` slots are the factors that ``_output_factors`` lists in
 output-digit order, with no copy.  It serves every basis input: ``bounds``
-checks each input's slots, and ``_basis_columns`` multiplies them out into
-output states, from which ``circuit_to_matrix`` compiles such a circuit and
-``apply`` runs a basis state; ``verify`` reads them as two halves at every
-width (``_product_halves``; at n = 1 the left one is a row of ones) and
-checks them against the DFT tile by tile (``_oracle_distance``).  The
+checks each input's slots, and ``_outer_rows`` multiplies them out into
+output states, from which ``circuit_to_matrix`` compiles such a circuit.
+The CLI reads them only as two halves at every width (``_product_halves``;
+at n = 1 the left one is a row of ones), whose products are the entries of
+the compiled matrix bit for bit: ``verify`` checks them against the DFT
+tile by tile (``_oracle_distance``), ``gen-matrix`` renders them a chunk of
+rows at a time and ``apply`` multiplies out its one basis state.  The
 dense simulator runs state inputs, the two boundary chunks of ``bounds``,
 and the compile of a circuit that ``_breaks_product``.
 
@@ -538,14 +540,6 @@ def _oracle_distance(left: np.ndarray, right: np.ndarray, workers: int) -> float
     return float(np.max([m for part in maxima for m in part]))
 
 
-def _basis_columns(circuit: Circuit, x) -> np.ndarray:
-    """The circuit applied to basis inputs ``x``, as the ``(q**n, len(x))``
-    complex128 array whose column j is the output state of input ``x[j]``,
-    expanded from ``_output_factors`` with no dense simulation; at n = 1
-    it is the single slot itself."""
-    return _outer_rows(_output_factors(circuit, x))
-
-
 def apply_circuit(circuit: Circuit, state: StateVector) -> StateVector:
     """Run a circuit on one state; returns a fresh unit-norm state, which
     holds the simulator's output buffer itself."""
@@ -564,14 +558,14 @@ def circuit_to_matrix(circuit: Circuit) -> np.ndarray:
 
     A circuit that keeps basis inputs product states (every one the
     builders emit) is expanded from ``_run_product`` slots by
-    ``_basis_columns``.  One that ``_breaks_product`` runs the dense
-    simulator on the identity instead.
+    ``_outer_rows``; at n = 1 it is the single slot itself.  One that
+    ``_breaks_product`` runs the dense simulator on the identity instead.
     """
     dim = circuit.radix ** circuit.digits
     if dim > DEFAULT_DIM_CAP:
         raise ValueError(f"dimension {dim} exceeds cap {DEFAULT_DIM_CAP}")
     if _breaks_product(circuit) is None:
-        return _basis_columns(circuit, np.arange(dim))
+        return _outer_rows(_output_factors(circuit, np.arange(dim)))
     basis_rows = np.eye(dim, dtype=np.complex128)
     out_rows = _run_batch(circuit, basis_rows)
     return np.ascontiguousarray(out_rows.T)

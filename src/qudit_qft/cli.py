@@ -23,18 +23,19 @@ Each chunk is formatted by a numpy kernel that writes exactly the bytes of
 ``format(x, ".17g")`` for a whole array at once (``_float_rows``, with its
 rows from ``_layout`` and its lookup tables in ``_Tables``).
 
-gen-matrix and verify compile the QFT from its product form
-(``circuit._basis_columns``): every basis input's output is a product of n
-single-digit states, so the matrix is built from their row-wise Kronecker
-products, with no dense simulation and no identity input.  apply on a basis
-state (``--basis``, or state 0 by default) builds its output the same way;
-only a state read with ``--in`` runs the dense simulator.  verify never
-builds the matrix M: it takes the two halves of its last product
-(``circuit._product_halves``), compares M with the DFT in tiles of a few
-rows on every CPU the process may run on (``circuit._oracle_distance``,
-with ``_render_workers()`` threads; the entries are the compiled ones bit
-for bit, and the distance does not depend on the thread count), and takes
-the unitarity residual from the Kronecker structure of the halves
+gen-matrix, verify and apply on a basis state (``--basis``, or state 0 by
+default) read the QFT from its product form: every basis input's output is
+a product of n single-digit states, with no dense simulation and no
+identity input, and no command builds the matrix M.  Each takes the two
+halves of M's last product (``circuit._product_halves``), whose row
+``(i, j)`` is ``left[i] * right[j]``, the compiled entries bit for bit.
+gen-matrix multiplies out the rows each chunk touches as it renders it
+(``render_matrix``), and apply its one column; only a state read with
+``--in`` runs the dense simulator.  verify compares M with the DFT in
+tiles of a few rows on every CPU the process may run on
+(``circuit._oracle_distance``, with ``_render_workers()`` threads; the
+distance does not depend on the thread count), and takes the unitarity
+residual from the Kronecker structure of the halves
 (``numerics.product_unitarity_residual``).  At n = 1 the left half is one
 row of ones, M is the right half, and its residual is the blocked one.
 
@@ -60,14 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import CrossCheckError, approximation_report, capacity_metrics
-from .circuit import (
-    _basis_columns,
-    _oracle_distance,
-    _product_halves,
-    apply_circuit,
-    build_qft_circuit,
-    circuit_to_matrix,
-)
+from .circuit import _oracle_distance, _product_halves, apply_circuit, build_qft_circuit
 from .numerics import (
     DEFAULT_DIM_CAP as MAX_DIM_CAP,
     NORM_TOL,
@@ -333,37 +327,39 @@ def _render_workers() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _format_chunk(values: np.ndarray, start: int, cols: int | None) -> bytes:
-    """The entries ``values[start:start + _STATE_CHUNK]``, without a
+def _format_chunk(entries, start: int, cols: int | None) -> bytes:
+    """The entries ``entries(start, start + _STATE_CHUNK)``, without a
     leading or trailing separator (see ``_render_amplitudes``)."""
-    end = min(start + _STATE_CHUNK, len(values))
-    parts = np.ascontiguousarray(values[start:end], dtype=np.complex128).view(np.float64)
-    floats = _float_rows(parts).reshape(end - start, 2 * _FLOAT_WIDTH)
+    values = entries(start, start + _STATE_CHUNK)
+    parts = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
+    floats = _float_rows(parts).reshape(len(values), 2 * _FLOAT_WIDTH)
     real, imag = floats[:, :_FLOAT_WIDTH], floats[:, _FLOAT_WIDTH:]
     if cols is None:
         return _pack([b"    [", real, b", ", imag, b"]"], b",\n")
-    row, col = np.divmod(np.arange(start, end), cols)
+    row, col = np.divmod(np.arange(start, start + len(values)), cols)
     return _pack([_int_rows(row), b",", _int_rows(col), b",", real, b",", imag], b"\n")
 
 
-def _format_in_child(values: np.ndarray, starts, cols: int | None, out_fd: int,
-                     inherited_fds: list[int]):
+def _format_in_child(entries, starts, cols: int | None, out_fd: int):
     """The body of a forked render worker; it never returns.
 
-    It sends each chunk of ``starts`` to ``out_fd`` as an 8-byte
-    little-endian length and the bytes ``_pack`` made, unconverted, and
-    leaves through ``os._exit``, so it never flushes a buffer inherited
-    from the parent (stdout, or ``_emit``'s file) and never returns into
-    the caller.  It only formats the built array: no BLAS call, whose
-    threads the fork did not copy.
+    It first closes every descriptor above 2 but ``out_fd``: a pipe end
+    inherited from this or any other open document would keep that pipe
+    open after its reader closes it.  It sends each chunk of ``starts`` to
+    ``out_fd`` as an 8-byte little-endian length and the bytes ``_pack``
+    made, unconverted, and leaves through ``os._exit``, so it never flushes
+    a buffer inherited from the parent (stdout, or ``_emit``'s file) and
+    never returns into the caller.  It reads its values through
+    ``entries``, which slice or multiply elementwise at most: no BLAS call,
+    whose threads the fork did not copy.
     """
     status = 1
     try:
-        for fd in inherited_fds:
-            os.close(fd)
+        os.closerange(3, out_fd)
+        os.closerange(out_fd + 1, os.sysconf("SC_OPEN_MAX"))
         with open(out_fd, "wb") as out:
             for start in starts:
-                data = _format_chunk(values, start, cols)
+                data = _format_chunk(entries, start, cols)
                 out.write(len(data).to_bytes(8, "little"))
                 out.write(data)
         status = 0
@@ -386,11 +382,12 @@ def _receive_chunk(reader, k: int) -> bytes:
     return data
 
 
-def _render_amplitudes(header: bytes, values: np.ndarray, footer: bytes,
+def _render_amplitudes(header: bytes, entries, size: int, footer: bytes,
                        cols: int | None = None):
-    """Yield ``header``, the entries of ``values`` in C order and ``footer``,
+    """Yield ``header``, the ``size`` entries of a document and ``footer``,
     in chunks of ``_STATE_CHUNK`` entries; ``b"".join`` of the chunks is the
-    whole document.
+    whole document.  ``entries(start, end)`` returns the complex entries
+    ``start`` to ``min(end, size)``.
 
     Entries are JSON ``[re, im]`` pairs, one per line and comma-separated,
     or, given the column count ``cols`` of a matrix, ``row,col,re,im`` CSV
@@ -407,10 +404,9 @@ def _render_amplitudes(header: bytes, values: np.ndarray, footer: bytes,
     ends (finished, failed or closed early) every pipe is closed and every
     child reaped.
     """
-    values = values.ravel()
     _format_tables()  # built here, before any fork, so every worker inherits them
     np.empty(_HEAP_PRIMER_BYTES, np.uint8)  # freed at once, never touched
-    starts = range(0, len(values), _STATE_CHUNK)
+    starts = range(0, size, _STATE_CHUNK)
     workers = min(_render_workers(), len(starts))
     separator = b",\n" if cols is None else b"\n"
     children, readers = [], []
@@ -425,17 +421,16 @@ def _render_amplitudes(header: bytes, values: np.ndarray, footer: bytes,
                     warnings.simplefilter("ignore", DeprecationWarning)
                     pid = os.fork()
                 if pid == 0:
-                    _format_in_child(values, starts[w::workers], cols, write_fd,
-                                     [r.fileno() for r in readers])
+                    _format_in_child(entries, starts[w::workers], cols, write_fd)
             finally:
                 os.close(write_fd)
             children.append(pid)
         lead = header
         for k, start in enumerate(starts):
             w = k % workers
-            entries = (_format_chunk(values, start, cols) if w == 0
-                       else _receive_chunk(readers[w - 1], k))
-            yield lead + entries + (footer if k == len(starts) - 1 else b"")
+            text = (_format_chunk(entries, start, cols) if w == 0
+                    else _receive_chunk(readers[w - 1], k))
+            yield lead + text + (footer if k == len(starts) - 1 else b"")
             lead = separator
     finally:
         # a worker still writing gets EPIPE from the closed pipe and exits
@@ -450,7 +445,8 @@ def _render_amplitudes(header: bytes, values: np.ndarray, footer: bytes,
 def render_state(state: StateVector):
     """The state document, in chunks (see ``_render_amplitudes``)."""
     header = f'{{\n  "radix": {state.radix},\n  "digits": {state.digits},\n  "amplitudes": [\n'
-    return _render_amplitudes(header.encode(), state.amplitudes, _JSON_FOOTER)
+    amps = state.amplitudes
+    return _render_amplitudes(header.encode(), lambda a, b: amps[a:b], len(amps), _JSON_FOOTER)
 
 
 def _finite_number(v) -> bool:
@@ -501,16 +497,24 @@ def parse_state(text: str, radix: int, digits: int, tolerance: float) -> StateVe
     return StateVector(radix, digits, _freeze(amps))
 
 
-def render_matrix_json(matrix: np.ndarray):
-    """The matrix as a JSON document of row-major entries, in chunks."""
-    rows, cols = matrix.shape
-    header = f'{{\n  "rows": {rows},\n  "cols": {cols},\n  "entries": [\n'
-    return _render_amplitudes(header.encode(), matrix, _JSON_FOOTER)
+def render_matrix(left: np.ndarray, right: np.ndarray, fmt: str):
+    """The matrix ``M`` whose row ``(i, j)`` is ``left[i] * right[j]`` (the
+    product halves of ``circuit._product_halves``), in chunks: a JSON
+    document of row-major entries, or ``row,col,re,im`` CSV lines.  Each
+    chunk multiplies out only the rows of ``M`` it touches, with the
+    product that builds ``M`` in ``circuit._outer_rows``, so ``M`` is never
+    held whole and its entries are the compiled ones bit for bit."""
+    cols, r = left.shape[1], len(right)
+    size = len(left) * r * cols
 
+    def entries(start: int, end: int) -> np.ndarray:
+        i, j = np.divmod(np.arange(start // cols, -(-min(end, size) // cols)), r)
+        return (left[i] * right[j]).ravel()[start % cols:][:end - start]
 
-def render_matrix_csv(matrix: np.ndarray):
-    """The matrix as ``row,col,re,im`` CSV lines, row-major, in chunks."""
-    return _render_amplitudes(b"row,col,re,im\n", matrix, b"\n", cols=matrix.shape[1])
+    if fmt == "csv":
+        return _render_amplitudes(b"row,col,re,im\n", entries, size, b"\n", cols)
+    header = f'{{\n  "rows": {len(left) * r},\n  "cols": {cols},\n  "entries": [\n'
+    return _render_amplitudes(header.encode(), entries, size, _JSON_FOOTER)
 
 
 def render_table(header: str, rows, fmt: str) -> bytes:
@@ -646,9 +650,8 @@ def _check_args(args, max_dim: int | None = None, max_radix: int | None = None,
 def cmd_gen_matrix(args) -> int:
     _check_args(args)
     circuit = build_qft_circuit(args.radix, args.digits, args.keep_depth)
-    matrix = circuit_to_matrix(circuit)
-    render = render_matrix_csv if args.format == "csv" else render_matrix_json
-    _emit(render(matrix), args.output_path)
+    left, right = _product_halves(circuit, np.arange(args.radix ** args.digits))
+    _emit(render_matrix(left, right, args.format), args.output_path)
     return 0
 
 
@@ -698,7 +701,8 @@ def cmd_apply(args) -> int:
         if not 0 <= index < q ** n:
             raise UsageError(f"--basis {index} out of range for dimension {q ** n}")
         # a basis input stays a product state: no dense simulation runs
-        result = StateVector(q, n, _freeze(_basis_columns(circuit, [index])[:, 0]))
+        left, right = _product_halves(circuit, [index])
+        result = StateVector(q, n, _freeze((left * right.T).ravel()))
     _emit(render_state(result), args.output_path)
     return 0
 

@@ -16,16 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 # circuit_to_matrix and chrestenson_transform_matrix refuse a q**n above
-# this; verify builds no matrix but is held to the same cap.
+# this; gen-matrix and verify build no matrix but are held to the same cap.
 # The CLI imports it as ``MAX_DIM_CAP``: gen-matrix and verify refuse a
 # --dim-cap above it.  Peak RSS at the cap (2-vCPU VM, ru_maxrss of the
-# child) is at most 672 MiB, reached at n = 1, radix 4096, by both commands
-# (verify in 3.6-3.8 s, gen-matrix in 8.6-8.7 s): the q x q gate, the slots
-# of the product engine and the compiled matrix are 256 MiB each, and two
-# of them coexist.  With two or more digits gen-matrix peaked at 296 MiB in
-# both formats, 256 MiB of it the matrix, and verify, which builds no
-# matrix, at 52 MiB at (2, 12) and 99 MiB at (16, 3).  At 8192 the matrix
-# alone would take 1024 MiB.
+# child) is at most 668 MiB, reached at n = 1, radix 4096, by both commands:
+# the q x q gate and the slots of the product engine are 256 MiB each and
+# coexist.  With two or more digits gen-matrix peaked at 41 MiB at (2, 12)
+# and 52 MiB at (16, 3), and verify at 53 and 99 MiB.  The cap bounds the
+# rest: a gen-matrix document at 4096 is about 890 MB and grows with the
+# square of the dimension, as do the gate and slots at n = 1 (1024 MiB
+# each at 8192).
 DEFAULT_DIM_CAP = 4096
 
 # Unit-norm requirement on state vectors.

@@ -29,10 +29,11 @@ from qudit_qft import (
 from qudit_qft import circuit as circuit_module, kernels
 from qudit_qft.circuit import (
     _along_digit,
-    _basis_columns,
     _breaks_product,
     _dft_rows,
     _oracle_distance,
+    _outer_rows,
+    _output_factors,
     _product_halves,
     _run_batch,
     _run_exponent,
@@ -596,7 +597,7 @@ class TestBasisColumns:
     def test_compile_matches_dense_simulator(self, circuit):
         expected = dense_reference(circuit)
         dim = len(expected)
-        columns = _basis_columns(circuit, np.arange(dim))
+        columns = _outer_rows(_output_factors(circuit, np.arange(dim)))
         assert columns.shape == (dim, dim) and columns.dtype == np.complex128
         assert columns.flags.c_contiguous
         np.testing.assert_allclose(columns, expected, rtol=0, atol=1e-12)
@@ -606,10 +607,10 @@ class TestBasisColumns:
     def test_selected_inputs_are_their_columns(self, circuit):
         expected = dense_reference(circuit)
         x = [len(expected) - 1, 0, 5, 5]
-        np.testing.assert_allclose(_basis_columns(circuit, x), expected[:, x],
+        np.testing.assert_allclose(_outer_rows(_output_factors(circuit, x)), expected[:, x],
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(_basis_columns(circuit, [7])[:, 0], expected[:, 7],
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_outer_rows(_output_factors(circuit, [7]))[:, 0],
+                                   expected[:, 7], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("circuit", [
         *PRODUCT_CIRCUITS,
@@ -684,7 +685,7 @@ class TestBasisColumns:
             return outer_rows(factors)
 
         monkeypatch.setattr(circuit_module, "_outer_rows", recording)
-        columns = _basis_columns(build_qft_circuit(q, 1), np.arange(q))
+        columns = circuit_to_matrix(build_qft_circuit(q, 1))
         assert products == [1]
         assert columns.base.shape == (1, q, q)
 
@@ -747,4 +748,4 @@ class TestBasisColumns:
         expected = expected[digit_reversal_perm(q, 3)]
         np.testing.assert_allclose(matrix, expected, rtol=0, atol=1e-14)
         with pytest.raises(ValueError, match="reads control digit 0"):
-            _basis_columns(circuit, [0])
+            _outer_rows(_output_factors(circuit, [0]))

@@ -116,6 +116,20 @@ class TestGenMatrix:
         assert code == 3
         assert "i/o error" in err
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_is_far_below_the_matrix(self, workers, traced_peak, monkeypatch,
+                                                 tmp_path):
+        # the 1024 x 1024 matrix alone is 16 MiB; each chunk multiplies out
+        # only the rows it touches.  The renderer's 4 MiB heap primer counts
+        # here, though it is never touched.
+        monkeypatch.setattr(cli, "_render_workers", lambda: workers)
+        out = tmp_path / "m.csv"
+        code, peak = traced_peak(main, ["gen-matrix", "--radix", "2", "--digits", "10",
+                                        "--format", "csv", "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes().count(b"\n") == 2 ** 20 + 1
+        assert peak <= 8 * 2 ** 20
+
 
 class TestVerify:
     def test_base3_four_digits(self, capsys):
@@ -327,6 +341,14 @@ def reference_matrix_text(matrix: np.ndarray, fmt: str) -> str:
     return f'{{\n  "rows": {rows},\n  "cols": {cols},\n  "entries": [\n{entries}\n  ]\n}}\n'
 
 
+def render_rows(matrix: np.ndarray, fmt: str):
+    """``matrix`` rendered as the right half under a left half of ones, and
+    the matrix those halves make (``1 * z`` may turn a ``-0`` real part
+    into ``+0``)."""
+    ones = np.ones((1, matrix.shape[1]))
+    return cli.render_matrix(ones, matrix, fmt), ones * matrix
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_render_matrix_matches_per_entry_format(fmt):
     # a rectangular matrix over several rendering chunks, with a partial
@@ -335,16 +357,26 @@ def test_render_matrix_matches_per_entry_format(fmt):
     matrix = rng.normal(size=(97, 130)) + 1j * rng.normal(size=(97, 130))
     matrix[0, 1] = complex(-0.0, -0.0)
     matrix[-1, -1] = complex(1e-300, -5e-310)
-    render = cli.render_matrix_csv if fmt == "csv" else cli.render_matrix_json
-    assert b"".join(render(matrix)).decode() == reference_matrix_text(matrix, fmt)
+    chunks, product = render_rows(matrix, fmt)
+    assert b"".join(chunks).decode() == reference_matrix_text(product, fmt)
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_gen_matrix_matches_per_entry_format(fmt, capsys):
-    code, out, _ = run(["gen-matrix", "--radix", "3", "--digits", "5", "--keep-depth", "2",
-                        "--format", fmt], capsys)
+@pytest.mark.parametrize("q,n,depth,fmt", [
+    # the pruned (3, 5) circuit is named by its format alone
+    pytest.param(q, n, depth, fmt, id=fmt if depth else f"{q}-{n}-{fmt}")
+    for q, n, depth in [(3, 5, 2), (2, 1, None), (7, 1, None), (64, 1, None), (2, 4, None),
+                        (3, 5, None)]
+    for fmt in ("json", "csv")
+])
+def test_gen_matrix_matches_per_entry_format(q, n, depth, fmt, capsys):
+    # n = 1 renders through the ones row; at (3, 5) a chunk spans rows of
+    # several blocks of the left half
+    size = ["--radix", str(q), "--digits", str(n)]
+    if depth is not None:
+        size += ["--keep-depth", str(depth)]
+    code, out, _ = run(["gen-matrix", *size, "--format", fmt], capsys)
     assert code == 0
-    matrix = circuit.circuit_to_matrix(circuit.build_qft_circuit(3, 5, 2))
+    matrix = circuit.circuit_to_matrix(circuit.build_qft_circuit(q, n, depth))
     assert out == reference_matrix_text(matrix, fmt)
 
 
@@ -353,8 +385,7 @@ def state_document(n):
 
 
 def matrix_document(fmt):
-    render = cli.render_matrix_csv if fmt == "csv" else cli.render_matrix_json
-    return lambda n: render(np.full((2 ** 6, 2 ** (n - 6)), 0.5 - 0.25j))
+    return lambda n: render_rows(np.full((2 ** 6, 2 ** (n - 6)), 0.5 - 0.25j), fmt)[0]
 
 
 @pytest.mark.parametrize("document,n", [
@@ -431,8 +462,8 @@ def test_parallel_render_matches_per_entry_format(kind, size, workers, forks, mo
         chunks, expected = list(render_state(state)), reference_state_text(state)
     else:
         matrix = with_specials(rng.normal(size=shape) + 1j * rng.normal(size=shape))
-        render = cli.render_matrix_csv if kind == "csv" else cli.render_matrix_json
-        chunks, expected = list(render(matrix)), reference_matrix_text(matrix, kind)
+        chunks, product = render_rows(matrix, kind)
+        chunks, expected = list(chunks), reference_matrix_text(product, kind)
     assert b"".join(chunks).decode() == expected
     assert len(forks) == min(workers, len(chunks)) - 1
 
@@ -452,7 +483,8 @@ def test_parallel_apply_matches_per_entry_format(to_file, tmp_path, forks, monke
                         *(["--out", str(path)] if to_file else [])], capsys)
     assert code == 0 and len(forks) == 2
     qft = circuit.build_qft_circuit(2, 14)
-    expected = reference_state_text(StateVector(2, 14, circuit._basis_columns(qft, [5])[:, 0]))
+    column = circuit._outer_rows(circuit._output_factors(qft, [5]))[:, 0]
+    expected = reference_state_text(StateVector(2, 14, column))
     assert (path.read_text() if to_file else out) == expected
     if to_file:
         assert out == "" and os.listdir(tmp_path) == ["out.json"]
@@ -489,11 +521,11 @@ def test_stdout_and_out_file_carry_the_same_bytes(argv, tmp_path, monkeypatch, c
 
 def run_python(code: str) -> str:
     """Run ``code`` in a fresh interpreter that imports this package, with
-    stdout block-buffered; its stdout."""
+    stdout block-buffered; its stdout.  A run that hangs fails after 60 s."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
+                          env=env, check=True, timeout=60)
     return proc.stdout
 
 
@@ -506,7 +538,7 @@ def test_text_buffered_before_the_fork_is_written_once():
         "sys.exit(cli.main(['apply', '--radix', '2', '--digits', '14', '--basis', '5']))"
     )
     qft = circuit.build_qft_circuit(2, 14)
-    state = StateVector(2, 14, circuit._basis_columns(qft, [5])[:, 0])
+    state = StateVector(2, 14, circuit._outer_rows(circuit._output_factors(qft, [5]))[:, 0])
     assert out == "buffered before the fork\n" + reference_state_text(state)
 
 
@@ -604,6 +636,27 @@ class TestParallelRenderFailures:
         chunks.close()
         self.assert_no_children()
 
+    def test_two_open_documents_both_close(self):
+        # a worker of the second document must not hold the first one's
+        # pipe open, or closing the first waits for its worker forever.  A
+        # fresh interpreter runs it, so a regression times out, not hangs.
+        out = run_python(textwrap.dedent("""
+            import os
+            import numpy as np
+            from qudit_qft import cli
+            from qudit_qft.numerics import StateVector
+            cli._render_workers = lambda: 2
+            s = StateVector(2, 16, np.full(2 ** 16, 2 ** -8 + 0j))
+            g1 = cli.render_state(s); next(g1)
+            g2 = cli.render_state(s); next(g2)
+            g1.close(); g2.close()
+            try:
+                os.waitpid(-1, os.WNOHANG)
+            except ChildProcessError:
+                print("closed both")
+        """))
+        assert out == "closed both\n"
+
 
 # ------------------------------------------------ exact float kernel
 
@@ -686,7 +739,8 @@ def test_float_kernel_on_zeros_subnormals_and_range_borders():
 def test_float_kernel_on_command_outputs():
     # every distinct value of the apply state at (2,19) and of the pruned
     # (3,7,2) matrix; signed zeros are distinct values here
-    state = circuit._basis_columns(circuit.build_qft_circuit(2, 19), [59298])[:, 0]
+    qft = circuit.build_qft_circuit(2, 19)
+    state = circuit._outer_rows(circuit._output_factors(qft, [59298]))[:, 0]
     matrix = circuit.circuit_to_matrix(circuit.build_qft_circuit(3, 7, 2))
     for amplitudes in (state, matrix):
         bits = np.unique(amplitudes.view(np.float64).view(np.uint64))
@@ -716,6 +770,14 @@ class TestApply:
                                         "--basis", "5", "--out", str(path)])
         assert code == 0
         assert peak <= 2 ** 18 * 16 + 3 * 2 ** 20
+
+    def test_single_digit_basis_is_the_compiled_column(self, capsys):
+        # at n = 1 the left half is the ones row, and 1 * z is z bit for bit
+        code, out, _ = run(["apply", "--radix", "600", "--digits", "1", "--basis", "17"],
+                           capsys)
+        assert code == 0
+        column = circuit.circuit_to_matrix(circuit.build_qft_circuit(600, 1))[:, 17]
+        assert out == reference_state_text(StateVector(600, 1, column))
 
     def test_basis_zero_base2(self, capsys):
         code, out, _ = run(["apply", "--radix", "2", "--digits", "1"], capsys)
@@ -1250,7 +1312,6 @@ class TestDimCapLimit:
             raise ReachedSimulation
 
         monkeypatch.setattr(cli, "build_qft_circuit", reached)
-        monkeypatch.setattr(cli, "circuit_to_matrix", reached)
         monkeypatch.setattr(cli, "_product_halves", reached)
 
     # numpy's "array is too big" and Circuit's phase-modulus refusal used to
@@ -1275,8 +1336,8 @@ class TestDimCapLimit:
 
 @pytest.mark.parametrize("name,argv", [
     ("_product_halves", ["verify", "--radix", "2", "--digits", "3"]),
-    ("circuit_to_matrix", ["gen-matrix", "--radix", "2", "--digits", "3"]),
-    ("_basis_columns", ["apply", "--radix", "2", "--digits", "3"]),
+    ("_product_halves", ["gen-matrix", "--radix", "2", "--digits", "3"]),
+    ("_product_halves", ["apply", "--radix", "2", "--digits", "3"]),
     ("approximation_report", ["bounds", "--radix", "2", "--digits", "3"]),
 ])
 def test_internal_value_error_propagates(name, argv, monkeypatch):
