@@ -36,8 +36,9 @@ tiles of a few rows on every CPU the process may run on
 (``circuit._oracle_distance``, with ``_render_workers()`` threads; the
 distance does not depend on the thread count), and takes the unitarity
 residual from the Kronecker structure of the halves
-(``numerics.product_unitarity_residual``).  At n = 1 the left half is one
-row of ones, M is the right half, and its residual is the blocked one.
+(``numerics.product_unitarity_residual``), over only the Gram columns a
+bound leaves able to hold the maximum.  At n = 1 the left half is one row
+of ones, M is the right half, and its residual is the blocked one.
 
 Usage errors are ``UsageError``s raised by one up-front check per command
 (``_check_args``); any other exception is a fault of the program and

@@ -22,7 +22,7 @@ import numpy as np
 # child) is at most 668 MiB, reached at n = 1, radix 4096, by both commands:
 # the q x q gate and the slots of the product engine are 256 MiB each and
 # coexist.  With two or more digits gen-matrix peaked at 41 MiB at (2, 12)
-# and 52 MiB at (16, 3), and verify at 53 and 99 MiB.  The cap bounds the
+# and 52 MiB at (16, 3), and verify at 47 and 72 MiB.  The cap bounds the
 # rest: a gen-matrix document at 4096 is about 890 MB and grows with the
 # square of the dimension, as do the gate and slots at n = 1 (1024 MiB
 # each at 8192).
@@ -36,6 +36,17 @@ NORM_TOL = 1e-10
 # 256, 512 and 1024 all took 4.0-4.3 s for the residual (2-vCPU VM), against
 # 6.5 s for one full product; the smallest keeps the temporaries smallest.
 BLOCK_ROWS = 256
+
+# Slack of product_unitarity_residual's column bound, in units of 2**-53
+# per unit of p + 4.  Column (j, l), j != l, holds GEMM sums over s < p of
+# c_s * H_s[j, l], c_s = low[i, s] * conj(low[k, s]).  By Hoelder their
+# exact value is at most max|c_s| * h, h = sum_s |H_s[j, l]|, and Higham
+# (Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1 and 3.6)
+# bounds the GEMM's rounding by gamma_(p+2) times that.  Forming the bound
+# from m = max|low| and h (c_s is within sqrt(2) * gamma_2 of a product of
+# moduli) rounds under 2p + 20 units in all.  p * 2**-1070, added where
+# underflow enters, covers its absolute errors of a few 2**-1074 each.
+BOUND_ULPS = 16
 
 # The least value of each parameter that check_params knows.
 _LEAST = {"radix": 2, "digits": 1, "keep_depth": 1, "denom_exp": 1, "terms": 1,
@@ -105,10 +116,14 @@ def product_unitarity_residual(left, right) -> float:
     with ``L = left[:, :p]`` and ``H_s = R_s @ adjoint(R_s)`` for the
     columns ``R_s = right[:, s::p]``, entry ``((i, j), (k, l))`` of
     ``M @ adjoint(M)`` is ``sum_s L[i, s] * conj(L[k, s]) * H_s[j, l]``.
-    One batched product builds every ``H_s``, and one GEMM per ``i`` the
-    entries of rows ``(i, .)`` in columns ``(k, .)`` with ``k >= i``: that
-    is ``p * r**3 + p**3 * r**2 / 2`` complex multiply-adds for
-    ``r = len(right)``, where the blocked form takes ``(p * r)**3 / 2``.
+    A product per ``s`` builds ``H_s``.  A GEMM per ``i`` forms rows
+    ``(i, .)`` in columns ``(k, .)``, ``k >= i``, first over the Gram
+    columns ``(j, j)``, then over the columns ``(j, l)`` whose bound (see
+    ``BOUND_ULPS``) is not below the largest entry found: the result is
+    that of all columns, bit for bit.  On the QFT's halves no other column
+    was left at any size measured, so the work is ``p * r**3 + p**3 * r /
+    2`` complex multiply-adds for ``r = len(right)``, where all columns
+    take ``p * r**3 + p**3 * r**2 / 2`` and the blocked form ``(p * r)**3 / 2``.
     The sums run over the exact products, so the result may differ in its
     last bits from ``unitarity_residual`` of the rounded ``M``; where
     ``left`` is one row of ones, ``M`` is ``right`` and the result is
@@ -122,17 +137,37 @@ def product_unitarity_residual(left, right) -> float:
     if p == 1 and left[0, 0] == 1:
         return unitarity_residual(right)
     low = left[:, :p]
+    gram, h = np.empty((p, r * r), np.complex128), np.zeros(r * r)
     # columns = (x_high, s) in C order, so R_s is right[:, :, s]
-    parts = right.reshape(r, -1, p).transpose(2, 0, 1)
-    gram = (parts @ parts.conj().transpose(0, 2, 1)).reshape(p, r * r)
-    maxima = []
-    for i in range(p):
-        # Hermitian, as in unitarity_residual: rows (i, .) against (k, .), k >= i
-        block = ((low[i] * low[i:].conj()) @ gram).reshape(p - i, r, r)
-        block[0][np.diag_indices(r)] -= 1
-        maxima.append(np.abs(block).max())
+    for s, part in enumerate(right.reshape(r, -1, p).transpose(2, 0, 1)):
+        np.matmul(part, part.conj().T, out=gram[s].reshape(r, r))
+        h += np.abs(gram[s])
+    diagonal = np.arange(r) * (r + 1)
+    found = _gram_deviation(low, gram, diagonal, r)
+    tiny = p * 2.0 ** -1070
+    bound = ((np.abs(low).max() ** 2 + tiny) * (h + tiny)
+             * (1 + BOUND_ULPS * (p + 4) * 2.0 ** -53) + tiny)
+    keep = ~(bound < found)  # a NaN on either side keeps the column
+    keep[diagonal] = False
     # np.max, unlike the builtin max, carries a NaN through
-    return float(np.max(maxima))
+    return float(np.max([found, _gram_deviation(low, gram, np.flatnonzero(keep), r)]))
+
+
+def _gram_deviation(low: np.ndarray, gram: np.ndarray, cols: np.ndarray,
+                    r: int) -> float:
+    """Largest ``|G - I|`` over ``G``'s entries ``((i, j), (k, l))``, k >= i,
+    with ``j * r + l`` in ``cols``, 0 if none.  ``np.take`` copies them in C
+    order; ``gram[:, cols]`` is F-ordered, which sends OpenBLAS to another
+    kernel and moves the last bits."""
+    sub = np.take(gram, cols, axis=1)
+    on_diagonal = cols % (r + 1) == 0  # j == l
+    maxima = []
+    for i in range(len(low)):
+        # Hermitian, as in unitarity_residual: rows (i, .) against (k, .), k >= i
+        block = (low[i] * low[i:].conj()) @ sub
+        block[0, on_diagonal] -= 1
+        maxima.append(np.abs(block).max(initial=0))
+    return np.max(maxima)
 
 
 def _read_only(a) -> bool:

@@ -40,6 +40,7 @@ from qudit_qft.circuit import (
     _run_product,
     _tiles,
 )
+from qudit_qft.cli import main
 from qudit_qft.numerics import unitarity_residual
 
 RNG = np.random.default_rng(55021)
@@ -549,6 +550,20 @@ class TestRunProduct:
         # each input's basis digit carries amplitude 1, which scales its column
         expected = chrestenson_gate(q) * np.ones(q, dtype=complex)
         assert np.array_equal(slots[0].view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 7, 16])
+    def test_first_gate_scale_clears_negative_zero_parts(self, q):
+        # the gate stores -0.0 imaginary parts (exponent 0); the first
+        # gate's multiply by the input's scale 1+0j turns them into +0.0,
+        # which is why documents print 0 there and not -0
+        gate = chrestenson_gate(q).imag
+        assert np.signbit(gate[gate == 0]).any()
+        slots = _run_product(build_qft_circuit(q, 2), np.arange(q * q), {}, q * q).imag
+        assert (slots == 0).any() and not np.signbit(slots[slots == 0]).any()
+
+    def test_gen_matrix_prints_positive_zero_parts(self, capsys):
+        assert main(["gen-matrix", "--radix", "4", "--digits", "1", "--format", "csv"]) == 0
+        assert "0,0,0.5,0" in capsys.readouterr().out.splitlines()
 
     def test_refuses_a_control_after_its_chrestenson(self):
         op = GateOp.controlled_phase(0, 1, 2)

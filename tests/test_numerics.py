@@ -132,14 +132,109 @@ def periodic_product(p: int, r: int):
     return left, right, (left[:, np.newaxis] * right).reshape(p * r, p * r)
 
 
+def all_columns_residual(left, right) -> float:
+    """``product_unitarity_residual`` over every Gram column: one GEMM per
+    row of ``left`` against all ``r**2`` columns ``(j, l)``, none skipped
+    by a bound.  The form the pruned residual must equal bit for bit."""
+    p, r = len(left), len(right)
+    low = left[:, :p]
+    parts = right.reshape(r, -1, p).transpose(2, 0, 1)
+    gram = (parts @ parts.conj().transpose(0, 2, 1)).reshape(p, r * r)
+    maxima = []
+    for i in range(p):
+        block = ((low[i] * low[i:].conj()) @ gram).reshape(p - i, r, r)
+        block[0][np.diag_indices(r)] -= 1
+        maxima.append(np.abs(block).max())
+    return float(np.max(maxima))
+
+
+def same_bits(a: float, b: float) -> bool:
+    return np.float64(a).view(np.uint64) == np.float64(b).view(np.uint64)
+
+
+QFT_SIZES = [(q, n) for n in range(2, 11) for q in range(2, 33) if q ** n <= 1024]
+# the splits verify runs at the cap: p = r = 64 three ways, the largest
+# right half at (16, 3), and the uneven p = 27, r = 81 at (3, 7)
+LARGE_SIZES = [(2, 12), (16, 3), (4, 6), (64, 2), (3, 7)]
+
+
+@pytest.fixture
+def column_passes(monkeypatch):
+    """The number of Gram columns of each pass of the residual, in order."""
+    passes = []
+    deviation = numerics._gram_deviation
+
+    def recording(low, gram, cols, r):
+        passes.append(len(cols))
+        return deviation(low, gram, cols, r)
+
+    monkeypatch.setattr(numerics, "_gram_deviation", recording)
+    return passes
+
+
+def qft_halves(q: int, n: int):
+    return _product_halves(build_qft_circuit(q, n), np.arange(q ** n))
+
+
 class TestProductUnitarityResidual:
-    @pytest.mark.parametrize("q,n", [(q, n) for n in range(2, 11) for q in range(2, 33)
-                                     if q ** n <= 1024])
+    @pytest.mark.parametrize("q,n", QFT_SIZES)
     def test_within_1e14_of_the_compiled_residual(self, q, n):
         circuit = build_qft_circuit(q, n)
         left, right = _product_halves(circuit, np.arange(q ** n))
         compiled = unitarity_residual(circuit_to_matrix(circuit))
         assert abs(product_unitarity_residual(left, right) - compiled) <= 1e-14
+
+    @pytest.mark.parametrize("q,n", QFT_SIZES + LARGE_SIZES)
+    def test_qft_halves_equal_all_columns_bit_for_bit(self, q, n):
+        left, right = qft_halves(q, n)
+        residual = product_unitarity_residual(left, right)
+        assert same_bits(residual, all_columns_residual(left, right))
+
+    @pytest.mark.parametrize("q,n", LARGE_SIZES)
+    def test_large_qft_halves_skip_every_off_diagonal_column(self, q, n, column_passes):
+        # the bound of a Gram column (j, l) with j != l reads at most 0.41 of
+        # the largest entry of the columns (j, j) at these sizes
+        left, right = qft_halves(q, n)
+        product_unitarity_residual(left, right)
+        assert column_passes == [len(right), 0]
+
+    @pytest.mark.parametrize("change,kept", [
+        # a modulus: the largest entry is on a diagonal column (j, j)
+        ("nudge", 0),
+        # a phase leaves every H_s[j, j] but moves H_s[5, l] and H_s[l, 5]
+        ("twist", 2 * 63),
+        ("noise", 64 * 63),
+        ("nan", 64 * 63),
+    ])
+    def test_changed_halves_keep_the_columns_that_can_hold_the_maximum(
+            self, change, kept, column_passes):
+        left, right = qft_halves(2, 12)
+        if change == "nudge":
+            right[5, 100] *= 1 + 1e-9
+        elif change == "twist":
+            right[5, 100] *= np.exp(1e-9j)
+        elif change == "noise":
+            rng = np.random.default_rng(7)
+            right += 1e-12 * (rng.normal(size=right.shape) + 1j * rng.normal(size=right.shape))
+        else:
+            right[7, 33] = np.nan
+        residual = product_unitarity_residual(left, right)
+        assert column_passes == [64, kept]
+        expected = all_columns_residual(left, right)
+        if change == "nan":
+            assert np.isnan(residual) and np.isnan(expected)
+        else:
+            assert same_bits(residual, expected)
+            # far above the QFT's 2e-15, so the change is what is measured
+            assert residual > 1e-13
+
+    def test_peak_memory_holds_the_gram_matrices_and_one_slice(self, traced_peak):
+        # at (16, 3), p = 16 and r = 256: the Gram matrices take 16 MiB; a
+        # conjugate copy of all of right takes 16 MiB more, and the GEMM
+        # blocks (p - i, r**2) of every column peaked at 47 MiB
+        left, right = qft_halves(16, 3)
+        _, peak = traced_peak(product_unitarity_residual, left, right)
+        assert peak <= 24 * 2 ** 20
 
     @pytest.mark.parametrize("p,r", [(1, 3), (3, 1), (4, 5), (6, 6)])
     def test_finds_the_largest_entry_of_any_row(self, p, r):
