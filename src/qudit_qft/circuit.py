@@ -24,10 +24,10 @@ output states, from which ``circuit_to_matrix`` compiles such a circuit.
 The CLI reads them only as two halves at every width (``_product_halves``;
 at n = 1 the left one is a row of ones), whose products are the entries of
 the compiled matrix bit for bit: ``verify`` checks them against the DFT
-tile by tile (``_oracle_distance``), ``gen-matrix`` renders them a chunk of
-rows at a time and ``apply`` multiplies out its one basis state.  The
-dense simulator runs state inputs, the two boundary chunks of ``bounds``,
-and the compile of a circuit that ``_breaks_product``.
+tile by tile (``_oracle_distance``), and ``gen-matrix`` and ``apply`` on a
+basis state render them a chunk of entries at a time.  The dense
+simulator runs state inputs, the two boundary chunks of ``bounds``, and
+the compile of a circuit that ``_breaks_product``.
 
 Digit conventions: ``x_0`` is the least significant digit, state index
 ``i = sum_j x_j * q**j``, and the leftmost Kronecker factor addresses the

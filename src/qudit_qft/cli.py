@@ -29,13 +29,16 @@ a product of n single-digit states, with no dense simulation and no
 identity input, and no command builds the matrix M.  Each takes the two
 halves of M's last product (``circuit._product_halves``), whose row
 ``(i, j)`` is ``left[i] * right[j]``, the compiled entries bit for bit.
-gen-matrix multiplies out the rows each chunk touches as it renders it
-(``render_matrix``), and apply its one column; only a state read with
-``--in`` runs the dense simulator.  verify compares M with the DFT in
-tiles of a few rows on every CPU the process may run on
-(``circuit._oracle_distance``, with ``_render_workers()`` threads; the
-distance does not depend on the thread count), and takes the unitarity
-residual from the Kronecker structure of the halves
+One chunk reader (``_product_entries``) multiplies out only the entries
+each chunk touches as it renders it: the rows of M for gen-matrix
+(``render_matrix``), and the amplitudes of its one column for apply
+(``render_product_state``), so neither M nor the q**n state is held:
+apply --basis peaked at 33 MiB at 2**20 (see ``MAX_STATE_DIM``).  Only a state read with ``--in`` runs the dense
+simulator.  verify compares M with the DFT in tiles of a few rows on every
+CPU the process may run on (``circuit._oracle_distance``, with
+``_render_workers()`` threads; the distance does not depend on the thread
+count), and takes the unitarity residual from the Kronecker structure of
+the halves
 (``numerics.product_unitarity_residual``), over only the Gram columns a
 bound leaves able to hold the maximum.  At n = 1 the left half is one row
 of ones, M is the right half, and its residual is the blocked one.
@@ -67,6 +70,7 @@ from .numerics import (
     DEFAULT_DIM_CAP as MAX_DIM_CAP,
     NORM_TOL,
     StateVector,
+    _check_unit_norm,
     _freeze,
     _norm_sq,
     check_params,
@@ -76,11 +80,13 @@ from .numerics import (
 
 # apply and bounds refuse registers of more amplitudes than this, so that
 # their peak RSS stays within a 512 MiB budget.  At 2**20 amplitudes (2-vCPU
-# Linux VM, ru_maxrss of the child) apply peaked at 49 MiB from --basis and
-# 269 MiB from --in, most of it the parsed JSON list of pairs, and bounds
-# at 143 MiB (q=2, keep-depth 3) and 134 MiB (q=4, keep-depth 2).  Every
-# array either allocates is O(q**n), and each state exists once: a
-# StateVector holds the array its producer built, not a copy.
+# Linux VM, ru_maxrss of the child) apply peaked at 270 MiB from --in, most
+# of it the parsed JSON list of pairs, and bounds at 143 MiB (q=2,
+# keep-depth 3) and 134 MiB (q=4, keep-depth 2).  Every array they allocate
+# is O(q**n), and each state exists once: a StateVector holds the array its
+# producer built, not a copy.  apply --basis holds no state: it renders
+# each chunk from the product halves, and peaked at 33 MiB at 2**20, 2**19
+# and 3**12 alike and at 31 MiB at 2**10; the limit still applies to it.
 MAX_STATE_DIM = 2 ** 20
 
 # apply and bounds also refuse a radix above this: the dense q x q
@@ -114,9 +120,10 @@ _JSON_FOOTER = b"\n  ]\n}\n"
 # freed.  A chunk's digit rows and text take a few hundred KiB each, so
 # _render_amplitudes frees one untouched block of this size before it
 # forks; the chunks of every worker then reuse heap pages.  Rendering the
-# 2^19 apply state (2-vCPU VM, 2 workers) took 36-37 thousand minor page
-# faults and 0.21-0.23 s without it, 2.4 thousand and 0.17-0.20 s with it
-# (1 MiB was not enough: the heap was trimmed and faulted again).
+# 2^19 apply --basis document from its product halves (2-vCPU VM, 2
+# workers, 5 runs each) took 20.5 thousand minor page faults and 0.12-0.15 s
+# without it, 2.5 thousand and 0.11-0.12 s with it (1 and 2 MiB read the
+# same there).
 _HEAP_PRIMER_BYTES = 4 << 20
 
 # The decimal exponents of 1e-6 < |x| < 1e17, the range ``_float_rows``
@@ -443,11 +450,47 @@ def _render_amplitudes(header: bytes, entries, size: int, footer: bytes,
         raise RuntimeError(f"render worker exited with wait status {failed[0]}")
 
 
+def _product_entries(left: np.ndarray, right: np.ndarray):
+    """``(entries, size)`` of ``_render_amplitudes`` for the ``size``
+    entries, in row-major order, of the matrix ``M`` whose row ``(i, j)``
+    is ``left[i] * right[j]`` (the product halves of
+    ``circuit._product_halves``); a product state is its one-column case.
+    Each call of ``entries`` multiplies out only the rows of ``M`` it
+    touches, with the product that builds ``M`` in ``circuit._outer_rows``,
+    so ``M`` is never held whole and its entries are the compiled ones bit
+    for bit."""
+    cols, r = left.shape[1], len(right)
+    size = len(left) * r * cols
+
+    def entries(start: int, end: int) -> np.ndarray:
+        i, j = np.divmod(np.arange(start // cols, -(-min(end, size) // cols)), r)
+        return (left[i] * right[j]).ravel()[start % cols:][:end - start]
+    return entries, size
+
+
+def _state_document(radix: int, digits: int, entries, size: int):
+    """The state document of the ``size`` amplitudes that ``entries``
+    reads, in chunks (see ``_render_amplitudes``)."""
+    header = f'{{\n  "radix": {radix},\n  "digits": {digits},\n  "amplitudes": [\n'
+    return _render_amplitudes(header.encode(), entries, size, _JSON_FOOTER)
+
+
 def render_state(state: StateVector):
     """The state document, in chunks (see ``_render_amplitudes``)."""
-    header = f'{{\n  "radix": {state.radix},\n  "digits": {state.digits},\n  "amplitudes": [\n'
     amps = state.amplitudes
-    return _render_amplitudes(header.encode(), lambda a, b: amps[a:b], len(amps), _JSON_FOOTER)
+    return _state_document(state.radix, state.digits, lambda a, b: amps[a:b], len(amps))
+
+
+def render_product_state(radix: int, digits: int, left: np.ndarray, right: np.ndarray):
+    """The document of the state whose amplitude ``i * len(right) + j`` is
+    ``left[i, 0] * right[j, 0]`` (the halves of ``circuit._product_halves``
+    for one basis input), in chunks, each multiplied out as it is rendered.
+
+    ``StateVector``'s checks run here, before the first chunk, on the
+    halves: both must be finite, and the product of their norms**2 (the
+    state's) within ``NORM_TOL`` of 1; otherwise ``ValueError``."""
+    _check_unit_norm(_norm_sq(left[:, 0]) * _norm_sq(right[:, 0]), left, right)
+    return _state_document(radix, digits, *_product_entries(left, right))
 
 
 def _finite_number(v) -> bool:
@@ -499,22 +542,14 @@ def parse_state(text: str, radix: int, digits: int, tolerance: float) -> StateVe
 
 
 def render_matrix(left: np.ndarray, right: np.ndarray, fmt: str):
-    """The matrix ``M`` whose row ``(i, j)`` is ``left[i] * right[j]`` (the
-    product halves of ``circuit._product_halves``), in chunks: a JSON
-    document of row-major entries, or ``row,col,re,im`` CSV lines.  Each
-    chunk multiplies out only the rows of ``M`` it touches, with the
-    product that builds ``M`` in ``circuit._outer_rows``, so ``M`` is never
-    held whole and its entries are the compiled ones bit for bit."""
-    cols, r = left.shape[1], len(right)
-    size = len(left) * r * cols
-
-    def entries(start: int, end: int) -> np.ndarray:
-        i, j = np.divmod(np.arange(start // cols, -(-min(end, size) // cols)), r)
-        return (left[i] * right[j]).ravel()[start % cols:][:end - start]
-
+    """The matrix ``M`` whose row ``(i, j)`` is ``left[i] * right[j]``, in
+    chunks read by ``_product_entries``: a JSON document of row-major
+    entries, or ``row,col,re,im`` CSV lines."""
+    entries, size = _product_entries(left, right)
+    cols = left.shape[1]
     if fmt == "csv":
         return _render_amplitudes(b"row,col,re,im\n", entries, size, b"\n", cols)
-    header = f'{{\n  "rows": {len(left) * r},\n  "cols": {cols},\n  "entries": [\n'
+    header = f'{{\n  "rows": {size // cols},\n  "cols": {cols},\n  "entries": [\n'
     return _render_amplitudes(header.encode(), entries, size, _JSON_FOOTER)
 
 
@@ -696,15 +731,14 @@ def cmd_apply(args) -> int:
                 state = parse_state(fh.read(), q, n, args.tolerance)
         except UnicodeDecodeError as exc:  # read as text: no second copy of the file
             raise UsageError(f"malformed state file: not UTF-8 ({exc})") from None
-        result = apply_circuit(circuit, state)
+        chunks = render_state(apply_circuit(circuit, state))
     else:
         index = args.basis if args.basis is not None else 0
         if not 0 <= index < q ** n:
             raise UsageError(f"--basis {index} out of range for dimension {q ** n}")
         # a basis input stays a product state: no dense simulation runs
-        left, right = _product_halves(circuit, [index])
-        result = StateVector(q, n, _freeze((left * right.T).ravel()))
-    _emit(render_state(result), args.output_path)
+        chunks = render_product_state(q, n, *_product_halves(circuit, [index]))
+    _emit(chunks, args.output_path)
     return 0
 
 

@@ -202,6 +202,18 @@ def _norm_sq(amps: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", pairs, pairs))
 
 
+def _check_unit_norm(norm_sq: float, *parts: np.ndarray) -> None:
+    """``StateVector``'s checks of amplitudes built from ``parts`` (the
+    state, or the halves of a product state) whose norm**2 is ``norm_sq``:
+    ``ValueError`` if a part holds a NaN or infinite entry, or if the norm
+    strays from 1 by more than ``NORM_TOL``.  A non-finite entry makes the
+    norm so, and so can overflow; the parts are scanned only then."""
+    if not np.isfinite(norm_sq) and not all(np.isfinite(part).all() for part in parts):
+        raise ValueError("amplitudes must be finite")
+    if abs(norm_sq - 1.0) > NORM_TOL:
+        raise ValueError(f"state norm**2 is {norm_sq!r}, expected 1")
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Unit-norm amplitudes of an n-digit base-q register.
@@ -232,12 +244,7 @@ class StateVector:
                 f"expected {self.radix ** self.digits} amplitudes, "
                 f"got shape {amps.shape}"
             )
-        norm_sq = _norm_sq(amps)
-        # a NaN or infinite entry makes the norm so; so can overflow
-        if not np.isfinite(norm_sq) and not np.isfinite(amps).all():
-            raise ValueError("amplitudes must be finite")
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm**2 is {norm_sq!r}, expected 1")
+        _check_unit_norm(_norm_sq(amps), amps)
         object.__setattr__(self, "amplitudes", amps)
 
     @property

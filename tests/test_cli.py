@@ -757,19 +757,78 @@ def test_int_rows_match_str():
         assert text == "\n".join(map(str, part.tolist()))
 
 
+def dense_basis_document(q, n, depth, k) -> bytes:
+    """The document of ``apply --basis k`` rendered from the whole state,
+    multiplied out from the product halves in one array."""
+    left, right = circuit._product_halves(circuit.build_qft_circuit(q, n, depth), [k])
+    return b"".join(render_state(StateVector(q, n, (left * right.T).ravel())))
+
+
 class TestApply:
-    def test_basis_peak_memory_is_the_state_and_a_little(self, traced_peak, tmp_path,
-                                                         monkeypatch):
-        # the output column is the state itself: no copy, no |a|**2 temporaries.
+    @pytest.mark.parametrize("digits", [18, 20])
+    def test_basis_peak_memory_is_a_few_chunks(self, digits, traced_peak, tmp_path,
+                                               monkeypatch):
+        # each chunk multiplies out only its own amplitudes, so no q**n array
+        # exists (the state alone is 4 MiB at 2**18 and 16 MiB at 2**20).
         # The renderer's heap primer is allocated and freed untouched, so it
         # is never resident; tracemalloc would count it all the same.
         monkeypatch.setattr(cli, "_HEAP_PRIMER_BYTES", 0)
         path = tmp_path / "out.json"
         main(["apply", "--radix", "2", "--digits", "2", "--basis", "1", "--out", str(path)])
-        code, peak = traced_peak(main, ["apply", "--radix", "2", "--digits", "18",
+        code, peak = traced_peak(main, ["apply", "--radix", "2", "--digits", str(digits),
                                         "--basis", "5", "--out", str(path)])
         assert code == 0
-        assert peak <= 2 ** 18 * 16 + 3 * 2 ** 20
+        assert peak <= 3 * 2 ** 20
+
+    # one chunk, a partial last chunk, the ones row of n = 1, a pruned
+    # circuit, and the benchmark's size
+    @pytest.mark.parametrize("q,n,depth,k", [
+        (2, 12, None, 1234), (3, 8, None, 100), (600, 1, None, 17), (3, 7, 2, 55),
+        (2, 19, None, 12345),
+    ])
+    def test_basis_document_equals_the_dense_state_rendered(self, q, n, depth, k,
+                                                            monkeypatch, tmp_path,
+                                                            capsysbinary):
+        expected = dense_basis_document(q, n, depth, k)
+        argv = ["apply", "--radix", str(q), "--digits", str(n), "--basis", str(k)]
+        if depth is not None:
+            argv += ["--keep-depth", str(depth)]
+        path = tmp_path / "state.json"
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(cli, "_render_workers", lambda: workers)
+            assert main(argv) == 0
+            assert capsysbinary.readouterr().out == expected
+            assert main(argv + ["--out", str(path)]) == 0
+            assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize("half", [0, 1])
+    @pytest.mark.parametrize("change,message", [
+        ("poison", "amplitudes must be finite"),
+        ("scale", r"state norm\*\*2 is 1\.002\d*, expected 1"),
+    ], ids=["poison", "scale"])
+    def test_changed_half_is_refused_before_any_output(self, half, change, message,
+                                                       monkeypatch, tmp_path, capsys):
+        split = cli._product_halves
+
+        def changed(circuit, x):
+            halves = split(circuit, x)
+            if change == "poison":
+                halves[half][1] = np.nan
+            else:
+                halves[half][:] *= 1.001
+            return halves
+
+        monkeypatch.setattr(cli, "_product_halves", changed)
+        argv = ["apply", "--radix", "2", "--digits", "6", "--basis", "9"]
+        path = tmp_path / "state.json"
+        path.write_bytes(b"old")
+        with pytest.raises(ValueError, match=message):
+            main(argv + ["--out", str(path)])
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["state.json"]  # no temporary file left
+        with pytest.raises(ValueError, match=message):
+            main(argv)
+        assert capsys.readouterr().out == ""
 
     def test_single_digit_basis_is_the_compiled_column(self, capsys):
         # at n = 1 the left half is the ones row, and 1 * z is z bit for bit
