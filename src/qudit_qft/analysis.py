@@ -200,9 +200,9 @@ def _bracket_phase_maxima(q: int, n: int, keep_depth: int | None) -> list[float]
         mismatches.append(first_mismatch(x, *slots, shifts_of(x)))
     rows = max(1, _CHUNK_AMPLITUDES // (n * q))
     maxima = np.zeros(n)
-    # both circuits read the Chrestenson gate and their roots-of-unity
-    # tables, of up to q**n entries, from here, each built once for the
-    # whole pass
+    # both circuits read the Chrestenson gate's q scaled roots and their
+    # roots-of-unity tables, of up to q**n entries, from here, each built
+    # once for the whole pass
     cache = {}
     for start in range(0, dim, rows):
         x = np.arange(start, min(start + rows, dim))

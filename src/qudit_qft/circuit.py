@@ -22,10 +22,10 @@ output-digit order, with no copy.  It serves every basis input: ``bounds``
 checks each input's slots, and ``_outer_rows`` multiplies them out into
 output states, from which ``circuit_to_matrix`` compiles such a circuit.
 The CLI reads them only as two halves at every width (``_product_halves``;
-at n = 1 the left one is a row of ones), whose products are the entries of
-the compiled matrix bit for bit: ``verify`` checks them against the DFT
-tile by tile (``_oracle_distance``), and ``gen-matrix`` and ``apply`` on a
-basis state render them a chunk of entries at a time.  The dense
+the left one as its period block, at n = 1 a single 1), whose products are
+the entries of the compiled matrix bit for bit: ``verify`` checks them
+against the DFT tile by tile (``_oracle_distance``), and ``gen-matrix`` and
+``apply`` on a basis state render them a chunk of entries at a time.  The dense
 simulator runs state inputs, the two boundary chunks of ``bounds``, and
 the compile of a circuit that ``_breaks_product``.
 
@@ -44,7 +44,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import kernels
-from .gates import chrestenson_gate, roots_of_unity
+from .gates import chrestenson_gate, chrestenson_roots, roots_of_unity
 from .numerics import DEFAULT_DIM_CAP, StateVector, _freeze, check_params
 
 CHRESTENSON = "chrestenson"
@@ -55,6 +55,13 @@ CONTROLLED_PHASE = "controlled_phase"
 # least one to any sum it has reduced below the modulus and stay in int64.
 _MAX_PHASE_MODULUS = 2 ** 62
 _INT64_MAX = 2 ** 63 - 1
+
+# Entries of a slot that _run_product's first Chrestenson gate gathers at
+# a time, and of their int64 index (32 KiB).  bounds at (2048, 1, 1), whose
+# chunks hold 64 inputs, took 1.36 s gathering one row per call and 0.86 s
+# in blocks of this many entries, as while it copied columns of the q x q
+# gate (2-vCPU VM, 8 alternating child runs each).
+_GATHER_ENTRIES = 2 ** 12
 
 # Rows of M per tile of verify's oracle check (_oracle_distance): each
 # worker holds four buffers of this many rows, 1.5 MiB at t = 4096.
@@ -346,19 +353,24 @@ def _run_product(circuit: Circuit, x: np.ndarray, cache: dict,
     of fraction length ``l + 1`` either way.
 
     A slot's first Chrestenson gate meets a scaled basis digit ``c|d>``, so
-    it selects column ``d`` of ``chrestenson_gate(q)`` times ``c``; a second
-    Chrestenson gate on the same slot is a dense ``(q, q) @ (q, len(x))``
-    product.  Each maximal run of controlled phases is applied per target:
-    with ``m`` the run's largest denominator exponent, component t of a
-    target picks up ``exp(-2j*pi * k / q**m)``, where ``k`` is
+    it selects column ``d`` of ``chrestenson_gate(q)`` times ``c``: component
+    ``k`` is scaled root ``k*d mod q`` (``chrestenson_roots``), gathered in
+    place a block of rows at a time, each block and its index at most
+    ``_GATHER_ENTRIES`` entries, so no q x q gate is built.  Only a second
+    Chrestenson gate on the same slot builds the gate, for a dense
+    ``(q, q) @ (q, len(x))`` product; the builders emit none.  Each maximal
+    run of controlled phases is applied per target: with ``m`` the run's
+    largest denominator exponent, component t of a target picks up
+    ``exp(-2j*pi * k / q**m)``, where ``k`` is
     ``_run_exponent`` over the target's shifts with the components
     ``1..q-1`` as its digit and the inputs' basis digits as the controls.
     The run-wide ``m`` keeps each phase the value ``_fused_phases`` rounds.
     Its phases are read from a table of the ``q**m`` roots of unity where
     that table holds at most ``largest_table`` entries, and evaluated
     directly otherwise; each is the same once-rounded value either way.
-    The gate and the tables are kept in ``cache``: a caller that runs every
-    input in chunks passes one dict to every call, so each is built once.
+    The scaled roots and the tables are kept in ``cache``: a caller that
+    runs every input in chunks passes one dict to every call, so each is
+    built once.
     """
     q = circuit.radix
     n = circuit.digits
@@ -374,10 +386,10 @@ def _run_product(circuit: Circuit, x: np.ndarray, cache: dict,
     # digit-major, so each slot and each digit row is contiguous
     slots = np.zeros((n, q, len(x)), dtype=np.complex128)
     np.put_along_axis(slots, digits[:, np.newaxis], 1.0, axis=1)
-    # kept C-contiguous, the gate is read by np.take with no copy
-    if ("chrestenson", q) not in cache:
-        cache["chrestenson", q] = chrestenson_gate(q)
-    gate = cache["chrestenson", q]
+    if ("chrestenson roots", q) not in cache:
+        cache["chrestenson roots", q] = chrestenson_roots(q)
+    roots = cache["chrestenson roots", q]
+    block = max(1, _GATHER_ENTRIES // max(1, len(x)))
     # component 0 of every target keeps phase 1
     component = np.arange(1, q, dtype=np.int64)[:, np.newaxis]
     transformed = set()
@@ -385,14 +397,17 @@ def _run_product(circuit: Circuit, x: np.ndarray, cache: dict,
         if kind == CHRESTENSON:
             target = run[0].target
             if target in transformed:
-                slots[target] = gate @ slots[target]
+                slots[target] = chrestenson_gate(q) @ slots[target]
             else:
                 row = digits[target]
                 scale = slots[target, row, inputs]  # a copy
-                # the columns are written in place: mode="wrap" skips the
-                # hidden temporary of mode="raise" (see _run_batch); row is
-                # in range
-                np.take(gate, row, axis=1, out=slots[target], mode="wrap")
+                for k in range(0, q, block):
+                    index = np.multiply.outer(np.arange(k, min(k + block, q)), row)
+                    index %= q
+                    # written in place: mode="wrap" skips the hidden
+                    # temporary of mode="raise" (see _run_batch); the index
+                    # is in range
+                    np.take(roots, index, out=slots[target, k:k + block], mode="wrap")
                 slots[target] *= scale
                 transformed.add(target)
             continue
@@ -431,26 +446,51 @@ def _output_factors(circuit: Circuit, x) -> list[np.ndarray]:
 
 def _product_halves(circuit: Circuit, x) -> tuple[np.ndarray, np.ndarray]:
     """The outputs of basis inputs ``x`` as two halves ``(left, right)``:
-    row ``(i, j)`` of input ``x[k]``'s output is ``left[i, k] * right[j, k]``.
+    row ``(i, j)`` of input ``x[k]``'s output is ``left[i, k % w] *
+    right[j, k]``, ``w = left.shape[1]`` (see ``_left_rows``).
 
-    ``left`` is the row-wise Kronecker product of the first ``h = n // 2``
-    of ``_output_factors``, ``right`` of the rest, as ``_outer_rows`` splits
-    them; the product of no factors, at n = 1, is one row of ones.  In the
-    QFT, ``left`` holds slots ``0..h-1``, which read only input digits
-    ``0..h-1``, so its column for input x depends only on ``x mod q**h``.
+    ``right`` is the row-wise Kronecker product of the last ``n - h`` of
+    ``_output_factors``, ``h = n // 2``, as ``_outer_rows`` splits them, and
+    ``left`` the first ``w = min(q**h, len(x))`` columns of that of the
+    first h (one row of ones at n = 1).  In the QFT those are slots
+    ``0..h-1``, which read only input digits ``0..h-1``, so on ``x =
+    arange(q**n)`` their columns repeat with period ``q**h``; they are
+    checked to repeat with period w, bit for bit (``ValueError`` if not).
     """
     # the slots are C-contiguous, so every product is laid out in C order and
     # the reshapes in _outer_rows copy nothing
     factors = _output_factors(circuit, x)
     h = len(factors) // 2
-    left = _outer_rows(factors[:h]) if h else np.ones((1, len(x)), np.complex128)
+    w = min(circuit.radix ** h, len(x))
+    for factor in factors[:h]:
+        bits = factor.view(np.uint64)
+        if len(x) % w or not (bits.reshape(len(bits), -1, 2 * w)
+                              == bits[:, np.newaxis, :2 * w]).all():
+            raise ValueError(
+                f"the columns of the left half do not repeat with period {w}")
+    # contiguous, so the products run numpy's contiguous loop, as on the
+    # full factors
+    periods = [np.ascontiguousarray(factor[:, :w]) for factor in factors[:h]]
+    left = _outer_rows(periods) if h else np.ones((1, w), np.complex128)
     return left, _outer_rows(factors[h:])
+
+
+def _left_rows(left: np.ndarray, i, t: int) -> np.ndarray:
+    """Rows ``i`` of the full left half of ``_product_halves`` over ``t``
+    inputs, expanded from ``left``'s ``w`` columns (column k is ``left[:, k
+    % w]``) into one C-contiguous ``(len(i), t)`` array.  The product with
+    ``right``'s rows then runs on contiguous operands, as the compile's
+    last step (``_outer_rows``) does, and gives its entries bit for bit."""
+    rows = np.empty((len(i), t), np.complex128)
+    rows.reshape(len(i), -1, left.shape[1])[:] = left[i, np.newaxis]
+    return rows
 
 
 def _tiles(left: np.ndarray, right: np.ndarray) -> list[tuple[int, int, int]]:
     """The tiles of the matrix ``M`` of ``_product_halves``, in row order,
     as ``(i, s, rows)``: the ``rows`` rows of ``M`` from row ``i *
-    len(right) + s`` on, which are ``left[i] * right[s:s + rows]``.  A tile
+    len(right) + s`` on, which are row i of the full left half times
+    ``right[s:s + rows]``.  A tile
     holds at most ``_TILE_ROWS`` rows and never crosses a block of
     ``len(right)`` rows."""
     r = len(right)
@@ -486,13 +526,14 @@ def _dft_rows(t: int):
 
 def _oracle_distance(left: np.ndarray, right: np.ndarray, workers: int) -> float:
     """Largest entry distance ``max |M - dft_matrix(t)|`` of the matrix
-    ``M`` of ``_product_halves``, whose row ``(i, j)`` is ``left[i] *
-    right[j]``, building neither.
+    ``M`` of ``_product_halves``, whose row ``(i, j)`` is row i of the full
+    left half (``_left_rows``) times ``right[j]``, building neither.
 
     Tile ``k`` of ``_tiles`` is checked by worker ``k % W``, with ``W =
     min(workers, tiles)``.  Worker 0 is the calling thread and the others
     are threads of their own; numpy releases the GIL in every step of a
-    tile.  Each worker allocates its buffers once, 1.5 MiB at t = 4096.  A
+    tile.  Each worker allocates its buffers once, 1.5 MiB at t = 4096, and
+    expands a row of the left half as its tiles reach it.  A
     tile's entries of ``M`` are the products of the compile's last step
     (``_outer_rows``), the compiled entries bit for bit (at n = 1, ``1 *
     z`` may flip a zero's sign, not the distance); its DFT rows come from
@@ -501,8 +542,7 @@ def _oracle_distance(left: np.ndarray, right: np.ndarray, workers: int) -> float
     result is the same bit for bit for every ``workers``; a NaN anywhere
     makes it NaN.  A worker's exception is raised once all have ended.
     """
-    r = len(right)
-    t = len(left) * r
+    r, t = right.shape
     tiles = _tiles(left, right)
     workers = min(workers, len(tiles))
     gather = _dft_rows(t)
@@ -515,8 +555,11 @@ def _oracle_distance(left: np.ndarray, right: np.ndarray, workers: int) -> float
             dft = np.empty((_TILE_ROWS, t), np.complex128)
             index = np.empty((_TILE_ROWS, t), np.intp)
             magnitude = np.empty((_TILE_ROWS, t), np.float64)
+            expanded = None
             for i, s, rows in tiles[w::workers]:
-                entries = np.multiply(left[i], right[s:s + rows], out=block[:rows])
+                if expanded != i:
+                    row, expanded = _left_rows(left, [i], t)[0], i
+                entries = np.multiply(row, right[s:s + rows], out=block[:rows])
                 diff = gather(i * r + s, index[:rows], dft[:rows])
                 np.subtract(entries, diff, out=diff)
                 maxima[w].append(np.abs(diff, out=magnitude[:rows]).max())

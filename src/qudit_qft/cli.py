@@ -25,23 +25,26 @@ rows from ``_layout`` and its lookup tables in ``_Tables``).
 
 gen-matrix, verify and apply on a basis state (``--basis``, or state 0 by
 default) read the QFT from its product form: every basis input's output is
-a product of n single-digit states, with no dense simulation and no
-identity input, and no command builds the matrix M.  Each takes the two
-halves of M's last product (``circuit._product_halves``), whose row
-``(i, j)`` is ``left[i] * right[j]``, the compiled entries bit for bit.
-One chunk reader (``_product_entries``) multiplies out only the entries
-each chunk touches as it renders it: the rows of M for gen-matrix
+a product of n single-digit states, with no dense simulation, no identity
+input and no q x q gate, and no command builds the matrix M.  Each takes
+the two halves of M's last product (``circuit._product_halves``): row
+``(i, j)`` of M is row i of the left half times ``right[j]``, the compiled
+entries bit for bit.  The left half's columns repeat with period p, its
+height, so it is held as its ``(p, p)`` period block, and each reader
+expands a row of it as it needs one (``circuit._left_rows``).  One chunk
+reader (``_product_entries``) multiplies out only the entries each chunk
+touches as it renders it: the rows of M for gen-matrix
 (``render_matrix``), and the amplitudes of its one column for apply
-(``render_product_state``), so neither M nor the q**n state is held:
-apply --basis peaked at 33 MiB at 2**20 (see ``MAX_STATE_DIM``).  Only a state read with ``--in`` runs the dense
+(``render_product_state``), so neither M nor the q**n state is held (see
+``MAX_STATE_DIM``).  Only a state read with ``--in`` runs the dense
 simulator.  verify compares M with the DFT in tiles of a few rows on every
 CPU the process may run on (``circuit._oracle_distance``, with
 ``_render_workers()`` threads; the distance does not depend on the thread
 count), and takes the unitarity residual from the Kronecker structure of
-the halves
-(``numerics.product_unitarity_residual``), over only the Gram columns a
-bound leaves able to hold the maximum.  At n = 1 the left half is one row
-of ones, M is the right half, and its residual is the blocked one.
+the halves (``numerics.product_unitarity_residual``), one Gram block at a
+time and over only the Gram columns a bound leaves able to hold the
+maximum.  At n = 1 the left half is a single 1, M is the right half, and
+its residual is the blocked one.
 
 Usage errors are ``UsageError``s raised by one up-front check per command
 (``_check_args``); any other exception is a fault of the program and
@@ -65,7 +68,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import CrossCheckError, approximation_report, capacity_metrics
-from .circuit import _oracle_distance, _product_halves, apply_circuit, build_qft_circuit
+from .circuit import (
+    _left_rows, _oracle_distance, _product_halves, apply_circuit, build_qft_circuit,
+)
 from .numerics import (
     DEFAULT_DIM_CAP as MAX_DIM_CAP,
     NORM_TOL,
@@ -89,12 +94,14 @@ from .numerics import (
 # and 3**12 alike and at 31 MiB at 2**10; the limit still applies to it.
 MAX_STATE_DIM = 2 ** 20
 
-# apply and bounds also refuse a radix above this: the dense q x q
-# Chrestenson gate takes 16*q**2 bytes, so peak RSS grows as q**2.  At
-# n = 1 (same VM) apply peaked at 54 MiB with radix 1024 and 126 MiB with
-# radix 2048, and bounds (keep depth 1) at 67 and 140 MiB.  Memory would
-# admit a larger radix; the limit stays at the largest radix measured until
-# its time budget is decided (at 2048 bounds took 1.1-1.2 s, apply 0.26 s).
+# apply and bounds also refuse a radix above this.  apply --basis builds no
+# q x q Chrestenson gate: at n = 1 (same VM) it peaked at 32 MiB with radix
+# 2048, as at 2**10 (126 MiB while it built the gate).  Only the two dense
+# boundary chunks of bounds still build the gate, 16*q**2 bytes, so the
+# peak of bounds grows as q**2: 137 MiB at radix 2048 (keep depth 1).
+# Memory would admit a larger radix; the limit stays at the largest radix
+# measured until its time budget is decided (at 2048 bounds took 0.8-1.0 s,
+# apply 0.12-0.13 s).
 MAX_RADIX = 2048
 
 
@@ -453,18 +460,19 @@ def _render_amplitudes(header: bytes, entries, size: int, footer: bytes,
 def _product_entries(left: np.ndarray, right: np.ndarray):
     """``(entries, size)`` of ``_render_amplitudes`` for the ``size``
     entries, in row-major order, of the matrix ``M`` whose row ``(i, j)``
-    is ``left[i] * right[j]`` (the product halves of
-    ``circuit._product_halves``); a product state is its one-column case.
-    Each call of ``entries`` multiplies out only the rows of ``M`` it
-    touches, with the product that builds ``M`` in ``circuit._outer_rows``,
-    so ``M`` is never held whole and its entries are the compiled ones bit
-    for bit."""
-    cols, r = left.shape[1], len(right)
+    is row i of the full left half times ``right[j]`` (the product halves
+    of ``circuit._product_halves``); a product state is its one-column
+    case.  Each call of ``entries`` expands the left rows it touches
+    (``circuit._left_rows``) and multiplies out only those rows of ``M``,
+    with the product that builds ``M`` in ``circuit._outer_rows``, so ``M``
+    is never held whole and its entries are the compiled ones bit for
+    bit."""
+    r, cols = right.shape
     size = len(left) * r * cols
 
     def entries(start: int, end: int) -> np.ndarray:
         i, j = np.divmod(np.arange(start // cols, -(-min(end, size) // cols)), r)
-        return (left[i] * right[j]).ravel()[start % cols:][:end - start]
+        return (_left_rows(left, i, cols) * right[j]).ravel()[start % cols:][:end - start]
     return entries, size
 
 
@@ -542,11 +550,11 @@ def parse_state(text: str, radix: int, digits: int, tolerance: float) -> StateVe
 
 
 def render_matrix(left: np.ndarray, right: np.ndarray, fmt: str):
-    """The matrix ``M`` whose row ``(i, j)`` is ``left[i] * right[j]``, in
-    chunks read by ``_product_entries``: a JSON document of row-major
+    """The matrix ``M`` of the product halves ``left`` and ``right`` (see
+    ``_product_entries``), in chunks: a JSON document of row-major
     entries, or ``row,col,re,im`` CSV lines."""
     entries, size = _product_entries(left, right)
-    cols = left.shape[1]
+    cols = right.shape[1]
     if fmt == "csv":
         return _render_amplitudes(b"row,col,re,im\n", entries, size, b"\n", cols)
     header = f'{{\n  "rows": {size // cols},\n  "cols": {cols},\n  "entries": [\n'

@@ -48,18 +48,25 @@ def walsh_hadamard_gate() -> np.ndarray:
     return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 
 
+def chrestenson_roots(q: int) -> np.ndarray:
+    """The q scaled roots ``a**k / sqrt(q)``, ``a = exp(-2j*pi/q)``, that
+    every entry of ``chrestenson_gate(q)`` is read from."""
+    check_params(radix=q)
+    return roots_of_unity(np.arange(q), q, 1 / np.sqrt(np.longdouble(q)))
+
+
 def chrestenson_gate(q: int) -> np.ndarray:
     """Base-q generalization of the Walsh-Hadamard gate.
 
     Entry (j, k) is ``a**(j*k) / sqrt(q)`` with ``a = exp(-2j*pi/q)``, read
-    from a table of the q scaled roots; the first row and column are all
+    from ``chrestenson_roots(q)``; the first row and column are all
     ``1/sqrt(q)``, and q = 2 reduces to the Walsh-Hadamard gate.
     """
-    check_params(radix=q)
+    roots = chrestenson_roots(q)
     k = np.arange(q)
     exponents = np.outer(k, k)
     exponents %= q
-    return roots_of_unity(k, q, 1 / np.sqrt(np.longdouble(q)))[exponents]
+    return roots[exponents]
 
 
 def controlled_phase_matrix(q: int, denom_exp: int) -> np.ndarray:

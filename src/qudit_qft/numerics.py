@@ -19,13 +19,13 @@ import numpy as np
 # this; gen-matrix and verify build no matrix but are held to the same cap.
 # The CLI imports it as ``MAX_DIM_CAP``: gen-matrix and verify refuse a
 # --dim-cap above it.  Peak RSS at the cap (2-vCPU VM, ru_maxrss of the
-# child) is at most 668 MiB, reached at n = 1, radix 4096, by both commands:
-# the q x q gate and the slots of the product engine are 256 MiB each and
-# coexist.  With two or more digits gen-matrix peaked at 41 MiB at (2, 12)
-# and 52 MiB at (16, 3), and verify at 47 and 72 MiB.  The cap bounds the
-# rest: a gen-matrix document at 4096 is about 890 MB and grows with the
-# square of the dimension, as do the gate and slots at n = 1 (1024 MiB
-# each at 8192).
+# child) is at most 322 MiB, reached at n = 1, radix 4096, by verify, and
+# 289 MiB there by gen-matrix: the product engine's slots are 256 MiB, and
+# no q x q gate is built beside them (668 MiB in both while it was).  With
+# two or more digits gen-matrix peaked at 37 MiB at (2, 12) and 51 MiB at
+# (16, 3), and verify at 39 and 54 MiB.  The cap bounds the rest: a
+# gen-matrix document at 4096 is about 890 MB and grows with the square of
+# the dimension, as do the slots at n = 1 (1024 MiB at 8192).
 DEFAULT_DIM_CAP = 4096
 
 # Unit-norm requirement on state vectors.
@@ -109,17 +109,19 @@ def unitarity_residual(a) -> float:
 
 def product_unitarity_residual(left, right) -> float:
     """``unitarity_residual`` of the matrix ``M`` whose row ``(i, j)``, in
-    C order, is ``left[i] * right[j]``, without building ``M``.
+    C order, is ``L[i] * right[j]``, without building ``M``.
 
-    Premise, checked bit for bit: column x of ``left`` depends only on
-    ``x mod p``, with ``p = len(left)``; otherwise ``ValueError``.  Then,
-    with ``L = left[:, :p]`` and ``H_s = R_s @ adjoint(R_s)`` for the
-    columns ``R_s = right[:, s::p]``, entry ``((i, j), (k, l))`` of
-    ``M @ adjoint(M)`` is ``sum_s L[i, s] * conj(L[k, s]) * H_s[j, l]``.
-    A product per ``s`` builds ``H_s``.  A GEMM per ``i`` forms rows
+    ``left`` is the ``(p, p)`` period block of the full left half ``L``
+    (``circuit._product_halves``): column x of ``L`` is ``left[:, x mod
+    p]``.  With ``H_s = R_s @ adjoint(R_s)`` for the columns ``R_s =
+    right[:, s::p]``, entry ``((i, j), (k, l))`` of ``M @ adjoint(M)`` is
+    ``sum_s left[i, s] * conj(left[k, s]) * H_s[j, l]``.  Each ``H_s`` is
+    formed in one ``(r, r)`` buffer, which keeps only its columns ``(j,
+    j)`` and adds ``|H_s|`` to the bound's sums.  A GEMM per ``i`` forms rows
     ``(i, .)`` in columns ``(k, .)``, ``k >= i``, first over the Gram
     columns ``(j, j)``, then over the columns ``(j, l)`` whose bound (see
-    ``BOUND_ULPS``) is not below the largest entry found: the result is
+    ``BOUND_ULPS``) is not below the largest entry found, for which each
+    ``H_s`` is formed again by the same product: the result is
     that of all columns, bit for bit.  On the QFT's halves no other column
     was left at any size measured, so the work is ``p * r**3 + p**3 * r /
     2`` complex multiply-adds for ``r = len(right)``, where all columns
@@ -130,41 +132,54 @@ def product_unitarity_residual(left, right) -> float:
     ``unitarity_residual(right)``.  A NaN anywhere makes the result NaN.
     """
     left, right = _as_matrix(left), _as_matrix(right)
+    _require_square(left)
     p, r = len(left), len(right)
-    bits = np.ascontiguousarray(left).view(np.uint64).reshape(p, -1, 2 * p)
-    if not (bits == bits[:, :1]).all():
-        raise ValueError(f"the columns of left do not repeat with period {p}")
     if p == 1 and left[0, 0] == 1:
         return unitarity_residual(right)
-    low = left[:, :p]
-    gram, h = np.empty((p, r * r), np.complex128), np.zeros(r * r)
     # columns = (x_high, s) in C order, so R_s is right[:, :, s]
-    for s, part in enumerate(right.reshape(r, -1, p).transpose(2, 0, 1)):
-        np.matmul(part, part.conj().T, out=gram[s].reshape(r, r))
-        h += np.abs(gram[s])
+    parts = right.reshape(r, -1, p).transpose(2, 0, 1)
+    h = np.zeros((r, r))
     diagonal = np.arange(r) * (r + 1)
-    found = _gram_deviation(low, gram, diagonal, r)
+    found = _gram_deviation(left, _gram_columns(parts, diagonal, h), diagonal, r)
     tiny = p * 2.0 ** -1070
-    bound = ((np.abs(low).max() ** 2 + tiny) * (h + tiny)
+    bound = ((np.abs(left).max() ** 2 + tiny) * (h.ravel() + tiny)
              * (1 + BOUND_ULPS * (p + 4) * 2.0 ** -53) + tiny)
     keep = ~(bound < found)  # a NaN on either side keeps the column
     keep[diagonal] = False
+    cols = np.flatnonzero(keep)
+    gram = _gram_columns(parts, cols) if len(cols) else np.empty((p, 0), np.complex128)
     # np.max, unlike the builtin max, carries a NaN through
-    return float(np.max([found, _gram_deviation(low, gram, np.flatnonzero(keep), r)]))
+    return float(np.max([found, _gram_deviation(left, gram, cols, r)]))
+
+
+def _gram_columns(parts: np.ndarray, cols: np.ndarray, h=None) -> np.ndarray:
+    """Entries ``cols`` of each ``H_s = parts[s] @ adjoint(parts[s])``,
+    flattened in C order, as row s of a C-ordered ``(p, len(cols))`` array;
+    adds ``|H_s|`` to ``h`` where given.  Every ``H_s`` is formed in one
+    ``(r, r)`` buffer by the same product, so each pass gets its bits."""
+    r = parts.shape[1]
+    gram = np.empty((r, r), np.complex128)
+    out = np.empty((len(parts), len(cols)), np.complex128)
+    for s, part in enumerate(parts):
+        np.matmul(part, part.conj().T, out=gram)
+        if h is not None:
+            h += np.abs(gram)
+        # mode="wrap" skips the hidden copy of mode="raise"; cols is in range
+        np.take(gram.reshape(-1), cols, out=out[s], mode="wrap")
+    return out
 
 
 def _gram_deviation(low: np.ndarray, gram: np.ndarray, cols: np.ndarray,
                     r: int) -> float:
     """Largest ``|G - I|`` over ``G``'s entries ``((i, j), (k, l))``, k >= i,
-    with ``j * r + l`` in ``cols``, 0 if none.  ``np.take`` copies them in C
-    order; ``gram[:, cols]`` is F-ordered, which sends OpenBLAS to another
-    kernel and moves the last bits."""
-    sub = np.take(gram, cols, axis=1)
+    with ``j * r + l`` in ``cols``, 0 if none; ``gram`` holds those columns
+    of the Gram matrices, C-ordered (``_gram_columns``): an F-ordered
+    operand sends OpenBLAS to another kernel and moves the last bits."""
     on_diagonal = cols % (r + 1) == 0  # j == l
     maxima = []
     for i in range(len(low)):
         # Hermitian, as in unitarity_residual: rows (i, .) against (k, .), k >= i
-        block = (low[i] * low[i:].conj()) @ sub
+        block = (low[i] * low[i:].conj()) @ gram
         block[0, on_diagonal] -= 1
         maxima.append(np.abs(block).max(initial=0))
     return np.max(maxima)

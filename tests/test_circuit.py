@@ -41,6 +41,7 @@ from qudit_qft.circuit import (
     _tiles,
 )
 from qudit_qft.cli import main
+from qudit_qft.gates import chrestenson_roots
 from qudit_qft.numerics import unitarity_residual
 
 RNG = np.random.default_rng(55021)
@@ -543,10 +544,22 @@ class TestRunProduct:
         # the selected gate rows are written into the slots in place; a
         # product of the gathered rows would take two more slot-sized arrays
         q = 512
-        cache = {("chrestenson", q): chrestenson_gate(q)}
+        cache = {("chrestenson roots", q): chrestenson_roots(q)}
         x = np.arange(q)
         slots, peak = traced_peak(_run_product, build_qft_circuit(q, 1), x, cache, q)
         assert peak <= slots.nbytes + 2 ** 18  # one more slot array is 2 ** 22
+        # each input's basis digit carries amplitude 1, which scales its column
+        expected = chrestenson_gate(q) * np.ones(q, dtype=complex)
+        assert np.array_equal(slots[0].view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("q", [512, 1024])
+    def test_builds_no_gate(self, q, traced_peak):
+        # the first gate's columns are gathered from the q scaled roots in
+        # blocks of at most 2**12 entries; the q x q gate alone would take
+        # slots.nbytes more (4 and 16 MiB)
+        x = np.arange(q)
+        slots, peak = traced_peak(_run_product, build_qft_circuit(q, 1), x, {}, q)
+        assert peak <= slots.nbytes + 2 ** 18
         # each input's basis digit carries amplitude 1, which scales its column
         expected = chrestenson_gate(q) * np.ones(q, dtype=complex)
         assert np.array_equal(slots[0].view(np.uint64), expected.view(np.uint64))
@@ -632,35 +645,51 @@ class TestBasisColumns:
         *(pytest.param(build_qft_circuit(q, n), id=f"qft-{q}-{n}")
           for q, n in [(2, 1), (7, 1), (600, 1), (7, 2), (2, 9), (3, 7)]),
     ])
-    def test_row_blocks_are_the_compiled_rows(self, circuit, monkeypatch):
+    def test_row_blocks_are_the_compiled_rows(self, circuit, monkeypatch, full_halves):
         # verify's tiles cover every row once, in order, and hold the
         # compiled matrix's entries: against the compiled rows themselves
-        # in place of the DFT's, the oracle distance is 0
+        # in place of the DFT's, the oracle distance is 0.  The whole left
+        # half is checked for every circuit, and the period form wherever
+        # the left columns repeat with the left half's height, as the QFT's
+        # do; elsewhere _product_halves refuses the circuit
         dim = circuit.radix ** circuit.digits
-        left, right = _product_halves(circuit, np.arange(dim))
+        whole, right = full_halves(circuit, np.arange(dim))
         # at n = 1 the left half is the product of no factors: one row of ones
-        assert (len(left) == 1) == (circuit.digits == 1)
+        assert (len(whole) == 1) == (circuit.digits == 1)
+        p = len(whole)
+        repeats = np.array_equal(whole.view(np.uint64),
+                                 np.tile(whole[:, :p], dim // p).view(np.uint64))
+        forms = [whole]
+        if repeats:
+            left, periodic_right = _product_halves(circuit, np.arange(dim))
+            assert left.shape == (p, p)
+            assert np.array_equal(periodic_right.view(np.uint64), right.view(np.uint64))
+            forms.append(left)
+        else:
+            with pytest.raises(ValueError, match=f"do not repeat with period {p}"):
+                _product_halves(circuit, np.arange(dim))
         if circuit.digits == 1:
-            ones = np.ones((1, dim), np.complex128)
-            assert np.array_equal(left.view(np.uint64), ones.view(np.uint64))
-        tiles = _tiles(left, right)
-        starts = [i * len(right) + s for i, s, _ in tiles]
-        assert starts == np.cumsum([0, *(rows for *_, rows in tiles[:-1])]).tolist()
-        assert starts[-1] + tiles[-1][2] == dim
-        assert all(0 < rows <= 8 and s + rows <= len(right) for _, s, rows in tiles)
+            ones = np.ones((1, 1), np.complex128)
+            assert np.array_equal(forms[-1].view(np.uint64), ones.view(np.uint64))
         matrix = circuit_to_matrix(circuit)
-        seen = []
+        for left in forms:
+            tiles = _tiles(left, right)
+            starts = [i * len(right) + s for i, s, _ in tiles]
+            assert starts == np.cumsum([0, *(rows for *_, rows in tiles[:-1])]).tolist()
+            assert starts[-1] + tiles[-1][2] == dim
+            assert all(0 < rows <= 8 and s + rows <= len(right) for _, s, rows in tiles)
+            seen = []
 
-        def compiled_rows(t):
-            def gather(y0, index, out):
-                seen.append(y0)
-                out[:] = matrix[y0:y0 + len(out)]
-                return out
-            return gather
+            def compiled_rows(t):
+                def gather(y0, index, out):
+                    seen.append(y0)
+                    out[:] = matrix[y0:y0 + len(out)]
+                    return out
+                return gather
 
-        monkeypatch.setattr(circuit_module, "_dft_rows", compiled_rows)
-        assert _oracle_distance(left, right, 3) == 0.0
-        assert sorted(seen) == starts
+            monkeypatch.setattr(circuit_module, "_dft_rows", compiled_rows)
+            assert _oracle_distance(left, right, 3) == 0.0
+            assert sorted(seen) == starts
 
     def test_many_oracle_threads_check_every_tile_once(self, monkeypatch):
         # more workers than CPUs, switching threads as often as the
@@ -705,13 +734,36 @@ class TestBasisColumns:
         assert columns.base.shape == (1, q, q)
 
     @pytest.mark.parametrize("q,n", [(2, 2), (2, 9), (3, 4), (5, 3), (7, 2), (16, 3)])
-    def test_qft_left_half_repeats_with_its_height(self, q, n):
-        # left holds slots 0..h-1, which read input digits 0..h-1 only
-        left, _ = _product_halves(build_qft_circuit(q, n), np.arange(q ** n))
+    def test_qft_left_half_repeats_with_its_height(self, q, n, full_halves):
+        # the whole left half holds slots 0..h-1, which read input digits
+        # 0..h-1 only; _product_halves returns its period block, bit for bit
+        circuit = build_qft_circuit(q, n)
+        whole, _ = full_halves(circuit, np.arange(q ** n))
         period = q ** (n // 2)
-        assert len(left) == period
-        assert np.array_equal(left.view(np.uint64),
-                              np.tile(left[:, :period], q ** n // period).view(np.uint64))
+        assert len(whole) == period
+        assert np.array_equal(whole.view(np.uint64),
+                              np.tile(whole[:, :period], q ** n // period).view(np.uint64))
+        left, _ = _product_halves(circuit, np.arange(q ** n))
+        assert left.shape == (period, period) and left.flags.c_contiguous
+        assert np.array_equal(left.view(np.uint64), whole[:, :period].view(np.uint64))
+
+    def test_refuses_left_columns_that_do_not_repeat(self, monkeypatch):
+        # the Walsh-Hadamard circuit does not reverse its digits, so its
+        # left half holds the slots of the most significant input digits
+        circuit = build_walsh_hadamard_transform_circuit(2, 4)
+        with pytest.raises(ValueError, match="do not repeat with period 4"):
+            _product_halves(circuit, np.arange(16))
+        # a NaN in one period of a left factor only breaks the repetition too
+        run_product = circuit_module._run_product
+
+        def poisoned(*args):
+            slots = run_product(*args)
+            slots[0, 1, 5] = np.nan  # slot 0 is a factor of the left half
+            return slots
+
+        monkeypatch.setattr(circuit_module, "_run_product", poisoned)
+        with pytest.raises(ValueError, match="do not repeat with period 4"):
+            _product_halves(build_qft_circuit(2, 4), np.arange(16))
 
     @pytest.mark.parametrize("q,n,depth", [(2, 10, None), (3, 6, None), (4, 4, 3),
                                            (32, 2, None)])
@@ -764,3 +816,39 @@ class TestBasisColumns:
         np.testing.assert_allclose(matrix, expected, rtol=0, atol=1e-14)
         with pytest.raises(ValueError, match="reads control digit 0"):
             _outer_rows(_output_factors(circuit, [0]))
+
+
+# uneven periods p = 27, 25, 36 and 7, the Kronecker splits of the cap,
+# and its single factor, where the left half is one 1 x 1 block of ones
+PERIOD_SIZES = [(3, 7), (5, 5), (6, 4), (7, 3), (2, 12), (16, 3), (4096, 1)]
+
+
+def whole_left_distance(whole: np.ndarray, right: np.ndarray) -> float:
+    """``max |M - dft_matrix(t)|`` of the halves with the whole left half,
+    by blocks of rows of ``M`` as the compile multiplies them out and
+    ``dft_matrix``'s rows."""
+    r, t = right.shape
+    maxima = []
+    for i in range(len(whole)):
+        for s in range(0, r, 256):
+            rows = whole[i] * right[s:s + 256]
+            y0 = i * r + s
+            maxima.append(np.abs(rows - dft_matrix(t, slice(y0, y0 + len(rows)))).max())
+    return float(np.max(maxima))
+
+
+class TestPeriodForm:
+    @pytest.mark.parametrize("q,n", PERIOD_SIZES)
+    def test_oracle_distance_is_the_whole_left_halfs(self, q, n, full_halves):
+        # the period block, expanded a row at a time, gives the distance of
+        # the whole left half bit for bit with 1, 2 and 3 workers
+        circuit = build_qft_circuit(q, n)
+        x = np.arange(q ** n)
+        whole, right = full_halves(circuit, x)
+        expected = whole_left_distance(whole, right)
+        del right  # at (4096, 1) it is 256 MiB
+        left, right = _product_halves(circuit, x)
+        assert left.shape == (len(whole), min(len(whole), q ** n))
+        for workers in (1, 2, 3):
+            distance = _oracle_distance(left, right, workers)
+            assert np.float64(distance).view(np.uint64) == np.float64(expected).view(np.uint64)

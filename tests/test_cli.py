@@ -152,14 +152,16 @@ class TestVerify:
     def changed_factor(row, change, monkeypatch):
         """Make verify at (2, 9) see a compiled matrix whose left-half
         factor entry behind ``M[row, 5]`` is changed in every period of its
-        columns, so only the row block holding ``row`` changes."""
+        columns, so only the row block holding ``row`` changes: the left
+        half is its period block, whose column 5 is that entry of every
+        period."""
         split = cli._product_halves
 
         def changed(circuit, x):
             left, right = split(circuit, x)
             # 2**9 rows span len(left) row blocks of len(right) rows
-            assert len(left) > 1
-            change(left[row // len(right), 5::len(left)])
+            assert left.shape == (16, 16)
+            change(left[row // len(right), 5:6])
             return left, right
 
         monkeypatch.setattr(cli, "_product_halves", changed)
@@ -264,6 +266,20 @@ class TestVerify:
         assert out.read_text().endswith("verify PASS\n")
         assert peak <= 64 * 2 ** 20
 
+    def test_peak_memory_at_16_3_holds_one_gram_block(self, traced_peak, monkeypatch,
+                                                      tmp_path):
+        # p = 16 and r = 256: the right half is 16 MiB, the slots 3 MiB and
+        # each of the 16 Gram blocks H_s 1 MiB.  Forming them one at a time
+        # in one buffer, verify traced 21.5 MiB with 3 oracle workers (each
+        # 1.5 MiB of tile buffers); holding all 16 took 36.5 MiB
+        monkeypatch.setattr(cli, "_render_workers", lambda: 3)
+        out = tmp_path / "verify.txt"
+        code, peak = traced_peak(main, ["verify", "--radix", "16", "--digits", "3",
+                                        "--out", str(out)])
+        assert code == 0
+        assert out.read_text().endswith("verify PASS\n")
+        assert peak < 24 * 2 ** 20
+
     def test_peak_memory_with_eight_workers(self, traced_peak, monkeypatch, tmp_path):
         # each oracle worker allocates its tile buffers once, about 1.5 MiB
         # at the cap, so eight of them stay within the same bound
@@ -359,6 +375,26 @@ def test_render_matrix_matches_per_entry_format(fmt):
     matrix[-1, -1] = complex(1e-300, -5e-310)
     chunks, product = render_rows(matrix, fmt)
     assert b"".join(chunks).decode() == reference_matrix_text(product, fmt)
+
+
+@pytest.mark.parametrize("q,n", [(3, 7), (5, 5), (6, 4), (7, 3), (2, 12), (16, 3),
+                                 (4096, 1)])
+def test_chunk_reader_is_the_whole_left_halfs(q, n, full_halves):
+    # every chunk read from the period block of the left half equals the
+    # one the whole left half gives, bit for bit; at (3, 7), (5, 5), (6, 4)
+    # and (7, 3) chunks start and end inside rows of M
+    qft = circuit.build_qft_circuit(q, n)
+    x = np.arange(q ** n)
+    whole = full_halves(qft, x)[0]
+    left, right = circuit._product_halves(qft, x)
+    entries, size = cli._product_entries(left, right)
+    r, cols = right.shape
+    assert size == cols * cols
+    for start in range(0, size, cli._STATE_CHUNK):
+        end = start + cli._STATE_CHUNK
+        i, j = np.divmod(np.arange(start // cols, -(-min(end, size) // cols)), r)
+        expected = (whole[i] * right[j]).ravel()[start % cols:][:end - start]
+        assert np.array_equal(entries(start, end).view(np.uint64), expected.view(np.uint64))
 
 
 @pytest.mark.parametrize("q,n,depth,fmt", [

@@ -6,7 +6,6 @@ import pytest
 from qudit_qft import (
     StateVector,
     build_qft_circuit,
-    build_walsh_hadamard_transform_circuit,
     chrestenson_gate,
     chrestenson_transform_matrix,
     circuit_to_matrix,
@@ -125,11 +124,12 @@ class TestUnitarityResidual:
 
 
 def periodic_product(p: int, r: int):
-    """Random ``(left, right)`` halves of a ``(p*r, p*r)`` product matrix
-    whose left columns repeat with period p, and that matrix."""
-    left = np.tile(random_matrix(p), r)
+    """Random ``(left, right)`` halves of a ``(p*r, p*r)`` product matrix,
+    ``left`` the ``(p, p)`` period block of a left half whose columns
+    repeat with period p, and that matrix."""
+    left = random_matrix(p)
     right = RNG.normal(size=(r, p * r)) + 1j * RNG.normal(size=(r, p * r))
-    return left, right, (left[:, np.newaxis] * right).reshape(p * r, p * r)
+    return left, right, (np.tile(left, r)[:, np.newaxis] * right).reshape(p * r, p * r)
 
 
 def all_columns_residual(left, right) -> float:
@@ -229,12 +229,61 @@ class TestProductUnitarityResidual:
             assert residual > 1e-13
 
     def test_peak_memory_holds_the_gram_matrices_and_one_slice(self, traced_peak):
-        # at (16, 3), p = 16 and r = 256: the Gram matrices take 16 MiB; a
-        # conjugate copy of all of right takes 16 MiB more, and the GEMM
-        # blocks (p - i, r**2) of every column peaked at 47 MiB
+        # at (16, 3), p = 16 and r = 256: the 16 Gram matrices took 16 MiB
+        # together; one at a time, one buffer holds each (1 MiB).  A
+        # conjugate copy of all of right would take 16 MiB more, and the
+        # GEMM blocks (p - i, r**2) of every column peaked at 47 MiB
         left, right = qft_halves(16, 3)
         _, peak = traced_peak(product_unitarity_residual, left, right)
-        assert peak <= 24 * 2 ** 20
+        assert peak <= 4 * 2 ** 20
+
+    @pytest.mark.parametrize("q,n", [(3, 7), (5, 5), (6, 4), (7, 3), (2, 12), (16, 3)])
+    def test_period_block_equals_the_whole_left_half(self, q, n, full_halves, monkeypatch):
+        # the old form read the whole left half's first p columns; the
+        # Gram matrices are formed once each, as no off-diagonal column is
+        # kept
+        circuit = build_qft_circuit(q, n)
+        whole, right = full_halves(circuit, np.arange(q ** n))
+        left, _ = qft_halves(q, n)
+        passes = []
+        gram_columns = numerics._gram_columns
+        monkeypatch.setattr(numerics, "_gram_columns",
+                            lambda *args: passes.append(len(args[1])) or gram_columns(*args))
+        residual = product_unitarity_residual(left, right)
+        assert same_bits(residual, all_columns_residual(whole, right))
+        assert passes == [len(right)]
+
+    def test_perturbed_right_forms_the_gram_matrices_again(self, full_halves, monkeypatch):
+        # at the uneven period p = 27 (3, 7), a phase moves H_s[5, l] and
+        # H_s[l, 5], so the second pass keeps columns and forms every H_s
+        # again by the same product: the all-columns result, bit for bit
+        circuit = build_qft_circuit(3, 7)
+        whole, right = full_halves(circuit, np.arange(3 ** 7))
+        right[5, 100] *= np.exp(1e-9j)
+        left, _ = qft_halves(3, 7)
+        products = []
+        matmul = np.matmul
+
+        def counted(*args, **kwargs):
+            products.append(args[0].shape)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(numerics.np, "matmul", counted)
+        residual = product_unitarity_residual(left, right)
+        monkeypatch.undo()
+        assert products == [(81, 81)] * 54  # 27 per pass
+        assert same_bits(residual, all_columns_residual(whole, right))
+        assert residual > 1e-13
+
+    def test_single_factor_left_is_one_ones_entry(self, monkeypatch):
+        # at (4096, 1) the period block is 1 x 1, and the residual is the
+        # blocked one of right, which is called on right itself
+        left, right = qft_halves(4096, 1)
+        assert left.shape == (1, 1) and left[0, 0] == 1
+        calls = []
+        monkeypatch.setattr(numerics, "unitarity_residual", lambda a: calls.append(a) or 0.5)
+        assert product_unitarity_residual(left, right) == 0.5
+        assert len(calls) == 1 and calls[0] is right
 
     @pytest.mark.parametrize("p,r", [(1, 3), (3, 1), (4, 5), (6, 6)])
     def test_finds_the_largest_entry_of_any_row(self, p, r):
@@ -248,7 +297,7 @@ class TestProductUnitarityResidual:
     def test_nan_anywhere_is_nan(self, half, index):
         left, right, _ = periodic_product(4, 5)
         if half == "left":
-            left[index[0], index[1]::4] = np.nan  # in every period
+            left[index] = np.nan  # in every period of the whole left half
         else:
             right[index] = np.nan
         assert np.isnan(product_unitarity_residual(left, right))
@@ -276,18 +325,12 @@ class TestProductUnitarityResidual:
         monkeypatch.setattr(numerics, "unitarity_residual", None)  # never called
         assert abs(product_unitarity_residual(left, right) - expected) <= 1e-15
 
-    def test_refuses_left_columns_that_do_not_repeat(self):
-        # the Walsh-Hadamard circuit does not reverse its digits, so its
-        # left half holds the slots of the most significant input digits
-        circuit = build_walsh_hadamard_transform_circuit(2, 4)
-        left, right = _product_halves(circuit, np.arange(16))
-        with pytest.raises(ValueError, match="do not repeat with period 4"):
-            product_unitarity_residual(left, right)
-        # a NaN in one period only breaks the repetition too
+    def test_refuses_a_left_half_that_is_not_its_period_block(self):
+        # the repetition itself is checked where the period block is taken,
+        # in circuit._product_halves; the residual reads the block
         left, right, _ = periodic_product(4, 5)
-        left[0, 1] = np.nan
-        with pytest.raises(ValueError, match="do not repeat"):
-            product_unitarity_residual(left, right)
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            product_unitarity_residual(np.tile(left, 5), right)
 
 
 class TestMaxEntryDistance:
