@@ -28,6 +28,7 @@ from .circuit import (
     circuit_to_matrix,
     dft_matrix,
     digit_reversal_perm,
+    qft_slots,
 )
 from .analysis import (
     BoundRow,
@@ -59,6 +60,7 @@ __all__ = [
     "circuit_to_matrix",
     "dft_matrix",
     "digit_reversal_perm",
+    "qft_slots",
     "BoundRow",
     "CapacityMetrics",
     "approximation_report",

@@ -7,11 +7,11 @@ the two closed-form worst-case bounds for multi-gate pruning, and a
 measurement of the actual dropped phase over every basis input.  On a basis
 input the QFT register stays a product of single-digit states, one per
 output bracket, so the measurement runs every input through the
-product-state simulator (``n*q`` amplitudes per input) and keeps the dense
-simulator as a cross-check on the two boundary chunks of inputs only.  Phase
-magnitudes are accumulated from the dropped-gate exponents directly, never
-recovered through ``arg()``, so values above pi are reported without
-wrap-around.
+product-state simulator (``n*q`` amplitudes per input) and no input through
+the dense one.  The closed-form slot oracle ``qft_slots`` cross-checks both
+circuits' absolute slots on a spread of probe inputs.  Phase magnitudes are
+accumulated from the dropped-gate exponents directly, never recovered
+through ``arg()``, so values above pi are reported without wrap-around.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import _run_batch, _run_product, build_qft_circuit
+from .circuit import _run_product, build_qft_circuit, qft_slots
 from .numerics import check_params
 
 # Simulated per-digit phases must agree with the dropped-exponent sums to
@@ -31,12 +31,20 @@ from .numerics import check_params
 _CROSS_CHECK_TOL = 1e-9
 
 # The measurement runs max(1, _CHUNK_AMPLITUDES // (n*q)) basis inputs at a
-# time through the product-state simulator, and its two dense boundary
-# chunks hold max(1, _CHUNK_AMPLITUDES // dim) rows each, so every buffer
-# holds about max(_CHUNK_AMPLITUDES, dim) amplitudes (2 MiB at complex128 up
-# to dim 2**17).  2**17 was the fastest of 2**15 to 2**19 at (q, n) = (2, 18)
-# and (4, 9) and the fastest dense chunk at dims 2187 to 4096.
+# time through the product-state simulator, so each of its buffers holds
+# about _CHUNK_AMPLITUDES amplitudes (2 MiB at complex128).  2**17 was the
+# fastest of 2**15 to 2**19 at (q, n) = (2, 18) and (4, 9).  With no dense
+# simulation, the traced peak of a report is 3.2 MiB at (3, 7, 2) and 11
+# MiB at (2048, 1, 1) (6.1 and 108 MiB with dense boundary chunks, whose
+# (rows, q**n) buffers and q x q gate set it).
 _CHUNK_AMPLITUDES = 2 ** 17
+
+# Basis inputs the slot oracle checks on both circuits, evenly spaced from 0
+# to q**n - 1 (every input below this many).  Every size the CLI accepts
+# has n*q <= 2048, so they are at most one chunk of the pass.  Arithmetic,
+# not numpy.random, picks them: importing numpy.random raises the CLI's
+# peak RSS from 29.8 to 35.4 MiB (child ru_maxrss, median of 5).
+_PROBE_INPUTS = 64
 
 
 class CrossCheckError(RuntimeError):
@@ -147,14 +155,16 @@ def _bracket_phase_maxima(q: int, n: int, keep_depth: int | None) -> list[float]
 
     Runs the exact and the pruned circuit on every basis input through the
     product-state simulator ``_run_product``, ``max(1, _CHUNK_AMPLITUDES //
-    (n*q))`` inputs at a time, and through the dense ``_run_batch`` on the
-    two boundary row chunks of ``max(1, _CHUNK_AMPLITUDES // q**n)`` rows:
-    the one holding input 0 and the one holding input ``q**n - 1``, where
-    every dropped shift peaks.  The per-digit phase each bracket picks up
-    is checked, for every input and every t in 1..q-1, against the sum of
-    the dropped controlled-phase exponents; the maxima are taken over that
-    (unwrapped) sum.  A mismatch raises ``CrossCheckError`` naming the
-    smallest failing input.
+    (n*q))`` inputs at a time.  The per-digit phase each bracket picks up
+    (the pruned over the exact ratio) is checked, for every input and every
+    t in 1..q-1, against the sum of the dropped controlled-phase exponents;
+    the maxima are taken over that (unwrapped) sum.  Before that pass, one
+    product run of ``min(q**n, _PROBE_INPUTS)`` probe inputs, evenly spaced
+    from 0 to ``q**n - 1`` (where every digit is nonzero and every dropped
+    shift peaks), checks each circuit's absolute slots against the closed
+    form ``qft_slots``, times ``exp(+1j*t*shift)`` for the pruned one.  A
+    mismatch in either check raises ``CrossCheckError`` naming the smallest
+    failing input over both.
     """
     dim = q ** n
     dropped = [_dropped_gates(keep_depth, l) for l in range(n)]
@@ -169,41 +179,53 @@ def _bracket_phase_maxima(q: int, n: int, keep_depth: int | None) -> list[float]
                 shifts[l] += 2.0 * math.pi * digits[k] / q ** s
         return shifts
 
+    def first_failure(x, failed, first_component):
+        """(input, target digit, component) of the first True in an ``(n,
+        components, len(x))`` mask whose components start at
+        ``first_component``, smallest input first, or None."""
+        # (input, digit, component) order, so argmax finds the smallest input
+        failed = failed.transpose(2, 0, 1)
+        if not failed.any():
+            return None
+        row, l, t = np.unravel_index(np.argmax(failed), failed.shape)
+        return int(x[row]), int(l), int(t) + first_component
+
     def first_mismatch(x, exact_slots, pruned_slots, shifts):
-        """(input, target digit, component) of the first disagreement over
-        ``(n, q, len(x))`` slots, smallest input first, or None."""
+        """The first failure of the ratio check over ``(n, q, len(x))``
+        slots, or None."""
         simulated = (pruned_slots[:, 1:] / pruned_slots[:, :1]) / (
             exact_slots[:, 1:] / exact_slots[:, :1]
         )
         expected = np.exp(1j * np.arange(1, q)[:, np.newaxis] * shifts[:, np.newaxis])
-        # (input, digit, component) order, so argmax finds the smallest input
-        failed = (np.abs(simulated - expected) > _CROSS_CHECK_TOL).transpose(2, 0, 1)
-        if not failed.any():
-            return None
-        row, l, t = np.unravel_index(np.argmax(failed), failed.shape)
-        return int(x[row]), int(l), int(t) + 1
+        return first_failure(x, np.abs(simulated - expected) > _CROSS_CHECK_TOL, 1)
 
-    mismatches = []
-    # After the output reversal, component t of the bracket of register
-    # digit l sits at output position n - 1 - l, in column t*q**(n-1-l);
-    # column 0 holds every bracket's |0> component.  Gathered and
-    # transposed, a dense chunk reads as the product engine's (n, q, rows)
-    # slots.
-    columns = np.outer(q ** (n - 1 - np.arange(n)), np.arange(q))
-    rows = max(1, _CHUNK_AMPLITUDES // dim)
-    for start in sorted({0, (dim - 1) // rows * rows}):
-        x = np.arange(start, min(start + rows, dim))
-        basis = np.zeros((len(x), dim), dtype=np.complex128)
-        basis[np.arange(len(x)), x] = 1.0
-        slots = [_run_batch(circuit, basis)[:, columns].transpose(1, 2, 0)
-                 for circuit in (exact, pruned)]
-        mismatches.append(first_mismatch(x, *slots, shifts_of(x)))
-    rows = max(1, _CHUNK_AMPLITUDES // (n * q))
-    maxima = np.zeros(n)
     # both circuits read the Chrestenson gate's q scaled roots and their
     # roots-of-unity tables, of up to q**n entries, from here, each built
-    # once for the whole pass
+    # once for the probe run and the whole pass
     cache = {}
+    def oracle_mismatches():
+        """The first failure of the slot oracle on the probe inputs, for
+        the exact and then the pruned circuit (each None if it passes).
+
+        The oracle checks absolute slots, not ratios, so it sees a fault
+        that both circuits share.  The pruned circuit's bracket l lacks
+        ``exp(-1j*t*shift)``, so its component t is the exact one times
+        ``exp(+1j*t*shift)``.  A NaN slot fails too.
+        """
+        count = min(dim, _PROBE_INPUTS)
+        x = np.array([i * (dim - 1) // (count - 1) for i in range(count)],
+                     dtype=np.int64)
+        oracle = qft_slots(q, n, x)
+        drift = np.exp(1j * np.arange(q)[:, np.newaxis] * shifts_of(x)[:, np.newaxis])
+        mismatches = []
+        for circuit, expected in ((exact, oracle), (pruned, oracle * drift)):
+            distance = np.abs(_run_product(circuit, x, cache, dim) - expected)
+            mismatches.append(first_failure(x, ~(distance <= _CROSS_CHECK_TOL), 0))
+        return mismatches
+
+    mismatches = oracle_mismatches()
+    rows = max(1, _CHUNK_AMPLITUDES // (n * q))
+    maxima = np.zeros(n)
     for start in range(0, dim, rows):
         x = np.arange(start, min(start + rows, dim))
         shifts = shifts_of(x)
@@ -231,9 +253,10 @@ def approximation_report(q: int, n: int, keep_depth: int | None) -> list[BoundRo
     Every row's measurement comes from one pass over the basis inputs, which
     runs the exact and the pruned circuit through the product-state
     simulator in chunks of inputs, with work per input that grows with the
-    gate count and ``n*q`` rather than with ``q**n``, and through the dense
-    simulator on the two boundary chunks only.  Each buffer holds about
-    ``max(_CHUNK_AMPLITUDES, q**n)`` amplitudes.
+    gate count and ``n*q`` rather than with ``q**n``; the slot oracle checks
+    both on up to ``_PROBE_INPUTS`` of them.  No dense simulation runs and
+    no q x q gate is built: each buffer holds about ``_CHUNK_AMPLITUDES``
+    amplitudes.
     """
     check_params(radix=q, digits=n, keep_depth=keep_depth)
     maxima = _bracket_phase_maxima(q, n, keep_depth)

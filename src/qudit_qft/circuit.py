@@ -19,15 +19,17 @@ the QFT's do.  The register then stays a product of n single-digit states,
 so each input costs ``n*q`` amplitudes instead of ``q**n``.  Its
 ``(n, q, len(x))`` slots are the factors that ``_output_factors`` lists in
 output-digit order, with no copy.  It serves every basis input: ``bounds``
-checks each input's slots, and ``_outer_rows`` multiplies them out into
-output states, from which ``circuit_to_matrix`` compiles such a circuit.
+checks each input's slots, some of them against the exact QFT's slots in
+closed form (``qft_slots``, which reads neither simulator), and
+``_outer_rows`` multiplies them out into output states, from which
+``circuit_to_matrix`` compiles such a circuit.
 The CLI reads them only as two halves at every width (``_product_halves``;
 the left one as its period block, at n = 1 a single 1), whose products are
 the entries of the compiled matrix bit for bit: ``verify`` checks them
 against the DFT tile by tile (``_oracle_distance``), and ``gen-matrix`` and
 ``apply`` on a basis state render them a chunk of entries at a time.  The dense
-simulator runs state inputs, the two boundary chunks of ``bounds``, and
-the compile of a circuit that ``_breaks_product``.
+simulator runs only state inputs (``apply --in``) and the compile of a
+circuit that ``_breaks_product``.
 
 Digit conventions: ``x_0`` is the least significant digit, state index
 ``i = sum_j x_j * q**j``, and the leftmost Kronecker factor addresses the
@@ -196,6 +198,34 @@ def _scaled_roots(t: int) -> np.ndarray:
     entry as scaling a whole block of entries would."""
     x = np.arange(t, dtype=np.int64)
     return np.exp(-2j * np.pi * x / t) / np.sqrt(t)
+
+
+def qft_slots(q: int, n: int, x) -> np.ndarray:
+    """The exact QFT's slots on basis inputs ``x``, in closed form.
+
+    Returns the ``(n, q, len(x))`` complex128 array in ``_run_product``'s
+    layout: slot ``l``, the bracket of fraction length ``l + 1``, has
+    component ``t`` equal to ``exp(-2j*pi * t*(x mod q**(l+1)) /
+    q**(l+1)) / sqrt(q)``.  This is the product representation of Griffiths
+    and Niu ("Semiclassical Fourier transform for quantum computation", PRL
+    76, 3228, 1996; Nielsen and Chuang, section 5.1).  It is built from
+    numpy alone, not from ``gates`` or either simulator, so it can check
+    both.  The exponent ``t*(x mod q**(l+1))`` is formed exactly in int64,
+    so ``(q-1) * q**n`` must fit there (``ValueError`` otherwise).
+    """
+    check_params(radix=q, digits=n)
+    if n > 62 or (q - 1) * q ** n > _INT64_MAX:
+        raise ValueError(f"qft_slots needs (q-1)*q**n in int64, not q={q}, n={n}")
+    x = np.asarray(x, dtype=np.int64)
+    component = np.arange(q, dtype=np.int64)[:, np.newaxis]
+    slots = np.empty((n, q, len(x)), dtype=np.complex128)
+    for l in range(n):
+        modulus = q ** (l + 1)
+        exponent = component * (x % modulus)
+        exponent %= modulus
+        np.exp(exponent * (-2j * np.pi / modulus), out=slots[l])
+    slots /= np.sqrt(q)
+    return slots
 
 
 def chrestenson_transform_matrix(q: int, n: int) -> np.ndarray:

@@ -94,14 +94,14 @@ from .numerics import (
 # and 3**12 alike and at 31 MiB at 2**10; the limit still applies to it.
 MAX_STATE_DIM = 2 ** 20
 
-# apply and bounds also refuse a radix above this.  apply --basis builds no
-# q x q Chrestenson gate: at n = 1 (same VM) it peaked at 32 MiB with radix
-# 2048, as at 2**10 (126 MiB while it built the gate).  Only the two dense
-# boundary chunks of bounds still build the gate, 16*q**2 bytes, so the
-# peak of bounds grows as q**2: 137 MiB at radix 2048 (keep depth 1).
-# Memory would admit a larger radix; the limit stays at the largest radix
-# measured until its time budget is decided (at 2048 bounds took 0.8-1.0 s,
-# apply 0.12-0.13 s).
+# apply and bounds also refuse a radix above this.  Neither builds the q x q
+# Chrestenson gate or runs the dense simulator on a basis input: at n = 1
+# (same VM) apply --basis peaked at 32 MiB with radix 2048, as at 2**10
+# (126 MiB while it built the gate), and bounds at 42 MiB with keep depth 1
+# (137 MiB while its two dense boundary chunks built the gate).  Memory
+# would admit a larger radix; the limit stays at the largest radix measured
+# until its time budget is decided (at 2048 bounds took 0.39-0.41 s, apply
+# 0.12-0.13 s).
 MAX_RADIX = 2048
 
 

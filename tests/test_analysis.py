@@ -18,6 +18,7 @@ from qudit_qft import (
     phase_error_trig,
 )
 from qudit_qft import circuit as circuit_module
+from qudit_qft import gates as gates_module
 from qudit_qft.analysis import CrossCheckError
 from qudit_qft.cli import main
 
@@ -237,19 +238,6 @@ class TestApproximationReport:
         assert not row.phase_wrapped
 
 
-def record_batch_sizes(monkeypatch):
-    """Make the analysis record the row count of every batch it simulates."""
-    sizes = []
-    original = analysis._run_batch
-
-    def recording(circuit, amplitude_rows):
-        sizes.append(len(amplitude_rows))
-        return original(circuit, amplitude_rows)
-
-    monkeypatch.setattr(analysis, "_run_batch", recording)
-    return sizes
-
-
 def record_product_calls(monkeypatch):
     """Make the analysis record the circuit and inputs of every product run."""
     calls = []
@@ -263,23 +251,24 @@ def record_product_calls(monkeypatch):
     return calls
 
 
-def boundary_chunk_sizes(dim, rows_per_chunk):
-    """Row counts of the dense chunks holding input 0 and input dim - 1."""
-    starts = sorted({0, (dim - 1) // rows_per_chunk * rows_per_chunk})
-    return [min(rows_per_chunk, dim - start) for start in starts]
-
-
 def assert_one_product_run_per_chunk(calls, q, n, keep_depth):
-    """Each product chunk runs the exact, then the pruned circuit, once each,
-    and the chunks cover every input once, in order."""
+    """The probe run, then one product run per chunk: each runs the exact,
+    then the pruned circuit, once each.  The probe inputs rise from 0 to
+    q**n - 1, at most ``_PROBE_INPUTS`` of them (every input when there are
+    no more), and the chunks cover every input once, in order."""
     exact = analysis.build_qft_circuit(q, n)
     pruned = analysis.build_qft_circuit(q, n, keep_depth)
     assert [circuit for circuit, _ in calls] == [exact, pruned] * (len(calls) // 2)
-    chunks = [x for _, x in calls[::2]]
-    assert [x.tolist() for x in chunks] == [x.tolist() for _, x in calls[1::2]]
+    runs = [x for _, x in calls[::2]]
+    assert [x.tolist() for x in runs] == [x.tolist() for _, x in calls[1::2]]
+    probes, chunks = runs[0], runs[1:]
+    dim = q ** n
+    assert len(probes) == min(dim, analysis._PROBE_INPUTS)
+    assert probes[0] == 0 and probes[-1] == dim - 1
+    assert (np.diff(probes) > 0).all()
     rows = max(1, analysis._CHUNK_AMPLITUDES // (n * q))
     assert all(len(x) == rows for x in chunks[:-1])
-    assert np.array_equal(np.concatenate(chunks), np.arange(q ** n))
+    assert np.array_equal(np.concatenate(chunks), np.arange(dim))
 
 
 class TestOneSimulationPerReport:
@@ -292,10 +281,9 @@ class TestOneSimulationPerReport:
         assert [row.measured_max_t for row in rows] == [(q - 1) * w for w in expected]
 
     def test_one_simulation_per_circuit(self, monkeypatch):
-        sizes = record_batch_sizes(monkeypatch)
         calls = record_product_calls(monkeypatch)
         approximation_report(3, 4, 2)
-        assert sizes == [81, 81]
+        assert len(calls) == 4  # the probe run and the one chunk of 81
         assert_one_product_run_per_chunk(calls, 3, 4, 2)
 
     @pytest.mark.parametrize("q,n,keep_depth", [(3, 3, 2), (2, 5, 2), (3, 3, None)])
@@ -304,17 +292,16 @@ class TestOneSimulationPerReport:
                                               rows_per_chunk):
         dim = q ** n
         whole = approximation_report(q, n, keep_depth)
-        sizes = record_batch_sizes(monkeypatch)
         calls = record_product_calls(monkeypatch)
         monkeypatch.setattr(analysis, "_CHUNK_AMPLITUDES", rows_per_chunk * dim)
         assert approximation_report(q, n, keep_depth) == whole
-        chunks = boundary_chunk_sizes(dim, rows_per_chunk)
-        assert sizes == [size for size in chunks for _ in range(2)]
+        rows = max(1, rows_per_chunk * dim // (n * q))
+        assert len(calls) == 2 * (1 + -(-dim // rows))
         assert_one_product_run_per_chunk(calls, q, n, keep_depth)
 
     def test_gate_and_tables_are_built_once_per_report(self, monkeypatch):
-        # 81 and 12 product chunks, both with two one-row dense chunks: the
-        # number of gates and root tables built must not grow with chunks
+        # 81 and 12 product chunks, both after one probe run: the number of
+        # gates and root tables built must not grow with chunks
         builds = []
         for name in ("chrestenson_gate", "roots_of_unity"):
             original = getattr(circuit_module, name)
@@ -364,33 +351,33 @@ class TestCrossCheck:
     @pytest.mark.parametrize("rows_per_chunk", [1, 7, 27])
     def test_names_the_first_failing_input_and_component(self, monkeypatch,
                                                          rows_per_chunk):
-        # Nudge the last input's |2> component of bracket 1 (output column
-        # 2*3) in the pruned simulation only; the exact one stays as is.
-        pruned = analysis.build_qft_circuit(3, 3, 2)
-        original = analysis._run_batch
+        # Nudge the oracle's |2> component of bracket 1 at the last input,
+        # a probe input: both circuits now disagree with it there, and the
+        # every-input ratio check, which never reads the oracle, passes.
+        original = analysis.qft_slots
 
-        def nudged(circuit, amplitude_rows):
-            out = original(circuit, amplitude_rows)
-            if circuit == pruned:
-                out[amplitude_rows[:, 26] == 1, 6] *= cmath.exp(1e-6j)
+        def nudged(q, n, x):
+            out = original(q, n, x)
+            out[1, 2, x == 26] *= cmath.exp(1e-6j)
             return out
 
-        monkeypatch.setattr(analysis, "_run_batch", nudged)
+        monkeypatch.setattr(analysis, "qft_slots", nudged)
         monkeypatch.setattr(analysis, "_CHUNK_AMPLITUDES", rows_per_chunk * 27)
         with pytest.raises(CrossCheckError, match=r"input 26, component 2 \(target digit 1\)"):
             approximation_report(3, 3, 2)
 
     @pytest.mark.parametrize("rows_per_chunk", [1, 7, 27])
     def test_product_check_names_a_mid_range_input(self, monkeypatch, rows_per_chunk):
-        # Input 13 lies in neither dense boundary chunk, so only the product
-        # check can see a nudge of its |2> component of bracket 1.  In the
-        # second case input 14 is nudged too, on a lower digit and
-        # component, in the same product chunk of 3, 21 or 81 inputs: the
-        # smaller input is still named, where a digit-first search would
-        # name 14.
+        # With the probe inputs cut to the two ends, 0 and 26, only the
+        # every-input pass can see a nudge of input 13's |2> component of
+        # bracket 1.  In the second case input 14 is nudged too, on a lower
+        # digit and component, in the same product chunk of 3, 21 or 81
+        # inputs: the smaller input is still named, where a digit-first
+        # search would name 14.
         pruned = analysis.build_qft_circuit(3, 3, 2)
         original = analysis._run_product
         monkeypatch.setattr(analysis, "_CHUNK_AMPLITUDES", rows_per_chunk * 27)
+        monkeypatch.setattr(analysis, "_PROBE_INPUTS", 2)
         for nudges in ([(13, 1, 2)], [(13, 1, 2), (14, 0, 1)]):
             def nudged(circuit, x, cache, largest_table, nudges=nudges):
                 out = original(circuit, x, cache, largest_table)
@@ -404,22 +391,22 @@ class TestCrossCheck:
                                match=r"input 13, component 2 \(target digit 1\)"):
                 approximation_report(3, 3, 2)
 
-    @pytest.mark.parametrize("dense_input,message", [
+    @pytest.mark.parametrize("oracle_input,message", [
         (0, r"input 0, component 1 \(target digit 2\)"),
         (26, r"input 13, component 2 \(target digit 1\)"),
     ])
-    def test_names_the_smallest_input_over_both_checks(self, monkeypatch, dense_input,
+    def test_names_the_smallest_input_over_both_checks(self, monkeypatch, oracle_input,
                                                        message):
-        # A dense failure at a boundary input (column 1 is bracket 2's |1>)
-        # and a product failure at input 13: the smaller input is reported,
-        # whichever check finds it.
+        # An oracle failure at a probe input (the oracle's bracket 2 |1>)
+        # and a failure of the every-input pass at input 13, which is no
+        # probe input: the smaller input is reported, whichever check finds
+        # it.
         pruned = analysis.build_qft_circuit(3, 3, 2)
-        dense, product = analysis._run_batch, analysis._run_product
+        oracle, product = analysis.qft_slots, analysis._run_product
 
-        def dense_nudged(circuit, amplitude_rows):
-            out = dense(circuit, amplitude_rows)
-            if circuit == pruned:
-                out[amplitude_rows[:, dense_input] == 1, 1] *= cmath.exp(1e-6j)
+        def oracle_nudged(q, n, x):
+            out = oracle(q, n, x)
+            out[2, 1, x == oracle_input] *= cmath.exp(1e-6j)
             return out
 
         def product_nudged(circuit, x, cache, largest_table):
@@ -428,11 +415,92 @@ class TestCrossCheck:
                 out[1, 2, x == 13] *= cmath.exp(1e-6j)
             return out
 
-        monkeypatch.setattr(analysis, "_run_batch", dense_nudged)
+        monkeypatch.setattr(analysis, "qft_slots", oracle_nudged)
         monkeypatch.setattr(analysis, "_run_product", product_nudged)
         monkeypatch.setattr(analysis, "_CHUNK_AMPLITUDES", 7 * 27)
+        monkeypatch.setattr(analysis, "_PROBE_INPUTS", 2)
         with pytest.raises(CrossCheckError, match=message):
             approximation_report(3, 3, 2)
+
+
+class TestSlotOracle:
+    @pytest.mark.parametrize("q,n,keep_depth", [(3, 3, 2), (5, 3, 2), (4, 2, 1), (3, 1, 1)])
+    def test_conjugated_roots_fail(self, q, n, keep_depth, monkeypatch, capsys):
+        # Conjugated Chrestenson roots turn both circuits into the inverse
+        # QFT (at q = 2 the roots are real, and it is the QFT itself).  The pruned/exact ratios keep their dropped-exponent sums, so
+        # only the oracle's absolute slots can see it.
+        original = gates_module.chrestenson_roots
+        for module in (gates_module, circuit_module):
+            monkeypatch.setattr(module, "chrestenson_roots", lambda q: np.conj(original(q)))
+        with pytest.raises(CrossCheckError):
+            approximation_report(q, n, keep_depth)
+        argv = ["bounds", "--radix", str(q), "--digits", str(n),
+                "--keep-depth", str(keep_depth)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("verification failed: ")
+
+    def test_a_fault_both_circuits_share_is_named_by_the_oracle_only(self, monkeypatch):
+        # The same exp(1e-6j) on input 13's |2> component of bracket 1 in
+        # both circuits leaves every pruned/exact ratio as it was.
+        whole = approximation_report(3, 3, 2)
+        original = analysis._run_product
+
+        def nudged(circuit, x, cache, largest_table):
+            out = original(circuit, x, cache, largest_table)
+            out[1, 2, x == 13] *= cmath.exp(1e-6j)
+            return out
+
+        monkeypatch.setattr(analysis, "_run_product", nudged)
+        with pytest.raises(CrossCheckError,
+                           match=r"input 13, component 2 \(target digit 1\)"):
+            approximation_report(3, 3, 2)
+        # the ratio check alone: an oracle nudged the same way agrees, and
+        # the report comes out whole
+        oracle = analysis.qft_slots
+
+        def oracle_nudged(q, n, x):
+            out = oracle(q, n, x)
+            out[1, 2, x == 13] *= cmath.exp(1e-6j)
+            return out
+
+        monkeypatch.setattr(analysis, "qft_slots", oracle_nudged)
+        assert approximation_report(3, 3, 2) == whole
+
+    # the ratio check divides the NaN too
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_a_nan_slot_fails(self, monkeypatch):
+        original = analysis._run_product
+
+        def broken(circuit, x, cache, largest_table):
+            out = original(circuit, x, cache, largest_table)
+            out[0, 0, x == 0] = np.nan
+            return out
+
+        monkeypatch.setattr(analysis, "_run_product", broken)
+        with pytest.raises(CrossCheckError, match=r"input 0, component 0 \(target digit 0\)"):
+            approximation_report(3, 3, 2)
+
+    @pytest.mark.parametrize("q,n,keep_depth", [(3, 3, 2), (2, 7, 2), (2048, 1, 1)])
+    def test_runs_no_dense_simulation(self, q, n, keep_depth, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dense simulator ran")
+
+        monkeypatch.setattr(circuit_module, "_run_batch", refuse)
+        monkeypatch.setattr(circuit_module, "chrestenson_gate", refuse)
+        rows = approximation_report(q, n, keep_depth)
+        assert [row.measured_t1 for row in rows] == brute_force_maxima(q, n, keep_depth)
+
+    @pytest.mark.parametrize("q,n,keep_depth,limit_mib", [
+        # 108 and 6.1 MiB while two dense boundary chunks ran, at radix
+        # 2048 with the 64 MiB q x q gate; 11 and 3.2 MiB without them
+        (2048, 1, 1, 32), (3, 7, 2, 4.5),
+    ])
+    def test_peak_memory(self, q, n, keep_depth, limit_mib, traced_peak):
+        _, peak = traced_peak(approximation_report, q, n, keep_depth)
+        assert peak <= limit_mib * 2 ** 20
 
 
 class TestCapacityMetrics:
