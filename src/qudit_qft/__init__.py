@@ -4,7 +4,18 @@ Builds gate-level QFT circuits over base-q digits (q >= 2), simulates them
 on dense state vectors, prunes small controlled phase shifts to produce
 approximate transforms, and measures the resulting phase errors against
 closed-form bounds.
+
+OpenBLAS runs on one thread unless the caller set ``OPENBLAS_NUM_THREADS``
+before this import: the package's own workers are its parallelism (see the
+README's section on parallelism).
 """
+
+import os
+
+# OpenBLAS reads this once, as numpy loads it, so it is set before the
+# first numpy import; a caller's value is kept.  Its worker threads would
+# spin on the CPUs that verify's oracle and residual threads run on.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .numerics import (
     DEFAULT_DIM_CAP,

@@ -192,12 +192,12 @@ def _bracket_phase_maxima(q: int, n: int, keep_depth: int | None) -> list[float]
 
     def first_mismatch(x, exact_slots, pruned_slots, shifts):
         """The first failure of the ratio check over ``(n, q, len(x))``
-        slots, or None."""
+        slots, or None.  A NaN slot fails too."""
         simulated = (pruned_slots[:, 1:] / pruned_slots[:, :1]) / (
             exact_slots[:, 1:] / exact_slots[:, :1]
         )
         expected = np.exp(1j * np.arange(1, q)[:, np.newaxis] * shifts[:, np.newaxis])
-        return first_failure(x, np.abs(simulated - expected) > _CROSS_CHECK_TOL, 1)
+        return first_failure(x, ~(np.abs(simulated - expected) <= _CROSS_CHECK_TOL), 1)
 
     # both circuits read the Chrestenson gate's q scaled roots and their
     # roots-of-unity tables, of up to q**n entries, from here, each built

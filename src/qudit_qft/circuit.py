@@ -38,7 +38,6 @@ most significant digit.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
@@ -47,7 +46,7 @@ import numpy as np
 
 from . import kernels
 from .gates import chrestenson_gate, chrestenson_roots, roots_of_unity
-from .numerics import DEFAULT_DIM_CAP, StateVector, _freeze, check_params
+from .numerics import DEFAULT_DIM_CAP, StateVector, _freeze, _parallel_max, check_params
 
 CHRESTENSON = "chrestenson"
 CONTROLLED_PHASE = "controlled_phase"
@@ -559,58 +558,38 @@ def _oracle_distance(left: np.ndarray, right: np.ndarray, workers: int) -> float
     ``M`` of ``_product_halves``, whose row ``(i, j)`` is row i of the full
     left half (``_left_rows``) times ``right[j]``, building neither.
 
-    Tile ``k`` of ``_tiles`` is checked by worker ``k % W``, with ``W =
-    min(workers, tiles)``.  Worker 0 is the calling thread and the others
-    are threads of their own; numpy releases the GIL in every step of a
-    tile.  Each worker allocates its buffers once, 1.5 MiB at t = 4096, and
-    expands a row of the left half as its tiles reach it.  A
+    The tiles of ``_tiles`` are dealt to ``workers`` threads
+    (``numerics._parallel_max``), and numpy releases the GIL in every step
+    of a tile.  Each worker allocates its buffers once, 1.5 MiB at t =
+    4096, and expands a row of the left half as its tiles reach it.  A
     tile's entries of ``M`` are the products of the compile's last step
     (``_outer_rows``), the compiled entries bit for bit (at n = 1, ``1 *
     z`` may flip a zero's sign, not the distance); its DFT rows come from
     ``_dft_rows``; the difference and its magnitude are taken in place.
-    The largest magnitude does not depend on which worker saw it, so the
-    result is the same bit for bit for every ``workers``; a NaN anywhere
-    makes it NaN.  A worker's exception is raised once all have ended.
+    The result is the same bit for bit for every ``workers``; a NaN
+    anywhere makes it NaN, and a worker's exception is raised once all
+    have ended.
     """
     r, t = right.shape
-    tiles = _tiles(left, right)
-    workers = min(workers, len(tiles))
     gather = _dft_rows(t)
-    maxima = [[] for _ in range(workers)]
-    errors = [None] * workers
 
-    def check(w: int) -> None:
-        try:
-            block = np.empty((_TILE_ROWS, t), np.complex128)
-            dft = np.empty((_TILE_ROWS, t), np.complex128)
-            index = np.empty((_TILE_ROWS, t), np.intp)
-            magnitude = np.empty((_TILE_ROWS, t), np.float64)
-            expanded = None
-            for i, s, rows in tiles[w::workers]:
-                if expanded != i:
-                    row, expanded = _left_rows(left, [i], t)[0], i
-                entries = np.multiply(row, right[s:s + rows], out=block[:rows])
-                diff = gather(i * r + s, index[:rows], dft[:rows])
-                np.subtract(entries, diff, out=diff)
-                maxima[w].append(np.abs(diff, out=magnitude[:rows]).max())
-        except Exception as exc:  # a thread would only print it
-            errors[w] = exc
+    def check(tiles) -> float:
+        block = np.empty((_TILE_ROWS, t), np.complex128)
+        dft = np.empty((_TILE_ROWS, t), np.complex128)
+        index = np.empty((_TILE_ROWS, t), np.intp)
+        magnitude = np.empty((_TILE_ROWS, t), np.float64)
+        expanded = None
+        maxima = []
+        for i, s, rows in tiles:
+            if expanded != i:
+                row, expanded = _left_rows(left, [i], t)[0], i
+            entries = np.multiply(row, right[s:s + rows], out=block[:rows])
+            diff = gather(i * r + s, index[:rows], dft[:rows])
+            np.subtract(entries, diff, out=diff)
+            maxima.append(np.abs(diff, out=magnitude[:rows]).max())
+        return np.max(maxima)
 
-    threads = []
-    try:
-        for w in range(1, workers):
-            thread = threading.Thread(target=check, args=(w,))
-            thread.start()
-            threads.append(thread)
-        check(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    # np.max, unlike the builtin max, carries a NaN through
-    return float(np.max([m for part in maxima for m in part]))
+    return _parallel_max(check, _tiles(left, right), workers)
 
 
 def apply_circuit(circuit: Circuit, state: StateVector) -> StateVector:

@@ -39,12 +39,18 @@ touches as it renders it: the rows of M for gen-matrix
 ``MAX_STATE_DIM``).  Only a state read with ``--in`` runs the dense
 simulator.  verify compares M with the DFT in tiles of a few rows on every
 CPU the process may run on (``circuit._oracle_distance``, with
-``_render_workers()`` threads; the distance does not depend on the thread
-count), and takes the unitarity residual from the Kronecker structure of
-the halves (``numerics.product_unitarity_residual``), one Gram block at a
-time and over only the Gram columns a bound leaves able to hold the
-maximum.  At n = 1 the left half is a single 1, M is the right half, and
-its residual is the blocked one.
+``_render_workers()`` threads), and takes the unitarity residual from the
+Kronecker structure of the halves (``numerics.product_unitarity_residual``),
+one Gram block at a time and over only the Gram columns a bound leaves able
+to hold the maximum.  At n = 1 the left half is a single 1, M is the right
+half, and its residual is the blocked one, whose row-block products run on
+the same threads.  Neither result depends on the thread count.
+
+These threads and the forked render workers are the program's only
+parallelism: importing the package puts OpenBLAS on one thread unless
+``OPENBLAS_NUM_THREADS`` is already set, so every matrix product runs on
+the thread that calls it, and the products give the same bits on any
+number of CPUs.
 
 Usage errors are ``UsageError``s raised by one up-front check per command
 (``_check_args``); any other exception is a fault of the program and
@@ -431,8 +437,10 @@ def _render_amplitudes(header: bytes, entries, size: int, footer: bytes,
             readers.append(open(read_fd, "rb"))
             try:
                 with warnings.catch_warnings():
-                    # Python 3.12+ warns on forking a threaded process
-                    # (numpy's BLAS threads); the child only formats.
+                    # Python 3.12+ warns on forking a threaded process:
+                    # OpenBLAS has threads where numpy loaded before this
+                    # package or OPENBLAS_NUM_THREADS is above 1.  The
+                    # child only formats.
                     warnings.simplefilter("ignore", DeprecationWarning)
                     pid = os.fork()
                 if pid == 0:
@@ -705,8 +713,9 @@ def cmd_verify(args) -> int:
     dim = q ** n
     circuit = build_qft_circuit(q, n)
     left, right = _product_halves(circuit, np.arange(dim))
-    distance = _oracle_distance(left, right, _render_workers())
-    residual = product_unitarity_residual(left, right)
+    workers = _render_workers()
+    distance = _oracle_distance(left, right, workers)
+    residual = product_unitarity_residual(left, right, workers)
     expected_gates = n * (n + 1) // 2
     checks = [
         ("gate_count", circuit.gate_count == expected_gates,

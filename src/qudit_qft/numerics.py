@@ -1,6 +1,8 @@
 """The matrix metrics used everywhere else (max-entry distance and the
 unitarity residuals), the state-vector container, and ``check_params``, the
-one range check of the package's parameters.
+one range check of the package's parameters, and ``_parallel_max``, the
+one place work is dealt to threads (verify's oracle tiles and residual
+blocks).
 
 Matrices are plain ``numpy.ndarray`` objects of dtype complex128; products,
 adjoints and Kronecker products are numpy's own.  Everything here is pure
@@ -11,6 +13,7 @@ that nothing can write to, and ``_freeze``, which makes such arrays.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +22,10 @@ import numpy as np
 # this; gen-matrix and verify build no matrix but are held to the same cap.
 # The CLI imports it as ``MAX_DIM_CAP``: gen-matrix and verify refuse a
 # --dim-cap above it.  Peak RSS at the cap (2-vCPU VM, ru_maxrss of the
-# child) is at most 322 MiB, reached at n = 1, radix 4096, by verify, and
-# 289 MiB there by gen-matrix: the product engine's slots are 256 MiB, and
-# no q x q gate is built beside them (668 MiB in both while it was).  With
+# child) is at most 325 MiB, reached at n = 1, radix 4096, by verify (306
+# MiB on one CPU; see RESIDUAL_BLOCK_BYTES for more), and 289 MiB there by
+# gen-matrix: the product engine's slots are 256 MiB, and no q x q gate is
+# built beside them (668 MiB in both while it was).  With
 # two or more digits gen-matrix peaked at 37 MiB at (2, 12) and 51 MiB at
 # (16, 3), and verify at 39 and 54 MiB.  The cap bounds the rest: a
 # gen-matrix document at 4096 is about 890 MB and grows with the square of
@@ -32,10 +36,20 @@ DEFAULT_DIM_CAP = 4096
 NORM_TOL = 1e-10
 
 # Row-block height of unitarity_residual's Gram blocks, which verify takes
-# at n = 1 (through product_unitarity_residual).  At the 4096 cap heights of
-# 256, 512 and 1024 all took 4.0-4.3 s for the residual (2-vCPU VM), against
-# 6.5 s for one full product; the smallest keeps the temporaries smallest.
+# at n = 1 (through product_unitarity_residual).  At the 4096 cap, with
+# OpenBLAS on one thread, heights of 256, 512 and 1024 took 2.8, 2.8 and
+# 3.0 s for the residual on one worker, and 1.5, 1.6 and 3.1 s on two (at
+# 1024 RESIDUAL_BLOCK_BYTES holds one block), against 4.9 s for one full
+# product (2-vCPU VM, best of 3); the smallest keeps the temporaries
+# smallest and deals the most blocks.
 BLOCK_ROWS = 256
+
+# Bytes of conjugated row blocks that unitarity_residual's workers hold at
+# once, one block of BLOCK_ROWS rows each (16 MiB at the cap), which caps
+# its workers at 4 there.  verify at (4096, 1) peaked at 306 MiB with one
+# worker, 325 with 2, 363 with 4 and 587 with 16 (2-vCPU VM, child runs):
+# more would pass the 512 MiB budget on a machine with that many CPUs.
+RESIDUAL_BLOCK_BYTES = 64 << 20
 
 # Slack of product_unitarity_residual's column bound, in units of 2**-53
 # per unit of p + 4.  Column (j, l), j != l, holds GEMM sums over s < p of
@@ -82,7 +96,44 @@ def max_entry_distance(a, b) -> float:
     return float(np.abs(a - b).max())
 
 
-def unitarity_residual(a) -> float:
+def _parallel_max(work, items, workers: int) -> float:
+    """``np.max`` of ``work(items[w::W])`` over the workers ``w < W``,
+    ``W = min(workers, len(items))``: item k goes to worker ``k % W``.
+    Worker 0 is the calling thread and the others are threads of their
+    own, so ``work`` should spend its time in numpy calls, which release
+    the GIL.  Each ``work`` returns the largest value of its items; the
+    largest of those does not depend on which worker found it, so the
+    result is the same bit for bit for every ``workers``, and a NaN from
+    any worker makes it NaN.  A worker's exception is raised once all have
+    ended."""
+    workers = min(workers, len(items))
+    maxima = [np.nan] * workers
+    errors = [None] * workers
+
+    def run(w: int) -> None:
+        try:
+            maxima[w] = work(items[w::workers])
+        except Exception as exc:  # a thread would only print it
+            errors[w] = exc
+
+    threads = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=run, args=(w,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    # np.max, unlike the builtin max, carries a NaN through
+    return float(np.max(maxima))
+
+
+def unitarity_residual(a, workers: int = 1) -> float:
     """Largest entry of ``|a @ adjoint(a) - I|``, computed in row blocks.
 
     ``G = a @ adjoint(a)`` is Hermitian for any ``a``, so every entry below
@@ -90,24 +141,33 @@ def unitarity_residual(a) -> float:
     ``G[i, j] = a[i] @ adjoint(a[j])`` with i <= j are formed, one at a
     time and ``BLOCK_ROWS`` rows high, which halves the product; no full
     product, adjoint or identity is built.  The identity is subtracted on
-    the diagonal blocks alone.  A NaN in any block makes the result NaN.
+    the diagonal blocks alone.  The column blocks ``j`` are dealt to
+    ``workers`` threads (``_parallel_max``), at most as many as
+    ``RESIDUAL_BLOCK_BYTES`` holds, each of which conjugates its ``a[j]``
+    once for all of its blocks; every block is the same product on any
+    thread, so the result does not depend on ``workers``.  A NaN in any
+    block makes the result NaN.
     """
     a = _as_matrix(a)
     _require_square(a)
-    dim = a.shape[0]
-    maxima = []
-    for j in range(0, dim, BLOCK_ROWS):
-        right = a[j:j + BLOCK_ROWS].conj()
-        for i in range(0, j + 1, BLOCK_ROWS):
-            block = a[i:i + BLOCK_ROWS] @ right.T
-            if i == j:
-                block[np.diag_indices(len(block))] -= 1
-            maxima.append(np.abs(block).max())
-    # np.max, unlike the builtin max, carries a NaN through
-    return float(np.max(maxima))
+    workers = min(workers, max(1, RESIDUAL_BLOCK_BYTES // max(1, a[:BLOCK_ROWS].nbytes)))
+
+    def blocks(starts) -> float:
+        maxima = []
+        for j in starts:
+            right = a[j:j + BLOCK_ROWS].conj()
+            for i in range(0, j + 1, BLOCK_ROWS):
+                block = a[i:i + BLOCK_ROWS] @ right.T
+                if i == j:
+                    block[np.diag_indices(len(block))] -= 1
+                maxima.append(np.abs(block).max())
+            del right  # before the next block's conjugate is formed beside it
+        return np.max(maxima)
+
+    return _parallel_max(blocks, range(0, a.shape[0], BLOCK_ROWS), workers)
 
 
-def product_unitarity_residual(left, right) -> float:
+def product_unitarity_residual(left, right, workers: int = 1) -> float:
     """``unitarity_residual`` of the matrix ``M`` whose row ``(i, j)``, in
     C order, is ``L[i] * right[j]``, without building ``M``.
 
@@ -129,13 +189,14 @@ def product_unitarity_residual(left, right) -> float:
     The sums run over the exact products, so the result may differ in its
     last bits from ``unitarity_residual`` of the rounded ``M``; where
     ``left`` is one row of ones, ``M`` is ``right`` and the result is
-    ``unitarity_residual(right)``.  A NaN anywhere makes the result NaN.
+    ``unitarity_residual(right, workers)``, the one place ``workers``
+    is read.  A NaN anywhere makes the result NaN.
     """
     left, right = _as_matrix(left), _as_matrix(right)
     _require_square(left)
     p, r = len(left), len(right)
     if p == 1 and left[0, 0] == 1:
-        return unitarity_residual(right)
+        return unitarity_residual(right, workers)
     # columns = (x_high, s) in C order, so R_s is right[:, :, s]
     parts = right.reshape(r, -1, p).transpose(2, 0, 1)
     h = np.zeros((r, r))
@@ -210,8 +271,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def _norm_sq(amps: np.ndarray) -> float:
     """``sum(|a|**2)`` over a 1-d complex128 array, as one dot product of
     its float64 (re, im) pairs with themselves.  It builds no temporary and
-    makes no BLAS call: at 2**19 amplitudes it took 0.5 ms, ``np.vdot``'s
-    threaded BLAS call 4 ms.  Inf if a square overflows, NaN if an entry
+    makes no BLAS call, so its time does not depend on OpenBLAS's threads:
+    at 2**19 amplitudes it took 0.28 ms, ``np.vdot`` 0.22 ms on one BLAS
+    thread (median of 200, 2-vCPU VM).  Inf if a square overflows, NaN if an entry
     is NaN."""
     pairs = amps[:, np.newaxis].view(np.float64)
     return float(np.einsum("ij,ij->", pairs, pairs))

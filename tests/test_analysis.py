@@ -483,6 +483,29 @@ class TestSlotOracle:
         with pytest.raises(CrossCheckError, match=r"input 0, component 0 \(target digit 0\)"):
             approximation_report(3, 3, 2)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_a_nan_slot_at_an_input_no_probe_reaches_fails(self, monkeypatch, capsys):
+        # with the probes cut to the two ends, 0 and 26, only the
+        # every-input pass reads input 13, and NaN passes a ``>`` test
+        pruned = analysis.build_qft_circuit(3, 3, 2)
+        original = analysis._run_product
+
+        def broken(circuit, x, cache, largest_table):
+            out = original(circuit, x, cache, largest_table)
+            if circuit == pruned:
+                out[1, 2, x == 13] = np.nan
+            return out
+
+        monkeypatch.setattr(analysis, "_run_product", broken)
+        monkeypatch.setattr(analysis, "_PROBE_INPUTS", 2)
+        with pytest.raises(CrossCheckError, match=r"input 13, component 2 \(target digit 1\)"):
+            approximation_report(3, 3, 2)
+        code = main(["bounds", "--radix", "3", "--digits", "3", "--keep-depth", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "input 13" in captured.err
+
     @pytest.mark.parametrize("q,n,keep_depth", [(3, 3, 2), (2, 7, 2), (2048, 1, 1)])
     def test_runs_no_dense_simulation(self, q, n, keep_depth, monkeypatch):
         def refuse(*args, **kwargs):

@@ -555,11 +555,17 @@ def test_stdout_and_out_file_carry_the_same_bytes(argv, tmp_path, monkeypatch, c
     assert printed and path.read_bytes() == printed
 
 
-def run_python(code: str) -> str:
+def run_python(code: str, **variables) -> str:
     """Run ``code`` in a fresh interpreter that imports this package, with
-    stdout block-buffered; its stdout.  A run that hangs fails after 60 s."""
+    stdout block-buffered and the environment ``variables`` set (removed
+    where None); its stdout.  A run that hangs fails after 60 s."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    for name, value in variables.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True, timeout=60)
     return proc.stdout
@@ -585,6 +591,29 @@ def test_cli_setup_imports_no_process_pool():
         "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
     )
     assert out == "[]\n"
+
+
+@pytest.mark.parametrize("given,kept", [(None, "1"), ("3", "3")])
+def test_import_puts_openblas_on_one_thread_unless_the_caller_chose(given, kept):
+    out = run_python("import os, qudit_qft; print(os.environ['OPENBLAS_NUM_THREADS'])",
+                     OPENBLAS_NUM_THREADS=given)
+    assert out == f"{kept}\n"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the spin of OpenBLAS's threads was measured on Linux")
+def test_cli_child_spins_no_blas_thread_after_import():
+    # a threaded OpenBLAS spins its workers for about 0.09 s of CPU after
+    # numpy loads it, on the CPUs verify's threads then run on
+    out = run_python(textwrap.dedent("""
+        import resource, time
+        import qudit_qft.cli
+        before = resource.getrusage(resource.RUSAGE_SELF)
+        time.sleep(0.3)
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        print(after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime)
+    """), OPENBLAS_NUM_THREADS=None)
+    assert float(out) < 0.03
 
 
 def test_cli_setup_builds_no_format_tables():

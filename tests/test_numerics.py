@@ -1,5 +1,7 @@
 """Tests for the dense matrix helpers and the state-vector container."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -281,7 +283,8 @@ class TestProductUnitarityResidual:
         left, right = qft_halves(4096, 1)
         assert left.shape == (1, 1) and left[0, 0] == 1
         calls = []
-        monkeypatch.setattr(numerics, "unitarity_residual", lambda a: calls.append(a) or 0.5)
+        monkeypatch.setattr(numerics, "unitarity_residual",
+                            lambda a, workers: calls.append(a) or 0.5)
         assert product_unitarity_residual(left, right) == 0.5
         assert len(calls) == 1 and calls[0] is right
 
@@ -309,7 +312,7 @@ class TestProductUnitarityResidual:
         blocked = unitarity_residual(right)
         calls = []
 
-        def recording(a):
+        def recording(a, workers):
             calls.append(a)
             return unitarity_residual(a)
 
@@ -331,6 +334,68 @@ class TestProductUnitarityResidual:
         left, right, _ = periodic_product(4, 5)
         with pytest.raises(ValueError, match="expected a square matrix"):
             product_unitarity_residual(np.tile(left, 5), right)
+
+
+class TestResidualWorkers:
+    """The residual's row blocks dealt to 1, 2 and 3 threads: the same bits."""
+
+    # 300 and 1000 end in a partial block, 600 in two whole ones and a part
+    @pytest.mark.parametrize("q", [300, 600, 1000])
+    def test_blocked_residual_of_the_right_half(self, q):
+        _, right = qft_halves(q, 1)
+        one = unitarity_residual(right, 1)
+        assert all(same_bits(unitarity_residual(right, w), one) for w in (2, 3))
+
+    def test_workers_hold_at_most_the_block_budget(self, monkeypatch):
+        # each worker holds one conjugated row block, 16 MiB at the cap, and
+        # RESIDUAL_BLOCK_BYTES holds four
+        _, right = qft_halves(4096, 1)
+        dealt = []
+        monkeypatch.setattr(numerics, "_parallel_max",
+                            lambda work, items, workers: dealt.append(workers) or 0.0)
+        for workers in (1, 2, 4, 16):
+            unitarity_residual(right, workers)
+        assert dealt == [1, 2, 4, 4]
+
+    @pytest.mark.parametrize("q,n", [(3, 7), (16, 3)])
+    def test_product_residual(self, q, n):
+        left, right = qft_halves(q, n)
+        one = product_unitarity_residual(left, right, 1)
+        assert all(same_bits(product_unitarity_residual(left, right, w), one)
+                   for w in (2, 3))
+
+
+class TestParallelMax:
+    def test_deals_items_round_robin_with_the_caller_as_worker_0(self):
+        caller, parts = threading.current_thread(), []
+
+        def work(part):
+            parts.append((threading.current_thread() is caller, list(part)))
+            return max(part)
+
+        assert numerics._parallel_max(work, range(7), 3) == 6
+        assert sorted(parts) == [(False, [1, 4]), (False, [2, 5]), (True, [0, 3, 6])]
+        parts.clear()
+        assert numerics._parallel_max(work, range(2), 8) == 1
+        assert sorted(parts) == [(False, [1]), (True, [0])]
+
+    @pytest.mark.parametrize("worker", [0, 1, 2])
+    def test_a_nan_from_any_worker_is_nan(self, worker):
+        assert np.isnan(numerics._parallel_max(
+            lambda part: np.nan if worker in part else 1.0, range(3), 3))
+
+    @pytest.mark.parametrize("worker", [0, 1, 2])
+    def test_a_workers_exception_is_raised_after_every_worker_ended(self, worker):
+        threads = threading.active_count()
+
+        def work(part):
+            if worker in part:
+                raise RuntimeError(f"worker {worker} failed")
+            return 0.0
+
+        with pytest.raises(RuntimeError, match=f"worker {worker} failed"):
+            numerics._parallel_max(work, range(3), 3)
+        assert threading.active_count() == threads
 
 
 class TestMaxEntryDistance:
