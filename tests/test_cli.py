@@ -767,21 +767,17 @@ class TestParallelRenderFailures:
         assert os.listdir(tmp_path) == []
         self.assert_no_children()
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    @pytest.mark.parametrize("read", [0, 300_000])
-    def test_closed_reader_is_a_broken_pipe_and_reaps_the_workers(self, workers, read,
-                                                                  monkeypatch):
-        # the reader closes at once, so the parent's first write fails, or
-        # after 300 kB, inside chunk 1 (about 200 kB a chunk), a worker's
-        monkeypatch.setattr(cli, "_render_workers", lambda: workers)
-        rng = np.random.default_rng(9004)
-        amps = rng.normal(size=2 ** 16) + 1j * rng.normal(size=2 ** 16)
-        state = StateVector(2, 16, amps / np.linalg.norm(amps))
+    @staticmethod
+    def write_to_a_reader_that_closes(state, read):
+        """Write ``state``'s document into a pipe whose reader takes its
+        first ``read`` bytes and closes; return those bytes."""
         reader, writer = os.pipe()
+        taken = []
 
         def consume(left):
             while left > 0:
-                left -= len(os.read(reader, left))
+                taken.append(os.read(reader, left))
+                left -= len(taken[-1])
             os.close(reader)
 
         thread = threading.Thread(target=consume, args=(read,))
@@ -793,6 +789,27 @@ class TestParallelRenderFailures:
             os.close(writer)
             thread.join(timeout=60)
         assert not thread.is_alive()
+        return b"".join(taken)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_abandoned_document_reaps_its_workers(self, workers, monkeypatch):
+        # the reader takes the opening of the document, then abandons it
+        monkeypatch.setattr(cli, "_render_workers", lambda: workers)
+        state = StateVector(2, 15, np.full(2 ** 15, 2 ** -7.5 + 0j))
+        assert self.write_to_a_reader_that_closes(state, 1) == b"{"
+        self.assert_no_children()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("read", [0, 300_000])
+    def test_closed_reader_is_a_broken_pipe_and_reaps_the_workers(self, workers, read,
+                                                                  monkeypatch):
+        # the reader closes at once, so the parent's first write fails, or
+        # after 300 kB, inside chunk 1 (about 200 kB a chunk), a worker's
+        monkeypatch.setattr(cli, "_render_workers", lambda: workers)
+        rng = np.random.default_rng(9004)
+        amps = rng.normal(size=2 ** 16) + 1j * rng.normal(size=2 ** 16)
+        state = StateVector(2, 16, amps / np.linalg.norm(amps))
+        assert len(self.write_to_a_reader_that_closes(state, read)) == read
         self.assert_no_children()
 
     def test_two_documents_leave_no_child_and_no_open_ring_descriptor(self):
