@@ -1,6 +1,7 @@
 """Tests for the command-line front end and its file formats."""
 
 import errno
+import gc
 import json
 import math
 import os
@@ -20,12 +21,14 @@ from qudit_qft import (
     circuit,
     cli,
     chrestenson_gate,
+    documents,
     dft_matrix,
     digit_reversal_perm,
     kernels,
     numerics,
 )
-from qudit_qft.cli import BOUNDS_HEADER, COMPARE_HEADER, main, parse_state, render_state
+from qudit_qft.cli import BOUNDS_HEADER, COMPARE_HEADER, main, parse_state
+from qudit_qft.documents import render_state
 from qudit_qft.numerics import StateVector
 
 
@@ -36,7 +39,7 @@ def run(args, capsys):
 
 
 def text_of(document) -> bytes:
-    """The bytes a document writer (a ``cli._Document``) writes."""
+    """The bytes a document writer (a ``documents._Document``) writes."""
     with tempfile.TemporaryFile() as fh:
         document(fh.fileno())
         fh.seek(0)
@@ -131,7 +134,7 @@ class TestGenMatrix:
         # the 1024 x 1024 matrix alone is 16 MiB; each chunk multiplies out
         # only the rows it touches.  The renderer's 4 MiB heap primer counts
         # here, though it is never touched.
-        monkeypatch.setattr(cli, "_render_workers", lambda: workers)
+        monkeypatch.setattr(documents, "_render_workers", lambda: workers)
         out = tmp_path / "m.csv"
         code, peak = traced_peak(main, ["gen-matrix", "--radix", "2", "--digits", "10",
                                         "--format", "csv", "--out", str(out)])
@@ -371,7 +374,7 @@ def render_rows(matrix: np.ndarray, fmt: str):
     the matrix those halves make (``1 * z`` may turn a ``-0`` real part
     into ``+0``)."""
     ones = np.ones((1, matrix.shape[1]))
-    return cli.render_matrix(ones, matrix, fmt), ones * matrix
+    return documents.render_matrix(ones, matrix, fmt), ones * matrix
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -396,11 +399,11 @@ def test_chunk_reader_is_the_whole_left_halfs(q, n, full_halves):
     x = np.arange(q ** n)
     whole = full_halves(qft, x)[0]
     left, right = circuit._product_halves(qft, x)
-    entries, size = cli._product_entries(left, right)
+    entries, size = documents._product_entries(left, right)
     r, cols = right.shape
     assert size == cols * cols
-    for start in range(0, size, cli._STATE_CHUNK):
-        end = start + cli._STATE_CHUNK
+    for start in range(0, size, documents._STATE_CHUNK):
+        end = start + documents._STATE_CHUNK
         i, j = np.divmod(np.arange(start // cols, -(-min(end, size) // cols)), r)
         expected = (whole[i] * right[j]).ravel()[start % cols:][:end - start]
         assert np.array_equal(entries(start, end).view(np.uint64), expected.view(np.uint64))
@@ -444,14 +447,14 @@ def matrix_document(fmt):
 def test_render_state_chunks_end_on_a_chunk_boundary(document, n, monkeypatch):
     # 2**12 and 2**13 entries fill one and two rendering chunks exactly;
     # only the last chunk's last line goes without its separator
-    real_format, chunks = cli._format_chunk, []
+    real_format, chunks = documents._format_chunk, []
 
     def format_chunk(entries, start, cols, last):
         chunks.append((start, last, real_format(entries, start, cols, last)))
         return chunks[-1][2]
 
-    monkeypatch.setattr(cli, "_format_chunk", format_chunk)
-    monkeypatch.setattr(cli, "_render_workers", lambda: 1)
+    monkeypatch.setattr(documents, "_format_chunk", format_chunk)
+    monkeypatch.setattr(documents, "_render_workers", lambda: 1)
     text = text_of(document(n)).decode()
     assert [(start, last) for start, last, _ in chunks] == [
         (k * 4096, k == 2 ** n // 4096 - 1) for k in range(2 ** n // 4096)]
@@ -511,7 +514,7 @@ def forks(monkeypatch):
 @pytest.mark.parametrize("size", DOCUMENT_SIZES)
 @pytest.mark.parametrize("kind", ["state", "json", "csv"])
 def test_parallel_render_matches_per_entry_format(kind, size, workers, forks, monkeypatch):
-    monkeypatch.setattr(cli, "_render_workers", lambda: workers)
+    monkeypatch.setattr(documents, "_render_workers", lambda: workers)
     rng = np.random.default_rng(9003)
     (q, n), shape = DOCUMENT_SIZES[size]
     if kind == "state":
@@ -528,7 +531,7 @@ def test_parallel_render_matches_per_entry_format(kind, size, workers, forks, mo
 @pytest.mark.parametrize("workers", [1, 2])
 def test_short_writes_are_completed(workers, monkeypatch):
     # a pipe or a signal may cut a write short; every worker writes the rest
-    monkeypatch.setattr(cli, "_render_workers", lambda: workers)
+    monkeypatch.setattr(documents, "_render_workers", lambda: workers)
     real_write = os.write
     monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, bytes(data[:1000])))
     rng = np.random.default_rng(9005)
@@ -545,7 +548,7 @@ def test_render_workers_follow_the_cpu_affinity(monkeypatch):
 @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
 def test_parallel_apply_matches_per_entry_format(to_file, tmp_path, forks, monkeypatch,
                                                  capsys):
-    monkeypatch.setattr(cli, "_render_workers", lambda: 3)
+    monkeypatch.setattr(documents, "_render_workers", lambda: 3)
     path = tmp_path / "out.json"
     code, out, _ = run(["apply", "--radix", "2", "--digits", "14", "--basis", "5",
                         *(["--out", str(path)] if to_file else [])], capsys)
@@ -574,7 +577,7 @@ def test_parallel_apply_matches_per_entry_format(to_file, tmp_path, forks, monke
 ])
 def test_stdout_and_out_file_carry_the_same_bytes(argv, tmp_path, monkeypatch, capsysbinary):
     # amplitude documents are rendered by the parent and one forked worker
-    monkeypatch.setattr(cli, "_render_workers", lambda: 2)
+    monkeypatch.setattr(documents, "_render_workers", lambda: 2)
     if argv[-1] == "--in":
         state = tmp_path / "in.json"
         state.write_bytes(text_of(render_state(StateVector.basis(2, 14, 5))))
@@ -587,10 +590,11 @@ def test_stdout_and_out_file_carry_the_same_bytes(argv, tmp_path, monkeypatch, c
     assert printed and path.read_bytes() == printed
 
 
-def run_python(code: str, **variables) -> str:
-    """Run ``code`` in a fresh interpreter that imports this package, with
-    stdout block-buffered and the environment ``variables`` set (removed
-    where None); its stdout.  A run that hangs fails after 60 s."""
+def python_child(args, **variables) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this package with the arguments
+    ``args``, stdout block-buffered and the environment ``variables`` set
+    (removed where None); its exit code and output bytes.  A run that
+    hangs fails after 60 s."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
     for name, value in variables.items():
@@ -598,16 +602,22 @@ def run_python(code: str, **variables) -> str:
             env.pop(name, None)
         else:
             env[name] = value
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True, timeout=60)
-    return proc.stdout
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=60)
+
+
+def run_python(code: str, **variables) -> str:
+    """The stdout of ``code`` run in a ``python_child``, which must exit 0."""
+    proc = python_child(["-c", code], **variables)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout.decode()
 
 
 def test_text_buffered_before_the_fork_is_written_once():
     # stdout is a pipe, so the first line still sits in its buffer when the
     # workers fork; a worker that flushed it would write it again
     out = run_python(
-        "import sys; from qudit_qft import cli; cli._render_workers = lambda: 3; "
+        "import sys; from qudit_qft import cli, documents; "
+        "documents._render_workers = lambda: 3; "
         "sys.stdout.write('buffered before the fork\\n'); "
         "sys.exit(cli.main(['apply', '--radix', '2', '--digits', '14', '--basis', '5']))"
     )
@@ -625,7 +635,8 @@ def test_closed_stdout_is_one_io_error(read):
     # first chunk, or past it (2**16 renders 16 chunks of about 200 kB, and
     # the worker writes chunk 1).  A worker that outlived the command would
     # hold stderr open, and reading it to its end would time out.
-    code = ("import sys; from qudit_qft import cli; cli._render_workers = lambda: 2; "
+    code = ("import sys; from qudit_qft import cli, documents; "
+            "documents._render_workers = lambda: 2; "
             "sys.exit(cli.main(['apply', '--radix', '2', '--digits', '16', '--basis', '5']))")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     reader, writer = os.pipe()
@@ -653,12 +664,79 @@ def test_closed_stdout_is_one_io_error(read):
 
 def test_cli_setup_imports_no_process_pool():
     # a pool module would lengthen every command's start-up, and so would
-    # json (about 1 ms), which only parse_state uses
+    # json (about 1 ms), which only parse_state uses, and the document
+    # layer, which only apply and gen-matrix import
     out = run_python(
         "import sys; from qudit_qft.cli import build_parser; build_parser(); "
-        "print(sorted({'multiprocessing', 'concurrent.futures', 'json'} & set(sys.modules)))"
+        "print(sorted({'multiprocessing', 'concurrent.futures', 'json', "
+        "'qudit_qft.documents'} & set(sys.modules)))"
     )
     assert out == "[]\n"
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    pytest.param(["bounds", "--radix", "3", "--digits", "4", "--keep-depth", "2"], False,
+                 id="bounds"),
+    pytest.param(["verify", "--radix", "2", "--digits", "6"], False, id="verify"),
+    pytest.param(["compare-radix", "--radix", "3", "--digits", "4"], False,
+                 id="compare-radix"),
+    pytest.param(["apply", "--radix", "2", "--digits", "6", "--basis", "5"], True,
+                 id="apply-basis"),
+    pytest.param(["gen-matrix", "--radix", "2", "--digits", "3"], True, id="gen-matrix"),
+])
+def test_only_document_commands_load_the_document_layer(argv, loaded):
+    out = run_python(
+        "import os, sys; from qudit_qft.cli import main; "
+        f"code = main({[*argv, '--out', os.devnull]!r}); "
+        "print(code, 'qudit_qft.documents' in sys.modules)"
+    )
+    assert out == f"0 {loaded}\n"
+
+
+# ------------------------------------------------ exit
+
+# An exit hook registered before the CLI is imported runs after every hook
+# the CLI registers, and prints whether the heap was frozen by then.
+FREEZE_HOOK = ("import atexit, gc; "
+               "atexit.register(lambda: print(gc.get_freeze_count() > 0)); ")
+
+
+def test_main_freezes_the_heap_at_exit_and_registers_once():
+    out = run_python(FREEZE_HOOK + textwrap.dedent("""
+        import os
+        from qudit_qft import cli
+        before = atexit._ncallbacks()
+        for _ in range(3):
+            cli.main(["compare-radix", "--radix", "3", "--digits", "4", "--out", os.devnull])
+        print(atexit._ncallbacks() - before, gc.get_freeze_count())
+    """))
+    assert out == "1 0\nTrue\n"
+
+
+def test_importing_the_cli_leaves_the_exit_as_it_was():
+    out = run_python(FREEZE_HOOK + "import qudit_qft.cli")
+    assert out == "False\n"
+
+
+@pytest.mark.parametrize("argv,code", [
+    pytest.param(["bounds", "--radix", "3", "--digits", "5", "--keep-depth", "2"], 0,
+                 id="bounds"),
+    pytest.param(["compare-radix", "--radix", "3", "--digits", "4"], 0, id="compare-radix"),
+    pytest.param(["verify", "--radix", "2", "--digits", "8", "--tolerance", "1e-17"], 1,
+                 id="verify-fails"),
+    pytest.param(["bounds", "--radix", "3", "--digits", "5", "--keep-depth", "0"], 2,
+                 id="usage-error"),
+])
+def test_frozen_exit_flushes_both_pipes(argv, code, capsysbinary):
+    # in process main freezes nothing; a child, whose block-buffered
+    # streams are flushed after the freeze, writes the same bytes to its
+    # pipes and exits with the same code
+    assert main(argv) == code
+    assert gc.get_freeze_count() == 0
+    expected = capsysbinary.readouterr()
+    proc = python_child(["-m", "qudit_qft.cli", *argv])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, expected.out, expected.err)
+    assert expected.out if code < 2 else expected.err
 
 
 @pytest.mark.parametrize("given,kept", [(None, "1"), ("3", "3")])
@@ -693,16 +771,18 @@ def test_cli_setup_builds_no_format_tables():
         from qudit_qft import cli
         from qudit_qft.numerics import StateVector
         cli.build_parser()
-        print(cli._format_tables.cache_info().currsize)
-        cli._render_workers = lambda: 3
+        from qudit_qft import documents
+        print(documents._format_tables.cache_info().currsize)
+        documents._render_workers = lambda: 3
         real_fork, built_at_fork = os.fork, []
         def fork():
-            built_at_fork.append(cli._format_tables.cache_info().currsize)
+            built_at_fork.append(documents._format_tables.cache_info().currsize)
             return real_fork()
         os.fork = fork
         with open(os.devnull, "wb") as sink:
-            cli.render_state(StateVector(2, 14, np.full(2 ** 14, 2 ** -7 + 0j)))(sink.fileno())
-        print(built_at_fork, cli._format_tables.cache_info().misses)
+            state = StateVector(2, 14, np.full(2 ** 14, 2 ** -7 + 0j))
+            documents.render_state(state)(sink.fileno())
+        print(built_at_fork, documents._format_tables.cache_info().misses)
     """))
     assert out == "0\n[1, 1] 1\n"
 
@@ -714,7 +794,7 @@ class TestParallelRenderFailures:
 
     @pytest.fixture(autouse=True)
     def two_workers(self, monkeypatch):
-        monkeypatch.setattr(cli, "_render_workers", lambda: 2)
+        monkeypatch.setattr(documents, "_render_workers", lambda: 2)
 
     @staticmethod
     def assert_no_children():
@@ -727,14 +807,14 @@ class TestParallelRenderFailures:
     ])
     def test_failed_chunk_keeps_the_old_file(self, chunk, error, tmp_path, monkeypatch,
                                              capfd):
-        real_format = cli._format_chunk
+        real_format = documents._format_chunk
 
         def format_chunk(values, start, cols, last):
-            if start == chunk * cli._STATE_CHUNK:
+            if start == chunk * documents._STATE_CHUNK:
                 raise ZeroDivisionError("chunk formatter fault")
             return real_format(values, start, cols, last)
 
-        monkeypatch.setattr(cli, "_format_chunk", format_chunk)
+        monkeypatch.setattr(documents, "_format_chunk", format_chunk)
         path = tmp_path / "out.json"
         path.write_text("old content\n")
         with pytest.raises(error):
@@ -760,8 +840,8 @@ class TestParallelRenderFailures:
         # the parent passes chunk 1's turn to a worker that is gone, or
         # waits for chunk 2's (or 3's) from one: a broken pipe or an end of
         # file, never a hang
-        monkeypatch.setattr(cli, "_render_workers", lambda: workers)
-        monkeypatch.setattr(cli, "_write_in_child", lambda *args: os._exit(0))
+        monkeypatch.setattr(documents, "_render_workers", lambda: workers)
+        monkeypatch.setattr(documents, "_write_in_child", lambda *args: os._exit(0))
         with pytest.raises(RuntimeError, match="render worker ended before the turn of chunk"):
             main(self.COMMAND + [str(tmp_path / "out.json")])
         assert os.listdir(tmp_path) == []
@@ -794,7 +874,7 @@ class TestParallelRenderFailures:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_abandoned_document_reaps_its_workers(self, workers, monkeypatch):
         # the reader takes the opening of the document, then abandons it
-        monkeypatch.setattr(cli, "_render_workers", lambda: workers)
+        monkeypatch.setattr(documents, "_render_workers", lambda: workers)
         state = StateVector(2, 15, np.full(2 ** 15, 2 ** -7.5 + 0j))
         assert self.write_to_a_reader_that_closes(state, 1) == b"{"
         self.assert_no_children()
@@ -805,7 +885,7 @@ class TestParallelRenderFailures:
                                                                   monkeypatch):
         # the reader closes at once, so the parent's first write fails, or
         # after 300 kB, inside chunk 1 (about 200 kB a chunk), a worker's
-        monkeypatch.setattr(cli, "_render_workers", lambda: workers)
+        monkeypatch.setattr(documents, "_render_workers", lambda: workers)
         rng = np.random.default_rng(9004)
         amps = rng.normal(size=2 ** 16) + 1j * rng.normal(size=2 ** 16)
         state = StateVector(2, 16, amps / np.linalg.norm(amps))
@@ -819,14 +899,14 @@ class TestParallelRenderFailures:
         out = run_python(textwrap.dedent("""
             import os
             import numpy as np
-            from qudit_qft import cli
+            from qudit_qft import documents
             from qudit_qft.numerics import StateVector
-            cli._render_workers = lambda: 3
+            documents._render_workers = lambda: 3
             s = StateVector(2, 16, np.full(2 ** 16, 2 ** -8 + 0j))
             with open(os.devnull, "wb") as sink:
                 before = sorted(os.listdir("/dev/fd"))
-                cli.render_state(s)(sink.fileno())
-                cli.render_state(s)(sink.fileno())
+                documents.render_state(s)(sink.fileno())
+                documents.render_state(s)(sink.fileno())
                 after = sorted(os.listdir("/dev/fd"))
             try:
                 os.waitpid(-1, os.WNOHANG)
@@ -839,8 +919,9 @@ class TestParallelRenderFailures:
 # ------------------------------------------------ exact float kernel
 
 def assert_formats_exactly(values):
-    """``cli._float_rows``, through the line assembly of ``cli._format_chunk``
-    in both formats, writes ``format(v, ".17g")`` for every value."""
+    """``documents._float_rows``, through the line assembly of
+    ``documents._format_chunk`` in both formats, writes ``format(v, ".17g")``
+    for every value."""
     values = np.asarray(values, dtype=np.float64).ravel()
     values = np.concatenate([values, values[:len(values) % 2]])  # whole pairs
     pairs = values.view(np.complex128)
@@ -850,9 +931,9 @@ def assert_formats_exactly(values):
                 1: "\n".join(map("{},0,{},{}".format, range(len(pairs)), real, imag))}
     for cols, text in expected.items():
         written = b"".join(
-            cli._format_chunk(lambda a, b: pairs[a:b], start, cols,
-                              start + cli._STATE_CHUNK >= len(pairs))
-            for start in range(0, len(pairs), cli._STATE_CHUNK)).decode()
+            documents._format_chunk(lambda a, b: pairs[a:b], start, cols,
+                                    start + documents._STATE_CHUNK >= len(pairs))
+            for start in range(0, len(pairs), documents._STATE_CHUNK)).decode()
         if written != text:
             lines, wanted = written.split("\n"), text.split("\n")
             assert len(lines) == len(wanted)
@@ -871,8 +952,10 @@ def random_bits(rng, size, exponents=(0, 2048)):
 
 def test_float_kernel_on_random_bit_patterns():
     # 2**20 patterns: 2**16 with any exponent (most print through format,
-    # which is slow far from 1), the rest with binary exponents -24..60,
-    # the kernel's range 1e-6 < |v| < 1e17 and past both of its ends
+    # which is slow far from 1), the rest with binary exponents -24..60
+    # (6e-8 <= |v| < 2.3e18).  About a quarter of those lie in the kernel's
+    # range 1e-6 < |v| < 10; the others, [10, 1e17) among them, lie past
+    # its ends and print through format
     rng = np.random.default_rng(1101)
     values = np.concatenate([random_bits(rng, 2 ** 16),
                              random_bits(rng, 2 ** 20 - 2 ** 16, (1023 - 24, 1023 + 61))])
@@ -971,8 +1054,8 @@ def test_int_rows_match_str():
     values = np.concatenate([[0, 1, 9, 10, 9999, 10000, 10001, 99990000, 10 ** 8, 2 ** 63 - 1],
                              rng.integers(0, 2 ** 63, 1000), rng.integers(0, 10 ** 5, 1000)])
     for part in (values, values[values < 10000], np.zeros(3, np.int64)):
-        words = np.zeros((len(part), cli._group_count(int(part.max()))), np.uint32)
-        cli._int_rows(part, words)
+        words = np.zeros((len(part), documents._group_count(int(part.max()))), np.uint32)
+        documents._int_rows(part, words)
         assert [row.tobytes().replace(b"\0", b"").decode() for row in words] == \
             list(map(str, part.tolist()))
 
@@ -992,7 +1075,7 @@ class TestApply:
         # exists (the state alone is 4 MiB at 2**18 and 16 MiB at 2**20).
         # The renderer's heap primer is allocated and freed untouched, so it
         # is never resident; tracemalloc would count it all the same.
-        monkeypatch.setattr(cli, "_HEAP_PRIMER_BYTES", 0)
+        monkeypatch.setattr(documents, "_HEAP_PRIMER_BYTES", 0)
         path = tmp_path / "out.json"
         main(["apply", "--radix", "2", "--digits", "2", "--basis", "1", "--out", str(path)])
         code, peak = traced_peak(main, ["apply", "--radix", "2", "--digits", str(digits),
@@ -1015,7 +1098,7 @@ class TestApply:
             argv += ["--keep-depth", str(depth)]
         path = tmp_path / "state.json"
         for workers in (1, 2, 3):
-            monkeypatch.setattr(cli, "_render_workers", lambda: workers)
+            monkeypatch.setattr(documents, "_render_workers", lambda: workers)
             assert main(argv) == 0
             assert capsysbinary.readouterr().out == expected
             assert main(argv + ["--out", str(path)]) == 0
