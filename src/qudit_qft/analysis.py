@@ -12,18 +12,22 @@ the dense one.  The closed-form slot oracle ``qft_slots`` cross-checks both
 circuits' absolute slots on a spread of probe inputs.  Phase magnitudes are
 accumulated from the dropped-gate exponents directly, never recovered
 through ``arg()``, so values above pi are reported without wrap-around.
+
+Only ``cli``'s bounds and compare-radix handlers import this module,
+inside the handler, so the other commands never compile it.  Its report
+rows are named tuples, which ``cli.render_table`` prints as they are.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .circuit import _run_product, build_qft_circuit, qft_slots
-from .numerics import check_params
+from .numerics import CrossCheckError, check_params
 
 # Simulated per-digit phases must agree with the dropped-exponent sums to
 # this tolerance; a violation means the circuit and the closed form have
@@ -47,12 +51,7 @@ _CHUNK_AMPLITUDES = 2 ** 17
 _PROBE_INPUTS = 64
 
 
-class CrossCheckError(RuntimeError):
-    """A simulated bracket phase disagrees with its dropped-exponent sum."""
-
-
-@dataclass(frozen=True)
-class BoundRow:
+class BoundRow(NamedTuple):
     """Measured and bounded phase error for one output bracket.
 
     ``target_digit`` is the register digit carrying the bracket of
@@ -79,8 +78,7 @@ class BoundRow:
         return self.bound_new >= math.pi
 
 
-@dataclass(frozen=True)
-class CapacityMetrics:
+class CapacityMetrics(NamedTuple):
     """State-space and digit-count scaling of base q against base 2."""
 
     radix: int

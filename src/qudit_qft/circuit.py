@@ -1,4 +1,4 @@
-"""Circuit IR, QFT builders, reference transform matrices, and the simulators.
+"""Circuit IR, QFT builders, and the product engine that every command shares.
 
 A circuit is an ordered list of gate operations over an n-digit base-q
 register plus a flag for the final output-digit reversal.  The builders
@@ -6,14 +6,7 @@ emit the discrete Fourier transform over ``Z_{q**n}`` as one Chrestenson
 gate per digit followed by controlled phase shifts, and the n-parallel
 Chrestenson circuit that realizes the Fourier transform over ``(Z_q)**n``.
 
-The simulator applies each Chrestenson gate as one kernel pass.  Each
-maximal run of controlled phase shifts is diagonal and fused into one pass:
-its phase at every index is ``exp(-2j*pi * k / q**m)``, where ``m`` is the
-run's largest denominator exponent and ``k`` the exact int64 sum of the
-shifts' exponents mod ``q**m`` (``_run_exponent``, the one place both
-simulators form it), read from one table of roots of unity.
-
-A second simulator, ``_run_product``, runs basis inputs through circuits
+The product engine, ``_run_product``, runs basis inputs through circuits
 whose controlled phases only read digits that are still basis digits, as
 the QFT's do.  The register then stays a product of n single-digit states,
 so each input costs ``n*q`` amplitudes instead of ``q**n``.  Its
@@ -22,14 +15,16 @@ output-digit order, with no copy.  It serves every basis input: ``bounds``
 checks each input's slots, some of them against the exact QFT's slots in
 closed form (``qft_slots``, which reads neither simulator), and
 ``_outer_rows`` multiplies them out into output states, from which
-``circuit_to_matrix`` compiles such a circuit.
+``dense.circuit_to_matrix`` compiles such a circuit.
 The CLI reads them only as two halves at every width (``_product_halves``;
 the left one as its period block, at n = 1 a single 1), whose products are
 the entries of the compiled matrix bit for bit: ``verify`` checks them
-against the DFT tile by tile (``_oracle_distance``), and ``gen-matrix`` and
-``apply`` on a basis state render them a chunk of entries at a time.  The dense
-simulator runs only state inputs (``apply --in``) and the compile of a
-circuit that ``_breaks_product``.
+against the DFT tile by tile (``checks._oracle_distance``), and
+``gen-matrix`` and ``apply`` on a basis state render them a chunk of
+entries at a time.  The dense simulator (``dense``) runs only state inputs
+(``apply --in``) and the compile of a circuit that ``_breaks_product``;
+it forms a run's phase exponent with ``_run_exponent``, as the product
+engine does.
 
 Digit conventions: ``x_0`` is the least significant digit, state index
 ``i = sum_j x_j * q**j``, and the leftmost Kronecker factor addresses the
@@ -44,9 +39,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from . import kernels
 from .gates import chrestenson_gate, chrestenson_roots, roots_of_unity
-from .numerics import DEFAULT_DIM_CAP, StateVector, _freeze, _parallel_max, check_params
+from .numerics import check_params
 
 CHRESTENSON = "chrestenson"
 CONTROLLED_PHASE = "controlled_phase"
@@ -63,12 +57,6 @@ _INT64_MAX = 2 ** 63 - 1
 # in blocks of this many entries, as while it copied columns of the q x q
 # gate (2-vCPU VM, 8 alternating child runs each).
 _GATHER_ENTRIES = 2 ** 12
-
-# Rows of M per tile of verify's oracle check (_oracle_distance): each
-# worker holds four buffers of this many rows, 1.5 MiB at t = 4096.
-# Heights of 4 to 32 gave verify the same wall time and peak RSS within
-# noise at (2, 12) and (16, 3) (2-vCPU VM, 6 child runs each).
-_TILE_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -178,27 +166,6 @@ def build_walsh_hadamard_transform_circuit(q: int, n: int) -> Circuit:
     return Circuit(q, n, ops, reverse_output_digits=False)
 
 
-def dft_matrix(t: int, rows: slice | None = None) -> np.ndarray:
-    """Discrete Fourier transform over ``Z_t``: entry (y, x) is
-    ``exp(-2j*pi*x*y/t) / sqrt(t)``.  Used as the oracle the compiled QFT
-    circuits are checked against.  ``rows`` selects a block of rows y,
-    whose entries equal those of the full matrix bit for bit."""
-    if t < 2:
-        raise ValueError("transform size must be at least 2")
-    x = np.arange(t, dtype=np.int64)
-    exponents = np.outer(x if rows is None else x[rows], x)
-    exponents %= t
-    return _scaled_roots(t)[exponents]
-
-
-def _scaled_roots(t: int) -> np.ndarray:
-    """The t values ``exp(-2j*pi*x/t) / sqrt(t)`` that every entry of
-    ``dft_matrix(t)`` is read from.  Scaling the t roots once rounds each
-    entry as scaling a whole block of entries would."""
-    x = np.arange(t, dtype=np.int64)
-    return np.exp(-2j * np.pi * x / t) / np.sqrt(t)
-
-
 def qft_slots(q: int, n: int, x) -> np.ndarray:
     """The exact QFT's slots on basis inputs ``x``, in closed form.
 
@@ -225,37 +192,6 @@ def qft_slots(q: int, n: int, x) -> np.ndarray:
         np.exp(exponent * (-2j * np.pi / modulus), out=slots[l])
     slots /= np.sqrt(q)
     return slots
-
-
-def chrestenson_transform_matrix(q: int, n: int) -> np.ndarray:
-    """n-fold Kronecker power of the Chrestenson gate, refused above
-    ``DEFAULT_DIM_CAP``."""
-    check_params(radix=q, digits=n)
-    if q ** n > DEFAULT_DIM_CAP:
-        raise ValueError(f"dimension {q ** n} exceeds cap {DEFAULT_DIM_CAP}")
-    gate = chrestenson_gate(q)
-    out = gate
-    for _ in range(n - 1):
-        out = np.kron(out, gate)
-    return out
-
-
-def digit_reversal_perm(q: int, n: int) -> np.ndarray:
-    """Read-only int64 index array that sends digits ``(x_{n-1}, ..., x_0)``
-    to ``(x_0, ..., x_{n-1})``: output index i reads input index ``perm[i]``."""
-    check_params(radix=q, digits=n)
-    # Reversing the axes of the (q,)*n digit view reverses the digit order.
-    perm = np.arange(q ** n, dtype=np.int64).reshape((q,) * n).transpose().ravel()
-    perm.setflags(write=False)
-    return perm
-
-
-def _along_digit(q: int, n: int, digit: int, values: np.ndarray) -> np.ndarray:
-    """Length-q ``values`` laid along the axis of ``digit`` in the ``(q,)*n``
-    view of a register, with unit length on every other axis."""
-    shape = [1] * n
-    shape[n - 1 - digit] = q
-    return values.reshape(shape)
 
 
 def _roots(exponent: np.ndarray, modulus: int, largest_table: int,
@@ -297,25 +233,6 @@ def _run_exponent(q: int, m: int, ops, digit) -> np.ndarray:
     return exponent % modulus
 
 
-def _fused_phases(q: int, n: int, ops: tuple[GateOp, ...]) -> np.ndarray:
-    """Per-index phases of a run of controlled phase shifts over a full register.
-
-    The run is ``exp(-2j*pi * k / q**m)`` with ``m`` its largest denominator
-    exponent and ``k`` from ``_run_exponent`` over the ``(q,)*n`` digit
-    view, each digit laid along its own axis.  The exponent array keeps
-    unit length on every digit the run does not touch, so it grows only
-    with the digits the run has reached.  Its phases are read from one
-    table of the ``q**m`` roots of unity, or evaluated directly where that
-    table would be larger than the array, so each phase is rounded once.
-    """
-    m = max(op.denom_exp for op in ops)
-    values = np.arange(q, dtype=np.int64)
-    exponent = _run_exponent(q, m, ops, lambda d: _along_digit(q, n, d, values))
-    # a table larger than the exponents it is indexed by would not pay
-    phases = _roots(exponent, q ** m, exponent.size, {})
-    return np.broadcast_to(phases, (q,) * n).reshape(q ** n)
-
-
 def _segments(ops: tuple[GateOp, ...]):
     """Split a gate list into single Chrestenson ops and maximal runs of
     controlled phase shifts, in order: yields ``(kind, ops)`` pairs."""
@@ -325,33 +242,6 @@ def _segments(ops: tuple[GateOp, ...]):
                 yield kind, (op,)
         else:
             yield kind, tuple(group)
-
-
-def _run_batch(circuit: Circuit, amplitude_rows: np.ndarray) -> np.ndarray:
-    """Apply a circuit to every row of a (batch, dim) amplitude array.
-
-    Consecutive controlled phase shifts are diagonal, so each maximal run
-    of them is fused into one per-index phase vector (see
-    ``_fused_phases``) and applied in one pass.
-    """
-    q = circuit.radix
-    n = circuit.digits
-    current = np.array(amplitude_rows, dtype=np.complex128, order="C")
-    spare = np.empty_like(current)
-    gate = chrestenson_gate(q)
-    for kind, run in _segments(circuit.ops):
-        if kind == CHRESTENSON:
-            kernels.apply_single_qudit(current, spare, q, q ** run[0].target, gate)
-            current, spare = spare, current
-        else:
-            kernels.apply_diagonal(current, _fused_phases(q, n, run))
-    if circuit.reverse_output_digits:
-        # mode="wrap" skips the bounds check of the default mode="raise",
-        # which writes into a hidden temporary as large as ``spare``; the
-        # index is a bijection, so wrapping never applies
-        np.take(current, digit_reversal_perm(q, n), axis=1, out=spare, mode="wrap")
-        current, spare = spare, current
-    return current
 
 
 def _breaks_product(circuit: Circuit) -> GateOp | None:
@@ -393,8 +283,8 @@ def _run_product(circuit: Circuit, x: np.ndarray, cache: dict,
     ``exp(-2j*pi * k / q**m)``, where ``k`` is
     ``_run_exponent`` over the target's shifts with the components
     ``1..q-1`` as its digit and the inputs' basis digits as the controls.
-    The run-wide ``m`` keeps each phase the value ``_fused_phases`` rounds.
-    Its phases are read from a table of the ``q**m`` roots of unity where
+    The run-wide ``m`` keeps each phase the value ``dense._fused_phases``
+    rounds.  Its phases are read from a table of the ``q**m`` roots of unity where
     that table holds at most ``largest_table`` entries, and evaluated
     directly otherwise; each is the same once-rounded value either way.
     The scaled roots and the tables are kept in ``cache``: a caller that
@@ -434,8 +324,8 @@ def _run_product(circuit: Circuit, x: np.ndarray, cache: dict,
                     index = np.multiply.outer(np.arange(k, min(k + block, q)), row)
                     index %= q
                     # written in place: mode="wrap" skips the hidden
-                    # temporary of mode="raise" (see _run_batch); the index
-                    # is in range
+                    # temporary of mode="raise" (see dense._run_batch); the
+                    # index is in range
                     np.take(roots, index, out=slots[target, k:k + block], mode="wrap")
                 slots[target] *= scale
                 transformed.add(target)
@@ -513,111 +403,3 @@ def _left_rows(left: np.ndarray, i, t: int) -> np.ndarray:
     rows = np.empty((len(i), t), np.complex128)
     rows.reshape(len(i), -1, left.shape[1])[:] = left[i, np.newaxis]
     return rows
-
-
-def _tiles(left: np.ndarray, right: np.ndarray) -> list[tuple[int, int, int]]:
-    """The tiles of the matrix ``M`` of ``_product_halves``, in row order,
-    as ``(i, s, rows)``: the ``rows`` rows of ``M`` from row ``i *
-    len(right) + s`` on, which are row i of the full left half times
-    ``right[s:s + rows]``.  A tile
-    holds at most ``_TILE_ROWS`` rows and never crosses a block of
-    ``len(right)`` rows."""
-    r = len(right)
-    return [(i, s, min(_TILE_ROWS, r - s))
-            for i in range(len(left)) for s in range(0, r, _TILE_ROWS)]
-
-
-def _dft_rows(t: int):
-    """A function ``gather(y0, index, out)`` that writes rows ``y0`` to
-    ``y0 + len(out)`` of ``dft_matrix(t)``, at most ``_TILE_ROWS`` of them,
-    into ``out`` and returns it; ``index`` is intp scratch of ``out``'s
-    shape.
-
-    Entry ``(y0 + j, x)`` is root ``(x*y0 mod t + x*j mod t) mod t`` of
-    ``_scaled_roots(t)``.  The ``x*j mod t`` are one table built here, the
-    ``x*y0 mod t`` one length-t vector per call, and their sum, below 2t,
-    indexes the t scaled roots with ``mode="wrap"``, which wraps it into
-    range, so each entry is ``dft_matrix(t)``'s bit for bit.
-    """
-    x = np.arange(t, dtype=np.intp)
-    steps = np.outer(np.arange(_TILE_ROWS, dtype=np.intp), x) % t
-    roots = _scaled_roots(t)
-
-    def gather(y0: int, index: np.ndarray, out: np.ndarray) -> np.ndarray:
-        offset = x * y0
-        offset %= t
-        np.add(steps[:len(out)], offset, out=index)
-        # mode="wrap" maps a sum in [t, 2t) to root sum - t, and skips
-        # the hidden copy of mode="raise" (see _run_batch)
-        return np.take(roots, index, out=out, mode="wrap")
-    return gather
-
-
-def _oracle_distance(left: np.ndarray, right: np.ndarray, workers: int) -> float:
-    """Largest entry distance ``max |M - dft_matrix(t)|`` of the matrix
-    ``M`` of ``_product_halves``, whose row ``(i, j)`` is row i of the full
-    left half (``_left_rows``) times ``right[j]``, building neither.
-
-    The tiles of ``_tiles`` are dealt to ``workers`` threads
-    (``numerics._parallel_max``), and numpy releases the GIL in every step
-    of a tile.  Each worker allocates its buffers once, 1.5 MiB at t =
-    4096, and expands a row of the left half as its tiles reach it.  A
-    tile's entries of ``M`` are the products of the compile's last step
-    (``_outer_rows``), the compiled entries bit for bit (at n = 1, ``1 *
-    z`` may flip a zero's sign, not the distance); its DFT rows come from
-    ``_dft_rows``; the difference and its magnitude are taken in place.
-    The result is the same bit for bit for every ``workers``; a NaN
-    anywhere makes it NaN, and a worker's exception is raised once all
-    have ended.
-    """
-    r, t = right.shape
-    gather = _dft_rows(t)
-
-    def check(tiles) -> float:
-        block = np.empty((_TILE_ROWS, t), np.complex128)
-        dft = np.empty((_TILE_ROWS, t), np.complex128)
-        index = np.empty((_TILE_ROWS, t), np.intp)
-        magnitude = np.empty((_TILE_ROWS, t), np.float64)
-        expanded = None
-        maxima = []
-        for i, s, rows in tiles:
-            if expanded != i:
-                row, expanded = _left_rows(left, [i], t)[0], i
-            entries = np.multiply(row, right[s:s + rows], out=block[:rows])
-            diff = gather(i * r + s, index[:rows], dft[:rows])
-            np.subtract(entries, diff, out=diff)
-            maxima.append(np.abs(diff, out=magnitude[:rows]).max())
-        return np.max(maxima)
-
-    return _parallel_max(check, _tiles(left, right), workers)
-
-
-def apply_circuit(circuit: Circuit, state: StateVector) -> StateVector:
-    """Run a circuit on one state; returns a fresh unit-norm state, which
-    holds the simulator's output buffer itself."""
-    if state.radix != circuit.radix or state.digits != circuit.digits:
-        raise ValueError(
-            f"state is base-{state.radix} with {state.digits} digits, circuit "
-            f"expects base-{circuit.radix} with {circuit.digits}"
-        )
-    out = _run_batch(circuit, state.amplitudes[np.newaxis, :])[0]
-    return StateVector(circuit.radix, circuit.digits, _freeze(out))
-
-
-def circuit_to_matrix(circuit: Circuit) -> np.ndarray:
-    """Compile a circuit to its dense unitary: column x is the circuit
-    applied to basis state x.  Refused above ``DEFAULT_DIM_CAP``.
-
-    A circuit that keeps basis inputs product states (every one the
-    builders emit) is expanded from ``_run_product`` slots by
-    ``_outer_rows``; at n = 1 it is the single slot itself.  One that
-    ``_breaks_product`` runs the dense simulator on the identity instead.
-    """
-    dim = circuit.radix ** circuit.digits
-    if dim > DEFAULT_DIM_CAP:
-        raise ValueError(f"dimension {dim} exceeds cap {DEFAULT_DIM_CAP}")
-    if _breaks_product(circuit) is None:
-        return _outer_rows(_output_factors(circuit, np.arange(dim)))
-    basis_rows = np.eye(dim, dtype=np.complex128)
-    out_rows = _run_batch(circuit, basis_rows)
-    return np.ascontiguousarray(out_rows.T)

@@ -16,8 +16,22 @@ identical invocations are byte-identical.  Every output goes through one
 writer, ``_emit``: bytes (verify's summary, or a ``render_table`` report
 of bounds or compare-radix), or an amplitude document (a state, or a
 matrix in JSON or CSV) of the ``documents`` module, which writes itself
-chunk by chunk on forked workers.  Only the apply and gen-matrix handlers
-import ``documents``, so the other commands never compile it.
+chunk by chunk on forked workers.
+
+A run loads the shared core and its own command's layer, nothing else.
+This module imports the core at its top: numpy, ``numerics`` (the
+parameter checks and limits, the two errors ``main`` maps to exit codes,
+and the worker count and write loop), ``gates``, and ``circuit`` (the
+circuit IR, the builders and the product engine).  Each handler imports
+its layer itself, after its arguments are checked:
+
+    bounds, compare-radix   ``analysis``
+    verify                  ``checks``
+    apply --basis           ``documents``
+    apply --in              ``documents`` and ``dense`` (with ``kernels``)
+    gen-matrix              ``documents``
+
+No layer imports ``cli``, so ``python -m qudit_qft.cli`` loads it once.
 
 gen-matrix, verify and apply on a basis state (``--basis``, or state 0 by
 default) read the QFT from its product form: every basis input's output is
@@ -33,9 +47,9 @@ and apply render their documents from the halves chunk by chunk
 neither M nor the q**n state is held (see ``MAX_STATE_DIM``).  Only a
 state read with ``--in`` runs the dense simulator.  verify compares M with
 the DFT in tiles of a few rows on every CPU the process may run on
-(``circuit._oracle_distance``, with ``_render_workers()`` threads), and
+(``checks._oracle_distance``, with ``_render_workers()`` threads), and
 takes the unitarity residual from the Kronecker structure of the halves
-(``numerics.product_unitarity_residual``), one Gram block at a time and
+(``checks.product_unitarity_residual``), one Gram block at a time and
 over only the Gram columns a bound leaves able to hold the maximum.  At
 n = 1 the left half is a single 1, M is the right half, and its residual
 is the blocked one, whose row-block products run on the same threads.
@@ -52,8 +66,8 @@ still alive (``_freeze_at_exit``); the operating system frees that memory
 when the process ends.
 
 Usage errors are ``UsageError``s raised by one up-front check per command
-(``_check_args``); any other exception is a fault of the program and
-propagates.
+(``_check_args``) or by ``documents.parse_state``; any other exception is
+a fault of the program and propagates.
 """
 
 from __future__ import annotations
@@ -63,25 +77,21 @@ import atexit
 import functools
 import gc
 import io
-import itertools
 import math
 import os
 import shutil
 import sys
-from dataclasses import astuple
 
 import numpy as np
 
-from .analysis import CrossCheckError, approximation_report, capacity_metrics
-from .circuit import _oracle_distance, _product_halves, apply_circuit, build_qft_circuit
+from .circuit import _product_halves, build_qft_circuit
 from .numerics import (
     DEFAULT_DIM_CAP as MAX_DIM_CAP,
-    NORM_TOL,
-    StateVector,
-    _freeze,
-    _norm_sq,
+    CrossCheckError,
+    UsageError,
+    _render_workers,
+    _write_all,
     check_params,
-    product_unitarity_residual,
 )
 
 
@@ -107,77 +117,8 @@ MAX_STATE_DIM = 2 ** 20
 MAX_RADIX = 2048
 
 
-class UsageError(Exception):
-    """Invalid arguments or malformed input data; mapped to exit code 2."""
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _render_workers() -> int:
-    """How many processes write amplitude documents, and how many threads
-    check verify's oracle tiles: the CPUs this process may run on, or 1
-    where ``os.fork`` or ``os.sched_getaffinity`` is missing."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _write_all(fd: int, data) -> None:
-    """Write the bytes ``data`` to ``fd``, completing short writes."""
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _finite_number(v) -> bool:
-    """True for a JSON number that is a finite float (booleans are not numbers)."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def parse_state(text: str, radix: int, digits: int, tolerance: float) -> StateVector:
-    import json  # here, not at module level: no other command pays its import
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"malformed state file: not valid JSON ({exc})")
-    if not isinstance(doc, dict) or not {"radix", "digits", "amplitudes"} <= set(doc):
-        raise UsageError(
-            "malformed state file: expected an object with keys "
-            "radix, digits, amplitudes"
-        )
-    if not all(type(doc[key]) is int for key in ("radix", "digits")):
-        raise UsageError("malformed state file: radix and digits must be integers")
-    if doc["radix"] != radix or doc["digits"] != digits:
-        raise UsageError(
-            f"state shape mismatch: file is base-{doc['radix']} with "
-            f"{doc['digits']} digits, command expects base-{radix} with {digits}"
-        )
-    raw = doc["amplitudes"]
-    if not isinstance(raw, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(map(_finite_number, p)) for p in raw
-    ):
-        raise UsageError(
-            "malformed state file: amplitudes must be [re, im] pairs of finite numbers"
-        )
-    if len(raw) != radix ** digits:
-        raise UsageError(
-            f"state shape mismatch: expected {radix ** digits} amplitudes, "
-            f"file holds {len(raw)}"
-        )
-    # every pair holds two finite numbers: one float64 array, read as complex
-    amps = np.fromiter(itertools.chain.from_iterable(raw), dtype=np.float64,
-                       count=2 * len(raw)).view(np.complex128)
-    norm_sq = _norm_sq(amps)
-    if abs(norm_sq - 1.0) > min(tolerance, NORM_TOL):
-        raise UsageError(f"state norm violation: norm**2 is {norm_sq!r}, expected 1")
-    return StateVector(radix, digits, _freeze(amps))
 
 
 def render_table(header: str, rows, fmt: str) -> bytes:
@@ -220,6 +161,7 @@ def _check_compare_size(q: int, n: int) -> None:
 
 def _compare_rows(q: int, n: int):
     """Base-2 reference and base-q rows reaching at least q**n states."""
+    from .analysis import capacity_metrics
     rows = []
     radices = [2, q] if q != 2 else [2]
     for radix in radices:
@@ -328,7 +270,7 @@ def _check_args(args, max_dim: int | None = None, max_radix: int | None = None,
 
 def cmd_gen_matrix(args) -> int:
     _check_args(args)
-    from .documents import render_matrix  # here: no other command compiles it
+    from .documents import render_matrix  # the command's layer: see the module docstring
     circuit = build_qft_circuit(args.radix, args.digits, args.keep_depth)
     left, right = _product_halves(circuit, np.arange(args.radix ** args.digits))
     _emit(render_matrix(left, right, args.format), args.output_path)
@@ -337,6 +279,7 @@ def cmd_gen_matrix(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_args(args, tolerance=args.tolerance)
+    from .checks import _oracle_distance, product_unitarity_residual
     q, n = args.radix, args.digits
     dim = q ** n
     circuit = build_qft_circuit(q, n)
@@ -366,7 +309,7 @@ def cmd_verify(args) -> int:
 
 def cmd_apply(args) -> int:
     _check_args(args, MAX_STATE_DIM, MAX_RADIX, tolerance=args.tolerance)
-    from .documents import render_product_state, render_state  # as in cmd_gen_matrix
+    from .documents import parse_state, render_product_state, render_state
     q, n = args.radix, args.digits
     if args.input_path is not None and args.basis is not None:
         raise UsageError("--in and --basis are mutually exclusive")
@@ -377,6 +320,7 @@ def cmd_apply(args) -> int:
                 state = parse_state(fh.read(), q, n, args.tolerance)
         except UnicodeDecodeError as exc:  # read as text: no second copy of the file
             raise UsageError(f"malformed state file: not UTF-8 ({exc})") from None
+        from .dense import apply_circuit  # only a state read with --in runs it
         document = render_state(apply_circuit(circuit, state))
     else:
         index = args.basis if args.basis is not None else 0
@@ -390,9 +334,9 @@ def cmd_apply(args) -> int:
 
 def cmd_bounds(args) -> int:
     _check_args(args, MAX_STATE_DIM, MAX_RADIX)
+    from .analysis import approximation_report
     rows = approximation_report(args.radix, args.digits, args.keep_depth)
-    table = render_table(BOUNDS_HEADER, map(astuple, rows), args.format)
-    _emit(table, args.output_path)
+    _emit(render_table(BOUNDS_HEADER, rows, args.format), args.output_path)
     return 0
 
 

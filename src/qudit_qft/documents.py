@@ -21,28 +21,42 @@ out only the entries each chunk touches as it renders it, the rows of M
 for ``render_matrix`` and the amplitudes of its one column for
 ``render_product_state``.  ``render_state`` reads a state that is held.
 
+``parse_state`` reads a state document back, for ``apply --in``.
+
 Only ``cli``'s ``apply`` and ``gen-matrix`` handlers import this module,
 inside the handler, so the commands that write no document never compile
-it.  The worker count and the write loop come from ``cli``
+it.  The worker count and the write loop come from ``numerics``
 (``_render_workers`` and ``_write_all``), whose verify threads and
-``_emit`` use them without this module.
+``cli._emit`` use them without this module; neither ``cli`` nor this
+module imports the other.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 import sys
 import warnings
 from collections.abc import Callable
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .circuit import _left_rows
-from .cli import _render_workers, _write_all
-from .numerics import StateVector, _check_unit_norm, _norm_sq
+from .numerics import (
+    NORM_TOL,
+    UsageError,
+    _check_unit_norm,
+    _freeze,
+    _norm_sq,
+    _render_workers,
+    _write_all,
+)
+
+if TYPE_CHECKING:
+    from .dense import StateVector
 
 
 # Amplitude documents are rendered this many entries at a time; converting
@@ -512,3 +526,55 @@ def render_matrix(left: np.ndarray, right: np.ndarray, fmt: str) -> _Document:
         return _Document(b"row,col,re,im\n", entries, size, b"\n", cols)
     header = f'{{\n  "rows": {size // cols},\n  "cols": {cols},\n  "entries": [\n'
     return _Document(header.encode(), entries, size, _JSON_FOOTER)
+
+
+def _finite_number(v) -> bool:
+    """True for a JSON number that is a finite float (booleans are not numbers)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def parse_state(text: str, radix: int, digits: int, tolerance: float) -> StateVector:
+    # here, not at module level: only apply --in pays for these
+    import json
+
+    from .dense import StateVector
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"malformed state file: not valid JSON ({exc})")
+    if not isinstance(doc, dict) or not {"radix", "digits", "amplitudes"} <= set(doc):
+        raise UsageError(
+            "malformed state file: expected an object with keys "
+            "radix, digits, amplitudes"
+        )
+    if not all(type(doc[key]) is int for key in ("radix", "digits")):
+        raise UsageError("malformed state file: radix and digits must be integers")
+    if doc["radix"] != radix or doc["digits"] != digits:
+        raise UsageError(
+            f"state shape mismatch: file is base-{doc['radix']} with "
+            f"{doc['digits']} digits, command expects base-{radix} with {digits}"
+        )
+    raw = doc["amplitudes"]
+    if not isinstance(raw, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(map(_finite_number, p)) for p in raw
+    ):
+        raise UsageError(
+            "malformed state file: amplitudes must be [re, im] pairs of finite numbers"
+        )
+    if len(raw) != radix ** digits:
+        raise UsageError(
+            f"state shape mismatch: expected {radix ** digits} amplitudes, "
+            f"file holds {len(raw)}"
+        )
+    # every pair holds two finite numbers: one float64 array, read as complex
+    amps = np.fromiter(itertools.chain.from_iterable(raw), dtype=np.float64,
+                       count=2 * len(raw)).view(np.complex128)
+    norm_sq = _norm_sq(amps)
+    if abs(norm_sq - 1.0) > min(tolerance, NORM_TOL):
+        raise UsageError(f"state norm violation: norm**2 is {norm_sq!r}, expected 1")
+    return StateVector(radix, digits, _freeze(amps))

@@ -1,4 +1,5 @@
-"""The gate family: roots of unity, Walsh-Hadamard, Chrestenson, controlled phases.
+"""The gate family: roots of unity, Walsh-Hadamard, Chrestenson, controlled phases,
+and the scaled roots of the DFT oracle.
 
 Sign convention, used package-wide: transforms carry ``exp(-2j*pi * ... )``
 in the exponent.  The positive-sign variants are obtained as adjoints.
@@ -41,6 +42,15 @@ def roots_of_unity(exponents, modulus: int, scale=1) -> np.ndarray:
         flat_out.real[chunk] = scale * np.cos(angle)
         flat_out.imag[chunk] = scale * np.sin(angle)
     return out
+
+
+def _scaled_roots(t: int) -> np.ndarray:
+    """The t values ``exp(-2j*pi*x/t) / sqrt(t)`` that every entry of
+    ``dense.dft_matrix(t)`` is read from, and verify's oracle rows too
+    (``checks._dft_rows``).  Scaling the t roots once rounds each entry as
+    scaling a whole block of entries would."""
+    x = np.arange(t, dtype=np.int64)
+    return np.exp(-2j * np.pi * x / t) / np.sqrt(t)
 
 
 def walsh_hadamard_gate() -> np.ndarray:

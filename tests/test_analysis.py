@@ -18,8 +18,9 @@ from qudit_qft import (
     phase_error_trig,
 )
 from qudit_qft import circuit as circuit_module
+from qudit_qft import dense as dense_module
 from qudit_qft import gates as gates_module
-from qudit_qft.analysis import CrossCheckError
+from qudit_qft.numerics import CrossCheckError
 from qudit_qft.cli import main
 
 
@@ -511,7 +512,7 @@ class TestSlotOracle:
         def refuse(*args, **kwargs):
             raise AssertionError("the dense simulator ran")
 
-        monkeypatch.setattr(circuit_module, "_run_batch", refuse)
+        monkeypatch.setattr(dense_module, "_run_batch", refuse)
         monkeypatch.setattr(circuit_module, "chrestenson_gate", refuse)
         rows = approximation_report(q, n, keep_depth)
         assert [row.measured_t1 for row in rows] == brute_force_maxima(q, n, keep_depth)

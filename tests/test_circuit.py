@@ -27,23 +27,20 @@ from qudit_qft import (
     qft_slots,
     walsh_hadamard_gate,
 )
-from qudit_qft import circuit as circuit_module, gates as gates_module, kernels
+from qudit_qft import checks as checks_module, circuit as circuit_module
+from qudit_qft import dense as dense_module, gates as gates_module, kernels
+from qudit_qft.checks import _dft_rows, _oracle_distance, _tiles, unitarity_residual
 from qudit_qft.circuit import (
-    _along_digit,
     _breaks_product,
-    _dft_rows,
-    _oracle_distance,
     _outer_rows,
     _output_factors,
     _product_halves,
-    _run_batch,
     _run_exponent,
     _run_product,
-    _tiles,
 )
 from qudit_qft.cli import main
+from qudit_qft.dense import _along_digit, _run_batch
 from qudit_qft.gates import chrestenson_roots
-from qudit_qft.numerics import unitarity_residual
 
 RNG = np.random.default_rng(55021)
 
@@ -270,9 +267,11 @@ class TestQftSlots:
             raise AssertionError("the oracle read a gate or a simulator")
 
         for name in ("chrestenson_gate", "chrestenson_roots", "roots_of_unity",
-                     "_run_product", "_run_batch", "_scaled_roots"):
+                     "_run_product"):
             monkeypatch.setattr(circuit_module, name, refuse)
-        for name in ("chrestenson_gate", "chrestenson_roots", "roots_of_unity"):
+        monkeypatch.setattr(dense_module, "_run_batch", refuse)
+        for name in ("chrestenson_gate", "chrestenson_roots", "roots_of_unity",
+                     "_scaled_roots"):
             monkeypatch.setattr(gates_module, name, refuse)
         assert qft_slots(3, 4, np.arange(81)).shape == (4, 3, 81)
 
@@ -316,7 +315,7 @@ class TestChrestensonTransform:
         def refuse(*args):
             raise AssertionError("the gate was built")
 
-        monkeypatch.setattr(circuit_module, "chrestenson_gate", refuse)
+        monkeypatch.setattr(dense_module, "chrestenson_gate", refuse)
         for q, n in [(2, 13), (4096, 2)]:
             with pytest.raises(ValueError, match=f"dimension {q ** n} exceeds cap"):
                 chrestenson_transform_matrix(q, n)
@@ -467,7 +466,7 @@ class TestCircuitToMatrix:
             raise AssertionError("a simulator ran")
 
         monkeypatch.setattr(circuit_module, "_run_product", refuse)
-        monkeypatch.setattr(circuit_module, "_run_batch", refuse)
+        monkeypatch.setattr(dense_module, "_run_batch", refuse)
         for q, n in [(2, 13), (4096, 2)]:
             with pytest.raises(ValueError, match=f"dimension {q ** n} exceeds cap"):
                 circuit_to_matrix(build_qft_circuit(q, n))
@@ -649,7 +648,7 @@ def no_dense_simulation(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the dense simulator ran")
 
-    monkeypatch.setattr(circuit_module, "_run_batch", refuse)
+    monkeypatch.setattr(dense_module, "_run_batch", refuse)
     monkeypatch.setattr(kernels, "apply_single_qudit", refuse)
     monkeypatch.setattr(kernels, "apply_diagonal", refuse)
 
@@ -732,7 +731,7 @@ class TestBasisColumns:
                     return out
                 return gather
 
-            monkeypatch.setattr(circuit_module, "_dft_rows", compiled_rows)
+            monkeypatch.setattr(checks_module, "_dft_rows", compiled_rows)
             assert _oracle_distance(left, right, 3) == 0.0
             assert sorted(seen) == starts
 
@@ -741,7 +740,7 @@ class TestBasisColumns:
         # interpreter allows: the same distance, every tile checked once
         left, right = _product_halves(build_qft_circuit(3, 5), np.arange(3 ** 5))
         one = _oracle_distance(left, right, 1)
-        gather_rows = circuit_module._dft_rows
+        gather_rows = checks_module._dft_rows
         seen = []
 
         def counted(t):
@@ -752,7 +751,7 @@ class TestBasisColumns:
                 return gather(y0, index, out)
             return gather_counted
 
-        monkeypatch.setattr(circuit_module, "_dft_rows", counted)
+        monkeypatch.setattr(checks_module, "_dft_rows", counted)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -767,13 +766,13 @@ class TestBasisColumns:
         # no product with the ones row is formed: the columns are a view
         # of the product engine's (1, q, q) slots
         products = []
-        outer_rows = circuit_module._outer_rows
+        outer_rows = dense_module._outer_rows
 
         def recording(factors):
             products.append(len(factors))
             return outer_rows(factors)
 
-        monkeypatch.setattr(circuit_module, "_outer_rows", recording)
+        monkeypatch.setattr(dense_module, "_outer_rows", recording)
         columns = circuit_to_matrix(build_qft_circuit(q, 1))
         assert products == [1]
         assert columns.base.shape == (1, q, q)
@@ -840,13 +839,13 @@ class TestBasisColumns:
         circuit = Circuit(q, 3, ops, reverse_output_digits=True)
         assert _breaks_product(circuit) == ops[1]
         dense_calls = []
-        dense = circuit_module._run_batch
+        dense = dense_module._run_batch
 
         def recording(circuit, amplitude_rows):
             dense_calls.append(len(amplitude_rows))
             return dense(circuit, amplitude_rows)
 
-        monkeypatch.setattr(circuit_module, "_run_batch", recording)
+        monkeypatch.setattr(dense_module, "_run_batch", recording)
         matrix = circuit_to_matrix(circuit)
         assert dense_calls == [q ** 3]
         gate = chrestenson_gate(q)

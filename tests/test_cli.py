@@ -18,18 +18,19 @@ import pytest
 
 from qudit_qft import (
     analysis,
+    checks,
     circuit,
     cli,
     chrestenson_gate,
+    dense,
     documents,
     dft_matrix,
     digit_reversal_perm,
     kernels,
-    numerics,
 )
-from qudit_qft.cli import BOUNDS_HEADER, COMPARE_HEADER, main, parse_state
-from qudit_qft.documents import render_state
-from qudit_qft.numerics import StateVector
+from qudit_qft.cli import BOUNDS_HEADER, COMPARE_HEADER, main
+from qudit_qft.dense import StateVector
+from qudit_qft.documents import parse_state, render_state
 
 
 def run(args, capsys):
@@ -227,7 +228,7 @@ class TestVerify:
     @pytest.mark.parametrize("tile", [0, 1, 2])
     def test_exception_in_a_tile_leaves_main(self, tile, monkeypatch):
         # tile k is checked by worker k % 3; worker 0 is the calling thread
-        gather_rows = circuit._dft_rows
+        gather_rows = checks._dft_rows
 
         def failing(t):
             gather = gather_rows(t)
@@ -238,7 +239,7 @@ class TestVerify:
                 return gather(y0, index, out)
             return gather_or_fail
 
-        monkeypatch.setattr(circuit, "_dft_rows", failing)
+        monkeypatch.setattr(checks, "_dft_rows", failing)
         monkeypatch.setattr(cli, "_render_workers", lambda: 3)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match=f"tile {tile} failed"):
@@ -259,9 +260,9 @@ class TestVerify:
             assert code == 0
             outputs.add(out)
         assert len(outputs) == 1
-        matrix = circuit.circuit_to_matrix(circuit.build_qft_circuit(q, n))
+        matrix = dense.circuit_to_matrix(circuit.build_qft_circuit(q, n))
         distance = float(np.abs(matrix - dft_matrix(q ** n)).max())
-        residual = numerics.unitarity_residual(matrix)
+        residual = checks.unitarity_residual(matrix)
         printed = {line.split()[0]: float(line.split()[1]) for line in out.splitlines()[1:3]}
         assert printed["oracle_distance"] == distance
         if n == 1:
@@ -424,7 +425,7 @@ def test_gen_matrix_matches_per_entry_format(q, n, depth, fmt, capsys):
         size += ["--keep-depth", str(depth)]
     code, out, _ = run(["gen-matrix", *size, "--format", fmt], capsys)
     assert code == 0
-    matrix = circuit.circuit_to_matrix(circuit.build_qft_circuit(q, n, depth))
+    matrix = dense.circuit_to_matrix(circuit.build_qft_circuit(q, n, depth))
     assert out == reference_matrix_text(matrix, fmt)
 
 
@@ -674,23 +675,58 @@ def test_cli_setup_imports_no_process_pool():
     assert out == "[]\n"
 
 
-@pytest.mark.parametrize("argv,loaded", [
-    pytest.param(["bounds", "--radix", "3", "--digits", "4", "--keep-depth", "2"], False,
-                 id="bounds"),
-    pytest.param(["verify", "--radix", "2", "--digits", "6"], False, id="verify"),
-    pytest.param(["compare-radix", "--radix", "3", "--digits", "4"], False,
+# The modules every command loads: the package, the CLI and the shared
+# core (parameter checks, gates, circuit IR, builders and product engine).
+CORE_MODULES = ["qudit_qft", "qudit_qft.circuit", "qudit_qft.cli", "qudit_qft.gates",
+                "qudit_qft.numerics"]
+
+
+@pytest.mark.parametrize("argv,layer", [
+    pytest.param(None, [], id="build-parser"),
+    pytest.param(["bounds", "--radix", "3", "--digits", "4", "--keep-depth", "2"],
+                 ["analysis"], id="bounds"),
+    pytest.param(["compare-radix", "--radix", "3", "--digits", "4"], ["analysis"],
                  id="compare-radix"),
-    pytest.param(["apply", "--radix", "2", "--digits", "6", "--basis", "5"], True,
+    pytest.param(["verify", "--radix", "2", "--digits", "6"], ["checks"], id="verify"),
+    pytest.param(["apply", "--radix", "2", "--digits", "6", "--basis", "5"], ["documents"],
                  id="apply-basis"),
-    pytest.param(["gen-matrix", "--radix", "2", "--digits", "3"], True, id="gen-matrix"),
+    pytest.param(["apply", "--radix", "2", "--digits", "6", "--in", "STATE"],
+                 ["dense", "documents", "kernels"], id="apply-in"),
+    pytest.param(["gen-matrix", "--radix", "2", "--digits", "3"], ["documents"],
+                 id="gen-matrix"),
 ])
-def test_only_document_commands_load_the_document_layer(argv, loaded):
-    out = run_python(
-        "import os, sys; from qudit_qft.cli import main; "
-        f"code = main({[*argv, '--out', os.devnull]!r}); "
-        "print(code, 'qudit_qft.documents' in sys.modules)"
-    )
-    assert out == f"0 {loaded}\n"
+def test_each_command_loads_the_core_and_its_own_layer(argv, layer, tmp_path):
+    # a fresh process, so no layer an earlier test imported hides here: a
+    # layer that creeps into the shared path, or a handler that loads
+    # another command's, changes the list
+    if argv is None:
+        code = "from qudit_qft.cli import build_parser; build_parser(); code = 0"
+    else:
+        if "STATE" in argv:
+            state = tmp_path / "state.json"
+            assert main(["apply", "--radix", "2", "--digits", "6", "--basis", "9",
+                         "--out", str(state)]) == 0
+            argv = [str(state) if a == "STATE" else a for a in argv]
+        code = f"from qudit_qft.cli import main; code = main({[*argv, '--out', os.devnull]!r})"
+    out = run_python("import sys; " + code + "; "
+                     "print(code, sorted(m for m in sys.modules if m.startswith('qudit_qft')))")
+    expected = sorted(CORE_MODULES + [f"qudit_qft.{name}" for name in layer])
+    assert out == f"0 {expected}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["apply", "--radix", "2", "--digits", "3", "--basis", "1"], id="apply-basis"),
+    pytest.param(["gen-matrix", "--radix", "2", "--digits", "3"], id="gen-matrix"),
+])
+def test_module_run_loads_the_cli_once(argv):
+    # run as __main__, the CLI would load a second time as qudit_qft.cli
+    # if its document layer imported it
+    proc = python_child(["-X", "importtime", "-m", "qudit_qft.cli", *argv, "--out", os.devnull])
+    assert proc.returncode == 0, proc.stderr.decode()
+    loaded = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.decode().splitlines()
+              if line.startswith("import time:")]
+    assert "qudit_qft.documents" in loaded
+    assert "qudit_qft.cli" not in loaded
 
 
 # ------------------------------------------------ exit
@@ -746,6 +782,32 @@ def test_import_puts_openblas_on_one_thread_unless_the_caller_chose(given, kept)
     assert out == f"{kept}\n"
 
 
+def test_import_loads_no_submodule():
+    out = run_python("import sys, qudit_qft; "
+                     "print(sorted(m for m in sys.modules if m.startswith('qudit_qft')))")
+    assert out == "['qudit_qft']\n"
+
+
+def test_every_export_resolves_lazily():
+    # dir() lists every name before any loads; each then loads its module
+    # on first use, through a star import and through getattr alike
+    out = run_python(textwrap.dedent("""
+        import qudit_qft
+        names = qudit_qft.__all__
+        listed = set(names) <= set(dir(qudit_qft))
+        star = {}
+        exec("from qudit_qft import *", star)
+        same = all(getattr(qudit_qft, name) is star[name] for name in names)
+        try:
+            qudit_qft.no_such_name
+            missing = "resolved"
+        except AttributeError as exc:
+            missing = str(exc)
+        print(len(names), listed, same, missing)
+    """))
+    assert out == "27 True True module 'qudit_qft' has no attribute 'no_such_name'\n"
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="the spin of OpenBLAS's threads was measured on Linux")
 def test_cli_child_spins_no_blas_thread_after_import():
@@ -769,7 +831,7 @@ def test_cli_setup_builds_no_format_tables():
         import os
         import numpy as np
         from qudit_qft import cli
-        from qudit_qft.numerics import StateVector
+        from qudit_qft.dense import StateVector
         cli.build_parser()
         from qudit_qft import documents
         print(documents._format_tables.cache_info().currsize)
@@ -900,7 +962,7 @@ class TestParallelRenderFailures:
             import os
             import numpy as np
             from qudit_qft import documents
-            from qudit_qft.numerics import StateVector
+            from qudit_qft.dense import StateVector
             documents._render_workers = lambda: 3
             s = StateVector(2, 16, np.full(2 ** 16, 2 ** -8 + 0j))
             with open(os.devnull, "wb") as sink:
@@ -1042,7 +1104,7 @@ def test_float_kernel_on_command_outputs():
     # (3,7,2) matrix; signed zeros are distinct values here
     qft = circuit.build_qft_circuit(2, 19)
     state = circuit._outer_rows(circuit._output_factors(qft, [59298]))[:, 0]
-    matrix = circuit.circuit_to_matrix(circuit.build_qft_circuit(3, 7, 2))
+    matrix = dense.circuit_to_matrix(circuit.build_qft_circuit(3, 7, 2))
     for amplitudes in (state, matrix):
         bits = np.unique(amplitudes.view(np.float64).view(np.uint64))
         assert_formats_exactly(bits.view(np.float64))
@@ -1138,7 +1200,7 @@ class TestApply:
         code, out, _ = run(["apply", "--radix", "600", "--digits", "1", "--basis", "17"],
                            capsys)
         assert code == 0
-        column = circuit.circuit_to_matrix(circuit.build_qft_circuit(600, 1))[:, 17]
+        column = dense.circuit_to_matrix(circuit.build_qft_circuit(600, 1))[:, 17]
         assert out == reference_state_text(StateVector(600, 1, column))
 
     def test_basis_zero_base2(self, capsys):
@@ -1461,7 +1523,7 @@ class TestRadixLimit:
             raise ReachedSimulation
 
         monkeypatch.setattr(cli, "build_qft_circuit", reached)
-        monkeypatch.setattr(cli, "approximation_report", reached)
+        monkeypatch.setattr(analysis, "approximation_report", reached)
 
     @pytest.mark.parametrize("command", ["apply", "bounds"])
     def test_radix_above_the_limit_refused(self, command, no_simulation, capsys):
@@ -1607,10 +1669,10 @@ def no_dense_simulation(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the dense simulator ran")
 
-    monkeypatch.setattr(circuit, "_run_batch", refuse)
+    monkeypatch.setattr(dense, "_run_batch", refuse)
     monkeypatch.setattr(kernels, "apply_single_qudit", refuse)
     monkeypatch.setattr(kernels, "apply_diagonal", refuse)
-    monkeypatch.setattr(cli, "apply_circuit", refuse)
+    monkeypatch.setattr(dense, "apply_circuit", refuse)
 
 
 class TestBasisInputs:
@@ -1691,6 +1753,8 @@ def test_internal_value_error_propagates(name, argv, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("internal fault")
 
-    monkeypatch.setattr(cli, name, broken)
+    # patched where the handler looks it up: bounds reads its report from
+    # analysis, which it imports when it runs
+    monkeypatch.setattr(analysis if name == "approximation_report" else cli, name, broken)
     with pytest.raises(ValueError, match="internal fault"):
         main(argv)

@@ -12,8 +12,8 @@ from qudit_qft import (
     walsh_hadamard_gate,
 )
 from qudit_qft import gates
+from qudit_qft.checks import unitarity_residual
 from qudit_qft.gates import roots_of_unity
-from qudit_qft.numerics import unitarity_residual
 
 
 class TestRootOfUnity:

@@ -12,7 +12,8 @@ from qudit_qft import (
     controlled_phase_matrix,
     kernels,
 )
-from qudit_qft.circuit import GateOp, _fused_phases
+from qudit_qft.circuit import GateOp
+from qudit_qft.dense import _fused_phases
 
 RNG = np.random.default_rng(987123)
 

@@ -14,9 +14,10 @@ from qudit_qft import (
     max_entry_distance,
     walsh_hadamard_gate,
 )
-from qudit_qft import numerics
+from qudit_qft import checks
+from qudit_qft.checks import product_unitarity_residual, unitarity_residual
 from qudit_qft.circuit import _product_halves
-from qudit_qft.numerics import check_params, product_unitarity_residual, unitarity_residual
+from qudit_qft.numerics import check_params
 
 RNG = np.random.default_rng(20250810)
 
@@ -96,7 +97,7 @@ class TestUnitarityResidual:
     @pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (5, 3)])
     @pytest.mark.parametrize("block_rows", [7, 16, 256])
     def test_equals_the_full_product_residual(self, q, n, block_rows, monkeypatch):
-        monkeypatch.setattr(numerics, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(checks, "BLOCK_ROWS", block_rows)
         matrix = circuit_to_matrix(build_qft_circuit(q, n))
         blocked = unitarity_residual(matrix)
         assert abs(blocked - full_product_residual(matrix)) <= 1e-15
@@ -105,7 +106,7 @@ class TestUnitarityResidual:
     def test_finds_the_largest_entry_in_any_block(self, block_rows, monkeypatch):
         # a non-unitary matrix, so every Gram entry counts; each row of
         # G = a a^H below the diagonal mirrors one above it
-        monkeypatch.setattr(numerics, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(checks, "BLOCK_ROWS", block_rows)
         a = random_matrix(45)
         assert abs(unitarity_residual(a) - full_product_residual(a)) <= (
             1e-12 * full_product_residual(a))
@@ -113,14 +114,14 @@ class TestUnitarityResidual:
     @pytest.mark.parametrize("index", [0, 1, 2, 3])
     def test_nan_in_any_block_is_not_unitary(self, index, monkeypatch):
         # one-row blocks: the NaN sits in the first block or a later one
-        monkeypatch.setattr(numerics, "BLOCK_ROWS", 1)
+        monkeypatch.setattr(checks, "BLOCK_ROWS", 1)
         a = np.eye(2, dtype=complex)
         a.flat[index] = np.nan
         assert np.isnan(unitarity_residual(a))
         assert not unitarity_residual(a) <= 1e-10
 
     def test_nan_in_the_last_default_block_is_not_unitary(self):
-        a = np.eye(2 * numerics.BLOCK_ROWS, dtype=complex)
+        a = np.eye(2 * checks.BLOCK_ROWS, dtype=complex)
         a[-1, -1] = np.nan
         assert not unitarity_residual(a) <= 1e-10
 
@@ -164,13 +165,13 @@ LARGE_SIZES = [(2, 12), (16, 3), (4, 6), (64, 2), (3, 7)]
 def column_passes(monkeypatch):
     """The number of Gram columns of each pass of the residual, in order."""
     passes = []
-    deviation = numerics._gram_deviation
+    deviation = checks._gram_deviation
 
     def recording(low, gram, cols, r):
         passes.append(len(cols))
         return deviation(low, gram, cols, r)
 
-    monkeypatch.setattr(numerics, "_gram_deviation", recording)
+    monkeypatch.setattr(checks, "_gram_deviation", recording)
     return passes
 
 
@@ -248,8 +249,8 @@ class TestProductUnitarityResidual:
         whole, right = full_halves(circuit, np.arange(q ** n))
         left, _ = qft_halves(q, n)
         passes = []
-        gram_columns = numerics._gram_columns
-        monkeypatch.setattr(numerics, "_gram_columns",
+        gram_columns = checks._gram_columns
+        monkeypatch.setattr(checks, "_gram_columns",
                             lambda *args: passes.append(len(args[1])) or gram_columns(*args))
         residual = product_unitarity_residual(left, right)
         assert same_bits(residual, all_columns_residual(whole, right))
@@ -270,7 +271,7 @@ class TestProductUnitarityResidual:
             products.append(args[0].shape)
             return matmul(*args, **kwargs)
 
-        monkeypatch.setattr(numerics.np, "matmul", counted)
+        monkeypatch.setattr(checks.np, "matmul", counted)
         residual = product_unitarity_residual(left, right)
         monkeypatch.undo()
         assert products == [(81, 81)] * 54  # 27 per pass
@@ -283,7 +284,7 @@ class TestProductUnitarityResidual:
         left, right = qft_halves(4096, 1)
         assert left.shape == (1, 1) and left[0, 0] == 1
         calls = []
-        monkeypatch.setattr(numerics, "unitarity_residual",
+        monkeypatch.setattr(checks, "unitarity_residual",
                             lambda a, workers: calls.append(a) or 0.5)
         assert product_unitarity_residual(left, right) == 0.5
         assert len(calls) == 1 and calls[0] is right
@@ -316,7 +317,7 @@ class TestProductUnitarityResidual:
             calls.append(a)
             return unitarity_residual(a)
 
-        monkeypatch.setattr(numerics, "unitarity_residual", recording)
+        monkeypatch.setattr(checks, "unitarity_residual", recording)
         residual = product_unitarity_residual(left, right)
         assert len(calls) == 1 and calls[0] is right
         assert np.float64(residual).view(np.uint64) == np.float64(blocked).view(np.uint64)
@@ -325,7 +326,7 @@ class TestProductUnitarityResidual:
         left, right = _product_halves(build_qft_circuit(7, 1), np.arange(7))
         left = np.exp(0.3j) * left
         expected = unitarity_residual(left[0] * right)
-        monkeypatch.setattr(numerics, "unitarity_residual", None)  # never called
+        monkeypatch.setattr(checks, "unitarity_residual", None)  # never called
         assert abs(product_unitarity_residual(left, right) - expected) <= 1e-15
 
     def test_refuses_a_left_half_that_is_not_its_period_block(self):
@@ -351,7 +352,7 @@ class TestResidualWorkers:
         # RESIDUAL_BLOCK_BYTES holds four
         _, right = qft_halves(4096, 1)
         dealt = []
-        monkeypatch.setattr(numerics, "_parallel_max",
+        monkeypatch.setattr(checks, "_parallel_max",
                             lambda work, items, workers: dealt.append(workers) or 0.0)
         for workers in (1, 2, 4, 16):
             unitarity_residual(right, workers)
@@ -373,15 +374,15 @@ class TestParallelMax:
             parts.append((threading.current_thread() is caller, list(part)))
             return max(part)
 
-        assert numerics._parallel_max(work, range(7), 3) == 6
+        assert checks._parallel_max(work, range(7), 3) == 6
         assert sorted(parts) == [(False, [1, 4]), (False, [2, 5]), (True, [0, 3, 6])]
         parts.clear()
-        assert numerics._parallel_max(work, range(2), 8) == 1
+        assert checks._parallel_max(work, range(2), 8) == 1
         assert sorted(parts) == [(False, [1]), (True, [0])]
 
     @pytest.mark.parametrize("worker", [0, 1, 2])
     def test_a_nan_from_any_worker_is_nan(self, worker):
-        assert np.isnan(numerics._parallel_max(
+        assert np.isnan(checks._parallel_max(
             lambda part: np.nan if worker in part else 1.0, range(3), 3))
 
     @pytest.mark.parametrize("worker", [0, 1, 2])
@@ -394,7 +395,7 @@ class TestParallelMax:
             return 0.0
 
         with pytest.raises(RuntimeError, match=f"worker {worker} failed"):
-            numerics._parallel_max(work, range(3), 3)
+            checks._parallel_max(work, range(3), 3)
         assert threading.active_count() == threads
 
 
