@@ -1,9 +1,13 @@
 """verify's checks: the entry distance of the compiled QFT from the DFT,
 taken tile by tile from the product halves, and the unitarity residuals.
+Neither holds the right half whole: the oracle multiplies out a tile of
+its rows at a time, and the residual one residue class of its columns at
+a time (``circuit._right_rows`` and ``circuit._right_columns``).
 
 Only ``cli``'s verify handler imports this module, inside the handler, so
 the other commands never compile it.  ``_parallel_max`` is the one place
-work is dealt to threads: the oracle's tiles and the residuals' row blocks.
+work is dealt to threads: the oracle's tiles, each with a slice of the
+left rows, and the residuals' row blocks.
 Every result is the same bit for bit on any number of workers.
 """
 
@@ -13,14 +17,16 @@ import threading
 
 import numpy as np
 
-from .circuit import _left_rows
+from .circuit import _left_rows, _right_columns, _right_rows, _right_shape
 from .gates import _scaled_roots
 from .numerics import _as_matrix, _require_square
 
-# Rows of M per tile of verify's oracle check (_oracle_distance): each
-# worker holds four buffers of this many rows, 1.5 MiB at t = 4096.
-# Heights of 4 to 32 gave verify the same wall time and peak RSS within
-# noise at (2, 12) and (16, 3) (2-vCPU VM, 6 child runs each).
+# Most rows of the right half per tile of verify's oracle check
+# (_oracle_distance): each worker holds four buffers of this many rows of
+# M, 1.5 MiB at t = 4096, one expanded left row and one tile.  Heights of
+# 4 to 32 gave verify the same wall time and peak RSS within noise at
+# (2, 12) and (16, 3) while it held the right half whole (2-vCPU VM, 6
+# child runs each).
 _TILE_ROWS = 8
 
 # Row-block height of unitarity_residual's Gram blocks, which verify takes
@@ -35,7 +41,7 @@ BLOCK_ROWS = 256
 # Bytes of conjugated row blocks that unitarity_residual's workers hold at
 # once, one block of BLOCK_ROWS rows each (16 MiB at the cap), which caps
 # its workers at 4 there.  verify at (4096, 1) peaked at 306 MiB with one
-# worker, 325 with 2, 363 with 4 and 587 with 16 (2-vCPU VM, child runs):
+# worker, 323 with 2, 363 with 4 and 587 with 16 (2-vCPU VM, child runs):
 # more would pass the 512 MiB budget on a machine with that many CPUs.
 RESIDUAL_BLOCK_BYTES = 64 << 20
 
@@ -124,59 +130,63 @@ def unitarity_residual(a, workers: int = 1) -> float:
 
 def product_unitarity_residual(left, right, workers: int = 1) -> float:
     """``unitarity_residual`` of the matrix ``M`` whose row ``(i, j)``, in
-    C order, is ``L[i] * right[j]``, without building ``M``.
+    C order, is ``L[i]`` times row j of the right half, without building
+    ``M`` or the right half.
 
     ``left`` is the ``(p, p)`` period block of the full left half ``L``
-    (``circuit._product_halves``): column x of ``L`` is ``left[:, x mod
-    p]``.  With ``H_s = R_s @ adjoint(R_s)`` for the columns ``R_s =
-    right[:, s::p]``, entry ``((i, j), (k, l))`` of ``M @ adjoint(M)`` is
-    ``sum_s left[i, s] * conj(left[k, s]) * H_s[j, l]``.  Each ``H_s`` is
-    formed in one ``(r, r)`` buffer, which keeps only its columns ``(j,
-    j)`` and adds ``|H_s|`` to the bound's sums.  A GEMM per ``i`` forms rows
+    and ``right`` the right half's operands (``circuit._product_halves``):
+    column x of ``L`` is ``left[:, x mod p]``.  With ``H_s = R_s @
+    adjoint(R_s)`` for the right half's columns ``R_s`` of residue s mod p
+    (``circuit._right_columns``), entry ``((i, j), (k, l))`` of ``M @
+    adjoint(M)`` is ``sum_s left[i, s] * conj(left[k, s]) * H_s[j, l]``.
+    Each ``R_s`` is multiplied out and ``H_s`` formed in one ``(r, r)``
+    buffer, which keeps only its columns ``(j, j)`` and adds ``|H_s|`` to
+    the bound's sums.  A GEMM per ``i`` forms rows
     ``(i, .)`` in columns ``(k, .)``, ``k >= i``, first over the Gram
     columns ``(j, j)``, then over the columns ``(j, l)`` whose bound (see
     ``BOUND_ULPS``) is not below the largest entry found, for which each
-    ``H_s`` is formed again by the same product: the result is
+    ``R_s`` and ``H_s`` is formed again by the same products: the result is
     that of all columns, bit for bit.  On the QFT's halves no other column
     was left at any size measured, so the work is ``p * r**3 + p**3 * r /
-    2`` complex multiply-adds for ``r = len(right)``, where all columns
+    2`` complex multiply-adds for ``r`` right rows, where all columns
     take ``p * r**3 + p**3 * r**2 / 2`` and the blocked form ``(p * r)**3 / 2``.
     The sums run over the exact products, so the result may differ in its
     last bits from ``unitarity_residual`` of the rounded ``M``; where
-    ``left`` is one row of ones, ``M`` is ``right`` and the result is
-    ``unitarity_residual(right, workers)``, the one place ``workers``
-    is read.  A NaN anywhere makes the result NaN.
+    ``left`` is one row of ones, ``M`` is the right half and the result is
+    ``unitarity_residual`` of it, on ``workers`` threads, the one place
+    ``workers`` is read.  A NaN anywhere makes the result NaN.
     """
-    left, right = _as_matrix(left), _as_matrix(right)
+    left = _as_matrix(left)
     _require_square(left)
-    p, r = len(left), len(right)
+    p, r = len(left), _right_shape(right)[0]
     if p == 1 and left[0, 0] == 1:
-        return unitarity_residual(right, workers)
-    # columns = (x_high, s) in C order, so R_s is right[:, :, s]
-    parts = right.reshape(r, -1, p).transpose(2, 0, 1)
+        return unitarity_residual(_right_rows(right, 0, r), workers)
     h = np.zeros((r, r))
     diagonal = np.arange(r) * (r + 1)
-    found = _gram_deviation(left, _gram_columns(parts, diagonal, h), diagonal, r)
+    found = _gram_deviation(left, _gram_columns(right, p, diagonal, h), diagonal, r)
     tiny = p * 2.0 ** -1070
     bound = ((np.abs(left).max() ** 2 + tiny) * (h.ravel() + tiny)
              * (1 + BOUND_ULPS * (p + 4) * 2.0 ** -53) + tiny)
     keep = ~(bound < found)  # a NaN on either side keeps the column
     keep[diagonal] = False
     cols = np.flatnonzero(keep)
-    gram = _gram_columns(parts, cols) if len(cols) else np.empty((p, 0), np.complex128)
+    gram = _gram_columns(right, p, cols) if len(cols) else np.empty((p, 0), np.complex128)
     # np.max, unlike the builtin max, carries a NaN through
     return float(np.max([found, _gram_deviation(left, gram, cols, r)]))
 
 
-def _gram_columns(parts: np.ndarray, cols: np.ndarray, h=None) -> np.ndarray:
-    """Entries ``cols`` of each ``H_s = parts[s] @ adjoint(parts[s])``,
-    flattened in C order, as row s of a C-ordered ``(p, len(cols))`` array;
-    adds ``|H_s|`` to ``h`` where given.  Every ``H_s`` is formed in one
-    ``(r, r)`` buffer by the same product, so each pass gets its bits."""
-    r = parts.shape[1]
+def _gram_columns(right: tuple, p: int, cols: np.ndarray, h=None) -> np.ndarray:
+    """Entries ``cols`` of each ``H_s = R_s @ adjoint(R_s)``, ``s < p``, for
+    the right half's columns ``R_s`` of residue s mod p, flattened in C
+    order, as row s of a C-ordered ``(p, len(cols))`` array; adds ``|H_s|``
+    to ``h`` where given.  Every ``R_s`` is multiplied out by
+    ``circuit._right_columns`` and every ``H_s`` formed in one ``(r, r)``
+    buffer by the same product, so each pass gets its bits."""
+    r = _right_shape(right)[0]
     gram = np.empty((r, r), np.complex128)
-    out = np.empty((len(parts), len(cols)), np.complex128)
-    for s, part in enumerate(parts):
+    out = np.empty((p, len(cols)), np.complex128)
+    for s in range(p):
+        part = _right_columns(right, s, p)
         np.matmul(part, part.conj().T, out=gram)
         if h is not None:
             h += np.abs(gram)
@@ -201,16 +211,18 @@ def _gram_deviation(low: np.ndarray, gram: np.ndarray, cols: np.ndarray,
     return np.max(maxima)
 
 
-def _tiles(left: np.ndarray, right: np.ndarray) -> list[tuple[int, int, int]]:
-    """The tiles of the matrix ``M`` of ``circuit._product_halves``, in row order,
-    as ``(i, s, rows)``: the ``rows`` rows of ``M`` from row ``i *
-    len(right) + s`` on, which are row i of the full left half times
-    ``right[s:s + rows]``.  A tile
-    holds at most ``_TILE_ROWS`` rows and never crosses a block of
-    ``len(right)`` rows."""
-    r = len(right)
-    return [(i, s, min(_TILE_ROWS, r - s))
-            for i in range(len(left)) for s in range(0, r, _TILE_ROWS)]
+def _tiles(right: tuple) -> list[tuple[int, int]]:
+    """The tiles of the right half of ``circuit._product_halves``, in row
+    order, as ``(j, rows)``: its rows ``j`` to ``j + rows``.  Each block of
+    ``len(right[-1])`` rows (``len(B)``, or all rows of a single factor) is
+    cut into the fewest tiles of at most ``_TILE_ROWS`` rows, of heights
+    that differ by at most one, so no tile crosses a block and
+    ``circuit._right_rows`` multiplies each out in one product."""
+    r, block = _right_shape(right)[0], len(right[-1])
+    count = -(-block // _TILE_ROWS)
+    cuts = [block * k // count for k in range(count + 1)]
+    return [(j + low, high - low)
+            for j in range(0, r, block) for low, high in zip(cuts, cuts[1:])]
 
 
 def _dft_rows(t: int):
@@ -239,40 +251,53 @@ def _dft_rows(t: int):
     return gather
 
 
-def _oracle_distance(left: np.ndarray, right: np.ndarray, workers: int) -> float:
+def _oracle_distance(left: np.ndarray, right: tuple, workers: int) -> float:
     """Largest entry distance ``max |M - dft_matrix(t)|`` of the matrix
     ``M`` of ``circuit._product_halves``, whose row ``(i, j)`` is row i of
-    the full left half (``circuit._left_rows``) times ``right[j]``, building neither.
+    the full left half (``circuit._left_rows``) times row j of the right
+    half (``circuit._right_rows``), building neither ``M`` nor either half.
 
-    The tiles of ``_tiles`` are dealt to ``workers`` threads
-    (``_parallel_max``), and numpy releases the GIL in every step
-    of a tile.  Each worker allocates its buffers once, 1.5 MiB at t =
-    4096, and expands a row of the left half as its tiles reach it.  A
-    tile's entries of ``M`` are the products of the compile's last step
-    (``circuit._outer_rows``), the compiled entries bit for bit (at n = 1, ``1 *
-    z`` may flip a zero's sign, not the distance); its DFT rows come from
-    ``_dft_rows``; the difference and its magnitude are taken in place.
-    The result is the same bit for bit for every ``workers``; a NaN
-    anywhere makes it NaN, and a worker's exception is raised once all
+    The p left rows are cut into ``min(workers, p)`` slices, and each of
+    the right half's tiles (``_tiles``) with each slice is an item.  The
+    items are dealt to ``workers`` threads (``_parallel_max``) tile by
+    tile, so where p >= ``workers`` every worker gets its slice of every
+    tile, and no worker idles however few tiles there are; numpy releases
+    the GIL in every step.  A worker multiplies out the tile of each item once and checks
+    it against each left row of the item in turn, which it expands into a
+    buffer as it reaches it: rows ``(i, j)`` to ``(i, j + rows)`` of
+    ``M``.  Each worker allocates its buffers once, 1.5 MiB at t = 4096
+    and a row, beside its tile.  The
+    entries of ``M`` are the products of the compile's last step
+    (``circuit._outer_rows``), the compiled entries bit for bit (at n = 1,
+    ``1 * z`` may flip a zero's sign, not the distance); the DFT rows come
+    from ``_dft_rows``; the difference and its magnitude are taken in
+    place.  The result is the same bit for bit for every ``workers``; a
+    NaN anywhere makes it NaN, and a worker's exception is raised once all
     have ended.
     """
-    r, t = right.shape
+    r, t = _right_shape(right)
     gather = _dft_rows(t)
+    slices = min(workers, len(left))
+    cuts = [len(left) * k // slices for k in range(slices + 1)]
+    items = [(j, rows, low, high) for j, rows in _tiles(right)
+             for low, high in zip(cuts, cuts[1:])]
 
-    def check(tiles) -> float:
+    def check(items) -> float:
         block = np.empty((_TILE_ROWS, t), np.complex128)
         dft = np.empty((_TILE_ROWS, t), np.complex128)
         index = np.empty((_TILE_ROWS, t), np.intp)
         magnitude = np.empty((_TILE_ROWS, t), np.float64)
-        expanded = None
+        expanded = np.empty((1, t), np.complex128)
         maxima = []
-        for i, s, rows in tiles:
-            if expanded != i:
-                row, expanded = _left_rows(left, [i], t)[0], i
-            entries = np.multiply(row, right[s:s + rows], out=block[:rows])
-            diff = gather(i * r + s, index[:rows], dft[:rows])
-            np.subtract(entries, diff, out=diff)
-            maxima.append(np.abs(diff, out=magnitude[:rows]).max())
+        for j, rows, low, high in items:
+            tile = _right_rows(right, j, rows)
+            for i in range(low, high):
+                row = _left_rows(left, [i], t, out=expanded)[0]
+                entries = np.multiply(row, tile, out=block[:rows])
+                diff = gather(i * r + j, index[:rows], dft[:rows])
+                np.subtract(entries, diff, out=diff)
+                maxima.append(np.abs(diff, out=magnitude[:rows]).max())
+            del tile  # before the next tile is multiplied out beside it
         return np.max(maxima)
 
-    return _parallel_max(check, _tiles(left, right), workers)
+    return _parallel_max(check, items, workers)

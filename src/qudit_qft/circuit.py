@@ -16,15 +16,18 @@ checks each input's slots, some of them against the exact QFT's slots in
 closed form (``qft_slots``, which reads neither simulator), and
 ``_outer_rows`` multiplies them out into output states, from which
 ``dense.circuit_to_matrix`` compiles such a circuit.
-The CLI reads them only as two halves at every width (``_product_halves``;
-the left one as its period block, at n = 1 a single 1), whose products are
-the entries of the compiled matrix bit for bit: ``verify`` checks them
-against the DFT tile by tile (``checks._oracle_distance``), and
-``gen-matrix`` and ``apply`` on a basis state render them a chunk of
-entries at a time.  The dense simulator (``dense``) runs only state inputs
-(``apply --in``) and the compile of a circuit that ``_breaks_product``;
-it forms a run's phase exponent with ``_run_exponent``, as the product
-engine does.
+The CLI reads them only as two halves at every width (``_product_halves``),
+neither held whole: the left one as its period block (at n = 1 a single
+1), expanded a row at a time (``_left_rows``), and the right one as the
+two operands of its last product, multiplied out a few rows
+(``_right_rows``) or one residue class of columns (``_right_columns``) at
+a time.  Their products are the entries of the compiled matrix bit for
+bit: ``verify`` checks them against the DFT tile by tile
+(``checks._oracle_distance``), and ``gen-matrix`` and ``apply`` on a basis
+state render them a chunk of entries at a time.  The dense simulator
+(``dense``) runs only state inputs (``apply --in``) and the compile of a
+circuit that ``_breaks_product``; it forms a run's phase exponent with
+``_run_exponent``, as the product engine does.
 
 Digit conventions: ``x_0`` is the least significant digit, state index
 ``i = sum_j x_j * q**j``, and the leftmost Kronecker factor addresses the
@@ -33,7 +36,7 @@ most significant digit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 from itertools import groupby
 from operator import attrgetter
 
@@ -59,8 +62,43 @@ _INT64_MAX = 2 ** 63 - 1
 _GATHER_ENTRIES = 2 ** 12
 
 
-@dataclass(frozen=True)
-class GateOp:
+class _Frozen:
+    """Immutable value object over the fields named in ``_names`` (its
+    ``__slots__``): equal to and hashed as the tuple of its fields, against
+    its own type only, and shown as ``Type(field=value, ...)``.
+    ``__init__`` sets each field once through ``object.__setattr__``; any
+    later assignment or deletion raises ``AttributeError``."""
+
+    __slots__ = ()
+    _names: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._names)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in
+                           zip(self._names, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class GateOp(_Frozen):
     """One circuit element.
 
     Either a Chrestenson gate on ``target`` or a controlled phase shift
@@ -68,28 +106,28 @@ class GateOp:
     ``exp(-2j*pi * c*t / q**denom_exp)``.
     """
 
-    kind: str
-    target: int
-    control: int | None = None
-    denom_exp: int | None = None
+    __slots__ = _names = ("kind", "target", "control", "denom_exp")
 
-    def __post_init__(self):
-        if self.kind not in (CHRESTENSON, CONTROLLED_PHASE):
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.target < 0:
+    def __init__(self, kind: str, target: int, control: int | None = None,
+                 denom_exp: int | None = None):
+        if kind not in (CHRESTENSON, CONTROLLED_PHASE):
+            raise ValueError(f"unknown gate kind {kind!r}")
+        if target < 0:
             raise ValueError("target digit index must be non-negative")
-        if self.kind == CHRESTENSON:
-            if self.control is not None or self.denom_exp is not None:
+        if kind == CHRESTENSON:
+            if control is not None or denom_exp is not None:
                 raise ValueError("a Chrestenson op carries only a target digit")
         else:
-            if self.control is None or self.denom_exp is None:
+            if control is None or denom_exp is None:
                 raise ValueError("a controlled phase op needs control and denom_exp")
-            if self.control < 0:
+            if control < 0:
                 raise ValueError("control digit index must be non-negative")
-            if self.control == self.target:
+            if control == target:
                 raise ValueError("control and target digits must differ")
-            if self.denom_exp < 2:
+            if denom_exp < 2:
                 raise ValueError("denom_exp must be at least 2")
+        for name, value in zip(self._names, (kind, target, control, denom_exp)):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def chrestenson(target: int) -> "GateOp":
@@ -100,33 +138,31 @@ class GateOp:
         return GateOp(CONTROLLED_PHASE, target, control, denom_exp)
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(_Frozen):
     """Immutable gate list over an n-digit base-q register."""
 
-    radix: int
-    digits: int
-    ops: tuple[GateOp, ...] = field(default_factory=tuple)
-    reverse_output_digits: bool = False
+    __slots__ = _names = ("radix", "digits", "ops", "reverse_output_digits")
 
-    def __post_init__(self):
-        check_params(radix=self.radix, digits=self.digits)
-        ops = tuple(self.ops)
+    def __init__(self, radix: int, digits: int, ops: tuple[GateOp, ...] = (),
+                 reverse_output_digits: bool = False):
+        check_params(radix=radix, digits=digits)
+        ops = tuple(ops)
         for op in ops:
-            if op.target >= self.digits:
+            if op.target >= digits:
                 raise ValueError(f"target digit {op.target} out of range")
-            if op.control is not None and op.control >= self.digits:
+            if op.control is not None and op.control >= digits:
                 raise ValueError(f"control digit {op.control} out of range")
             # radix >= 2, so an exponent above 62 is too large on its own;
             # testing it first keeps a huge one from building a huge int
             if op.denom_exp is not None and (
-                op.denom_exp > 62 or self.radix ** op.denom_exp > _MAX_PHASE_MODULUS
+                op.denom_exp > 62 or radix ** op.denom_exp > _MAX_PHASE_MODULUS
             ):
                 raise ValueError(
-                    f"{op} is too fine for base {self.radix}: fused phase exponents "
-                    f"fit in int64 only while {self.radix}**denom_exp <= 2**62"
+                    f"{op} is too fine for base {radix}: fused phase exponents "
+                    f"fit in int64 only while {radix}**denom_exp <= 2**62"
                 )
-        object.__setattr__(self, "ops", ops)
+        for name, value in zip(self._names, (radix, digits, ops, reverse_output_digits)):
+            object.__setattr__(self, name, value)
 
     @property
     def gate_count(self) -> int:
@@ -346,12 +382,19 @@ def _outer_rows(factors: list[np.ndarray]) -> np.ndarray:
     order, is ``factors[0][i_0] * factors[1][i_1] * ...``.  The factors are
     paired as a balanced tree, so ``len(factors) - 1`` broadcast products
     build it and the last one writes the result from two factors of about
-    its square root in rows."""
+    its square root in rows (``_last_operands``)."""
     if len(factors) == 1:
         return factors[0]
-    half = len(factors) // 2
-    left, right = _outer_rows(factors[:half]), _outer_rows(factors[half:])
+    left, right = _last_operands(factors)
     return (left[:, np.newaxis] * right).reshape(-1, left.shape[1])
+
+
+def _last_operands(factors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The two operands of the last product of ``_outer_rows(factors)``, for
+    two factors or more: the products of the first half of the factors and
+    of the rest."""
+    half = len(factors) // 2
+    return _outer_rows(factors[:half]), _outer_rows(factors[half:])
 
 
 def _output_factors(circuit: Circuit, x) -> list[np.ndarray]:
@@ -363,18 +406,24 @@ def _output_factors(circuit: Circuit, x) -> list[np.ndarray]:
     return list(slots if circuit.reverse_output_digits else slots[::-1])
 
 
-def _product_halves(circuit: Circuit, x) -> tuple[np.ndarray, np.ndarray]:
+def _product_halves(circuit: Circuit, x) -> tuple[np.ndarray, tuple]:
     """The outputs of basis inputs ``x`` as two halves ``(left, right)``:
-    row ``(i, j)`` of input ``x[k]``'s output is ``left[i, k % w] *
-    right[j, k]``, ``w = left.shape[1]`` (see ``_left_rows``).
+    row ``(i, j)`` of input ``x[k]``'s output is ``left[i, k % w]`` times
+    entry ``(j, k)`` of the right half, ``w = left.shape[1]`` (see
+    ``_left_rows`` and ``_right_rows``).
 
-    ``right`` is the row-wise Kronecker product of the last ``n - h`` of
-    ``_output_factors``, ``h = n // 2``, as ``_outer_rows`` splits them, and
-    ``left`` the first ``w = min(q**h, len(x))`` columns of that of the
-    first h (one row of ones at n = 1).  In the QFT those are slots
-    ``0..h-1``, which read only input digits ``0..h-1``, so on ``x =
-    arange(q**n)`` their columns repeat with period ``q**h``; they are
-    checked to repeat with period w, bit for bit (``ValueError`` if not).
+    The right half is the row-wise Kronecker product of the last ``n - h``
+    of ``_output_factors``, ``h = n // 2``, as ``_outer_rows`` splits them.
+    It is held as the operands of that product's last step, ``right = (A,
+    B)`` (``_last_operands``): its row ``a * len(B) + b`` is ``A[a] *
+    B[b]``.  At n <= 2 it is a single factor, held as it is, ``right =
+    (F,)``.  ``left`` is the first ``w = min(q**h, len(x))`` columns of
+    the product of the first h (one row of ones at n = 1).  In the QFT
+    those are slots ``0..h-1``, which read only input digits ``0..h-1``,
+    so on ``x = arange(q**n)`` their columns repeat with period ``q**h``;
+    they are checked to repeat with period w, bit for bit (``ValueError``
+    if not).  Neither half is held whole: at (2, 12) ``A`` and ``B`` are
+    8 x 4096 each, the right half 64 x 4096.
     """
     # the slots are C-contiguous, so every product is laid out in C order and
     # the reshapes in _outer_rows copy nothing
@@ -391,15 +440,55 @@ def _product_halves(circuit: Circuit, x) -> tuple[np.ndarray, np.ndarray]:
     # full factors
     periods = [np.ascontiguousarray(factor[:, :w]) for factor in factors[:h]]
     left = _outer_rows(periods) if h else np.ones((1, w), np.complex128)
-    return left, _outer_rows(factors[h:])
+    rest = factors[h:]
+    return left, tuple(rest) if len(rest) == 1 else _last_operands(rest)
 
 
-def _left_rows(left: np.ndarray, i, t: int) -> np.ndarray:
+def _left_rows(left: np.ndarray, i, t: int, out=None) -> np.ndarray:
     """Rows ``i`` of the full left half of ``_product_halves`` over ``t``
     inputs, expanded from ``left``'s ``w`` columns (column k is ``left[:, k
-    % w]``) into one C-contiguous ``(len(i), t)`` array.  The product with
-    ``right``'s rows then runs on contiguous operands, as the compile's
-    last step (``_outer_rows``) does, and gives its entries bit for bit."""
-    rows = np.empty((len(i), t), np.complex128)
+    % w]``) into one C-contiguous ``(len(i), t)`` array, ``out`` where
+    given.  The product with the right half's rows then runs on contiguous
+    operands, as the compile's last step (``_outer_rows``) does, and gives
+    its entries bit for bit."""
+    rows = np.empty((len(i), t), np.complex128) if out is None else out
     rows.reshape(len(i), -1, left.shape[1])[:] = left[i, np.newaxis]
     return rows
+
+
+def _right_shape(right: tuple) -> tuple[int, int]:
+    """``(rows, columns)`` of the right half of ``_product_halves``."""
+    return math.prod(len(factor) for factor in right), right[0].shape[1]
+
+
+def _right_rows(right: tuple, j: int, k: int) -> np.ndarray:
+    """Rows ``j`` to ``j + k`` of the right half of ``_product_halves``, a
+    ``(k, t)`` array; of a single factor, a view of its rows.
+
+    Of ``(A, B)``, row ``a * len(B) + b`` is ``A[a] * B[b]``.  Rows within
+    one block of ``len(B)`` are one row of ``A`` times a slice of ``B``;
+    other rows are cut from the product of the rows of ``A`` whose blocks
+    they touch with all of ``B``.  Either is the compile's last product,
+    with its operands in its order, on fewer rows, so the entries are the
+    compiled ones bit for bit.  A single entry is cut from its whole block
+    too: a product of one entry runs numpy's one-element loop, which moved
+    the last bit of an entry at (3, 12) against the compile's loop.
+    """
+    if len(right) == 1:
+        return right[0][j:j + k]
+    a, b = right
+    m = len(b)
+    first, last = j // m, -(-(j + k) // m)  # the blocks the rows touch
+    s = j - first * m
+    if last - first == 1 and k * b.shape[1] > 1:
+        return a[first] * b[s:s + k]
+    return (a[first:last, np.newaxis] * b).reshape(-1, b.shape[1])[s:s + k]
+
+
+def _right_columns(right: tuple, s: int, p: int) -> np.ndarray:
+    """The columns ``s::p`` of the right half of ``_product_halves``, one
+    C-contiguous ``(rows, len(range(s, t, p)))`` array, multiplied out from
+    contiguous copies of the same columns of its operands by the
+    compile's last product, so its entries are the compiled ones bit for
+    bit."""
+    return _outer_rows([np.ascontiguousarray(factor[:, s::p]) for factor in right])

@@ -38,16 +38,22 @@ default) read the QFT from its product form: every basis input's output is
 a product of n single-digit states, with no dense simulation, no identity
 input and no q x q gate, and no command builds the matrix M.  Each takes
 the two halves of M's last product (``circuit._product_halves``): row
-``(i, j)`` of M is row i of the left half times ``right[j]``, the compiled
-entries bit for bit.  The left half's columns repeat with period p, its
-height, so it is held as its ``(p, p)`` period block, and each reader
-expands a row of it as it needs one (``circuit._left_rows``).  gen-matrix
+``(i, j)`` of M is row i of the left half times row j of the right half,
+the compiled entries bit for bit.  Neither half is held whole.  The left
+half's columns repeat with period p, its height, so it is held as its
+``(p, p)`` period block, and each reader expands a row of it as it needs
+one (``circuit._left_rows``).  The right half is held as the two operands
+of its own last product, ``A`` and ``B`` (a single factor at n <= 2), and
+each reader multiplies out the rows (``circuit._right_rows``) or the
+residue columns (``circuit._right_columns``) it reads, so no command
+holds a ``(q**(n-h), q**n)`` array.  gen-matrix
 and apply render their documents from the halves chunk by chunk
 (``documents.render_matrix`` and ``documents.render_product_state``), so
 neither M nor the q**n state is held (see ``MAX_STATE_DIM``).  Only a
 state read with ``--in`` runs the dense simulator.  verify compares M with
-the DFT in tiles of a few rows on every CPU the process may run on
-(``checks._oracle_distance``, with ``_render_workers()`` threads), and
+the DFT on every CPU the process may run on (``checks._oracle_distance``,
+with ``_render_workers()`` threads), each thread multiplying out a tile of
+a few rows of the right half once for its share of the left rows, and
 takes the unitarity residual from the Kronecker structure of the halves
 (``checks.product_unitarity_residual``), one Gram block at a time and
 over only the Gram columns a bound leaves able to hold the maximum.  At
@@ -97,9 +103,9 @@ from .numerics import (
 
 # apply and bounds refuse registers of more amplitudes than this, so that
 # their peak RSS stays within a 512 MiB budget.  At 2**20 amplitudes (2-vCPU
-# Linux VM, ru_maxrss of the child) apply peaked at 270 MiB from --in, most
-# of it the parsed JSON list of pairs, and bounds at 143 MiB (q=2,
-# keep-depth 3) and 134 MiB (q=4, keep-depth 2).  Every array they allocate
+# Linux VM, ru_maxrss of the child) apply peaked at 269 MiB from --in, most
+# of it the parsed JSON list of pairs, and bounds at 72 MiB (q=2,
+# keep-depth 3) and 62 MiB (q=4, keep-depth 2).  Every array they allocate
 # is O(q**n), and each state exists once: a StateVector holds the array its
 # producer built, not a copy.  apply --basis holds no state: it renders
 # each chunk from the product halves, and peaked at 33 MiB at 2**20, 2**19

@@ -16,8 +16,9 @@ lines of the chunk, whose separators ride in the rows' spare bytes
 (``_format_chunk``).
 
 A matrix, or a state, of the product halves of ``circuit._product_halves``
-is never held whole: one chunk reader (``_product_entries``) multiplies
-out only the entries each chunk touches as it renders it, the rows of M
+is never held whole, nor is its right half: one chunk reader
+(``_product_entries``) multiplies out only the entries each chunk touches
+as it renders it, from the rows of the right half they meet, the rows of M
 for ``render_matrix`` and the amplitudes of its one column for
 ``render_product_state``.  ``render_state`` reads a state that is held.
 
@@ -44,7 +45,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .circuit import _left_rows
+from .circuit import _left_rows, _right_rows, _right_shape
 from .numerics import (
     NORM_TOL,
     UsageError,
@@ -471,22 +472,30 @@ def _write_amplitudes(document: _Document, fd: int) -> None:
         raise lost
 
 
-def _product_entries(left: np.ndarray, right: np.ndarray):
+def _product_entries(left: np.ndarray, right: tuple):
     """``(entries, size)`` of a ``_Document`` of the ``size``
     entries, in row-major order, of the matrix ``M`` whose row ``(i, j)``
-    is row i of the full left half times ``right[j]`` (the product halves
-    of ``circuit._product_halves``); a product state is its one-column
-    case.  Each call of ``entries`` expands the left rows it touches
-    (``circuit._left_rows``) and multiplies out only those rows of ``M``,
-    with the product that builds ``M`` in ``circuit._outer_rows``, so ``M``
-    is never held whole and its entries are the compiled ones bit for
+    is row i of the full left half times row j of the right half (the
+    product halves of ``circuit._product_halves``); a product state is its
+    one-column case.  Each call of ``entries`` multiplies out only the rows
+    of ``M`` it touches: the rows of the right half they meet under each row
+    of the left half (``circuit._right_rows``) and those left rows
+    (``circuit._left_rows``), then, over all of them at once, the product
+    that builds ``M`` in ``circuit._outer_rows``.  So neither ``M`` nor the
+    right half is held whole, and the entries are the compiled ones bit for
     bit."""
-    r, cols = right.shape
+    r, cols = _right_shape(right)
     size = len(left) * r * cols
 
     def entries(start: int, end: int) -> np.ndarray:
-        i, j = np.divmod(np.arange(start // cols, -(-min(end, size) // cols)), r)
-        return (_left_rows(left, i, cols) * right[j]).ravel()[start % cols:][:end - start]
+        end = min(end, size)
+        first, stop = start // cols, -(-end // cols)  # the rows of M touched
+        rows = np.empty((stop - first, cols), np.complex128)
+        for i in range(first // r, -(-stop // r)):
+            low, high = max(first, i * r), min(stop, i * r + r)
+            rows[low - first:high - first] = _right_rows(right, low - i * r, high - low)
+        left_rows = _left_rows(left, np.arange(first, stop) // r, cols)
+        return (left_rows * rows).ravel()[start % cols:][:end - start]
     return entries, size
 
 
@@ -504,24 +513,27 @@ def render_state(state: StateVector) -> _Document:
 
 
 def render_product_state(radix: int, digits: int, left: np.ndarray,
-                         right: np.ndarray) -> _Document:
-    """The document of the state whose amplitude ``i * len(right) + j`` is
-    ``left[i, 0] * right[j, 0]`` (the halves of ``circuit._product_halves``
-    for one basis input), each chunk multiplied out as it is written.
+                         right: tuple) -> _Document:
+    """The document of the state whose amplitude ``i * r + j`` is ``left[i,
+    0]`` times entry j of the right half's one column (the halves of
+    ``circuit._product_halves`` for one basis input, r right rows), each
+    chunk multiplied out as it is written.
 
     ``StateVector``'s checks run here, before the document is written, on the
-    halves: both must be finite, and the product of their norms**2 (the
-    state's) within ``NORM_TOL`` of 1; otherwise ``ValueError``."""
-    _check_unit_norm(_norm_sq(left[:, 0]) * _norm_sq(right[:, 0]), left, right)
+    left half and the right half's column, ``r`` entries multiplied out:
+    both must be finite, and the product of their norms**2 (the state's)
+    within ``NORM_TOL`` of 1; otherwise ``ValueError``."""
+    column = _right_rows(right, 0, _right_shape(right)[0])
+    _check_unit_norm(_norm_sq(left[:, 0]) * _norm_sq(column[:, 0]), left, column)
     return _state_document(radix, digits, *_product_entries(left, right))
 
 
-def render_matrix(left: np.ndarray, right: np.ndarray, fmt: str) -> _Document:
+def render_matrix(left: np.ndarray, right: tuple, fmt: str) -> _Document:
     """The document of the matrix ``M`` of the product halves ``left`` and
     ``right`` (see ``_product_entries``): a JSON document of row-major
     entries, or ``row,col,re,im`` CSV lines."""
     entries, size = _product_entries(left, right)
-    cols = right.shape[1]
+    cols = _right_shape(right)[1]
     if fmt == "csv":
         return _Document(b"row,col,re,im\n", entries, size, b"\n", cols)
     header = f'{{\n  "rows": {size // cols},\n  "cols": {cols},\n  "entries": [\n'

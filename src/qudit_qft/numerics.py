@@ -21,14 +21,15 @@ import numpy as np
 # this; gen-matrix and verify build no matrix but are held to the same cap.
 # The CLI imports it as ``MAX_DIM_CAP``: gen-matrix and verify refuse a
 # --dim-cap above it.  Peak RSS at the cap (2-vCPU VM, ru_maxrss of the
-# child) is at most 325 MiB, reached at n = 1, radix 4096, by verify (306
+# child) is at most 323 MiB, reached at n = 1, radix 4096, by verify (306
 # MiB on one CPU; see checks.RESIDUAL_BLOCK_BYTES for more), and 289 MiB
 # there by gen-matrix: the product engine's slots are 256 MiB, and no q x q
 # gate is built beside them (668 MiB in both while it was).  With
-# two or more digits gen-matrix peaked at 37 MiB at (2, 12) and 51 MiB at
-# (16, 3), and verify at 39 and 54 MiB.  The cap bounds the rest: a
-# gen-matrix document at 4096 is about 890 MB and grows with the square of
-# the dimension, as do the slots at n = 1 (1024 MiB at 8192).
+# two or more digits gen-matrix peaked at 34 MiB at (2, 12) and 36 MiB at
+# (16, 3), and verify at 36 and 40 MiB, holding neither half of M whole
+# (37, 51, 38 and 53 MiB while they held the right half).  The cap bounds
+# the rest: a gen-matrix document at 4096 is about 890 MB and grows with
+# the square of the dimension, as do the slots at n = 1 (1024 MiB at 8192).
 DEFAULT_DIM_CAP = 4096
 
 # Unit-norm requirement on state vectors.

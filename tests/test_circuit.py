@@ -1,5 +1,7 @@
 """Tests for the circuit IR, the builders, the simulators, and compilation."""
 
+import copy
+import pickle
 import re
 import sys
 from functools import reduce
@@ -35,6 +37,9 @@ from qudit_qft.circuit import (
     _outer_rows,
     _output_factors,
     _product_halves,
+    _right_columns,
+    _right_rows,
+    _right_shape,
     _run_exponent,
     _run_product,
 )
@@ -88,6 +93,57 @@ class TestGateOpValidation:
             Circuit(1, 2)
         with pytest.raises(ValueError):
             Circuit(2, 0)
+
+
+class TestValueObjects:
+    """GateOp and Circuit are immutable values: shown, compared and hashed
+    by their fields, against their own type only."""
+
+    def test_repr_names_every_field(self):
+        # error messages embed it
+        op = GateOp.controlled_phase(0, 2, 3)
+        assert repr(op) == "GateOp(kind='controlled_phase', target=2, control=0, denom_exp=3)"
+        assert repr(Circuit(2, 3, [op])) == (
+            "Circuit(radix=2, digits=3, ops=(GateOp(kind='controlled_phase', target=2, "
+            "control=0, denom_exp=3),), reverse_output_digits=False)")
+
+    def test_keyword_defaults(self):
+        assert GateOp(kind=CHRESTENSON, target=1) == GateOp(CHRESTENSON, 1, None, None)
+        assert Circuit(radix=3, digits=2) == Circuit(3, 2, (), False)
+        assert Circuit(2, 3, [GateOp.chrestenson(0)]).ops == (GateOp.chrestenson(0),)
+
+    def test_equal_and_hashed_by_fields_within_their_type(self):
+        a, b = build_qft_circuit(3, 4, 2), build_qft_circuit(3, 4, 2)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != build_qft_circuit(3, 4)
+        op = GateOp.chrestenson(1)
+        assert op == GateOp(CHRESTENSON, 1) and hash(op) == hash(GateOp(CHRESTENSON, 1))
+
+        class Sub(GateOp):
+            __slots__ = ()
+
+        assert op != (CHRESTENSON, 1, None, None)
+        assert op != Sub(CHRESTENSON, 1)
+        assert op != Circuit(2, 2)
+        # a subclass keeps the fields
+        assert Sub(CHRESTENSON, 1) != Sub(CHRESTENSON, 2)
+        assert repr(Sub(CHRESTENSON, 1)).endswith(
+            "Sub(kind='chrestenson', target=1, control=None, denom_exp=None)")
+
+    @pytest.mark.parametrize("value,field", [(GateOp.chrestenson(1), "target"),
+                                             (Circuit(2, 2), "ops")])
+    def test_fields_cannot_change(self, value, field):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(value, field, 0)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    def test_copies_and_pickles_are_equal(self):
+        circuit = build_qft_circuit(5, 3)
+        assert pickle.loads(pickle.dumps(circuit)) == circuit
+        assert copy.deepcopy(circuit) == circuit
 
 
 class TestQftBuilder:
@@ -217,7 +273,7 @@ class TestDftMatrix:
     @pytest.mark.parametrize("q,n,which", [
         *((q, n, which) for q, n in [(3, 7), (5, 5), (2, 12)]
           for which in ("first", "middle", "last")),
-        # the last tile of a block of 81 and of 125 rows is 1 and 5 rows high
+        # the tiles of a block of 9 and of 25 right rows are 4 to 7 rows high
         (3, 7, "short"), (5, 5, "short"),
     ])
     def test_tile_gather_equals_the_dft_rows(self, q, n, which):
@@ -225,13 +281,13 @@ class TestDftMatrix:
         # are dft_matrix's bit for bit
         t = q ** n
         left, right = _product_halves(build_qft_circuit(q, n), np.arange(t))
-        tiles = _tiles(left, right)
+        tiles = [(i, j, rows) for j, rows in _tiles(right) for i in range(len(left))]
         if which == "short":
             i, s, rows = next(tile for tile in tiles if tile[2] < 8)
         else:
             i, s, rows = {"first": tiles[0], "middle": tiles[len(tiles) // 2],
                           "last": tiles[-1]}[which]
-        y0 = i * len(right) + s
+        y0 = i * _right_shape(right)[0] + s
         gather = _dft_rows(t)
         index = np.full((8, t), -1, dtype=np.intp)
         out = np.full((8, t), np.nan, dtype=np.complex128)
@@ -696,32 +752,42 @@ class TestBasisColumns:
         # half is checked for every circuit, and the period form wherever
         # the left columns repeat with the left half's height, as the QFT's
         # do; elsewhere _product_halves refuses the circuit
+        # the materialized right half, as a right half of one factor, beside
+        # the whole left half, and the operands of its last product beside
+        # the period block
         dim = circuit.radix ** circuit.digits
         whole, right = full_halves(circuit, np.arange(dim))
         # at n = 1 the left half is the product of no factors: one row of ones
         assert (len(whole) == 1) == (circuit.digits == 1)
-        p = len(whole)
+        p, r = len(whole), len(right)
         repeats = np.array_equal(whole.view(np.uint64),
                                  np.tile(whole[:, :p], dim // p).view(np.uint64))
-        forms = [whole]
+        forms = [(whole, (right,))]
         if repeats:
-            left, periodic_right = _product_halves(circuit, np.arange(dim))
+            left, operands = _product_halves(circuit, np.arange(dim))
             assert left.shape == (p, p)
-            assert np.array_equal(periodic_right.view(np.uint64), right.view(np.uint64))
-            forms.append(left)
+            assert len(operands) == (1 if circuit.digits <= 2 else 2)
+            assert np.array_equal(_right_rows(operands, 0, r).view(np.uint64),
+                                  right.view(np.uint64))
+            forms.append((left, operands))
         else:
             with pytest.raises(ValueError, match=f"do not repeat with period {p}"):
                 _product_halves(circuit, np.arange(dim))
         if circuit.digits == 1:
             ones = np.ones((1, 1), np.complex128)
-            assert np.array_equal(forms[-1].view(np.uint64), ones.view(np.uint64))
+            assert np.array_equal(forms[-1][0].view(np.uint64), ones.view(np.uint64))
         matrix = circuit_to_matrix(circuit)
-        for left in forms:
-            tiles = _tiles(left, right)
-            starts = [i * len(right) + s for i, s, _ in tiles]
-            assert starts == np.cumsum([0, *(rows for *_, rows in tiles[:-1])]).tolist()
-            assert starts[-1] + tiles[-1][2] == dim
-            assert all(0 < rows <= 8 and s + rows <= len(right) for _, s, rows in tiles)
+        for left, halves in forms:
+            block = len(halves[-1])
+            tiles = _tiles(halves)
+            # the tiles cover the right half's rows once, in order, and none
+            # crosses a block of len(B) rows
+            tile_starts = np.cumsum([0, *(rows for _, rows in tiles[:-1])]).tolist()
+            assert [j for j, _ in tiles] == tile_starts
+            assert sum(rows for _, rows in tiles) == r
+            assert all(0 < rows <= 8 and j // block == (j + rows - 1) // block
+                       for j, rows in tiles)
+            starts = sorted(i * r + j for j, _ in tiles for i in range(p))
             seen = []
 
             def compiled_rows(t):
@@ -732,7 +798,7 @@ class TestBasisColumns:
                 return gather
 
             monkeypatch.setattr(checks_module, "_dft_rows", compiled_rows)
-            assert _oracle_distance(left, right, 3) == 0.0
+            assert _oracle_distance(left, halves, 3) == 0.0
             assert sorted(seen) == starts
 
     def test_many_oracle_threads_check_every_tile_once(self, monkeypatch):
@@ -759,7 +825,32 @@ class TestBasisColumns:
         finally:
             sys.setswitchinterval(interval)
         assert np.float64(many).view(np.uint64) == np.float64(one).view(np.uint64)
-        assert sorted(seen) == [i * len(right) + s for i, s, _ in _tiles(left, right)]
+        assert sorted(seen) == sorted(i * _right_shape(right)[0] + j
+                                      for j, _ in _tiles(right) for i in range(len(left)))
+
+    @pytest.mark.parametrize("q,n,workers", [(2, 12, 3), (2, 12, 16), (16, 3, 5), (2, 3, 8)])
+    def test_oracle_items_keep_every_worker_busy(self, q, n, workers, monkeypatch):
+        # (2, 12) has 8 tiles: with one item per tile, 3 workers would
+        # split them 3/3/2 and 16 would leave 8 idle.  Each tile with each
+        # slice of the left rows is an item: every worker checks within
+        # one left row of every tile of the others, and forms each of
+        # its tiles once
+        left, right = _product_halves(build_qft_circuit(q, n), np.arange(q ** n))
+        dealt = []
+        parallel_max = checks_module._parallel_max
+        monkeypatch.setattr(checks_module, "_parallel_max",
+                            lambda work, items, w: dealt.append(items) or parallel_max(work, items, w))
+        _oracle_distance(left, right, workers)
+        (items,) = dealt
+        r, p = _right_shape(right)[0], len(left)
+        count = min(workers, len(items))
+        assert count == min(workers, p * len(_tiles(right)))
+        loads = [sum((high - low) * rows for _, rows, low, high in items[w::count])
+                 for w in range(count)]
+        assert sum(loads) == p * r and max(loads) - min(loads) <= r
+        for w in range(count):
+            tiles = [j for j, *_ in items[w::count]]
+            assert len(tiles) == len(set(tiles))
 
     @pytest.mark.parametrize("q", [2, 7, 600])
     def test_single_digit_columns_are_the_slot_itself(self, q, monkeypatch):
@@ -896,3 +987,80 @@ class TestPeriodForm:
         for workers in (1, 2, 3):
             distance = _oracle_distance(left, right, workers)
             assert np.float64(distance).view(np.uint64) == np.float64(expected).view(np.uint64)
+
+
+# every QFT size with q**n <= 1024, at n = 1 a sample (there the right half
+# is the one slot, held as it is), and the splits of the cap: at (3, 7)
+# blocks of len(B) = 9 rows, so 8-row windows cross them
+RIGHT_HALF_SIZES = [
+    *((q, 1) for q in (2, 3, 7, 64, 1024)),
+    *((q, n) for n in range(2, 11) for q in range(2, 33) if q ** n <= 1024),
+    (2, 12), (16, 3), (4, 6), (3, 7), (64, 2), (5, 5),
+]
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestRightHalf:
+    """The right half held as the operands of its last product: what its
+    helpers multiply out is the materialized half's, as the compile builds
+    it (``full_halves``), bit for bit."""
+
+    @pytest.mark.parametrize("q,n", RIGHT_HALF_SIZES)
+    def test_rows_and_residue_columns_are_the_materialized_halfs(self, q, n, full_halves):
+        circuit = build_qft_circuit(q, n)
+        x = np.arange(q ** n)
+        _, right = full_halves(circuit, x)
+        left, operands = _product_halves(circuit, x)
+        assert len(operands) == (1 if n <= 2 else 2)
+        assert _right_shape(operands) == right.shape
+        r, m = len(right), len(operands[-1])
+        # the oracle's tiles, 8-row windows from every multiple of 8, the
+        # rows at either end of a block, and all rows
+        spans = {*_tiles(operands), *((j, min(8, r - j)) for j in range(0, r, 8)),
+                 (m - 1, 1), (m - 1, min(2, r - m + 1)), (0, r)}
+        for j, k in sorted(spans):
+            assert np.array_equal(bits(_right_rows(operands, j, k)), bits(right[j:j + k])), (j, k)
+        p = len(left)
+        for s in range(p):
+            assert np.array_equal(bits(_right_columns(operands, s, p)), bits(right[:, s::p])), s
+
+    @pytest.mark.parametrize("q,n,k", [(3, 12, 4242), (2, 19, 12345), (5, 6, 1234),
+                                       (3, 7, 55), (7, 4, 100), (2, 3, 5)])
+    def test_one_column_rows_are_the_materialized_halfs(self, q, n, k, full_halves):
+        # a basis input's right half has one column, so a row is one entry;
+        # multiplied out alone, the entry of row 458 at (3, 12) moved in its
+        # last bit
+        circuit = build_qft_circuit(q, n)
+        _, right = full_halves(circuit, [k])
+        _, operands = _product_halves(circuit, [k])
+        r, m = len(right), len(operands[-1])
+        for j in range(r):
+            for count in {1, 2, m, r - j} & set(range(1, r - j + 1)):
+                assert np.array_equal(bits(_right_rows(operands, j, count)),
+                                      bits(right[j:j + count])), (j, count)
+
+    def test_a_tile_within_a_block_is_one_product_of_its_rows(self):
+        # one row of A times a slice of B: a fresh array of the tile's rows;
+        # rows across a block boundary are cut from the blocks they touch
+        _, operands = _product_halves(build_qft_circuit(3, 7), np.arange(3 ** 7))
+        assert [len(a) for a in operands] == [9, 9]
+        tile = _right_rows(operands, 13, 5)
+        assert tile.shape == (5, 3 ** 7) and tile.base is None and tile.flags.c_contiguous
+        assert _right_rows(operands, 16, 4).base.shape == (2, 9, 3 ** 7)
+
+    @pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (5, 3), (2, 12), (16, 3), (4, 6), (3, 7),
+                                     (64, 2), (5, 5)])
+    def test_oracle_distance_is_the_materialized_halfs(self, q, n, full_halves):
+        # the materialized half, as a right half of one factor, is read in
+        # tiles of 8 of its rows, as while verify held it
+        circuit = build_qft_circuit(q, n)
+        x = np.arange(q ** n)
+        _, right = full_halves(circuit, x)
+        left, operands = _product_halves(circuit, x)
+        for workers in (1, 2):
+            got = _oracle_distance(left, operands, workers)
+            expected = _oracle_distance(left, (right,), workers)
+            assert np.float64(got).view(np.uint64) == np.float64(expected).view(np.uint64)

@@ -170,11 +170,11 @@ class TestVerify:
         period."""
         split = cli._product_halves
 
-        def changed(circuit, x):
-            left, right = split(circuit, x)
-            # 2**9 rows span len(left) row blocks of len(right) rows
-            assert left.shape == (16, 16)
-            change(left[row // len(right), 5:6])
+        def changed(qft, x):
+            left, right = split(qft, x)
+            # 2**9 rows span len(left) row blocks of 32 right rows
+            assert left.shape == (16, 16) and circuit._right_shape(right)[0] == 32
+            change(left[row // 32, 5:6])
             return left, right
 
         monkeypatch.setattr(cli, "_product_halves", changed)
@@ -215,7 +215,7 @@ class TestVerify:
 
         def changed(circuit, x):
             left, right = split(circuit, x)
-            getattr(self, change)(right[9])
+            getattr(self, change)(right[0][9])  # the single factor's row 9
             return left, right
 
         monkeypatch.setattr(cli, "_product_halves", changed)
@@ -281,17 +281,19 @@ class TestVerify:
 
     def test_peak_memory_at_16_3_holds_one_gram_block(self, traced_peak, monkeypatch,
                                                       tmp_path):
-        # p = 16 and r = 256: the right half is 16 MiB, the slots 3 MiB and
-        # each of the 16 Gram blocks H_s 1 MiB.  Forming them one at a time
-        # in one buffer, verify traced 21.5 MiB with 3 oracle workers (each
-        # 1.5 MiB of tile buffers); holding all 16 took 36.5 MiB
+        # p = 16 and r = 256: the right half would be 16 MiB, its operands
+        # are 1 MiB each (views of the 3 MiB slots), and each of the 16 Gram
+        # blocks H_s is 1 MiB.  With 3 oracle workers, each holding 1.5 MiB
+        # of tile buffers and a 0.5 MiB tile of the right half, verify traced
+        # 10.1 MiB; holding the right half whole it traced 21.7 MiB, and
+        # holding all 16 Gram blocks besides took 36.5 MiB
         monkeypatch.setattr(cli, "_render_workers", lambda: 3)
         out = tmp_path / "verify.txt"
         code, peak = traced_peak(main, ["verify", "--radix", "16", "--digits", "3",
                                         "--out", str(out)])
         assert code == 0
         assert out.read_text().endswith("verify PASS\n")
-        assert peak < 24 * 2 ** 20
+        assert peak < 12 * 2 ** 20
 
     def test_peak_memory_with_eight_workers(self, traced_peak, monkeypatch, tmp_path):
         # each oracle worker allocates its tile buffers once, about 1.5 MiB
@@ -371,11 +373,11 @@ def reference_matrix_text(matrix: np.ndarray, fmt: str) -> str:
 
 
 def render_rows(matrix: np.ndarray, fmt: str):
-    """``matrix`` rendered as the right half under a left half of ones, and
-    the matrix those halves make (``1 * z`` may turn a ``-0`` real part
-    into ``+0``)."""
+    """``matrix`` rendered as the right half of one factor under a left
+    half of ones, and the matrix those halves make (``1 * z`` may turn a
+    ``-0`` real part into ``+0``)."""
     ones = np.ones((1, matrix.shape[1]))
-    return documents.render_matrix(ones, matrix, fmt), ones * matrix
+    return documents.render_matrix(ones, (matrix,), fmt), ones * matrix
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -393,14 +395,15 @@ def test_render_matrix_matches_per_entry_format(fmt):
 @pytest.mark.parametrize("q,n", [(3, 7), (5, 5), (6, 4), (7, 3), (2, 12), (16, 3),
                                  (4096, 1)])
 def test_chunk_reader_is_the_whole_left_halfs(q, n, full_halves):
-    # every chunk read from the period block of the left half equals the
-    # one the whole left half gives, bit for bit; at (3, 7), (5, 5), (6, 4)
+    # every chunk read from the period block of the left half and the
+    # operands of the right half equals the one the whole left half and the
+    # materialized right half give, bit for bit; at (3, 7), (5, 5), (6, 4)
     # and (7, 3) chunks start and end inside rows of M
     qft = circuit.build_qft_circuit(q, n)
     x = np.arange(q ** n)
-    whole = full_halves(qft, x)[0]
-    left, right = circuit._product_halves(qft, x)
-    entries, size = documents._product_entries(left, right)
+    whole, right = full_halves(qft, x)
+    left, operands = circuit._product_halves(qft, x)
+    entries, size = documents._product_entries(left, operands)
     r, cols = right.shape
     assert size == cols * cols
     for start in range(0, size, documents._STATE_CHUNK):
@@ -408,6 +411,18 @@ def test_chunk_reader_is_the_whole_left_halfs(q, n, full_halves):
         i, j = np.divmod(np.arange(start // cols, -(-min(end, size) // cols)), r)
         expected = (whole[i] * right[j]).ravel()[start % cols:][:end - start]
         assert np.array_equal(entries(start, end).view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("q,n,k", [(3, 12, 4242), (2, 19, 12345), (5, 6, 1234), (3, 7, 55)])
+def test_one_column_chunk_reader_is_the_compiled_column(q, n, k):
+    # apply --basis: chunks of 4096 rows of M, one entry each, start and
+    # end inside blocks of the right half's rows and of len(B) rows
+    qft = circuit.build_qft_circuit(q, n)
+    entries, size = documents._product_entries(*circuit._product_halves(qft, [k]))
+    column = circuit._outer_rows(circuit._output_factors(qft, [k]))[:, 0]
+    got = np.concatenate([entries(start, start + documents._STATE_CHUNK)
+                          for start in range(0, size, documents._STATE_CHUNK)])
+    assert np.array_equal(got.view(np.uint64), column.view(np.uint64))
 
 
 @pytest.mark.parametrize("q,n,depth,fmt", [
@@ -698,7 +713,9 @@ CORE_MODULES = ["qudit_qft", "qudit_qft.circuit", "qudit_qft.cli", "qudit_qft.ga
 def test_each_command_loads_the_core_and_its_own_layer(argv, layer, tmp_path):
     # a fresh process, so no layer an earlier test imported hides here: a
     # layer that creeps into the shared path, or a handler that loads
-    # another command's, changes the list
+    # another command's, changes the list.  Only apply --in loads
+    # dataclasses, for dense.StateVector: creating a dataclass and importing
+    # the module cost every command about 1.5 ms while the circuit IR was one
     if argv is None:
         code = "from qudit_qft.cli import build_parser; build_parser(); code = 0"
     else:
@@ -709,9 +726,10 @@ def test_each_command_loads_the_core_and_its_own_layer(argv, layer, tmp_path):
             argv = [str(state) if a == "STATE" else a for a in argv]
         code = f"from qudit_qft.cli import main; code = main({[*argv, '--out', os.devnull]!r})"
     out = run_python("import sys; " + code + "; "
-                     "print(code, sorted(m for m in sys.modules if m.startswith('qudit_qft')))")
+                     "print(code, sorted(m for m in sys.modules if m.startswith('qudit_qft')), "
+                     "'dataclasses' in sys.modules)")
     expected = sorted(CORE_MODULES + [f"qudit_qft.{name}" for name in layer])
-    assert out == f"0 {expected}\n"
+    assert out == f"0 {expected} {'dense' in layer}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -1124,9 +1142,11 @@ def test_int_rows_match_str():
 
 def dense_basis_document(q, n, depth, k) -> bytes:
     """The document of ``apply --basis k`` rendered from the whole state,
-    multiplied out from the product halves in one array."""
+    multiplied out from the product halves in one array, the right half
+    materialized from its operands."""
     left, right = circuit._product_halves(circuit.build_qft_circuit(q, n, depth), [k])
-    return text_of(render_state(StateVector(q, n, (left * right.T).ravel())))
+    whole_right = circuit._outer_rows(list(right))
+    return text_of(render_state(StateVector(q, n, (left * whole_right.T).ravel())))
 
 
 class TestApply:
@@ -1177,10 +1197,12 @@ class TestApply:
 
         def changed(circuit, x):
             halves = split(circuit, x)
+            # the left half, or the last operand of the right half
+            part = halves[0] if half == 0 else halves[1][-1]
             if change == "poison":
-                halves[half][1] = np.nan
+                part[1] = np.nan
             else:
-                halves[half][:] *= 1.001
+                part[:] *= 1.001
             return halves
 
         monkeypatch.setattr(cli, "_product_halves", changed)

@@ -16,7 +16,7 @@ from qudit_qft import (
 )
 from qudit_qft import checks
 from qudit_qft.checks import product_unitarity_residual, unitarity_residual
-from qudit_qft.circuit import _product_halves
+from qudit_qft.circuit import _product_halves, _right_shape
 from qudit_qft.numerics import check_params
 
 RNG = np.random.default_rng(20250810)
@@ -138,11 +138,17 @@ def periodic_product(p: int, r: int):
 def all_columns_residual(left, right) -> float:
     """``product_unitarity_residual`` over every Gram column: one GEMM per
     row of ``left`` against all ``r**2`` columns ``(j, l)``, none skipped
-    by a bound.  The form the pruned residual must equal bit for bit."""
+    by a bound, with ``right`` the materialized right half.  The form the
+    pruned residual must equal bit for bit."""
     p, r = len(left), len(right)
     low = left[:, :p]
-    parts = right.reshape(r, -1, p).transpose(2, 0, 1)
-    gram = (parts @ parts.conj().transpose(0, 2, 1)).reshape(p, r * r)
+    # each R_s a contiguous copy of the residue columns s::p, as the
+    # residual forms it: numpy 1.24's matmul takes another loop for an
+    # operand without unit stride
+    gram = np.empty((p, r * r), np.complex128)
+    for s in range(p):
+        part = np.ascontiguousarray(right[:, s::p])
+        gram[s] = (part @ part.conj().T).ravel()
     maxima = []
     for i in range(p):
         block = ((low[i] * low[i:].conj()) @ gram).reshape(p - i, r, r)
@@ -179,6 +185,11 @@ def qft_halves(q: int, n: int):
     return _product_halves(build_qft_circuit(q, n), np.arange(q ** n))
 
 
+def whole_right(full_halves, q: int, n: int) -> np.ndarray:
+    """The QFT's right half materialized, as the compile builds it."""
+    return full_halves(build_qft_circuit(q, n), np.arange(q ** n))[1]
+
+
 class TestProductUnitarityResidual:
     @pytest.mark.parametrize("q,n", QFT_SIZES)
     def test_within_1e14_of_the_compiled_residual(self, q, n):
@@ -188,10 +199,22 @@ class TestProductUnitarityResidual:
         assert abs(product_unitarity_residual(left, right) - compiled) <= 1e-14
 
     @pytest.mark.parametrize("q,n", QFT_SIZES + LARGE_SIZES)
-    def test_qft_halves_equal_all_columns_bit_for_bit(self, q, n):
+    def test_qft_halves_equal_all_columns_bit_for_bit(self, q, n, full_halves):
+        # the right half's residue columns are multiplied out from its
+        # operands; the reference reads them from the materialized half
         left, right = qft_halves(q, n)
         residual = product_unitarity_residual(left, right)
-        assert same_bits(residual, all_columns_residual(left, right))
+        assert same_bits(residual, all_columns_residual(left, whole_right(full_halves, q, n)))
+
+    @pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (5, 3), (5, 5), *LARGE_SIZES])
+    def test_operands_give_the_materialized_halfs_residual(self, q, n, full_halves):
+        # R_s multiplied out from the operands, against R_s read from the
+        # materialized half, as a right half of one factor
+        left, right = qft_halves(q, n)
+        whole = (whole_right(full_halves, q, n),)
+        for workers in (1, 2):
+            assert same_bits(product_unitarity_residual(left, right, workers),
+                             product_unitarity_residual(left, whole, workers))
 
     @pytest.mark.parametrize("q,n", LARGE_SIZES)
     def test_large_qft_halves_skip_every_off_diagonal_column(self, q, n, column_passes):
@@ -199,7 +222,7 @@ class TestProductUnitarityResidual:
         # the largest entry of the columns (j, j) at these sizes
         left, right = qft_halves(q, n)
         product_unitarity_residual(left, right)
-        assert column_passes == [len(right), 0]
+        assert column_passes == [_right_shape(right)[0], 0]
 
     @pytest.mark.parametrize("change,kept", [
         # a modulus: the largest entry is on a diagonal column (j, j)
@@ -210,8 +233,10 @@ class TestProductUnitarityResidual:
         ("nan", 64 * 63),
     ])
     def test_changed_halves_keep_the_columns_that_can_hold_the_maximum(
-            self, change, kept, column_passes):
-        left, right = qft_halves(2, 12)
+            self, change, kept, column_passes, full_halves):
+        # the materialized right half, changed, as a right half of one factor
+        left, _ = qft_halves(2, 12)
+        right = whole_right(full_halves, 2, 12)
         if change == "nudge":
             right[5, 100] *= 1 + 1e-9
         elif change == "twist":
@@ -221,7 +246,7 @@ class TestProductUnitarityResidual:
             right += 1e-12 * (rng.normal(size=right.shape) + 1j * rng.normal(size=right.shape))
         else:
             right[7, 33] = np.nan
-        residual = product_unitarity_residual(left, right)
+        residual = product_unitarity_residual(left, (right,))
         assert column_passes == [64, kept]
         expected = all_columns_residual(left, right)
         if change == "nan":
@@ -247,12 +272,12 @@ class TestProductUnitarityResidual:
         # kept
         circuit = build_qft_circuit(q, n)
         whole, right = full_halves(circuit, np.arange(q ** n))
-        left, _ = qft_halves(q, n)
+        left, operands = qft_halves(q, n)
         passes = []
         gram_columns = checks._gram_columns
         monkeypatch.setattr(checks, "_gram_columns",
-                            lambda *args: passes.append(len(args[1])) or gram_columns(*args))
-        residual = product_unitarity_residual(left, right)
+                            lambda *args: passes.append(len(args[2])) or gram_columns(*args))
+        residual = product_unitarity_residual(left, operands)
         assert same_bits(residual, all_columns_residual(whole, right))
         assert passes == [len(right)]
 
@@ -272,7 +297,7 @@ class TestProductUnitarityResidual:
             return matmul(*args, **kwargs)
 
         monkeypatch.setattr(checks.np, "matmul", counted)
-        residual = product_unitarity_residual(left, right)
+        residual = product_unitarity_residual(left, (right,))
         monkeypatch.undo()
         assert products == [(81, 81)] * 54  # 27 per pass
         assert same_bits(residual, all_columns_residual(whole, right))
@@ -280,21 +305,23 @@ class TestProductUnitarityResidual:
 
     def test_single_factor_left_is_one_ones_entry(self, monkeypatch):
         # at (4096, 1) the period block is 1 x 1, and the residual is the
-        # blocked one of right, which is called on right itself
+        # blocked one of the right half's one factor, called on its rows
+        # themselves, not on a copy
         left, right = qft_halves(4096, 1)
-        assert left.shape == (1, 1) and left[0, 0] == 1
+        assert left.shape == (1, 1) and left[0, 0] == 1 and len(right) == 1
         calls = []
         monkeypatch.setattr(checks, "unitarity_residual",
                             lambda a, workers: calls.append(a) or 0.5)
         assert product_unitarity_residual(left, right) == 0.5
-        assert len(calls) == 1 and calls[0] is right
+        assert len(calls) == 1 and calls[0].base is right[0].base
+        assert calls[0].shape == right[0].shape
 
     @pytest.mark.parametrize("p,r", [(1, 3), (3, 1), (4, 5), (6, 6)])
     def test_finds_the_largest_entry_of_any_row(self, p, r):
         # a non-unitary matrix, so every Gram entry counts
         left, right, matrix = periodic_product(p, r)
         full = full_product_residual(matrix)
-        assert abs(product_unitarity_residual(left, right) - full) <= 1e-12 * full
+        assert abs(product_unitarity_residual(left, (right,)) - full) <= 1e-12 * full
 
     @pytest.mark.parametrize("half,index", [("left", (0, 1)), ("left", (3, 0)),
                                             ("right", (0, 0)), ("right", (4, 19))])
@@ -304,13 +331,14 @@ class TestProductUnitarityResidual:
             left[index] = np.nan  # in every period of the whole left half
         else:
             right[index] = np.nan
-        assert np.isnan(product_unitarity_residual(left, right))
+        assert np.isnan(product_unitarity_residual(left, (right,)))
 
     @pytest.mark.parametrize("q", [2, 7, 600])
     def test_ones_row_takes_the_blocked_residual_of_right(self, q, monkeypatch):
-        # at n = 1 the left half is one row of ones, so M is right itself
+        # at n = 1 the left half is one row of ones, so M is the right
+        # half's one factor itself
         left, right = _product_halves(build_qft_circuit(q, 1), np.arange(q))
-        blocked = unitarity_residual(right)
+        blocked = unitarity_residual(right[0])
         calls = []
 
         def recording(a, workers):
@@ -319,13 +347,13 @@ class TestProductUnitarityResidual:
 
         monkeypatch.setattr(checks, "unitarity_residual", recording)
         residual = product_unitarity_residual(left, right)
-        assert len(calls) == 1 and calls[0] is right
+        assert len(calls) == 1 and calls[0].base is right[0].base
         assert np.float64(residual).view(np.uint64) == np.float64(blocked).view(np.uint64)
 
     def test_one_row_that_is_not_ones_keeps_the_kronecker_form(self, monkeypatch):
         left, right = _product_halves(build_qft_circuit(7, 1), np.arange(7))
         left = np.exp(0.3j) * left
-        expected = unitarity_residual(left[0] * right)
+        expected = unitarity_residual(left[0] * right[0])
         monkeypatch.setattr(checks, "unitarity_residual", None)  # never called
         assert abs(product_unitarity_residual(left, right) - expected) <= 1e-15
 
@@ -334,7 +362,7 @@ class TestProductUnitarityResidual:
         # in circuit._product_halves; the residual reads the block
         left, right, _ = periodic_product(4, 5)
         with pytest.raises(ValueError, match="expected a square matrix"):
-            product_unitarity_residual(np.tile(left, 5), right)
+            product_unitarity_residual(np.tile(left, 5), (right,))
 
 
 class TestResidualWorkers:
@@ -343,14 +371,14 @@ class TestResidualWorkers:
     # 300 and 1000 end in a partial block, 600 in two whole ones and a part
     @pytest.mark.parametrize("q", [300, 600, 1000])
     def test_blocked_residual_of_the_right_half(self, q):
-        _, right = qft_halves(q, 1)
+        _, (right,) = qft_halves(q, 1)
         one = unitarity_residual(right, 1)
         assert all(same_bits(unitarity_residual(right, w), one) for w in (2, 3))
 
     def test_workers_hold_at_most_the_block_budget(self, monkeypatch):
         # each worker holds one conjugated row block, 16 MiB at the cap, and
         # RESIDUAL_BLOCK_BYTES holds four
-        _, right = qft_halves(4096, 1)
+        _, (right,) = qft_halves(4096, 1)
         dealt = []
         monkeypatch.setattr(checks, "_parallel_max",
                             lambda work, items, workers: dealt.append(workers) or 0.0)
