@@ -8,10 +8,12 @@ measurement of the actual dropped phase over every basis input.  On a basis
 input the QFT register stays a product of single-digit states, one per
 output bracket, so the measurement runs every input through the
 product-state simulator (``n*q`` amplitudes per input) and no input through
-the dense one.  The closed-form slot oracle ``qft_slots`` cross-checks both
-circuits' absolute slots on a spread of probe inputs.  Phase magnitudes are
-accumulated from the dropped-gate exponents directly, never recovered
-through ``arg()``, so values above pi are reported without wrap-around.
+the dense one, each circuit once.  The pruned circuit's slots are checked
+against the exact one's times the dropped phases at every input, and the
+exact one's against the closed-form slot oracle ``qft_slots`` on a spread
+of probe inputs.  Phase magnitudes are accumulated from the dropped-gate
+exponents directly, never recovered through ``arg()``, so values above pi
+are reported without wrap-around.
 
 Only ``cli``'s bounds and compare-radix handlers import this module,
 inside the handler, so the other commands never compile it.  Its report
@@ -29,25 +31,27 @@ import numpy as np
 from .circuit import _run_product, build_qft_circuit, qft_slots
 from .numerics import CrossCheckError, check_params
 
-# Simulated per-digit phases must agree with the dropped-exponent sums to
-# this tolerance; a violation means the circuit and the closed form have
-# diverged and is reported as an error rather than a measurement.
+# Simulated slots must agree with the dropped-exponent sums and the closed
+# form to this tolerance, at unit modulus; a violation means the circuit
+# and the closed form have diverged and is reported as an error rather
+# than a measurement.
 _CROSS_CHECK_TOL = 1e-9
 
 # The measurement runs max(1, _CHUNK_AMPLITUDES // (n*q)) basis inputs at a
 # time through the product-state simulator, so each of its buffers holds
 # about _CHUNK_AMPLITUDES amplitudes (2 MiB at complex128).  2**17 was the
 # fastest of 2**15 to 2**19 at (q, n) = (2, 18) and (4, 9).  With no dense
-# simulation, the traced peak of a report is 3.2 MiB at (3, 7, 2) and 11
+# simulation, the traced peak of a report is 2.6 MiB at (3, 7, 2) and 7.2
 # MiB at (2048, 1, 1) (6.1 and 108 MiB with dense boundary chunks, whose
 # (rows, q**n) buffers and q x q gate set it).
 _CHUNK_AMPLITUDES = 2 ** 17
 
-# Basis inputs the slot oracle checks on both circuits, evenly spaced from 0
-# to q**n - 1 (every input below this many).  Every size the CLI accepts
-# has n*q <= 2048, so they are at most one chunk of the pass.  Arithmetic,
-# not numpy.random, picks them: importing numpy.random raises the CLI's
-# peak RSS from 29.8 to 35.4 MiB (child ru_maxrss, median of 5).
+# Basis inputs at which the slot oracle checks the exact circuit, evenly
+# spaced from 0 to q**n - 1 (every input below this many).  Each is checked
+# in the chunk of the pass that holds it, on the slots that chunk has
+# already run.  Arithmetic, not numpy.random, picks them: importing
+# numpy.random raises the CLI's peak RSS from 29.8 to 35.4 MiB (child
+# ru_maxrss, median of 5).
 _PROBE_INPUTS = 64
 
 
@@ -151,23 +155,29 @@ def _dropped_gates(keep_depth: int | None, target_digit: int) -> list[tuple[int,
 def _bracket_phase_maxima(q: int, n: int, keep_depth: int | None) -> list[float]:
     """Worst dropped phase on every bracket's |1> component, in target order.
 
-    Runs the exact and the pruned circuit on every basis input through the
-    product-state simulator ``_run_product``, ``max(1, _CHUNK_AMPLITUDES //
-    (n*q))`` inputs at a time.  The per-digit phase each bracket picks up
-    (the pruned over the exact ratio) is checked, for every input and every
-    t in 1..q-1, against the sum of the dropped controlled-phase exponents;
-    the maxima are taken over that (unwrapped) sum.  Before that pass, one
-    product run of ``min(q**n, _PROBE_INPUTS)`` probe inputs, evenly spaced
-    from 0 to ``q**n - 1`` (where every digit is nonzero and every dropped
-    shift peaks), checks each circuit's absolute slots against the closed
-    form ``qft_slots``, times ``exp(+1j*t*shift)`` for the pruned one.  A
-    mismatch in either check raises ``CrossCheckError`` naming the smallest
-    failing input over both.
+    Runs the exact and the pruned circuit once each on every basis input
+    through the product-state simulator ``_run_product``, ``max(1,
+    _CHUNK_AMPLITUDES // (n*q))`` inputs at a time, and compares each chunk
+    twice.  The pruned circuit's bracket l lacks ``exp(-1j*t*shift)``, with
+    ``shift`` the sum of its dropped controlled-phase exponents, so at every
+    input each of its slots must equal the exact one's times
+    ``exp(+1j*t*shift)``, component 0 included; the maxima are taken over
+    that (unwrapped) sum.  On the ``min(q**n, _PROBE_INPUTS)`` probe inputs,
+    evenly spaced from 0 to ``q**n - 1`` (where every digit is nonzero and
+    every dropped shift peaks), the exact circuit's slots must equal the
+    closed form ``qft_slots``, which so checks the pruned one too.  Both
+    compare at unit modulus (a slot component has modulus ``1/sqrt(q)``),
+    and a NaN slot fails.  Chunks rise in input order, so the first
+    mismatch raises ``CrossCheckError`` naming the smallest failing input.
     """
     dim = q ** n
     dropped = [_dropped_gates(keep_depth, l) for l in range(n)]
     exact = build_qft_circuit(q, n)
     pruned = build_qft_circuit(q, n, keep_depth)
+    count = min(dim, _PROBE_INPUTS)
+    probes = np.array([i * (dim - 1) // (count - 1) for i in range(count)], dtype=np.int64)
+    component = np.arange(1, q)[:, np.newaxis]
+    scale = math.sqrt(q)
 
     def shifts_of(x):
         digits = [(x // q ** k) % q for k in range(n)]
@@ -177,71 +187,47 @@ def _bracket_phase_maxima(q: int, n: int, keep_depth: int | None) -> list[float]
                 shifts[l] += 2.0 * math.pi * digits[k] / q ** s
         return shifts
 
-    def first_failure(x, failed, first_component):
-        """(input, target digit, component) of the first True in an ``(n,
-        components, len(x))`` mask whose components start at
-        ``first_component``, smallest input first, or None."""
+    # both circuits read the Chrestenson gate's q scaled roots and their
+    # roots-of-unity tables, of up to q**n entries, from here, each built
+    # once for the whole pass
+    cache = {}
+    def first_failure(x, shifts):
+        """(input, target digit, component) of the smallest failing slot
+        over the chunk of inputs ``x`` rising from ``x[0]``, or None.  Its
+        arrays die on return, before the next chunk's product runs."""
+        exact_slots = _run_product(exact, x, cache, dim)
+        # the pruned circuit's expected slots, built in one buffer
+        distance = np.empty_like(exact_slots)
+        distance[:, 0] = 1
+        np.exp(1j * (component * shifts[:, np.newaxis]), out=distance[:, 1:])
+        distance *= exact_slots
+        distance -= _run_product(pruned, x, cache, dim)
+        failed = ~(np.abs(distance) * scale <= _CROSS_CHECK_TOL)
+        probed = probes[(probes >= x[0]) & (probes <= x[-1])]
+        if len(probed):
+            at = probed - x[0]
+            distance = exact_slots[:, :, at] - qft_slots(q, n, probed)
+            failed[:, :, at] |= ~(np.abs(distance) * scale <= _CROSS_CHECK_TOL)
         # (input, digit, component) order, so argmax finds the smallest input
         failed = failed.transpose(2, 0, 1)
         if not failed.any():
             return None
         row, l, t = np.unravel_index(np.argmax(failed), failed.shape)
-        return int(x[row]), int(l), int(t) + first_component
+        return int(x[row]), int(l), int(t)
 
-    def first_mismatch(x, exact_slots, pruned_slots, shifts):
-        """The first failure of the ratio check over ``(n, q, len(x))``
-        slots, or None.  A NaN slot fails too."""
-        simulated = (pruned_slots[:, 1:] / pruned_slots[:, :1]) / (
-            exact_slots[:, 1:] / exact_slots[:, :1]
-        )
-        expected = np.exp(1j * np.arange(1, q)[:, np.newaxis] * shifts[:, np.newaxis])
-        return first_failure(x, ~(np.abs(simulated - expected) <= _CROSS_CHECK_TOL), 1)
-
-    # both circuits read the Chrestenson gate's q scaled roots and their
-    # roots-of-unity tables, of up to q**n entries, from here, each built
-    # once for the probe run and the whole pass
-    cache = {}
-    def oracle_mismatches():
-        """The first failure of the slot oracle on the probe inputs, for
-        the exact and then the pruned circuit (each None if it passes).
-
-        The oracle checks absolute slots, not ratios, so it sees a fault
-        that both circuits share.  The pruned circuit's bracket l lacks
-        ``exp(-1j*t*shift)``, so its component t is the exact one times
-        ``exp(+1j*t*shift)``.  A NaN slot fails too.
-        """
-        count = min(dim, _PROBE_INPUTS)
-        x = np.array([i * (dim - 1) // (count - 1) for i in range(count)],
-                     dtype=np.int64)
-        oracle = qft_slots(q, n, x)
-        drift = np.exp(1j * np.arange(q)[:, np.newaxis] * shifts_of(x)[:, np.newaxis])
-        mismatches = []
-        for circuit, expected in ((exact, oracle), (pruned, oracle * drift)):
-            distance = np.abs(_run_product(circuit, x, cache, dim) - expected)
-            mismatches.append(first_failure(x, ~(distance <= _CROSS_CHECK_TOL), 0))
-        return mismatches
-
-    mismatches = oracle_mismatches()
     rows = max(1, _CHUNK_AMPLITUDES // (n * q))
     maxima = np.zeros(n)
     for start in range(0, dim, rows):
         x = np.arange(start, min(start + rows, dim))
         shifts = shifts_of(x)
-        mismatches.append(first_mismatch(
-            x, _run_product(exact, x, cache, dim), _run_product(pruned, x, cache, dim),
-            shifts,
-        ))
-        # inputs rise chunk by chunk, so later chunks hold no smaller failure
-        if mismatches[-1] is not None:
-            break
+        failure = first_failure(x, shifts)
+        if failure is not None:
+            value, l, t = failure
+            raise CrossCheckError(
+                "simulated bracket phase disagrees with the dropped-gate "
+                f"exponent sum at input {value}, component {t} (target digit {l})"
+            )
         maxima = np.maximum(maxima, shifts.max(axis=1))
-    failures = [mismatch for mismatch in mismatches if mismatch is not None]
-    if failures:
-        value, l, t = min(failures)
-        raise CrossCheckError(
-            "simulated bracket phase disagrees with the dropped-gate "
-            f"exponent sum at input {value}, component {t} (target digit {l})"
-        )
     return [float(worst) for worst in maxima]
 
 
@@ -249,11 +235,14 @@ def approximation_report(q: int, n: int, keep_depth: int | None) -> list[BoundRo
     """One BoundRow per output bracket for the given pruning depth.
 
     Every row's measurement comes from one pass over the basis inputs, which
-    runs the exact and the pruned circuit through the product-state
-    simulator in chunks of inputs, with work per input that grows with the
-    gate count and ``n*q`` rather than with ``q**n``; the slot oracle checks
-    both on up to ``_PROBE_INPUTS`` of them.  No dense simulation runs and
-    no q x q gate is built: each buffer holds about ``_CHUNK_AMPLITUDES``
+    runs the exact and the pruned circuit once each through the
+    product-state simulator in chunks of inputs, with work per input that
+    grows with the gate count and ``n*q`` rather than with ``q**n``.  Each
+    chunk is compared twice: the pruned slots against the exact ones times
+    the dropped phases, at every input, and the exact slots against the
+    slot oracle, at the up to ``_PROBE_INPUTS`` probe inputs it holds.  A
+    mismatch raises ``CrossCheckError``.  No dense simulation runs and no
+    q x q gate is built: each buffer holds about ``_CHUNK_AMPLITUDES``
     amplitudes.
     """
     check_params(radix=q, digits=n, keep_depth=keep_depth)

@@ -23,8 +23,6 @@ Digit conventions are ``circuit``'s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernels
@@ -32,6 +30,7 @@ from .circuit import (
     CHRESTENSON,
     Circuit,
     GateOp,
+    _Frozen,
     _breaks_product,
     _outer_rows,
     _output_factors,
@@ -54,8 +53,7 @@ def _read_only(a) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(_Frozen):
     """Unit-norm amplitudes of an n-digit base-q register.
 
     Index ``i`` encodes the digit string through ``i = sum_j x_j * q**j``
@@ -69,23 +67,21 @@ class StateVector:
     product, and the entries are scanned only when it is not finite.
     """
 
-    radix: int
-    digits: int
-    amplitudes: np.ndarray
+    __slots__ = _names = ("radix", "digits", "amplitudes")
 
-    def __post_init__(self):
-        check_params(radix=self.radix, digits=self.digits)
-        amps = self.amplitudes
+    def __init__(self, radix: int, digits: int, amplitudes: np.ndarray):
+        check_params(radix=radix, digits=digits)
+        amps = amplitudes
         if not (_read_only(amps) and amps.dtype == np.complex128 and amps.ndim == 1):
             amps = np.array(amps, dtype=np.complex128)
             amps.setflags(write=False)
-        if amps.ndim != 1 or amps.shape[0] != self.radix ** self.digits:
+        if amps.ndim != 1 or amps.shape[0] != radix ** digits:
             raise ValueError(
-                f"expected {self.radix ** self.digits} amplitudes, "
-                f"got shape {amps.shape}"
+                f"expected {radix ** digits} amplitudes, got shape {amps.shape}"
             )
         _check_unit_norm(_norm_sq(amps), amps)
-        object.__setattr__(self, "amplitudes", amps)
+        for name, value in zip(self._names, (radix, digits, amps)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:

@@ -240,36 +240,46 @@ class TestApproximationReport:
 
 
 def record_product_calls(monkeypatch):
-    """Make the analysis record the circuit and inputs of every product run."""
-    calls = []
-    original = analysis._run_product
+    """Make the analysis record the circuit and inputs of every product run,
+    and the inputs of every call of the slot oracle."""
+    calls, oracle_inputs = [], []
+    original, oracle = analysis._run_product, analysis.qft_slots
 
     def recording(circuit, x, cache, largest_table):
         calls.append((circuit, x.copy()))
         return original(circuit, x, cache, largest_table)
 
+    def recording_oracle(q, n, x):
+        oracle_inputs.append(np.array(x, copy=True))
+        return oracle(q, n, x)
+
     monkeypatch.setattr(analysis, "_run_product", recording)
-    return calls
+    monkeypatch.setattr(analysis, "qft_slots", recording_oracle)
+    return calls, oracle_inputs
 
 
-def assert_one_product_run_per_chunk(calls, q, n, keep_depth):
-    """The probe run, then one product run per chunk: each runs the exact,
-    then the pruned circuit, once each.  The probe inputs rise from 0 to
+def assert_one_product_run_per_chunk(calls, oracle_inputs, q, n, keep_depth):
+    """One product run per chunk and no other: each chunk runs the exact,
+    then the pruned circuit, once each, and the chunks cover every input
+    once, in order.  The oracle reads only inputs of one chunk per call,
+    and over all chunks it checks each probe once: they rise from 0 to
     q**n - 1, at most ``_PROBE_INPUTS`` of them (every input when there are
-    no more), and the chunks cover every input once, in order."""
+    no more)."""
     exact = analysis.build_qft_circuit(q, n)
     pruned = analysis.build_qft_circuit(q, n, keep_depth)
     assert [circuit for circuit, _ in calls] == [exact, pruned] * (len(calls) // 2)
-    runs = [x for _, x in calls[::2]]
-    assert [x.tolist() for x in runs] == [x.tolist() for _, x in calls[1::2]]
-    probes, chunks = runs[0], runs[1:]
+    chunks = [x for _, x in calls[::2]]
+    assert [x.tolist() for x in chunks] == [x.tolist() for _, x in calls[1::2]]
     dim = q ** n
-    assert len(probes) == min(dim, analysis._PROBE_INPUTS)
-    assert probes[0] == 0 and probes[-1] == dim - 1
-    assert (np.diff(probes) > 0).all()
     rows = max(1, analysis._CHUNK_AMPLITUDES // (n * q))
     assert all(len(x) == rows for x in chunks[:-1])
     assert np.array_equal(np.concatenate(chunks), np.arange(dim))
+    assert all(any(set(x.tolist()) <= set(chunk.tolist()) for chunk in chunks)
+               for x in oracle_inputs)
+    probes = np.concatenate(oracle_inputs)
+    assert len(probes) == min(dim, analysis._PROBE_INPUTS)
+    assert probes[0] == 0 and probes[-1] == dim - 1
+    assert (np.diff(probes) > 0).all()
 
 
 class TestOneSimulationPerReport:
@@ -282,10 +292,11 @@ class TestOneSimulationPerReport:
         assert [row.measured_max_t for row in rows] == [(q - 1) * w for w in expected]
 
     def test_one_simulation_per_circuit(self, monkeypatch):
-        calls = record_product_calls(monkeypatch)
+        calls, oracle_inputs = record_product_calls(monkeypatch)
         approximation_report(3, 4, 2)
-        assert len(calls) == 4  # the probe run and the one chunk of 81
-        assert_one_product_run_per_chunk(calls, 3, 4, 2)
+        assert len(calls) == 2  # the one chunk of 81, which holds every probe
+        assert len(oracle_inputs) == 1
+        assert_one_product_run_per_chunk(calls, oracle_inputs, 3, 4, 2)
 
     @pytest.mark.parametrize("q,n,keep_depth", [(3, 3, 2), (2, 5, 2), (3, 3, None)])
     @pytest.mark.parametrize("rows_per_chunk", [1, 7])
@@ -293,16 +304,16 @@ class TestOneSimulationPerReport:
                                               rows_per_chunk):
         dim = q ** n
         whole = approximation_report(q, n, keep_depth)
-        calls = record_product_calls(monkeypatch)
+        calls, oracle_inputs = record_product_calls(monkeypatch)
         monkeypatch.setattr(analysis, "_CHUNK_AMPLITUDES", rows_per_chunk * dim)
         assert approximation_report(q, n, keep_depth) == whole
         rows = max(1, rows_per_chunk * dim // (n * q))
-        assert len(calls) == 2 * (1 + -(-dim // rows))
-        assert_one_product_run_per_chunk(calls, q, n, keep_depth)
+        assert len(calls) == 2 * -(-dim // rows)
+        assert_one_product_run_per_chunk(calls, oracle_inputs, q, n, keep_depth)
 
     def test_gate_and_tables_are_built_once_per_report(self, monkeypatch):
-        # 81 and 12 product chunks, both after one probe run: the number of
-        # gates and root tables built must not grow with chunks
+        # 81 and 12 product chunks: the number of gates and root tables
+        # built must not grow with chunks
         builds = []
         for name in ("chrestenson_gate", "roots_of_unity"):
             original = getattr(circuit_module, name)
@@ -353,8 +364,9 @@ class TestCrossCheck:
     def test_names_the_first_failing_input_and_component(self, monkeypatch,
                                                          rows_per_chunk):
         # Nudge the oracle's |2> component of bracket 1 at the last input,
-        # a probe input: both circuits now disagree with it there, and the
-        # every-input ratio check, which never reads the oracle, passes.
+        # a probe input: the exact circuit now disagrees with it there, and
+        # the pruned circuit, which is compared with the exact one and
+        # never with the oracle, still agrees.
         original = analysis.qft_slots
 
         def nudged(q, n, x):
@@ -423,13 +435,58 @@ class TestCrossCheck:
         with pytest.raises(CrossCheckError, match=message):
             approximation_report(3, 3, 2)
 
+    def test_a_whole_slot_nudged_is_named_at_component_0(self, monkeypatch, capsys):
+        # One common factor on every component of the pruned circuit's
+        # slot 1 at input 13, which no probe reaches: a pruned/exact ratio
+        # of components t and 0 would cancel it, but component 0 is held
+        # to the exact slot too.
+        pruned = analysis.build_qft_circuit(3, 3, 2)
+        original = analysis._run_product
+
+        def nudged(circuit, x, cache, largest_table):
+            out = original(circuit, x, cache, largest_table)
+            if circuit == pruned:
+                out[1, :, x == 13] *= cmath.exp(1e-6j)
+            return out
+
+        monkeypatch.setattr(analysis, "_run_product", nudged)
+        monkeypatch.setattr(analysis, "_PROBE_INPUTS", 2)
+        with pytest.raises(CrossCheckError, match=r"input 13, component 0 \(target digit 1\)"):
+            approximation_report(3, 3, 2)
+        code = main(["bounds", "--radix", "3", "--digits", "3", "--keep-depth", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "input 13, component 0 (target digit 1)" in captured.err
+
+    def test_sensitivity_does_not_fall_with_the_radix(self, monkeypatch):
+        # At radix 64 a slot component has modulus 1/8, so exp(5e-9j) moves
+        # it by 6.3e-10, below the tolerance; at unit modulus it moves 5e-9.
+        # Input 1 is no probe (they are 0, 65, 130, ...).
+        q, n, keep_depth = 64, 2, 1
+        nudge = cmath.exp(5e-9j)
+        assert abs(nudge - 1) / math.sqrt(q) < analysis._CROSS_CHECK_TOL < abs(nudge - 1)
+        pruned = analysis.build_qft_circuit(q, n, keep_depth)
+        original = analysis._run_product
+
+        def nudged(circuit, x, cache, largest_table):
+            out = original(circuit, x, cache, largest_table)
+            if circuit == pruned:
+                out[1, 1, x == 1] *= nudge
+            return out
+
+        monkeypatch.setattr(analysis, "_run_product", nudged)
+        with pytest.raises(CrossCheckError, match=r"input 1, component 1 \(target digit 1\)"):
+            approximation_report(q, n, keep_depth)
+
 
 class TestSlotOracle:
     @pytest.mark.parametrize("q,n,keep_depth", [(3, 3, 2), (5, 3, 2), (4, 2, 1), (3, 1, 1)])
     def test_conjugated_roots_fail(self, q, n, keep_depth, monkeypatch, capsys):
         # Conjugated Chrestenson roots turn both circuits into the inverse
-        # QFT (at q = 2 the roots are real, and it is the QFT itself).  The pruned/exact ratios keep their dropped-exponent sums, so
-        # only the oracle's absolute slots can see it.
+        # QFT (at q = 2 the roots are real, and it is the QFT itself).  The
+        # pruned slots stay the exact ones times their dropped phases, so
+        # only the oracle can see it.
         original = gates_module.chrestenson_roots
         for module in (gates_module, circuit_module):
             monkeypatch.setattr(module, "chrestenson_roots", lambda q: np.conj(original(q)))
@@ -445,7 +502,8 @@ class TestSlotOracle:
 
     def test_a_fault_both_circuits_share_is_named_by_the_oracle_only(self, monkeypatch):
         # The same exp(1e-6j) on input 13's |2> component of bracket 1 in
-        # both circuits leaves every pruned/exact ratio as it was.
+        # both circuits leaves the pruned slots the exact ones times their
+        # dropped phases.
         whole = approximation_report(3, 3, 2)
         original = analysis._run_product
 
@@ -458,8 +516,8 @@ class TestSlotOracle:
         with pytest.raises(CrossCheckError,
                            match=r"input 13, component 2 \(target digit 1\)"):
             approximation_report(3, 3, 2)
-        # the ratio check alone: an oracle nudged the same way agrees, and
-        # the report comes out whole
+        # the pruned/exact comparison alone: an oracle nudged the same way
+        # agrees, and the report comes out whole
         oracle = analysis.qft_slots
 
         def oracle_nudged(q, n, x):
@@ -470,7 +528,6 @@ class TestSlotOracle:
         monkeypatch.setattr(analysis, "qft_slots", oracle_nudged)
         assert approximation_report(3, 3, 2) == whole
 
-    # the ratio check divides the NaN too
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_a_nan_slot_fails(self, monkeypatch):
         original = analysis._run_product
@@ -519,7 +576,8 @@ class TestSlotOracle:
 
     @pytest.mark.parametrize("q,n,keep_depth,limit_mib", [
         # 108 and 6.1 MiB while two dense boundary chunks ran, at radix
-        # 2048 with the 64 MiB q x q gate; 11 and 3.2 MiB without them
+        # 2048 with the 64 MiB q x q gate; 11 and 3.2 MiB without them,
+        # while a probe run came before the pass; 7.2 and 2.6 MiB since
         (2048, 1, 1, 32), (3, 7, 2, 4.5),
     ])
     def test_peak_memory(self, q, n, keep_depth, limit_mib, traced_peak):

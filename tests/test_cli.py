@@ -713,9 +713,10 @@ CORE_MODULES = ["qudit_qft", "qudit_qft.circuit", "qudit_qft.cli", "qudit_qft.ga
 def test_each_command_loads_the_core_and_its_own_layer(argv, layer, tmp_path):
     # a fresh process, so no layer an earlier test imported hides here: a
     # layer that creeps into the shared path, or a handler that loads
-    # another command's, changes the list.  Only apply --in loads
-    # dataclasses, for dense.StateVector: creating a dataclass and importing
-    # the module cost every command about 1.5 ms while the circuit IR was one
+    # another command's, changes the list.  No command loads dataclasses:
+    # creating a dataclass and importing the module cost every command
+    # about 1.5 ms while the circuit IR was one, and apply --in about 1 ms
+    # while dense.StateVector was one
     if argv is None:
         code = "from qudit_qft.cli import build_parser; build_parser(); code = 0"
     else:
@@ -729,7 +730,7 @@ def test_each_command_loads_the_core_and_its_own_layer(argv, layer, tmp_path):
                      "print(code, sorted(m for m in sys.modules if m.startswith('qudit_qft')), "
                      "'dataclasses' in sys.modules)")
     expected = sorted(CORE_MODULES + [f"qudit_qft.{name}" for name in layer])
-    assert out == f"0 {expected} {'dense' in layer}\n"
+    assert out == f"0 {expected} False\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 """Tests for the dense matrix helpers and the state-vector container."""
 
+import pickle
 import threading
 
 import numpy as np
@@ -493,6 +494,26 @@ class TestStateVector:
             StateVector.basis(1, 2, 0)
         with pytest.raises(ValueError):
             StateVector.basis(2, 0, 0)
+
+    def test_an_immutable_value_of_its_fields(self):
+        amps = frozen_state_array(4)
+        state = StateVector(radix=2, digits=2, amplitudes=amps)
+        assert repr(state) == ("StateVector(radix=2, digits=2, "
+                               "amplitudes=array([0.+0.j, 1.+0.j, 0.+0.j, 0.+0.j]))")
+        # field-tuple equality: the shared array compares by identity
+        assert state == StateVector(2, 2, amps)
+        assert state != (2, 2, amps)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(state)
+        with pytest.raises(AttributeError, match="cannot assign to field 'amplitudes'"):
+            state.amplitudes = amps
+        with pytest.raises(AttributeError):
+            state.extra = 1
+
+    def test_a_pickled_state_is_checked_again(self):
+        state = pickle.loads(pickle.dumps(StateVector.basis(3, 2, 5)))
+        assert state.amplitudes[5] == 1.0
+        assert not state.amplitudes.flags.writeable
 
 
 def frozen_state_array(dim: int) -> np.ndarray:
