@@ -23,11 +23,17 @@ from .numerics import _as_matrix, _require_square
 
 # Most rows of the right half per tile of verify's oracle check
 # (_oracle_distance): each worker holds four buffers of this many rows of
-# M, 1.5 MiB at t = 4096, one expanded left row and one tile.  Heights of
-# 4 to 32 gave verify the same wall time and peak RSS within noise at
-# (2, 12) and (16, 3) while it held the right half whole (2-vCPU VM, 6
-# child runs each).
-_TILE_ROWS = 8
+# M, two complex and two intp, 0.75 MiB at t = 4096, one expanded left row
+# and one tile.  Heights of 2, 4 and 8 gave verify 32.7, 33.8 and 36.0 MiB
+# at (2, 12), 38.6, 39.4 and 40.4 MiB at (16, 3) and 323.3-323.7 MiB at
+# (4096, 1); its wall time read 0.46, 0.42 and 0.33 s, 0.49, 0.41 and 0.42
+# s, and 4.0, 4.0 and 3.5 s in a spread of 3.4-4.8 s (2-vCPU VM, medians
+# of 12, 12 and 6 alternating child runs).  On one worker the oracle took
+# the same CPU time with 4 and 8 rows (0.11 s at (2, 12)), so the wall time
+# lost on two is likely their wait for the GIL between numpy calls, which
+# shorter tiles make more frequent.  4 holds half of what 8 holds at the
+# wall time of the 8-row tiles that formed a t-long modulo per left row.
+_TILE_ROWS = 4
 
 # Row-block height of unitarity_residual's Gram blocks, which verify takes
 # at n = 1 (through product_unitarity_residual).  At the 4096 cap, with
@@ -225,30 +231,49 @@ def _tiles(right: tuple) -> list[tuple[int, int]]:
             for j in range(0, r, block) for low, high in zip(cuts, cuts[1:])]
 
 
-def _dft_rows(t: int):
-    """A function ``gather(y0, index, out)`` that writes rows ``y0`` to
-    ``y0 + len(out)`` of ``dense.dft_matrix(t)``, at most ``_TILE_ROWS`` of them,
-    into ``out`` and returns it; ``index`` is intp scratch of ``out``'s
-    shape.
+def _dft_rows(t: int, p: int):
+    """The one place verify's oracle forms rows of ``dense.dft_matrix(t)``:
+    a function ``tile(j, table, index, out)`` for the rows ``(i, j)`` to
+    ``(i, j + rows)``, ``rows = len(out)``, of each left row ``i < p``,
+    ``r = t / p`` rows a left row (row ``(i, j)`` is row ``i*r + j``).  It
+    returns a function ``gather(i)`` that writes those rows of left row i
+    into ``out`` and returns it.  ``table`` and ``index`` are intp scratch
+    of ``out``'s shape: ``table`` is held for the tile, ``index`` for one
+    call.
 
-    Entry ``(y0 + j, x)`` is root ``(x*y0 mod t + x*j mod t) mod t`` of
-    ``gates._scaled_roots(t)``.  The ``x*j mod t`` are one table built here, the
-    ``x*y0 mod t`` one length-t vector per call, and their sum, below 2t,
-    indexes the t scaled roots with ``mode="wrap"``, which wraps it into
-    range, so each entry is ``dft_matrix(t)``'s bit for bit.
+    With ``y = i*r + j + k``, ``x*y mod t`` is ``x*(j + k) mod t`` plus
+    ``r * ((x mod p)*i mod p)``.  The first term fills ``table``, once a
+    tile, for all of its left rows.  The second is row i of a ``(p, p)``
+    table built here, added over the ``t / p`` periods of x.  Their sum,
+    below 2t, indexes the t scaled roots of ``gates._scaled_roots`` with
+    ``mode="wrap"``, which wraps it into range, so each entry is
+    ``dft_matrix(t)``'s bit for bit.
     """
     x = np.arange(t, dtype=np.intp)
-    steps = np.outer(np.arange(_TILE_ROWS, dtype=np.intp), x) % t
+    periods = np.outer(x[:p], x[:p])
+    periods %= p
+    periods *= t // p
     roots = _scaled_roots(t)
 
-    def gather(y0: int, index: np.ndarray, out: np.ndarray) -> np.ndarray:
-        offset = x * y0
-        offset %= t
-        np.add(steps[:len(out)], offset, out=index)
-        # mode="wrap" maps a sum in [t, 2t) to root sum - t, and skips
-        # the hidden copy of mode="raise" (see dense._run_batch)
-        return np.take(roots, index, out=out, mode="wrap")
-    return gather
+    def tile(j: int, table: np.ndarray, index: np.ndarray, out: np.ndarray):
+        rows = len(out)
+        np.outer(np.arange(j, j + rows, dtype=np.intp), x, out=table)
+        # x*y mod t as x*y - (x*y // t) * t: numpy divides by a scalar with
+        # a multiply and a shift, where np.remainder divides each entry,
+        # which took twice as long at t = 4096 (2-vCPU VM)
+        np.floor_divide(table, t, out=index)
+        index *= t
+        table -= index
+        # x as (t / p, p): row i of periods is added to each period
+        terms, sums = table.reshape(rows, -1, p), index.reshape(rows, -1, p)
+
+        def gather(i: int) -> np.ndarray:
+            np.add(terms, periods[i], out=sums)
+            # mode="wrap" maps a sum in [t, 2t) to root sum - t, and skips
+            # the hidden copy of mode="raise" (see dense._run_batch)
+            return np.take(roots, index, out=out, mode="wrap")
+        return gather
+    return tile
 
 
 def _oracle_distance(left: np.ndarray, right: tuple, workers: int) -> float:
@@ -262,21 +287,21 @@ def _oracle_distance(left: np.ndarray, right: tuple, workers: int) -> float:
     items are dealt to ``workers`` threads (``_parallel_max``) tile by
     tile, so where p >= ``workers`` every worker gets its slice of every
     tile, and no worker idles however few tiles there are; numpy releases
-    the GIL in every step.  A worker multiplies out the tile of each item once and checks
-    it against each left row of the item in turn, which it expands into a
+    the GIL in every step.  A worker multiplies out the tile of each item
+    and builds its DFT index table (``_dft_rows``) once, then checks it
+    against each left row of the item in turn, which it expands into a
     buffer as it reaches it: rows ``(i, j)`` to ``(i, j + rows)`` of
-    ``M``.  Each worker allocates its buffers once, 1.5 MiB at t = 4096
-    and a row, beside its tile.  The
-    entries of ``M`` are the products of the compile's last step
-    (``circuit._outer_rows``), the compiled entries bit for bit (at n = 1,
-    ``1 * z`` may flip a zero's sign, not the distance); the DFT rows come
-    from ``_dft_rows``; the difference and its magnitude are taken in
-    place.  The result is the same bit for bit for every ``workers``; a
-    NaN anywhere makes it NaN, and a worker's exception is raised once all
-    have ended.
+    ``M``.  Each worker allocates its buffers once, 0.75 MiB at t = 4096
+    and a row, beside its tile.  The entries of ``M`` are the products of
+    the compile's last step (``circuit._outer_rows``), the compiled
+    entries bit for bit (at n = 1, ``1 * z`` may flip a zero's sign, not
+    the distance).  The difference is taken in place, and its magnitude
+    over the spent indices.  The result is the same bit for bit for every
+    ``workers``; a NaN anywhere makes it NaN, and a worker's exception is
+    raised once all have ended.
     """
-    r, t = _right_shape(right)
-    gather = _dft_rows(t)
+    t = _right_shape(right)[1]
+    dft_tile = _dft_rows(t, len(left))
     slices = min(workers, len(left))
     cuts = [len(left) * k // slices for k in range(slices + 1)]
     items = [(j, rows, low, high) for j, rows in _tiles(right)
@@ -286,17 +311,20 @@ def _oracle_distance(left: np.ndarray, right: tuple, workers: int) -> float:
         block = np.empty((_TILE_ROWS, t), np.complex128)
         dft = np.empty((_TILE_ROWS, t), np.complex128)
         index = np.empty((_TILE_ROWS, t), np.intp)
-        magnitude = np.empty((_TILE_ROWS, t), np.float64)
+        table = np.empty((_TILE_ROWS, t), np.intp)
         expanded = np.empty((1, t), np.complex128)
         maxima = []
         for j, rows, low, high in items:
             tile = _right_rows(right, j, rows)
+            gather = dft_tile(j, table[:rows], index[:rows], dft[:rows])
+            # the magnitudes go where gather's indices were, 8 bytes an entry too
+            entries, magnitude = block[:rows], index[:rows].view(np.float64)
             for i in range(low, high):
                 row = _left_rows(left, [i], t, out=expanded)[0]
-                entries = np.multiply(row, tile, out=block[:rows])
-                diff = gather(i * r + j, index[:rows], dft[:rows])
+                np.multiply(row, tile, out=entries)
+                diff = gather(i)
                 np.subtract(entries, diff, out=diff)
-                maxima.append(np.abs(diff, out=magnitude[:rows]).max())
+                maxima.append(np.abs(diff, out=magnitude).max())
             del tile  # before the next tile is multiplied out beside it
         return np.max(maxima)
 

@@ -53,8 +53,9 @@ neither M nor the q**n state is held (see ``MAX_STATE_DIM``).  Only a
 state read with ``--in`` runs the dense simulator.  verify compares M with
 the DFT on every CPU the process may run on (``checks._oracle_distance``,
 with ``_render_workers()`` threads), each thread multiplying out a tile of
-a few rows of the right half once for its share of the left rows, and
-takes the unitarity residual from the Kronecker structure of the halves
+at most four rows of the right half once for its share of the left rows
+and gathering the DFT's rows from the scaled roots (``checks._dft_rows``),
+and takes the unitarity residual from the Kronecker structure of the halves
 (``checks.product_unitarity_residual``), one Gram block at a time and
 over only the Gram columns a bound leaves able to hold the maximum.  At
 n = 1 the left half is a single 1, M is the right half, and its residual

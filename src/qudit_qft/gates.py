@@ -46,8 +46,9 @@ def roots_of_unity(exponents, modulus: int, scale=1) -> np.ndarray:
 
 def _scaled_roots(t: int) -> np.ndarray:
     """The t values ``exp(-2j*pi*x/t) / sqrt(t)`` that every entry of
-    ``dense.dft_matrix(t)`` is read from, and verify's oracle rows too
-    (``checks._dft_rows``).  Scaling the t roots once rounds each entry as
+    ``dense.dft_matrix(t)`` is read from, and every DFT row of verify's
+    oracle too (``checks._dft_rows`` indexes them by ``x*y mod t`` from
+    two small tables).  Scaling the t roots once rounds each entry as
     scaling a whole block of entries would."""
     x = np.arange(t, dtype=np.int64)
     return np.exp(-2j * np.pi * x / t) / np.sqrt(t)

@@ -26,8 +26,9 @@ import numpy as np
 # there by gen-matrix: the product engine's slots are 256 MiB, and no q x q
 # gate is built beside them (668 MiB in both while it was).  With
 # two or more digits gen-matrix peaked at 34 MiB at (2, 12) and 36 MiB at
-# (16, 3), and verify at 36 and 40 MiB, holding neither half of M whole
-# (37, 51, 38 and 53 MiB while they held the right half).  The cap bounds
+# (16, 3), and verify at 34 and 39.5 MiB, holding neither half of M whole
+# (37, 51, 38 and 53 MiB while they held the right half; verify read 36
+# and 40 MiB with its oracle's 8-row tiles).  The cap bounds
 # the rest: a gen-matrix document at 4096 is about 890 MB and grows with
 # the square of the dimension, as do the slots at n = 1 (1024 MiB at 8192).
 DEFAULT_DIM_CAP = 4096

@@ -31,7 +31,13 @@ from qudit_qft import (
 )
 from qudit_qft import checks as checks_module, circuit as circuit_module
 from qudit_qft import dense as dense_module, gates as gates_module, kernels
-from qudit_qft.checks import _dft_rows, _oracle_distance, _tiles, unitarity_residual
+from qudit_qft.checks import (
+    _TILE_ROWS,
+    _dft_rows,
+    _oracle_distance,
+    _tiles,
+    unitarity_residual,
+)
 from qudit_qft.circuit import (
     _breaks_product,
     _outer_rows,
@@ -236,6 +242,18 @@ class TestWalshHadamardBuilder:
         assert gap > 0.1
 
 
+# Every size with q**n <= 1024 and n >= 2, and at n = 1 every radix to 64
+# and the larger ones around powers of 2 and 3: the whole n = 1 range (1023
+# radices) takes about 13 s, as the oracle and the compile each touch q**2
+# entries; it gave a largest distance of 3.8e-16 over all 1076 sizes.  The
+# oracle's DFT row indices are checked at the same sizes: over the whole
+# range they take about 11 s, and held at every size.
+QFT_SLOT_SIZES = [
+    *((q, 1) for q in [*range(2, 65), 127, 128, 243, 255, 256, 257, 500, 729, 1000, 1024]),
+    *((q, n) for n in range(2, 11) for q in range(2, 33) if q ** n <= 1024),
+]
+
+
 class TestDftMatrix:
     def test_base2_is_walsh(self):
         assert max_entry_distance(dft_matrix(2), walsh_hadamard_gate()) < 1e-15
@@ -273,7 +291,7 @@ class TestDftMatrix:
     @pytest.mark.parametrize("q,n,which", [
         *((q, n, which) for q, n in [(3, 7), (5, 5), (2, 12)]
           for which in ("first", "middle", "last")),
-        # the tiles of a block of 9 and of 25 right rows are 4 to 7 rows high
+        # the tiles of a block of 9 and of 25 right rows are 3 and 4 rows high
         (3, 7, "short"), (5, 5, "short"),
     ])
     def test_tile_gather_equals_the_dft_rows(self, q, n, which):
@@ -283,29 +301,44 @@ class TestDftMatrix:
         left, right = _product_halves(build_qft_circuit(q, n), np.arange(t))
         tiles = [(i, j, rows) for j, rows in _tiles(right) for i in range(len(left))]
         if which == "short":
-            i, s, rows = next(tile for tile in tiles if tile[2] < 8)
+            i, s, rows = next(tile for tile in tiles if tile[2] < _TILE_ROWS)
         else:
             i, s, rows = {"first": tiles[0], "middle": tiles[len(tiles) // 2],
                           "last": tiles[-1]}[which]
-        y0 = i * _right_shape(right)[0] + s
-        gather = _dft_rows(t)
-        index = np.full((8, t), -1, dtype=np.intp)
-        out = np.full((8, t), np.nan, dtype=np.complex128)
-        gather(t - 8, index, out)  # the buffers hold another tile's values first
-        got = gather(y0, index[:rows], out[:rows])
+        r = _right_shape(right)[0]
+        y0 = i * r + s
+        dft_tile = _dft_rows(t, len(left))
+        table = np.full((_TILE_ROWS, t), -1, dtype=np.intp)
+        index = np.full((_TILE_ROWS, t), -1, dtype=np.intp)
+        out = np.full((_TILE_ROWS, t), np.nan, dtype=np.complex128)
+        # the buffers hold another tile's values first: rows t - _TILE_ROWS on
+        dft_tile(r - _TILE_ROWS, table, index, out)(len(left) - 1)
+        got = dft_tile(s, table[:rows], index[:rows], out[:rows])(i)
         assert np.shares_memory(got, out)
         expected = dft_matrix(t, slice(y0, y0 + rows))
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
-# Every size with q**n <= 1024 and n >= 2, and at n = 1 every radix to 64
-# and the larger ones around powers of 2 and 3: the whole n = 1 range (1023
-# radices) takes about 13 s, as the oracle and the compile each touch q**2
-# entries; it gave a largest distance of 3.8e-16 over all 1076 sizes.
-QFT_SLOT_SIZES = [
-    *((q, 1) for q in [*range(2, 65), 127, 128, 243, 255, 256, 257, 500, 729, 1000, 1024]),
-    *((q, n) for n in range(2, 11) for q in range(2, 33) if q ** n <= 1024),
-]
+    @pytest.mark.parametrize("q,n", [*QFT_SLOT_SIZES, (2, 12), (16, 3), (3, 7), (4096, 1)])
+    def test_tile_index_is_the_exponent_mod_t(self, q, n):
+        # every tile with every left row: the tile's table plus the left
+        # row's period row, below 2t, is x*y mod t, up to a multiple of t.
+        # One input's halves have every row of all inputs' halves
+        t = q ** n
+        left, right = _product_halves(build_qft_circuit(q, n), [0])
+        p, r = len(left), _right_shape(right)[0]
+        assert p * r == t
+        dft_tile = _dft_rows(t, p)
+        table, index = (np.empty((_TILE_ROWS, t), np.intp) for _ in range(2))
+        out = np.empty((_TILE_ROWS, t), np.complex128)
+        x = np.arange(t)
+        for j, rows in _tiles(right):
+            gather = dft_tile(j, table[:rows], index[:rows], out[:rows])
+            for i in range(p):
+                gather(i)
+                y = np.arange(i * r + j, i * r + j + rows)
+                assert 0 <= index[:rows].min() and index[:rows].max() < 2 * t, (i, j)
+                assert np.array_equal(index[:rows] % t, np.outer(y, x) % t), (i, j)
 
 
 class TestQftSlots:
@@ -785,17 +818,22 @@ class TestBasisColumns:
             tile_starts = np.cumsum([0, *(rows for _, rows in tiles[:-1])]).tolist()
             assert [j for j, _ in tiles] == tile_starts
             assert sum(rows for _, rows in tiles) == r
-            assert all(0 < rows <= 8 and j // block == (j + rows - 1) // block
+            assert all(0 < rows <= _TILE_ROWS and j // block == (j + rows - 1) // block
                        for j, rows in tiles)
             starts = sorted(i * r + j for j, _ in tiles for i in range(p))
             seen = []
 
-            def compiled_rows(t):
-                def gather(y0, index, out):
-                    seen.append(y0)
-                    out[:] = matrix[y0:y0 + len(out)]
-                    return out
-                return gather
+            def compiled_rows(t, left_rows):
+                assert left_rows == p
+
+                def tile(j, table, index, out):
+                    def gather(i):
+                        y0 = i * r + j
+                        seen.append(y0)
+                        out[:] = matrix[y0:y0 + len(out)]
+                        return out
+                    return gather
+                return tile
 
             monkeypatch.setattr(checks_module, "_dft_rows", compiled_rows)
             assert _oracle_distance(left, halves, 3) == 0.0
@@ -806,16 +844,21 @@ class TestBasisColumns:
         # interpreter allows: the same distance, every tile checked once
         left, right = _product_halves(build_qft_circuit(3, 5), np.arange(3 ** 5))
         one = _oracle_distance(left, right, 1)
-        gather_rows = checks_module._dft_rows
+        dft_rows = checks_module._dft_rows
+        r = _right_shape(right)[0]
         seen = []
 
-        def counted(t):
-            gather = gather_rows(t)
+        def counted(t, p):
+            dft_tile = dft_rows(t, p)
 
-            def gather_counted(y0, index, out):
-                seen.append(y0)
-                return gather(y0, index, out)
-            return gather_counted
+            def tile(j, table, index, out):
+                gather = dft_tile(j, table, index, out)
+
+                def gather_counted(i):
+                    seen.append(i * r + j)
+                    return gather(i)
+                return gather_counted
+            return tile
 
         monkeypatch.setattr(checks_module, "_dft_rows", counted)
         interval = sys.getswitchinterval()
@@ -825,8 +868,20 @@ class TestBasisColumns:
         finally:
             sys.setswitchinterval(interval)
         assert np.float64(many).view(np.uint64) == np.float64(one).view(np.uint64)
-        assert sorted(seen) == sorted(i * _right_shape(right)[0] + j
-                                      for j, _ in _tiles(right) for i in range(len(left)))
+        assert sorted(seen) == sorted(i * r + j for j, _ in _tiles(right)
+                                      for i in range(len(left)))
+
+    def test_oracle_scratch_per_worker(self, traced_peak):
+        # a worker holds a tile of the right half, the DFT rows, the
+        # product rows, the tile's index table and the index buffer, whose
+        # float view takes the magnitudes, and one expanded left row:
+        # 1.2 MiB at t = 4096.  8-row tiles and a magnitude buffer of its
+        # own fail both bounds: 4.7 MiB on two workers, 2.2 MiB more on three
+        left, right = _product_halves(build_qft_circuit(2, 12), np.arange(2 ** 12))
+        _, two = traced_peak(_oracle_distance, left, right, 2)
+        _, three = traced_peak(_oracle_distance, left, right, 3)
+        assert two <= 3 * 2 ** 20
+        assert three - two <= 1.5 * 2 ** 20
 
     @pytest.mark.parametrize("q,n,workers", [(2, 12, 3), (2, 12, 16), (16, 3, 5), (2, 3, 8)])
     def test_oracle_items_keep_every_worker_busy(self, q, n, workers, monkeypatch):

@@ -227,17 +227,24 @@ class TestVerify:
 
     @pytest.mark.parametrize("tile", [0, 1, 2])
     def test_exception_in_a_tile_leaves_main(self, tile, monkeypatch):
-        # tile k is checked by worker k % 3; worker 0 is the calling thread
-        gather_rows = checks._dft_rows
+        # rows 0 to 2 * _TILE_ROWS of M start tiles 0 to 2 with left row 0;
+        # worker 0, the calling thread, checks left row 0, and the other two
+        # workers are joined before the exception leaves main
+        dft_rows = checks._dft_rows
 
-        def failing(t):
-            gather = gather_rows(t)
+        def failing(t, p):
+            dft_tile = dft_rows(t, p)
+            r = t // p
 
-            def gather_or_fail(y0, index, out):
-                if y0 == 8 * tile:
-                    raise RuntimeError(f"tile {tile} failed")
-                return gather(y0, index, out)
-            return gather_or_fail
+            def tile_or_fail(j, table, index, out):
+                gather = dft_tile(j, table, index, out)
+
+                def gather_or_fail(i):
+                    if i * r + j == checks._TILE_ROWS * tile:
+                        raise RuntimeError(f"tile {tile} failed")
+                    return gather(i)
+                return gather_or_fail
+            return tile_or_fail
 
         monkeypatch.setattr(checks, "_dft_rows", failing)
         monkeypatch.setattr(cli, "_render_workers", lambda: 3)
