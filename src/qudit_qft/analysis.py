@@ -8,12 +8,12 @@ measurement of the actual dropped phase over every basis input.  On a basis
 input the QFT register stays a product of single-digit states, one per
 output bracket, so the measurement runs every input through the
 product-state simulator (``n*q`` amplitudes per input) and no input through
-the dense one, each circuit once.  The pruned circuit's slots are checked
-against the exact one's times the dropped phases at every input, and the
-exact one's against the closed-form slot oracle ``qft_slots`` on a spread
-of probe inputs.  Phase magnitudes are accumulated from the dropped-gate
-exponents directly, never recovered through ``arg()``, so values above pi
-are reported without wrap-around.
+the dense one, and runs only the pruned circuit, once.  At every input its
+slots are checked against their closed form, the product form of the QFT
+(Griffiths and Niu, PRL 76, 3228, 1996) with the dropped phases taken out
+(Coppersmith, IBM RC19642, 1994).  Phase magnitudes are accumulated from
+the dropped-gate exponents directly, never recovered through ``arg()``, so
+values above pi are reported without wrap-around.
 
 Only ``cli``'s bounds and compare-radix handlers import this module,
 inside the handler, so the other commands never compile it.  Its report
@@ -28,31 +28,26 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import _run_product, build_qft_circuit, qft_slots
+from .circuit import _run_product, build_qft_circuit
 from .numerics import CrossCheckError, check_params
 
-# Simulated slots must agree with the dropped-exponent sums and the closed
-# form to this tolerance, at unit modulus; a violation means the circuit
-# and the closed form have diverged and is reported as an error rather
-# than a measurement.
+# Simulated slots must agree with their closed form, which holds the
+# dropped-exponent sums, to this tolerance, at unit modulus; a violation
+# means the circuit and the closed form have diverged and is reported as an
+# error rather than a measurement.
 _CROSS_CHECK_TOL = 1e-9
 
 # The measurement runs max(1, _CHUNK_AMPLITUDES // (n*q)) basis inputs at a
 # time through the product-state simulator, so each of its buffers holds
 # about _CHUNK_AMPLITUDES amplitudes (2 MiB at complex128).  2**17 was the
-# fastest of 2**15 to 2**19 at (q, n) = (2, 18) and (4, 9).  With no dense
-# simulation, the traced peak of a report is 2.6 MiB at (3, 7, 2) and 7.2
-# MiB at (2048, 1, 1) (6.1 and 108 MiB with dense boundary chunks, whose
-# (rows, q**n) buffers and q x q gate set it).
+# fastest of 2**15 to 2**19 at (q, n) = (2, 18) and (4, 9).  The traced
+# peak of a report is 1.9 MiB at (3, 7, 2), 4.3 MiB at (2048, 1, 1) and
+# 5.5 MiB at (2, 16, 3): the chunk's slots, their closed form and the
+# pruned circuit's tables, of up to q**keep_depth roots (2.6, 7.2 and 9.4
+# MiB while the exact circuit also ran, its tables up to q**n roots; 6.1
+# and 108 MiB at the first two with dense boundary chunks, whose (rows,
+# q**n) buffers and q x q gate set it).
 _CHUNK_AMPLITUDES = 2 ** 17
-
-# Basis inputs at which the slot oracle checks the exact circuit, evenly
-# spaced from 0 to q**n - 1 (every input below this many).  Each is checked
-# in the chunk of the pass that holds it, on the slots that chunk has
-# already run.  Arithmetic, not numpy.random, picks them: importing
-# numpy.random raises the CLI's peak RSS from 29.8 to 35.4 MiB (child
-# ru_maxrss, median of 5).
-_PROBE_INPUTS = 64
 
 
 class BoundRow(NamedTuple):
@@ -152,31 +147,45 @@ def _dropped_gates(keep_depth: int | None, target_digit: int) -> list[tuple[int,
     ]
 
 
+def _expected_slots(q: int, n: int, x: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """The pruned circuit's slots on basis inputs ``x``, in closed form.
+
+    Returns the ``(n, q, len(x))`` complex128 array in ``_run_product``'s
+    layout: slot ``l``, component ``t`` is ``exp(-1j*t*phi) / sqrt(q)``,
+    with ``phi = 2*pi*(x mod q**(l+1)) / q**(l+1) - shifts[l]``.  That is
+    the exact QFT's slot (``qft_slots``, the product form of Griffiths and
+    Niu) with the dropped phase ``exp(-1j*t*shifts[l])`` taken out.  One
+    ``exp`` per slot and input gives component 1, and a cumulative product
+    along the components gives its powers; numpy alone builds it, not
+    ``gates`` or either simulator.
+    """
+    slots = np.empty((n, q, len(x)), dtype=np.complex128)
+    slots[:, 0] = 1 / math.sqrt(q)
+    for l in range(n):
+        modulus = q ** (l + 1)
+        phi = (x % modulus) * (2.0 * math.pi / modulus) - shifts[l]
+        np.exp(-1j * phi, out=slots[l, 1])
+    slots[:, 2:] = slots[:, 1:2]
+    return np.cumprod(slots, axis=1, out=slots)
+
+
 def _bracket_phase_maxima(q: int, n: int, keep_depth: int | None) -> list[float]:
     """Worst dropped phase on every bracket's |1> component, in target order.
 
-    Runs the exact and the pruned circuit once each on every basis input
-    through the product-state simulator ``_run_product``, ``max(1,
-    _CHUNK_AMPLITUDES // (n*q))`` inputs at a time, and compares each chunk
-    twice.  The pruned circuit's bracket l lacks ``exp(-1j*t*shift)``, with
-    ``shift`` the sum of its dropped controlled-phase exponents, so at every
-    input each of its slots must equal the exact one's times
-    ``exp(+1j*t*shift)``, component 0 included; the maxima are taken over
-    that (unwrapped) sum.  On the ``min(q**n, _PROBE_INPUTS)`` probe inputs,
-    evenly spaced from 0 to ``q**n - 1`` (where every digit is nonzero and
-    every dropped shift peaks), the exact circuit's slots must equal the
-    closed form ``qft_slots``, which so checks the pruned one too.  Both
-    compare at unit modulus (a slot component has modulus ``1/sqrt(q)``),
-    and a NaN slot fails.  Chunks rise in input order, so the first
-    mismatch raises ``CrossCheckError`` naming the smallest failing input.
+    Runs the pruned circuit once on every basis input through the
+    product-state simulator ``_run_product``, ``max(1, _CHUNK_AMPLITUDES //
+    (n*q))`` inputs at a time.  Its bracket l lacks ``exp(-1j*t*shift)``,
+    with ``shift`` the sum of its dropped controlled-phase exponents, so at
+    every input each of its slots must equal the closed form
+    ``_expected_slots``, component 0 included; the maxima are taken over
+    that (unwrapped) sum.  The comparison is at unit modulus (a slot
+    component has modulus ``1/sqrt(q)``), and a NaN slot fails.  Chunks
+    rise in input order, so the first mismatch raises ``CrossCheckError``
+    naming the smallest failing input.
     """
     dim = q ** n
     dropped = [_dropped_gates(keep_depth, l) for l in range(n)]
-    exact = build_qft_circuit(q, n)
     pruned = build_qft_circuit(q, n, keep_depth)
-    count = min(dim, _PROBE_INPUTS)
-    probes = np.array([i * (dim - 1) // (count - 1) for i in range(count)], dtype=np.int64)
-    component = np.arange(1, q)[:, np.newaxis]
     scale = math.sqrt(q)
 
     def shifts_of(x):
@@ -187,45 +196,25 @@ def _bracket_phase_maxima(q: int, n: int, keep_depth: int | None) -> list[float]
                 shifts[l] += 2.0 * math.pi * digits[k] / q ** s
         return shifts
 
-    # both circuits read the Chrestenson gate's q scaled roots and their
-    # roots-of-unity tables, of up to q**n entries, from here, each built
-    # once for the whole pass
+    # the Chrestenson gate's q scaled roots and the roots-of-unity tables,
+    # of up to q**keep_depth entries, are built once for the whole pass
     cache = {}
-    def first_failure(x, shifts):
-        """(input, target digit, component) of the smallest failing slot
-        over the chunk of inputs ``x`` rising from ``x[0]``, or None.  Its
-        arrays die on return, before the next chunk's product runs."""
-        exact_slots = _run_product(exact, x, cache, dim)
-        # the pruned circuit's expected slots, built in one buffer
-        distance = np.empty_like(exact_slots)
-        distance[:, 0] = 1
-        np.exp(1j * (component * shifts[:, np.newaxis]), out=distance[:, 1:])
-        distance *= exact_slots
-        distance -= _run_product(pruned, x, cache, dim)
-        failed = ~(np.abs(distance) * scale <= _CROSS_CHECK_TOL)
-        probed = probes[(probes >= x[0]) & (probes <= x[-1])]
-        if len(probed):
-            at = probed - x[0]
-            distance = exact_slots[:, :, at] - qft_slots(q, n, probed)
-            failed[:, :, at] |= ~(np.abs(distance) * scale <= _CROSS_CHECK_TOL)
-        # (input, digit, component) order, so argmax finds the smallest input
-        failed = failed.transpose(2, 0, 1)
-        if not failed.any():
-            return None
-        row, l, t = np.unravel_index(np.argmax(failed), failed.shape)
-        return int(x[row]), int(l), int(t)
-
     rows = max(1, _CHUNK_AMPLITUDES // (n * q))
     maxima = np.zeros(n)
     for start in range(0, dim, rows):
         x = np.arange(start, min(start + rows, dim))
         shifts = shifts_of(x)
-        failure = first_failure(x, shifts)
-        if failure is not None:
-            value, l, t = failure
+        distance = _expected_slots(q, n, x, shifts)
+        distance -= _run_product(pruned, x, cache, dim)
+        # (input, digit, component) order, so argmax finds the smallest input
+        failed = ~(np.abs(distance.transpose(2, 0, 1)) * scale <= _CROSS_CHECK_TOL)
+        del distance  # before the next chunk's slots are built beside it
+        if failed.any():
+            row, l, t = np.unravel_index(np.argmax(failed), failed.shape)
             raise CrossCheckError(
                 "simulated bracket phase disagrees with the dropped-gate "
-                f"exponent sum at input {value}, component {t} (target digit {l})"
+                f"exponent sum at input {int(x[row])}, component {int(t)} "
+                f"(target digit {int(l)})"
             )
         maxima = np.maximum(maxima, shifts.max(axis=1))
     return [float(worst) for worst in maxima]
@@ -235,15 +224,12 @@ def approximation_report(q: int, n: int, keep_depth: int | None) -> list[BoundRo
     """One BoundRow per output bracket for the given pruning depth.
 
     Every row's measurement comes from one pass over the basis inputs, which
-    runs the exact and the pruned circuit once each through the
-    product-state simulator in chunks of inputs, with work per input that
-    grows with the gate count and ``n*q`` rather than with ``q**n``.  Each
-    chunk is compared twice: the pruned slots against the exact ones times
-    the dropped phases, at every input, and the exact slots against the
-    slot oracle, at the up to ``_PROBE_INPUTS`` probe inputs it holds.  A
-    mismatch raises ``CrossCheckError``.  No dense simulation runs and no
-    q x q gate is built: each buffer holds about ``_CHUNK_AMPLITUDES``
-    amplitudes.
+    runs the pruned circuit once through the product-state simulator in
+    chunks of inputs, with work per input that grows with the gate count
+    and ``n*q`` rather than with ``q**n``.  At every input its slots are
+    compared with their closed form (``_expected_slots``), and a mismatch
+    raises ``CrossCheckError``.  No dense simulation runs and no q x q gate
+    is built: each buffer holds about ``_CHUNK_AMPLITUDES`` amplitudes.
     """
     check_params(radix=q, digits=n, keep_depth=keep_depth)
     maxima = _bracket_phase_maxima(q, n, keep_depth)

@@ -17,7 +17,7 @@ import threading
 
 import numpy as np
 
-from .circuit import _left_rows, _right_columns, _right_rows, _right_shape
+from .circuit import _right_columns, _right_rows, _right_shape
 from .gates import _scaled_roots
 from .numerics import _as_matrix, _require_square
 
@@ -312,7 +312,9 @@ def _oracle_distance(left: np.ndarray, right: tuple, workers: int) -> float:
         dft = np.empty((_TILE_ROWS, t), np.complex128)
         index = np.empty((_TILE_ROWS, t), np.intp)
         table = np.empty((_TILE_ROWS, t), np.intp)
-        expanded = np.empty((1, t), np.complex128)
+        expanded = np.empty(t, np.complex128)
+        # the full left row is left[i] over each of its t / p periods
+        periods = expanded.reshape(-1, left.shape[1])
         maxima = []
         for j, rows, low, high in items:
             tile = _right_rows(right, j, rows)
@@ -320,8 +322,8 @@ def _oracle_distance(left: np.ndarray, right: tuple, workers: int) -> float:
             # the magnitudes go where gather's indices were, 8 bytes an entry too
             entries, magnitude = block[:rows], index[:rows].view(np.float64)
             for i in range(low, high):
-                row = _left_rows(left, [i], t, out=expanded)[0]
-                np.multiply(row, tile, out=entries)
+                periods[:] = left[i]
+                np.multiply(expanded, tile, out=entries)
                 diff = gather(i)
                 np.subtract(entries, diff, out=diff)
                 maxima.append(np.abs(diff, out=magnitude).max())

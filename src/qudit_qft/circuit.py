@@ -12,10 +12,10 @@ the QFT's do.  The register then stays a product of n single-digit states,
 so each input costs ``n*q`` amplitudes instead of ``q**n``.  Its
 ``(n, q, len(x))`` slots are the factors that ``_output_factors`` lists in
 output-digit order, with no copy.  It serves every basis input: ``bounds``
-checks each input's slots, some of them against the exact QFT's slots in
-closed form (``qft_slots``, which reads neither simulator), and
-``_outer_rows`` multiplies them out into output states, from which
-``dense.circuit_to_matrix`` compiles such a circuit.
+checks each input's slots against their closed form (the exact QFT's
+slots of ``qft_slots`` with the dropped phases taken out, formed in
+``analysis``), and ``_outer_rows`` multiplies them out into output
+states, from which ``dense.circuit_to_matrix`` compiles such a circuit.
 The CLI reads them only as two halves at every width (``_product_halves``),
 neither held whole: the left one as its period block (at n = 1 a single
 1), expanded a row at a time (``_left_rows``), and the right one as the
@@ -212,8 +212,11 @@ def qft_slots(q: int, n: int, x) -> np.ndarray:
     and Niu ("Semiclassical Fourier transform for quantum computation", PRL
     76, 3228, 1996; Nielsen and Chuang, section 5.1).  It is built from
     numpy alone, not from ``gates`` or either simulator, so it can check
-    both.  The exponent ``t*(x mod q**(l+1))`` is formed exactly in int64,
-    so ``(q-1) * q**n`` must fit there (``ValueError`` otherwise).
+    both.  No command calls it: it is library API and the tests' reference,
+    and ``bounds`` forms the pruned circuit's slots in closed form itself
+    (``analysis._expected_slots``).  The exponent ``t*(x mod q**(l+1))``
+    is formed exactly in int64, so ``(q-1) * q**n`` must fit there
+    (``ValueError`` otherwise).
     """
     check_params(radix=q, digits=n)
     if n > 62 or (q - 1) * q ** n > _INT64_MAX:

@@ -241,45 +241,37 @@ class TestApproximationReport:
 
 def record_product_calls(monkeypatch):
     """Make the analysis record the circuit and inputs of every product run,
-    and the inputs of every call of the slot oracle."""
-    calls, oracle_inputs = [], []
-    original, oracle = analysis._run_product, analysis.qft_slots
+    and the inputs of every call of the closed-form reference."""
+    calls, reference_inputs = [], []
+    original, reference = analysis._run_product, analysis._expected_slots
 
     def recording(circuit, x, cache, largest_table):
         calls.append((circuit, x.copy()))
         return original(circuit, x, cache, largest_table)
 
-    def recording_oracle(q, n, x):
-        oracle_inputs.append(np.array(x, copy=True))
-        return oracle(q, n, x)
+    def recording_reference(q, n, x, shifts):
+        reference_inputs.append(np.array(x, copy=True))
+        return reference(q, n, x, shifts)
 
     monkeypatch.setattr(analysis, "_run_product", recording)
-    monkeypatch.setattr(analysis, "qft_slots", recording_oracle)
-    return calls, oracle_inputs
+    monkeypatch.setattr(analysis, "_expected_slots", recording_reference)
+    return calls, reference_inputs
 
 
-def assert_one_product_run_per_chunk(calls, oracle_inputs, q, n, keep_depth):
-    """One product run per chunk and no other: each chunk runs the exact,
-    then the pruned circuit, once each, and the chunks cover every input
-    once, in order.  The oracle reads only inputs of one chunk per call,
-    and over all chunks it checks each probe once: they rise from 0 to
-    q**n - 1, at most ``_PROBE_INPUTS`` of them (every input when there are
-    no more)."""
-    exact = analysis.build_qft_circuit(q, n)
+def assert_one_product_run_per_chunk(calls, reference_inputs, q, n, keep_depth):
+    """One product run per chunk and no other: each chunk runs the pruned
+    circuit once, the chunks cover every input once, in order, and every
+    chunk but the last holds ``max(1, _CHUNK_AMPLITUDES // (n*q))`` inputs.
+    The closed-form reference is built once per chunk, on the chunk's
+    inputs."""
     pruned = analysis.build_qft_circuit(q, n, keep_depth)
-    assert [circuit for circuit, _ in calls] == [exact, pruned] * (len(calls) // 2)
-    chunks = [x for _, x in calls[::2]]
-    assert [x.tolist() for x in chunks] == [x.tolist() for _, x in calls[1::2]]
+    assert [circuit for circuit, _ in calls] == [pruned] * len(calls)
+    chunks = [x for _, x in calls]
+    assert [x.tolist() for x in chunks] == [x.tolist() for x in reference_inputs]
     dim = q ** n
     rows = max(1, analysis._CHUNK_AMPLITUDES // (n * q))
     assert all(len(x) == rows for x in chunks[:-1])
     assert np.array_equal(np.concatenate(chunks), np.arange(dim))
-    assert all(any(set(x.tolist()) <= set(chunk.tolist()) for chunk in chunks)
-               for x in oracle_inputs)
-    probes = np.concatenate(oracle_inputs)
-    assert len(probes) == min(dim, analysis._PROBE_INPUTS)
-    assert probes[0] == 0 and probes[-1] == dim - 1
-    assert (np.diff(probes) > 0).all()
 
 
 class TestOneSimulationPerReport:
@@ -292,11 +284,10 @@ class TestOneSimulationPerReport:
         assert [row.measured_max_t for row in rows] == [(q - 1) * w for w in expected]
 
     def test_one_simulation_per_circuit(self, monkeypatch):
-        calls, oracle_inputs = record_product_calls(monkeypatch)
+        calls, reference_inputs = record_product_calls(monkeypatch)
         approximation_report(3, 4, 2)
-        assert len(calls) == 2  # the one chunk of 81, which holds every probe
-        assert len(oracle_inputs) == 1
-        assert_one_product_run_per_chunk(calls, oracle_inputs, 3, 4, 2)
+        assert len(calls) == 1  # the one chunk of 81
+        assert_one_product_run_per_chunk(calls, reference_inputs, 3, 4, 2)
 
     @pytest.mark.parametrize("q,n,keep_depth", [(3, 3, 2), (2, 5, 2), (3, 3, None)])
     @pytest.mark.parametrize("rows_per_chunk", [1, 7])
@@ -304,12 +295,12 @@ class TestOneSimulationPerReport:
                                               rows_per_chunk):
         dim = q ** n
         whole = approximation_report(q, n, keep_depth)
-        calls, oracle_inputs = record_product_calls(monkeypatch)
+        calls, reference_inputs = record_product_calls(monkeypatch)
         monkeypatch.setattr(analysis, "_CHUNK_AMPLITUDES", rows_per_chunk * dim)
         assert approximation_report(q, n, keep_depth) == whole
         rows = max(1, rows_per_chunk * dim // (n * q))
-        assert len(calls) == 2 * -(-dim // rows)
-        assert_one_product_run_per_chunk(calls, oracle_inputs, q, n, keep_depth)
+        assert len(calls) == -(-dim // rows)
+        assert_one_product_run_per_chunk(calls, reference_inputs, q, n, keep_depth)
 
     def test_gate_and_tables_are_built_once_per_report(self, monkeypatch):
         # 81 and 12 product chunks: the number of gates and root tables
@@ -363,34 +354,31 @@ class TestCrossCheck:
     @pytest.mark.parametrize("rows_per_chunk", [1, 7, 27])
     def test_names_the_first_failing_input_and_component(self, monkeypatch,
                                                          rows_per_chunk):
-        # Nudge the oracle's |2> component of bracket 1 at the last input,
-        # a probe input: the exact circuit now disagrees with it there, and
-        # the pruned circuit, which is compared with the exact one and
-        # never with the oracle, still agrees.
-        original = analysis.qft_slots
+        # Nudge the reference's |2> component of bracket 1 at the last
+        # input: the pruned circuit now disagrees with it there, and only
+        # there, in the last chunk.
+        original = analysis._expected_slots
 
-        def nudged(q, n, x):
-            out = original(q, n, x)
+        def nudged(q, n, x, shifts):
+            out = original(q, n, x, shifts)
             out[1, 2, x == 26] *= cmath.exp(1e-6j)
             return out
 
-        monkeypatch.setattr(analysis, "qft_slots", nudged)
+        monkeypatch.setattr(analysis, "_expected_slots", nudged)
         monkeypatch.setattr(analysis, "_CHUNK_AMPLITUDES", rows_per_chunk * 27)
         with pytest.raises(CrossCheckError, match=r"input 26, component 2 \(target digit 1\)"):
             approximation_report(3, 3, 2)
 
     @pytest.mark.parametrize("rows_per_chunk", [1, 7, 27])
     def test_product_check_names_a_mid_range_input(self, monkeypatch, rows_per_chunk):
-        # With the probe inputs cut to the two ends, 0 and 26, only the
-        # every-input pass can see a nudge of input 13's |2> component of
-        # bracket 1.  In the second case input 14 is nudged too, on a lower
-        # digit and component, in the same product chunk of 3, 21 or 81
-        # inputs: the smaller input is still named, where a digit-first
-        # search would name 14.
+        # A nudge of input 13's |2> component of bracket 1, away from both
+        # ends of the input range, is seen.  In the second case input 14 is
+        # nudged too, on a lower digit and component, in the same product
+        # chunk of 3, 21 or 81 inputs: the smaller input is still named,
+        # where a digit-first search would name 14.
         pruned = analysis.build_qft_circuit(3, 3, 2)
         original = analysis._run_product
         monkeypatch.setattr(analysis, "_CHUNK_AMPLITUDES", rows_per_chunk * 27)
-        monkeypatch.setattr(analysis, "_PROBE_INPUTS", 2)
         for nudges in ([(13, 1, 2)], [(13, 1, 2), (14, 0, 1)]):
             def nudged(circuit, x, cache, largest_table, nudges=nudges):
                 out = original(circuit, x, cache, largest_table)
@@ -404,22 +392,21 @@ class TestCrossCheck:
                                match=r"input 13, component 2 \(target digit 1\)"):
                 approximation_report(3, 3, 2)
 
-    @pytest.mark.parametrize("oracle_input,message", [
+    @pytest.mark.parametrize("reference_input,message", [
         (0, r"input 0, component 1 \(target digit 2\)"),
         (26, r"input 13, component 2 \(target digit 1\)"),
     ])
-    def test_names_the_smallest_input_over_both_checks(self, monkeypatch, oracle_input,
+    def test_names_the_smallest_input_over_both_checks(self, monkeypatch, reference_input,
                                                        message):
-        # An oracle failure at a probe input (the oracle's bracket 2 |1>)
-        # and a failure of the every-input pass at input 13, which is no
-        # probe input: the smaller input is reported, whichever check finds
-        # it.
+        # A fault in the reference (its bracket 2 |1> at input 0 or 26) and
+        # one in the pruned run (at input 13), in chunks of 21 inputs: the
+        # smaller input is reported, whichever side is at fault.
         pruned = analysis.build_qft_circuit(3, 3, 2)
-        oracle, product = analysis.qft_slots, analysis._run_product
+        reference, product = analysis._expected_slots, analysis._run_product
 
-        def oracle_nudged(q, n, x):
-            out = oracle(q, n, x)
-            out[2, 1, x == oracle_input] *= cmath.exp(1e-6j)
+        def reference_nudged(q, n, x, shifts):
+            out = reference(q, n, x, shifts)
+            out[2, 1, x == reference_input] *= cmath.exp(1e-6j)
             return out
 
         def product_nudged(circuit, x, cache, largest_table):
@@ -428,18 +415,16 @@ class TestCrossCheck:
                 out[1, 2, x == 13] *= cmath.exp(1e-6j)
             return out
 
-        monkeypatch.setattr(analysis, "qft_slots", oracle_nudged)
+        monkeypatch.setattr(analysis, "_expected_slots", reference_nudged)
         monkeypatch.setattr(analysis, "_run_product", product_nudged)
         monkeypatch.setattr(analysis, "_CHUNK_AMPLITUDES", 7 * 27)
-        monkeypatch.setattr(analysis, "_PROBE_INPUTS", 2)
         with pytest.raises(CrossCheckError, match=message):
             approximation_report(3, 3, 2)
 
     def test_a_whole_slot_nudged_is_named_at_component_0(self, monkeypatch, capsys):
         # One common factor on every component of the pruned circuit's
-        # slot 1 at input 13, which no probe reaches: a pruned/exact ratio
-        # of components t and 0 would cancel it, but component 0 is held
-        # to the exact slot too.
+        # slot 1 at input 13: a ratio of components t and 0 would cancel
+        # it, but component 0 is held to the closed form too.
         pruned = analysis.build_qft_circuit(3, 3, 2)
         original = analysis._run_product
 
@@ -450,7 +435,6 @@ class TestCrossCheck:
             return out
 
         monkeypatch.setattr(analysis, "_run_product", nudged)
-        monkeypatch.setattr(analysis, "_PROBE_INPUTS", 2)
         with pytest.raises(CrossCheckError, match=r"input 13, component 0 \(target digit 1\)"):
             approximation_report(3, 3, 2)
         code = main(["bounds", "--radix", "3", "--digits", "3", "--keep-depth", "2"])
@@ -462,7 +446,6 @@ class TestCrossCheck:
     def test_sensitivity_does_not_fall_with_the_radix(self, monkeypatch):
         # At radix 64 a slot component has modulus 1/8, so exp(5e-9j) moves
         # it by 6.3e-10, below the tolerance; at unit modulus it moves 5e-9.
-        # Input 1 is no probe (they are 0, 65, 130, ...).
         q, n, keep_depth = 64, 2, 1
         nudge = cmath.exp(5e-9j)
         assert abs(nudge - 1) / math.sqrt(q) < analysis._CROSS_CHECK_TOL < abs(nudge - 1)
@@ -483,10 +466,10 @@ class TestCrossCheck:
 class TestSlotOracle:
     @pytest.mark.parametrize("q,n,keep_depth", [(3, 3, 2), (5, 3, 2), (4, 2, 1), (3, 1, 1)])
     def test_conjugated_roots_fail(self, q, n, keep_depth, monkeypatch, capsys):
-        # Conjugated Chrestenson roots turn both circuits into the inverse
-        # QFT (at q = 2 the roots are real, and it is the QFT itself).  The
-        # pruned slots stay the exact ones times their dropped phases, so
-        # only the oracle can see it.
+        # Conjugated Chrestenson roots turn the pruned circuit into a pruned
+        # inverse QFT (at q = 2 the roots are real, and it is the QFT
+        # itself).  Its dropped phases are still the ones the report sums,
+        # so only the closed form of the slots can see it.
         original = gates_module.chrestenson_roots
         for module in (gates_module, circuit_module):
             monkeypatch.setattr(module, "chrestenson_roots", lambda q: np.conj(original(q)))
@@ -500,10 +483,9 @@ class TestSlotOracle:
         assert captured.out == ""
         assert captured.err.startswith("verification failed: ")
 
-    def test_a_fault_both_circuits_share_is_named_by_the_oracle_only(self, monkeypatch):
-        # The same exp(1e-6j) on input 13's |2> component of bracket 1 in
-        # both circuits leaves the pruned slots the exact ones times their
-        # dropped phases.
+    def test_a_simulation_fault_is_named_by_the_closed_form_only(self, monkeypatch):
+        # exp(1e-6j) on input 13's |2> component of bracket 1 of the pruned
+        # run, whose dropped phases are still the ones the report sums
         whole = approximation_report(3, 3, 2)
         original = analysis._run_product
 
@@ -516,16 +498,16 @@ class TestSlotOracle:
         with pytest.raises(CrossCheckError,
                            match=r"input 13, component 2 \(target digit 1\)"):
             approximation_report(3, 3, 2)
-        # the pruned/exact comparison alone: an oracle nudged the same way
-        # agrees, and the report comes out whole
-        oracle = analysis.qft_slots
+        # the closed form is the run's one reference: nudged the same way,
+        # it agrees, and the report comes out whole
+        reference = analysis._expected_slots
 
-        def oracle_nudged(q, n, x):
-            out = oracle(q, n, x)
+        def reference_nudged(q, n, x, shifts):
+            out = reference(q, n, x, shifts)
             out[1, 2, x == 13] *= cmath.exp(1e-6j)
             return out
 
-        monkeypatch.setattr(analysis, "qft_slots", oracle_nudged)
+        monkeypatch.setattr(analysis, "_expected_slots", reference_nudged)
         assert approximation_report(3, 3, 2) == whole
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -543,8 +525,8 @@ class TestSlotOracle:
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_a_nan_slot_at_an_input_no_probe_reaches_fails(self, monkeypatch, capsys):
-        # with the probes cut to the two ends, 0 and 26, only the
-        # every-input pass reads input 13, and NaN passes a ``>`` test
+        # every input is compared, input 13 in the middle of the range
+        # too, and NaN passes a ``>`` test
         pruned = analysis.build_qft_circuit(3, 3, 2)
         original = analysis._run_product
 
@@ -555,7 +537,6 @@ class TestSlotOracle:
             return out
 
         monkeypatch.setattr(analysis, "_run_product", broken)
-        monkeypatch.setattr(analysis, "_PROBE_INPUTS", 2)
         with pytest.raises(CrossCheckError, match=r"input 13, component 2 \(target digit 1\)"):
             approximation_report(3, 3, 2)
         code = main(["bounds", "--radix", "3", "--digits", "3", "--keep-depth", "2"])
@@ -577,8 +558,10 @@ class TestSlotOracle:
     @pytest.mark.parametrize("q,n,keep_depth,limit_mib", [
         # 108 and 6.1 MiB while two dense boundary chunks ran, at radix
         # 2048 with the 64 MiB q x q gate; 11 and 3.2 MiB without them,
-        # while a probe run came before the pass; 7.2 and 2.6 MiB since
-        (2048, 1, 1, 32), (3, 7, 2, 4.5),
+        # while a probe run came before the pass; 7.2, 2.6 and 9.4 MiB
+        # while the exact circuit ran beside the pruned one, its tables up
+        # to q**n roots; 4.3, 1.9 and 5.5 MiB since (numpy 2.4)
+        (2048, 1, 1, 6), (3, 7, 2, 3), (2, 16, 3, 8),
     ])
     def test_peak_memory(self, q, n, keep_depth, limit_mib, traced_peak):
         _, peak = traced_peak(approximation_report, q, n, keep_depth)

@@ -225,23 +225,27 @@ class TestVerify:
         assert all(line.endswith("FAIL") for line in out.splitlines()[1:])
         assert ("oracle_distance nan" in out) == (change == "poison")
 
-    @pytest.mark.parametrize("tile", [0, 1, 2])
-    def test_exception_in_a_tile_leaves_main(self, tile, monkeypatch):
-        # rows 0 to 2 * _TILE_ROWS of M start tiles 0 to 2 with left row 0;
-        # worker 0, the calling thread, checks left row 0, and the other two
-        # workers are joined before the exception leaves main
+    @pytest.mark.parametrize("tile,left_row", [(0, 0), (1, 0), (2, 0), (0, 5), (0, 10)],
+                             ids=["0", "1", "2", "left-row-5", "left-row-10"])
+    def test_exception_in_a_tile_leaves_main(self, tile, left_row, monkeypatch):
+        # at (2, 9) the 16 left rows are cut into slices 0-4, 5-9 and 10-15
+        # for 3 workers, and worker k checks slice k of every tile: tiles 0
+        # to 2 with left row 0 fail in worker 0, the calling thread, and
+        # left rows 5 and 10 in the two threads it spawned.  Every worker is
+        # joined before the exception leaves main
         dft_rows = checks._dft_rows
+        raised_in = []
 
         def failing(t, p):
             dft_tile = dft_rows(t, p)
-            r = t // p
 
             def tile_or_fail(j, table, index, out):
                 gather = dft_tile(j, table, index, out)
 
                 def gather_or_fail(i):
-                    if i * r + j == checks._TILE_ROWS * tile:
-                        raise RuntimeError(f"tile {tile} failed")
+                    if (i, j) == (left_row, checks._TILE_ROWS * tile):
+                        raised_in.append(threading.current_thread())
+                        raise RuntimeError(f"left row {i} of tile {tile} failed")
                     return gather(i)
                 return gather_or_fail
             return tile_or_fail
@@ -249,9 +253,11 @@ class TestVerify:
         monkeypatch.setattr(checks, "_dft_rows", failing)
         monkeypatch.setattr(cli, "_render_workers", lambda: 3)
         threads = threading.active_count()
-        with pytest.raises(RuntimeError, match=f"tile {tile} failed"):
+        with pytest.raises(RuntimeError, match=f"left row {left_row} of tile {tile} failed"):
             main(["verify", "--radix", "2", "--digits", "9"])
         assert threading.active_count() == threads
+        assert len(raised_in) == 1
+        assert (raised_in[0] is threading.main_thread()) == (left_row == 0)
 
     @pytest.mark.parametrize("q,n", [(2, 1), (7, 1), (600, 1), (2, 3), (7, 2), (3, 5),
                                      (2, 9)])
