@@ -3,17 +3,16 @@
 Pruning a controlled phase with denominator exponent s removes a factor
 ``exp(-2j*pi * c*t / q**s)`` from one output bracket.  This module gives
 the single-gate error factor in closed, series, and trigonometric form,
-the two closed-form worst-case bounds for multi-gate pruning, and a
-measurement of the actual dropped phase over every basis input.  On a basis
-input the QFT register stays a product of single-digit states, one per
-output bracket, so the measurement runs every input through the
-product-state simulator (``n*q`` amplitudes per input) and no input through
-the dense one, and runs only the pruned circuit, once.  At every input its
-slots are checked against their closed form, the product form of the QFT
-(Griffiths and Niu, PRL 76, 3228, 1996) with the dropped phases taken out
-(Coppersmith, IBM RC19642, 1994).  Phase magnitudes are accumulated from
-the dropped-gate exponents directly, never recovered through ``arg()``, so
-values above pi are reported without wrap-around.
+the two closed-form worst-case bounds for multi-gate pruning, and the
+actual worst dropped phase over every basis input.  No input but one is
+simulated: the pruned circuit's phase table, in integers, must be the
+DFT's less the dropped gates (Coppersmith, IBM RC19642, 1994, over the
+product form of Griffiths and Niu, PRL 76, 3228, 1996), and the input whose
+digits are all q - 1 attains every maximum; the product-state simulator
+runs that input, its slots checked against their closed form.  Phase
+magnitudes are accumulated from the dropped-gate exponents directly, never
+recovered through ``arg()``, so values above pi are reported without
+wrap-around.
 
 Only ``cli``'s bounds and compare-radix handlers import this module,
 inside the handler, so the other commands never compile it.  Its report
@@ -28,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import _run_product, build_qft_circuit
+from .circuit import CONTROLLED_PHASE, Circuit, _run_product, build_qft_circuit
 from .numerics import CrossCheckError, check_params
 
 # Simulated slots must agree with their closed form, which holds the
@@ -36,18 +35,6 @@ from .numerics import CrossCheckError, check_params
 # means the circuit and the closed form have diverged and is reported as an
 # error rather than a measurement.
 _CROSS_CHECK_TOL = 1e-9
-
-# The measurement runs max(1, _CHUNK_AMPLITUDES // (n*q)) basis inputs at a
-# time through the product-state simulator, so each of its buffers holds
-# about _CHUNK_AMPLITUDES amplitudes (2 MiB at complex128).  2**17 was the
-# fastest of 2**15 to 2**19 at (q, n) = (2, 18) and (4, 9).  The traced
-# peak of a report is 1.9 MiB at (3, 7, 2), 4.3 MiB at (2048, 1, 1) and
-# 5.5 MiB at (2, 16, 3): the chunk's slots, their closed form and the
-# pruned circuit's tables, of up to q**keep_depth roots (2.6, 7.2 and 9.4
-# MiB while the exact circuit also ran, its tables up to q**n roots; 6.1
-# and 108 MiB at the first two with dense boundary chunks, whose (rows,
-# q**n) buffers and q x q gate set it).
-_CHUNK_AMPLITUDES = 2 ** 17
 
 
 class BoundRow(NamedTuple):
@@ -137,14 +124,12 @@ def bound_new(q: int, fraction_len: int, dropped_count: int) -> float:
 
 
 def _dropped_gates(keep_depth: int | None, target_digit: int) -> list[tuple[int, int]]:
-    """(control, denom_exp) pairs pruned from the target's bracket."""
+    """(control, denom_exp) pairs pruned from the target's bracket: the
+    controls ``k`` whose exponent ``target_digit - k + 1`` passes the keep
+    depth, in rising order."""
     if keep_depth is None:
         return []
-    return [
-        (k, target_digit - k + 1)
-        for k in range(target_digit)
-        if target_digit - k + 1 > keep_depth
-    ]
+    return [(k, target_digit - k + 1) for k in range(target_digit - keep_depth + 1)]
 
 
 def _expected_slots(q: int, n: int, x: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -169,77 +154,100 @@ def _expected_slots(q: int, n: int, x: np.ndarray, shifts: np.ndarray) -> np.nda
     return np.cumprod(slots, axis=1, out=slots)
 
 
+def _phase_table(circuit: Circuit) -> tuple[int, list[list[int]]] | None:
+    """The circuit's phase table ``(N, E)``, or None where it has none.
+
+    A circuit with one Chrestenson gate per digit, whose controlled phases
+    each come after their target's gate and read a control that is still a
+    basis digit, maps basis input ``x`` to a product state: slot ``l``,
+    component ``z_l``, is ``exp(-2j*pi * sum_a E[a][l] * x_a * z_l / q**N)
+    / sqrt(q)``, ``N = max(n, largest denom_exp)``.  ``E`` is the n x n
+    table of those coefficients, Python ints mod ``q**N``: a Chrestenson
+    gate on digit ``l`` adds ``q**(N-1)`` at ``(l, l)``, and a phase ``(c,
+    t, s)`` adds ``q**(N-s)`` at ``(c, t)``.  None where the form does not
+    hold: a digit with other than one Chrestenson gate, a phase before its
+    target's gate or on a control already transformed, or no output
+    reversal.
+    """
+    q, n = circuit.radix, circuit.digits
+    big = max([n] + [op.denom_exp for op in circuit.ops if op.denom_exp is not None])
+    table = [[0] * n for _ in range(n)]
+    transformed = set()
+    for op in circuit.ops:
+        # a Chrestenson gate weighs its own digit as a phase of exponent 1;
+        # it must meet that digit untransformed, and a phase its target
+        # transformed and its control not
+        phase = op.kind == CONTROLLED_PHASE
+        control, s = (op.control, op.denom_exp) if phase else (op.target, 1)
+        if control in transformed or (op.target in transformed) != phase:
+            return None
+        transformed.add(op.target)
+        table[control][op.target] += q ** (big - s)
+    if len(transformed) < n or not circuit.reverse_output_digits:
+        return None
+    return big, [[entry % q ** big for entry in row] for row in table]
+
+
 def _bracket_phase_maxima(q: int, n: int, keep_depth: int | None) -> list[float]:
     """Worst dropped phase on every bracket's |1> component, in target order.
 
-    Runs the pruned circuit once on every basis input through the
-    product-state simulator ``_run_product``, ``max(1, _CHUNK_AMPLITUDES //
-    (n*q))`` inputs at a time.  Its bracket l lacks ``exp(-1j*t*shift)``,
-    with ``shift`` the sum of its dropped controlled-phase exponents, so at
-    every input each of its slots must equal the closed form
-    ``_expected_slots``, component 0 included; the maxima are taken over
-    that (unwrapped) sum.  The comparison is at unit modulus (a slot
-    component has modulus ``1/sqrt(q)``), and a NaN slot fails.  Chunks
-    rise in input order, so the first mismatch raises ``CrossCheckError``
-    naming the smallest failing input.
+    The pruned circuit's phase table (``_phase_table``) must equal the
+    DFT's, ``q**(N-1-l+a)`` at ``(a, l)`` for ``a <= l``, less the gates
+    ``_dropped_gates`` reports; the first differing (control, target) entry
+    raises ``CrossCheckError``.  Bracket ``l`` then lacks the sum of
+    ``2*pi*x_k / q**s`` over its dropped gates ``(k, s)``.  Each term is
+    nondecreasing in its digit and rounding is monotone, so the input
+    ``q**n - 1``, every digit ``q - 1``, attains every maximum over all
+    inputs bit for bit.  The pruned circuit runs through ``_run_product``
+    at that input alone, and its slots must equal ``_expected_slots``,
+    component 0 included, at unit modulus (a slot component has modulus
+    ``1/sqrt(q)``); a mismatch or a NaN raises ``CrossCheckError`` naming
+    the input, component and digit.
     """
-    dim = q ** n
-    dropped = [_dropped_gates(keep_depth, l) for l in range(n)]
     pruned = build_qft_circuit(q, n, keep_depth)
-    scale = math.sqrt(q)
-
-    def shifts_of(x):
-        digits = [(x // q ** k) % q for k in range(n)]
-        shifts = np.zeros((n, len(x)))
-        for l in range(n):
-            for k, s in dropped[l]:
-                shifts[l] += 2.0 * math.pi * digits[k] / q ** s
-        return shifts
-
-    # the Chrestenson gate's q scaled roots and the roots-of-unity tables,
-    # of up to q**keep_depth entries, are built once for the whole pass
-    cache = {}
-    rows = max(1, _CHUNK_AMPLITUDES // (n * q))
-    maxima = np.zeros(n)
-    for start in range(0, dim, rows):
-        x = np.arange(start, min(start + rows, dim))
-        shifts = shifts_of(x)
-        distance = _expected_slots(q, n, x, shifts)
-        distance -= _run_product(pruned, x, cache, dim)
-        # (input, digit, component) order, so argmax finds the smallest input
-        failed = ~(np.abs(distance.transpose(2, 0, 1)) * scale <= _CROSS_CHECK_TOL)
-        del distance  # before the next chunk's slots are built beside it
-        if failed.any():
-            row, l, t = np.unravel_index(np.argmax(failed), failed.shape)
-            raise CrossCheckError(
-                "simulated bracket phase disagrees with the dropped-gate "
-                f"exponent sum at input {int(x[row])}, component {int(t)} "
-                f"(target digit {int(l)})"
-            )
-        maxima = np.maximum(maxima, shifts.max(axis=1))
-    return [float(worst) for worst in maxima]
+    certificate = _phase_table(pruned)
+    if certificate is None:
+        raise CrossCheckError("the pruned circuit has no phase table")
+    big, table = certificate
+    expected = [[q ** (big - 1 - l + a) if a <= l else 0 for l in range(n)] for a in range(n)]
+    maxima = [0.0] * n
+    for l in range(n):
+        for k, s in _dropped_gates(keep_depth, l):
+            expected[k][l] -= q ** (big - s)
+            maxima[l] += 2.0 * math.pi * (q - 1) / q ** s
+    wrong = [(a, l) for a in range(n) for l in range(n)
+             if table[a][l] != expected[a][l] % q ** big]
+    if wrong:
+        raise CrossCheckError("phase table of the pruned circuit differs from the DFT's "
+                              "less the dropped gates at control digit {}, target digit {}"
+                              .format(*wrong[0]))
+    if q ** n > 2 ** 63 - 1:  # the input below and its slot moduli are int64
+        raise ValueError(f"bounds needs q**n in int64, not q={q}, n={n}")
+    x = np.array([q ** n - 1])
+    distance = _expected_slots(q, n, x, maxima) - _run_product(pruned, x)
+    failed = np.argwhere(~(np.abs(distance[:, :, 0]) * math.sqrt(q) <= _CROSS_CHECK_TOL))
+    if len(failed):
+        raise CrossCheckError(
+            "simulated bracket phase disagrees with the dropped-gate exponent sum at "
+            "input {}, component {} (target digit {})".format(x[0], *failed[0, ::-1])
+        )
+    return maxima
 
 
 def approximation_report(q: int, n: int, keep_depth: int | None) -> list[BoundRow]:
     """One BoundRow per output bracket for the given pruning depth.
 
-    Every row's measurement comes from one pass over the basis inputs, which
-    runs the pruned circuit once through the product-state simulator in
-    chunks of inputs, with work per input that grows with the gate count
-    and ``n*q`` rather than with ``q**n``.  At every input its slots are
-    compared with their closed form (``_expected_slots``), and a mismatch
-    raises ``CrossCheckError``.  No dense simulation runs and no q x q gate
-    is built: each buffer holds about ``_CHUNK_AMPLITUDES`` amplitudes.
+    The measurements come from ``_bracket_phase_maxima``: ``O(n**2)``
+    integer work on the pruned circuit's phase table, and one run of the
+    product-state simulator at one input, ``n*q`` amplitudes, whatever
+    ``q**n`` is.  A failed check raises ``CrossCheckError``.  No dense
+    simulation runs and no q x q gate is built.
     """
     check_params(radix=q, digits=n, keep_depth=keep_depth)
-    maxima = _bracket_phase_maxima(q, n, keep_depth)
     rows = []
-    for target_digit, measured in enumerate(maxima):
+    for target_digit, measured in enumerate(_bracket_phase_maxima(q, n, keep_depth)):
         fraction_len = target_digit + 1
-        if keep_depth is None:
-            dropped_count = 0
-        else:
-            dropped_count = max(0, fraction_len - keep_depth)
+        dropped_count = len(_dropped_gates(keep_depth, target_digit))
         rows.append(
             BoundRow(
                 radix=q,

@@ -65,7 +65,7 @@ BOUND_ULPS = 16
 
 def _parallel_max(work, items, workers: int) -> float:
     """``np.max`` of ``work(items[w::W])`` over the workers ``w < W``,
-    ``W = min(workers, len(items))``: item k goes to worker ``k % W``.
+    ``W = max(1, min(workers, len(items)))``: item k goes to worker ``k % W``.
     Worker 0 is the calling thread and the others are threads of their
     own, so ``work`` should spend its time in numpy calls, which release
     the GIL.  Each ``work`` returns the largest value of its items; the
@@ -73,7 +73,7 @@ def _parallel_max(work, items, workers: int) -> float:
     result is the same bit for bit for every ``workers``, and a NaN from
     any worker makes it NaN.  A worker's exception is raised once all have
     ended."""
-    workers = min(workers, len(items))
+    workers = max(1, min(workers, len(items)))
     maxima = [np.nan] * workers
     errors = [None] * workers
 
@@ -117,7 +117,7 @@ def unitarity_residual(a, workers: int = 1) -> float:
     """
     a = _as_matrix(a)
     _require_square(a)
-    workers = min(workers, max(1, RESIDUAL_BLOCK_BYTES // max(1, a[:BLOCK_ROWS].nbytes)))
+    workers = min(workers, max(1, RESIDUAL_BLOCK_BYTES // a[:BLOCK_ROWS].nbytes))
 
     def blocks(starts) -> float:
         maxima = []

@@ -12,10 +12,11 @@ the QFT's do.  The register then stays a product of n single-digit states,
 so each input costs ``n*q`` amplitudes instead of ``q**n``.  Its
 ``(n, q, len(x))`` slots are the factors that ``_output_factors`` lists in
 output-digit order, with no copy.  It serves every basis input: ``bounds``
-checks each input's slots against their closed form (the exact QFT's
-slots of ``qft_slots`` with the dropped phases taken out, formed in
-``analysis``), and ``_outer_rows`` multiplies them out into output
-states, from which ``dense.circuit_to_matrix`` compiles such a circuit.
+runs it at one input and checks the slots against their closed form (the
+exact QFT's slots of ``qft_slots`` with the dropped phases taken out,
+formed in ``analysis``), and ``_outer_rows`` multiplies them out into
+output states, from which ``dense.circuit_to_matrix`` compiles such a
+circuit.
 The CLI reads them only as two halves at every width (``_product_halves``),
 neither held whole: the left one as its period block (at n = 1 a single
 1), expanded a row at a time (``_left_rows``), and the right one as the
@@ -55,8 +56,8 @@ _MAX_PHASE_MODULUS = 2 ** 62
 _INT64_MAX = 2 ** 63 - 1
 
 # Entries of a slot that _run_product's first Chrestenson gate gathers at
-# a time, and of their int64 index (32 KiB).  bounds at (2048, 1, 1), whose
-# chunks hold 64 inputs, took 1.36 s gathering one row per call and 0.86 s
+# a time, and of their int64 index (32 KiB).  bounds at (2048, 1, 1), while
+# its chunks held 64 inputs, took 1.36 s gathering one row per call and 0.86 s
 # in blocks of this many entries, as while it copied columns of the q x q
 # gate (2-vCPU VM, 8 alternating child runs each).
 _GATHER_ENTRIES = 2 ** 12
@@ -213,10 +214,10 @@ def qft_slots(q: int, n: int, x) -> np.ndarray:
     76, 3228, 1996; Nielsen and Chuang, section 5.1).  It is built from
     numpy alone, not from ``gates`` or either simulator, so it can check
     both.  No command calls it: it is library API and the tests' reference,
-    and ``bounds`` forms the pruned circuit's slots in closed form itself
-    (``analysis._expected_slots``).  The exponent ``t*(x mod q**(l+1))``
-    is formed exactly in int64, so ``(q-1) * q**n`` must fit there
-    (``ValueError`` otherwise).
+    and ``bounds`` forms the pruned circuit's slots at its one input in
+    closed form itself (``analysis._expected_slots``).  The exponent
+    ``t*(x mod q**(l+1))`` is formed exactly in int64, so ``(q-1) * q**n``
+    must fit there (``ValueError`` otherwise).
     """
     check_params(radix=q, digits=n)
     if n > 62 or (q - 1) * q ** n > _INT64_MAX:
@@ -233,18 +234,14 @@ def qft_slots(q: int, n: int, x) -> np.ndarray:
     return slots
 
 
-def _roots(exponent: np.ndarray, modulus: int, largest_table: int,
-           tables: dict) -> np.ndarray:
+def _roots(exponent: np.ndarray, modulus: int) -> np.ndarray:
     """``roots_of_unity(exponent, modulus)``, read from a table of all
-    ``modulus`` roots when that table holds at most ``largest_table``
-    entries, and evaluated directly otherwise.  Each entry is the same
-    once-rounded long-double value either way.  ``tables`` keeps every
-    table built, keyed by modulus, for later calls."""
-    if modulus > largest_table:
+    ``modulus`` roots when that table is no larger than ``exponent``, and
+    evaluated directly otherwise.  Each entry is the same once-rounded
+    long-double value either way."""
+    if modulus > exponent.size:
         return roots_of_unity(exponent, modulus)
-    if modulus not in tables:
-        tables[modulus] = roots_of_unity(np.arange(modulus), modulus)
-    return tables[modulus][exponent]
+    return roots_of_unity(np.arange(modulus), modulus)[exponent]
 
 
 def _run_exponent(q: int, m: int, ops, digit) -> np.ndarray:
@@ -297,8 +294,7 @@ def _breaks_product(circuit: Circuit) -> GateOp | None:
     return None
 
 
-def _run_product(circuit: Circuit, x: np.ndarray, cache: dict,
-                 largest_table: int) -> np.ndarray:
+def _run_product(circuit: Circuit, x: np.ndarray) -> np.ndarray:
     """Apply a circuit to basis inputs ``x`` as a product of single-digit states.
 
     Returns a C-contiguous ``(n, q, len(x))`` complex128 array whose slot
@@ -323,12 +319,7 @@ def _run_product(circuit: Circuit, x: np.ndarray, cache: dict,
     ``_run_exponent`` over the target's shifts with the components
     ``1..q-1`` as its digit and the inputs' basis digits as the controls.
     The run-wide ``m`` keeps each phase the value ``dense._fused_phases``
-    rounds.  Its phases are read from a table of the ``q**m`` roots of unity where
-    that table holds at most ``largest_table`` entries, and evaluated
-    directly otherwise; each is the same once-rounded value either way.
-    The scaled roots and the tables are kept in ``cache``: a caller that
-    runs every input in chunks passes one dict to every call, so each is
-    built once.
+    rounds, and ``_roots`` evaluates them.
     """
     q = circuit.radix
     n = circuit.digits
@@ -344,9 +335,7 @@ def _run_product(circuit: Circuit, x: np.ndarray, cache: dict,
     # digit-major, so each slot and each digit row is contiguous
     slots = np.zeros((n, q, len(x)), dtype=np.complex128)
     np.put_along_axis(slots, digits[:, np.newaxis], 1.0, axis=1)
-    if ("chrestenson roots", q) not in cache:
-        cache["chrestenson roots", q] = chrestenson_roots(q)
-    roots = cache["chrestenson roots", q]
+    roots = chrestenson_roots(q)
     block = max(1, _GATHER_ENTRIES // max(1, len(x)))
     # component 0 of every target keeps phase 1
     component = np.arange(1, q, dtype=np.int64)[:, np.newaxis]
@@ -375,7 +364,7 @@ def _run_product(circuit: Circuit, x: np.ndarray, cache: dict,
                 q, m, [op for op in run if op.target == target],
                 lambda d: component if d == target else digits[d],
             )
-            slots[target, 1:] *= _roots(exponent, q ** m, largest_table, cache)
+            slots[target, 1:] *= _roots(exponent, q ** m)
     return slots
 
 
@@ -402,9 +391,8 @@ def _last_operands(factors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 def _output_factors(circuit: Circuit, x) -> list[np.ndarray]:
     """The ``(q, len(x))`` slots of ``_run_product`` on basis inputs ``x``
-    in output-digit order, most significant first; a roots-of-unity table
-    is built only where it holds at most ``len(x)`` entries."""
-    slots = _run_product(circuit, x, {}, len(x))
+    in output-digit order, most significant first."""
+    slots = _run_product(circuit, x)
     # slot l is output digit n-1-l when the circuit reverses, l otherwise
     return list(slots if circuit.reverse_output_digits else slots[::-1])
 

@@ -105,21 +105,23 @@ from .numerics import (
 # apply and bounds refuse registers of more amplitudes than this, so that
 # their peak RSS stays within a 512 MiB budget.  At 2**20 amplitudes (2-vCPU
 # Linux VM, ru_maxrss of the child) apply peaked at 269 MiB from --in, most
-# of it the parsed JSON list of pairs, and bounds at 37 MiB (q=2,
-# keep-depth 3, and q=4, keep-depth 2).  Every array they allocate
-# is O(q**n), and each state exists once: a StateVector holds the array its
+# of it the parsed JSON list of pairs.  Every array apply allocates is
+# O(q**n), and each state exists once: a StateVector holds the array its
 # producer built, not a copy.  apply --basis holds no state: it renders
 # each chunk from the product halves, and peaked at 33 MiB at 2**20, 2**19
 # and 3**12 alike and at 31 MiB at 2**10; the limit still applies to it.
+# bounds runs one input, so its peak does not grow with q**n: 29.6 MiB at
+# 2**20 in 0.12-0.20 s, 28.4 MiB of it importing this module (37 MiB and up
+# to 60 s while it ran every input).
 MAX_STATE_DIM = 2 ** 20
 
 # apply and bounds also refuse a radix above this.  Neither builds the q x q
 # Chrestenson gate or runs the dense simulator on a basis input: at n = 1
 # (same VM) apply --basis peaked at 32 MiB with radix 2048, as at 2**10
-# (126 MiB while it built the gate), and bounds at 35 MiB with keep depth 1
-# (137 MiB while its two dense boundary chunks built the gate).  Memory
+# (126 MiB while it built the gate), and bounds at 29.6 MiB with keep depth
+# 1 (137 MiB while its two dense boundary chunks built the gate).  Memory
 # would admit a larger radix; the limit stays at the largest radix measured
-# until its time budget is decided (at 2048 bounds took 0.20-0.26 s, apply
+# until its time budget is decided (at 2048 bounds took 0.11-0.17 s, apply
 # 0.12-0.13 s).
 MAX_RADIX = 2048
 

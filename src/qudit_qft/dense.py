@@ -156,8 +156,7 @@ def _fused_phases(q: int, n: int, ops: tuple[GateOp, ...]) -> np.ndarray:
     m = max(op.denom_exp for op in ops)
     values = np.arange(q, dtype=np.int64)
     exponent = _run_exponent(q, m, ops, lambda d: _along_digit(q, n, d, values))
-    # a table larger than the exponents it is indexed by would not pay
-    phases = _roots(exponent, q ** m, exponent.size, {})
+    phases = _roots(exponent, q ** m)
     return np.broadcast_to(phases, (q,) * n).reshape(q ** n)
 
 

@@ -55,8 +55,9 @@ class UsageError(Exception):
 
 
 class CrossCheckError(RuntimeError):
-    """A simulated bracket phase disagrees with its dropped-exponent sum;
-    the CLI exits with code 1."""
+    """The pruned circuit's phase table is not the DFT's less the dropped
+    gates, or its simulated slots disagree with their closed form at the
+    input ``bounds`` runs; the CLI exits with code 1."""
 
 
 def _render_workers() -> int:
@@ -83,8 +84,8 @@ def _as_matrix(a) -> np.ndarray:
 
 
 def _require_square(m: np.ndarray) -> None:
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.shape[0] != m.shape[1] or not m.size:
+        raise ValueError(f"expected a square matrix of at least one row, got shape {m.shape}")
 
 
 def max_entry_distance(a, b) -> float:

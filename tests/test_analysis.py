@@ -18,10 +18,12 @@ from qudit_qft import (
     phase_error_trig,
 )
 from qudit_qft import circuit as circuit_module
+from qudit_qft.circuit import Circuit, GateOp, build_qft_circuit
 from qudit_qft import dense as dense_module
 from qudit_qft import gates as gates_module
 from qudit_qft.numerics import CrossCheckError
 from qudit_qft.cli import main
+from qudit_qft.dense import circuit_to_matrix
 
 
 def brute_force_maxima(q, n, keep_depth):
@@ -192,6 +194,16 @@ class TestMeasurement:
         expected = 2 * math.pi * (q ** dropped - 1) / q ** fraction_len
         assert abs(measured - expected) < 1e-12
 
+    def test_largest_registers_in_int64(self):
+        # the report runs the input q**n - 1, and its slot moduli reach
+        # q**n: both are int64, and a larger register is refused
+        for q, n in [(2, 62), (3, 39)]:
+            row = approximation_report(q, n, 3)[-1]
+            assert abs(row.measured_t1 - row.bound_new) < 1e-12
+        for q, n in [(2, 63), (3, 40)]:
+            with pytest.raises(ValueError, match=r"q\*\*n in int64"):
+                approximation_report(q, n, 3)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             approximation_report(3, 3, 0)
@@ -245,9 +257,9 @@ def record_product_calls(monkeypatch):
     calls, reference_inputs = [], []
     original, reference = analysis._run_product, analysis._expected_slots
 
-    def recording(circuit, x, cache, largest_table):
+    def recording(circuit, x):
         calls.append((circuit, x.copy()))
-        return original(circuit, x, cache, largest_table)
+        return original(circuit, x)
 
     def recording_reference(q, n, x, shifts):
         reference_inputs.append(np.array(x, copy=True))
@@ -258,20 +270,65 @@ def record_product_calls(monkeypatch):
     return calls, reference_inputs
 
 
-def assert_one_product_run_per_chunk(calls, reference_inputs, q, n, keep_depth):
-    """One product run per chunk and no other: each chunk runs the pruned
-    circuit once, the chunks cover every input once, in order, and every
-    chunk but the last holds ``max(1, _CHUNK_AMPLITUDES // (n*q))`` inputs.
-    The closed-form reference is built once per chunk, on the chunk's
-    inputs."""
+def nudge_product(monkeypatch, q, n, keep_depth, nudges, factor=cmath.exp(1e-6j)):
+    """Multiply the pruned circuit's product-run slots by ``factor`` at each
+    ``(input, digit, component)`` of ``nudges``; a component of None
+    nudges the whole slot."""
     pruned = analysis.build_qft_circuit(q, n, keep_depth)
-    assert [circuit for circuit, _ in calls] == [pruned] * len(calls)
-    chunks = [x for _, x in calls]
-    assert [x.tolist() for x in chunks] == [x.tolist() for x in reference_inputs]
+    original = analysis._run_product
+
+    def nudged(circuit, x):
+        out = original(circuit, x)
+        if circuit == pruned:
+            for value, digit, component in nudges:
+                out[digit, slice(None) if component is None else component,
+                    x == value] *= factor
+        return out
+
+    monkeypatch.setattr(analysis, "_run_product", nudged)
+
+
+def every_input_pass(q, n, keep_depth, rows):
+    """The every-input comparison that the phase-table certificate and the
+    one witness input stand in for: the pruned circuit on every basis input
+    through ``_run_product``, ``rows`` inputs at a time in rising order,
+    each input's slots held to ``_expected_slots`` with that input's own
+    dropped phases, at unit modulus.  Returns the worst dropped phase of
+    every bracket over all inputs; the first mismatch or NaN raises
+    ``CrossCheckError`` naming the smallest failing input.  It reads the
+    analysis's engine and reference at call time, so their nudges reach
+    it."""
     dim = q ** n
-    rows = max(1, analysis._CHUNK_AMPLITUDES // (n * q))
-    assert all(len(x) == rows for x in chunks[:-1])
-    assert np.array_equal(np.concatenate(chunks), np.arange(dim))
+    dropped = [analysis._dropped_gates(keep_depth, l) for l in range(n)]
+    pruned = analysis.build_qft_circuit(q, n, keep_depth)
+    maxima = np.zeros(n)
+    for start in range(0, dim, rows):
+        x = np.arange(start, min(start + rows, dim))
+        digits = [(x // q ** k) % q for k in range(n)]
+        shifts = np.zeros((n, len(x)))
+        for l in range(n):
+            for k, s in dropped[l]:
+                shifts[l] += 2.0 * math.pi * digits[k] / q ** s
+        distance = analysis._expected_slots(q, n, x, shifts)
+        distance -= analysis._run_product(pruned, x)
+        # (input, digit, component) order, so argmax finds the smallest input
+        failed = ~(np.abs(distance.transpose(2, 0, 1)) * math.sqrt(q)
+                   <= analysis._CROSS_CHECK_TOL)
+        if failed.any():
+            row, l, t = np.unravel_index(np.argmax(failed), failed.shape)
+            raise CrossCheckError(f"input {x[row]}, component {t} (target digit {l})")
+        maxima = np.maximum(maxima, shifts.max(axis=1))
+    return [float(worst) for worst in maxima]
+
+
+# every (q, n) with q**n <= 1024
+SMALL_SIZES = [(q, n) for n in range(1, 11) for q in range(2, 1025) if q ** n <= 1024]
+
+
+def distinct_keep_depths(n):
+    """The keep depths that build distinct circuits of n digits: None and
+    every depth below n (a depth of n or more keeps every gate)."""
+    return [None, *range(1, n)]
 
 
 class TestOneSimulationPerReport:
@@ -284,43 +341,22 @@ class TestOneSimulationPerReport:
         assert [row.measured_max_t for row in rows] == [(q - 1) * w for w in expected]
 
     def test_one_simulation_per_circuit(self, monkeypatch):
+        # one run of the pruned circuit and of the reference, both at the
+        # input 80, whose digits are all 2
         calls, reference_inputs = record_product_calls(monkeypatch)
         approximation_report(3, 4, 2)
-        assert len(calls) == 1  # the one chunk of 81
-        assert_one_product_run_per_chunk(calls, reference_inputs, 3, 4, 2)
+        assert [(circuit, x.tolist()) for circuit, x in calls] == [
+            (analysis.build_qft_circuit(3, 4, 2), [80])]
+        assert [x.tolist() for x in reference_inputs] == [[80]]
 
     @pytest.mark.parametrize("q,n,keep_depth", [(3, 3, 2), (2, 5, 2), (3, 3, None)])
     @pytest.mark.parametrize("rows_per_chunk", [1, 7])
-    def test_uneven_chunks_give_the_same_rows(self, monkeypatch, q, n, keep_depth,
-                                              rows_per_chunk):
-        dim = q ** n
-        whole = approximation_report(q, n, keep_depth)
-        calls, reference_inputs = record_product_calls(monkeypatch)
-        monkeypatch.setattr(analysis, "_CHUNK_AMPLITUDES", rows_per_chunk * dim)
-        assert approximation_report(q, n, keep_depth) == whole
-        rows = max(1, rows_per_chunk * dim // (n * q))
-        assert len(calls) == -(-dim // rows)
-        assert_one_product_run_per_chunk(calls, reference_inputs, q, n, keep_depth)
-
-    def test_gate_and_tables_are_built_once_per_report(self, monkeypatch):
-        # 81 and 12 product chunks: the number of gates and root tables
-        # built must not grow with chunks
-        builds = []
-        for name in ("chrestenson_gate", "roots_of_unity"):
-            original = getattr(circuit_module, name)
-
-            def counting(*args, original=original, name=name):
-                builds.append(name)
-                return original(*args)
-
-            monkeypatch.setattr(circuit_module, name, counting)
-        counts = []
-        for inputs_per_chunk in (1, 7):
-            monkeypatch.setattr(analysis, "_CHUNK_AMPLITUDES", inputs_per_chunk * 4 * 3)
-            builds.clear()
-            approximation_report(3, 4, 2)
-            counts.append(sorted(builds))
-        assert counts[0] == counts[1]
+    def test_uneven_chunks_give_the_same_rows(self, q, n, keep_depth, rows_per_chunk):
+        # the maxima over every input, in chunks of 1 and 7 inputs, are the
+        # report's, taken at one input, bit for bit
+        rows = approximation_report(q, n, keep_depth)
+        assert every_input_pass(q, n, keep_depth, rows_per_chunk) == [
+            row.measured_t1 for row in rows]
 
     def test_large_register_attains_the_closed_forms(self):
         # measured_t1 is a float sum of the dropped shifts, so it may sit
@@ -335,6 +371,132 @@ class TestOneSimulationPerReport:
                 assert abs(row.measured_t1 - witness) < 1e-12
 
 
+class TestEveryInputOracle:
+    """The every-input comparison that the certificate and the witness input
+    replaced, kept as the reference: the engine agrees with the closed form
+    at every input, and the report's maxima are the maxima over all
+    inputs, bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_small_size_and_keep_depth(self, n):
+        for q, width in SMALL_SIZES:
+            if width == n:
+                for keep_depth in distinct_keep_depths(n):
+                    rows = approximation_report(q, n, keep_depth)
+                    assert every_input_pass(q, n, keep_depth, q ** n) == [
+                        row.measured_t1 for row in rows], (q, n, keep_depth)
+
+    def test_a_keep_depth_of_n_or_more_keeps_every_gate(self):
+        for q, n in SMALL_SIZES:
+            assert build_qft_circuit(q, n, n) == build_qft_circuit(q, n)
+
+
+def dft_table(q, n, big):
+    """The DFT's phase table at modulus ``q**big``, output digits reversed."""
+    return [[q ** (big - 1 - l + a) if a <= l else 0 for l in range(n)] for a in range(n)]
+
+
+def matrix_from_table(q, n, big, table):
+    """The matrix that the phase table ``(big, table)`` describes: entry
+    ``(y, x)`` is ``q**(-n/2) * exp(-2j*pi * sum E[a][l] x_a z_l / q**big)``,
+    where ``z_l`` is digit ``n-1-l`` of ``y``."""
+    dim, modulus = q ** n, q ** big
+    index = np.arange(dim, dtype=np.int64)
+    digits = [(index // q ** k) % q for k in range(n)]
+    exponent = np.zeros((dim, dim), dtype=np.int64)
+    for l in range(n):
+        weight = sum(table[a][l] * digits[a] for a in range(n)) % modulus
+        exponent += np.multiply.outer(digits[n - 1 - l], weight)
+        exponent %= modulus
+    roots = np.exp(-2j * np.pi * np.arange(modulus) / modulus) / math.sqrt(dim)
+    return roots[exponent]
+
+
+def nudged_circuit(circuit, index, op):
+    """``circuit`` with its op ``index`` replaced by ``op`` (removed where
+    ``op`` is None, or inserted before it where ``index`` is a 1-tuple)."""
+    ops = list(circuit.ops)
+    if isinstance(index, tuple):
+        ops.insert(index[0], op)
+    elif op is None:
+        del ops[index]
+    else:
+        ops[index] = op
+    return Circuit(circuit.radix, circuit.digits, ops, circuit.reverse_output_digits)
+
+
+class TestPhaseTable:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_the_compiled_matrix(self, n):
+        for q, width in SMALL_SIZES:
+            if width == n:
+                for keep_depth in distinct_keep_depths(n):
+                    circuit = build_qft_circuit(q, n, keep_depth)
+                    big, table = analysis._phase_table(circuit)
+                    assert big == n
+                    rebuilt = matrix_from_table(q, n, big, table)
+                    assert np.abs(rebuilt - circuit_to_matrix(circuit)).max() <= 1e-13, (
+                        q, n, keep_depth)
+
+    @pytest.mark.parametrize("q,n", [(2, 62), (3, 39), (2, 12), (1024, 2), (4096, 1)])
+    def test_exact_circuit_is_the_dft(self, q, n):
+        assert analysis._phase_table(build_qft_circuit(q, n)) == (n, dft_table(q, n, n))
+
+    @pytest.mark.parametrize("q,n,keep_depth", [(3, 7, 2), (2, 20, 3), (1024, 2, 1),
+                                                (32, 4, 2), (7, 9, 3)])
+    def test_pruned_circuit_is_the_dft_less_the_dropped_gates(self, q, n, keep_depth):
+        expected = dft_table(q, n, n)
+        for l in range(n):
+            for k, s in analysis._dropped_gates(keep_depth, l):
+                expected[k][l] -= q ** (n - s)
+        table = analysis._phase_table(build_qft_circuit(q, n, keep_depth))
+        assert table == (n, expected)
+
+    # build_qft_circuit(3, 4): C3, P(2,3,2), P(1,3,3), P(0,3,4), C2, P(1,2,2),
+    # P(0,2,3), C1, P(0,1,2), C0
+    @pytest.mark.parametrize("index,op,none", [
+        (2, GateOp.controlled_phase(0, 3, 3), False),  # control 1 swapped for 0
+        (2, GateOp.controlled_phase(3, 1, 3), True),  # control and target swapped
+        (5, GateOp.controlled_phase(1, 2, 3), False),  # denom_exp 2 -> 3
+        (3, GateOp.controlled_phase(0, 3, 5), False),  # denom_exp past n: N = 5
+        (5, None, False),  # a phase missing
+        (4, None, True),  # a Chrestenson gate missing
+        ((5,), GateOp.controlled_phase(1, 2, 2), False),  # a phase doubled
+        ((0,), GateOp.controlled_phase(2, 3, 2), True),  # a phase before its gate
+        ((5,), GateOp.chrestenson(3), True),  # a second Chrestenson gate on digit 3
+        ((8,), GateOp.controlled_phase(2, 0, 2), True),  # a transformed control
+    ])
+    def test_a_nudged_circuit_has_another_table_or_none(self, index, op, none):
+        exact = build_qft_circuit(3, 4)
+        table = analysis._phase_table(nudged_circuit(exact, index, op))
+        assert (table is None) == none
+        assert table != analysis._phase_table(exact)
+
+    def test_no_output_reversal_has_no_table(self):
+        exact = build_qft_circuit(3, 4)
+        assert analysis._phase_table(Circuit(3, 4, exact.ops)) is None
+
+    @pytest.mark.parametrize("index,op,message", [
+        (1, GateOp.controlled_phase(0, 2, 2), "control digit 0, target digit 2"),
+        (1, GateOp.controlled_phase(1, 2, 3), "control digit 1, target digit 2"),
+        (3, GateOp.controlled_phase(0, 1, 3), "control digit 0, target digit 1"),
+        ((1,), GateOp.chrestenson(2), "the pruned circuit has no phase table"),
+    ])
+    def test_a_nudged_pruned_circuit_fails_bounds(self, monkeypatch, capsys, index, op,
+                                                  message):
+        # build_qft_circuit(3, 3, 2): C2, P(1,2,2), C1, P(0,1,2), C0
+        build = analysis.build_qft_circuit
+        monkeypatch.setattr(analysis, "build_qft_circuit",
+                            lambda *args: nudged_circuit(build(*args), index, op))
+        with pytest.raises(CrossCheckError, match=message):
+            approximation_report(3, 3, 2)
+        code = main(["bounds", "--radix", "3", "--digits", "3", "--keep-depth", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("verification failed: ") and message in captured.err
+
+
 class TestCrossCheck:
     def test_catches_an_omitted_dropped_pair(self, monkeypatch, capsys):
         original = analysis._dropped_gates
@@ -343,7 +505,7 @@ class TestCrossCheck:
             return original(keep_depth, target_digit)[1:]
 
         monkeypatch.setattr(analysis, "_dropped_gates", missing_one)
-        with pytest.raises(CrossCheckError):
+        with pytest.raises(CrossCheckError, match="control digit 0, target digit 2"):
             approximation_report(3, 3, 2)
         code = main(["bounds", "--radix", "3", "--digits", "3", "--keep-depth", "2"])
         captured = capsys.readouterr()
@@ -355,8 +517,8 @@ class TestCrossCheck:
     def test_names_the_first_failing_input_and_component(self, monkeypatch,
                                                          rows_per_chunk):
         # Nudge the reference's |2> component of bracket 1 at the last
-        # input: the pruned circuit now disagrees with it there, and only
-        # there, in the last chunk.
+        # input, the report's witness: the pruned circuit now disagrees with
+        # it there, and only there, in the last chunk of the every-input pass.
         original = analysis._expected_slots
 
         def nudged(q, n, x, shifts):
@@ -365,32 +527,28 @@ class TestCrossCheck:
             return out
 
         monkeypatch.setattr(analysis, "_expected_slots", nudged)
-        monkeypatch.setattr(analysis, "_CHUNK_AMPLITUDES", rows_per_chunk * 27)
-        with pytest.raises(CrossCheckError, match=r"input 26, component 2 \(target digit 1\)"):
+        message = r"input 26, component 2 \(target digit 1\)"
+        with pytest.raises(CrossCheckError, match=message):
             approximation_report(3, 3, 2)
+        with pytest.raises(CrossCheckError, match=message):
+            every_input_pass(3, 3, 2, rows_per_chunk)
 
     @pytest.mark.parametrize("rows_per_chunk", [1, 7, 27])
     def test_product_check_names_a_mid_range_input(self, monkeypatch, rows_per_chunk):
         # A nudge of input 13's |2> component of bracket 1, away from both
-        # ends of the input range, is seen.  In the second case input 14 is
-        # nudged too, on a lower digit and component, in the same product
-        # chunk of 3, 21 or 81 inputs: the smaller input is still named,
-        # where a digit-first search would name 14.
-        pruned = analysis.build_qft_circuit(3, 3, 2)
-        original = analysis._run_product
-        monkeypatch.setattr(analysis, "_CHUNK_AMPLITUDES", rows_per_chunk * 27)
+        # ends of the input range, is seen by the every-input pass.  In the
+        # second case input 14 is nudged too, on a lower digit and
+        # component, in the same chunk of 7 or 27 inputs: the smaller input
+        # is still named, where a digit-first search would name 14.  The
+        # report reads input 26 alone and comes out whole: a fault of the
+        # engine at another input is the every-input pass's to find.
+        whole = approximation_report(3, 3, 2)
         for nudges in ([(13, 1, 2)], [(13, 1, 2), (14, 0, 1)]):
-            def nudged(circuit, x, cache, largest_table, nudges=nudges):
-                out = original(circuit, x, cache, largest_table)
-                if circuit == pruned:
-                    for value, digit, component in nudges:
-                        out[digit, component, x == value] *= cmath.exp(1e-6j)
-                return out
-
-            monkeypatch.setattr(analysis, "_run_product", nudged)
+            nudge_product(monkeypatch, 3, 3, 2, nudges)
             with pytest.raises(CrossCheckError,
                                match=r"input 13, component 2 \(target digit 1\)"):
-                approximation_report(3, 3, 2)
+                every_input_pass(3, 3, 2, rows_per_chunk)
+            assert approximation_report(3, 3, 2) == whole
 
     @pytest.mark.parametrize("reference_input,message", [
         (0, r"input 0, component 1 \(target digit 2\)"),
@@ -400,48 +558,32 @@ class TestCrossCheck:
                                                        message):
         # A fault in the reference (its bracket 2 |1> at input 0 or 26) and
         # one in the pruned run (at input 13), in chunks of 21 inputs: the
-        # smaller input is reported, whichever side is at fault.
-        pruned = analysis.build_qft_circuit(3, 3, 2)
-        reference, product = analysis._expected_slots, analysis._run_product
+        # every-input pass names the smaller input, whichever side is at
+        # fault.
+        reference = analysis._expected_slots
 
         def reference_nudged(q, n, x, shifts):
             out = reference(q, n, x, shifts)
             out[2, 1, x == reference_input] *= cmath.exp(1e-6j)
             return out
 
-        def product_nudged(circuit, x, cache, largest_table):
-            out = product(circuit, x, cache, largest_table)
-            if circuit == pruned:
-                out[1, 2, x == 13] *= cmath.exp(1e-6j)
-            return out
-
         monkeypatch.setattr(analysis, "_expected_slots", reference_nudged)
-        monkeypatch.setattr(analysis, "_run_product", product_nudged)
-        monkeypatch.setattr(analysis, "_CHUNK_AMPLITUDES", 7 * 27)
+        nudge_product(monkeypatch, 3, 3, 2, [(13, 1, 2)])
         with pytest.raises(CrossCheckError, match=message):
-            approximation_report(3, 3, 2)
+            every_input_pass(3, 3, 2, 21)
 
     def test_a_whole_slot_nudged_is_named_at_component_0(self, monkeypatch, capsys):
         # One common factor on every component of the pruned circuit's
-        # slot 1 at input 13: a ratio of components t and 0 would cancel
-        # it, but component 0 is held to the closed form too.
-        pruned = analysis.build_qft_circuit(3, 3, 2)
-        original = analysis._run_product
-
-        def nudged(circuit, x, cache, largest_table):
-            out = original(circuit, x, cache, largest_table)
-            if circuit == pruned:
-                out[1, :, x == 13] *= cmath.exp(1e-6j)
-            return out
-
-        monkeypatch.setattr(analysis, "_run_product", nudged)
-        with pytest.raises(CrossCheckError, match=r"input 13, component 0 \(target digit 1\)"):
+        # slot 1 at the witness input 26: a ratio of components t and 0
+        # would cancel it, but component 0 is held to the closed form too.
+        nudge_product(monkeypatch, 3, 3, 2, [(26, 1, None)])
+        with pytest.raises(CrossCheckError, match=r"input 26, component 0 \(target digit 1\)"):
             approximation_report(3, 3, 2)
         code = main(["bounds", "--radix", "3", "--digits", "3", "--keep-depth", "2"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert "input 13, component 0 (target digit 1)" in captured.err
+        assert "input 26, component 0 (target digit 1)" in captured.err
 
     def test_sensitivity_does_not_fall_with_the_radix(self, monkeypatch):
         # At radix 64 a slot component has modulus 1/8, so exp(5e-9j) moves
@@ -449,17 +591,9 @@ class TestCrossCheck:
         q, n, keep_depth = 64, 2, 1
         nudge = cmath.exp(5e-9j)
         assert abs(nudge - 1) / math.sqrt(q) < analysis._CROSS_CHECK_TOL < abs(nudge - 1)
-        pruned = analysis.build_qft_circuit(q, n, keep_depth)
-        original = analysis._run_product
-
-        def nudged(circuit, x, cache, largest_table):
-            out = original(circuit, x, cache, largest_table)
-            if circuit == pruned:
-                out[1, 1, x == 1] *= nudge
-            return out
-
-        monkeypatch.setattr(analysis, "_run_product", nudged)
-        with pytest.raises(CrossCheckError, match=r"input 1, component 1 \(target digit 1\)"):
+        nudge_product(monkeypatch, q, n, keep_depth, [(q ** n - 1, 1, 1)], nudge)
+        with pytest.raises(CrossCheckError,
+                           match=r"input 4095, component 1 \(target digit 1\)"):
             approximation_report(q, n, keep_depth)
 
 
@@ -468,12 +602,15 @@ class TestSlotOracle:
     def test_conjugated_roots_fail(self, q, n, keep_depth, monkeypatch, capsys):
         # Conjugated Chrestenson roots turn the pruned circuit into a pruned
         # inverse QFT (at q = 2 the roots are real, and it is the QFT
-        # itself).  Its dropped phases are still the ones the report sums,
-        # so only the closed form of the slots can see it.
+        # itself).  Its phase table and dropped phases are still the ones
+        # the report checks and sums, so only the closed form of the slots
+        # at the witness input can see it: every digit q - 1 meets a root
+        # that is not real.
         original = gates_module.chrestenson_roots
         for module in (gates_module, circuit_module):
             monkeypatch.setattr(module, "chrestenson_roots", lambda q: np.conj(original(q)))
-        with pytest.raises(CrossCheckError):
+        message = rf"input {q ** n - 1}, component 1 \(target digit 0\)"
+        with pytest.raises(CrossCheckError, match=message):
             approximation_report(q, n, keep_depth)
         argv = ["bounds", "--radix", str(q), "--digits", str(n),
                 "--keep-depth", str(keep_depth)]
@@ -484,19 +621,13 @@ class TestSlotOracle:
         assert captured.err.startswith("verification failed: ")
 
     def test_a_simulation_fault_is_named_by_the_closed_form_only(self, monkeypatch):
-        # exp(1e-6j) on input 13's |2> component of bracket 1 of the pruned
-        # run, whose dropped phases are still the ones the report sums
+        # exp(1e-6j) on the witness input's |2> component of bracket 1 of
+        # the pruned run, whose phase table and dropped phases are still the
+        # ones the report checks and sums
         whole = approximation_report(3, 3, 2)
-        original = analysis._run_product
-
-        def nudged(circuit, x, cache, largest_table):
-            out = original(circuit, x, cache, largest_table)
-            out[1, 2, x == 13] *= cmath.exp(1e-6j)
-            return out
-
-        monkeypatch.setattr(analysis, "_run_product", nudged)
+        nudge_product(monkeypatch, 3, 3, 2, [(26, 1, 2)])
         with pytest.raises(CrossCheckError,
-                           match=r"input 13, component 2 \(target digit 1\)"):
+                           match=r"input 26, component 2 \(target digit 1\)"):
             approximation_report(3, 3, 2)
         # the closed form is the run's one reference: nudged the same way,
         # it agrees, and the report comes out whole
@@ -504,46 +635,31 @@ class TestSlotOracle:
 
         def reference_nudged(q, n, x, shifts):
             out = reference(q, n, x, shifts)
-            out[1, 2, x == 13] *= cmath.exp(1e-6j)
+            out[1, 2, x == 26] *= cmath.exp(1e-6j)
             return out
 
         monkeypatch.setattr(analysis, "_expected_slots", reference_nudged)
         assert approximation_report(3, 3, 2) == whole
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_a_nan_slot_fails(self, monkeypatch):
-        original = analysis._run_product
-
-        def broken(circuit, x, cache, largest_table):
-            out = original(circuit, x, cache, largest_table)
-            out[0, 0, x == 0] = np.nan
-            return out
-
-        monkeypatch.setattr(analysis, "_run_product", broken)
-        with pytest.raises(CrossCheckError, match=r"input 0, component 0 \(target digit 0\)"):
-            approximation_report(3, 3, 2)
-
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_a_nan_slot_at_an_input_no_probe_reaches_fails(self, monkeypatch, capsys):
-        # every input is compared, input 13 in the middle of the range
-        # too, and NaN passes a ``>`` test
-        pruned = analysis.build_qft_circuit(3, 3, 2)
-        original = analysis._run_product
-
-        def broken(circuit, x, cache, largest_table):
-            out = original(circuit, x, cache, largest_table)
-            if circuit == pruned:
-                out[1, 2, x == 13] = np.nan
-            return out
-
-        monkeypatch.setattr(analysis, "_run_product", broken)
-        with pytest.raises(CrossCheckError, match=r"input 13, component 2 \(target digit 1\)"):
+    def test_a_nan_slot_fails(self, monkeypatch, capsys):
+        # NaN passes a ``>`` test; the witness check fails it
+        nudge_product(monkeypatch, 3, 3, 2, [(26, 0, 0)], np.nan)
+        with pytest.raises(CrossCheckError, match=r"input 26, component 0 \(target digit 0\)"):
             approximation_report(3, 3, 2)
         code = main(["bounds", "--radix", "3", "--digits", "3", "--keep-depth", "2"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert "input 13" in captured.err
+        assert "input 26" in captured.err
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_a_nan_slot_at_an_input_no_probe_reaches_fails(self, monkeypatch):
+        # the every-input pass compares input 13 in the middle of the
+        # range too
+        nudge_product(monkeypatch, 3, 3, 2, [(13, 1, 2)], np.nan)
+        with pytest.raises(CrossCheckError, match=r"input 13, component 2 \(target digit 1\)"):
+            every_input_pass(3, 3, 2, 27)
 
     @pytest.mark.parametrize("q,n,keep_depth", [(3, 3, 2), (2, 7, 2), (2048, 1, 1)])
     def test_runs_no_dense_simulation(self, q, n, keep_depth, monkeypatch):
@@ -555,17 +671,16 @@ class TestSlotOracle:
         rows = approximation_report(q, n, keep_depth)
         assert [row.measured_t1 for row in rows] == brute_force_maxima(q, n, keep_depth)
 
-    @pytest.mark.parametrize("q,n,keep_depth,limit_mib", [
-        # 108 and 6.1 MiB while two dense boundary chunks ran, at radix
-        # 2048 with the 64 MiB q x q gate; 11 and 3.2 MiB without them,
-        # while a probe run came before the pass; 7.2, 2.6 and 9.4 MiB
-        # while the exact circuit ran beside the pruned one, its tables up
-        # to q**n roots; 4.3, 1.9 and 5.5 MiB since (numpy 2.4)
-        (2048, 1, 1, 6), (3, 7, 2, 3), (2, 16, 3, 8),
+    @pytest.mark.parametrize("q,n,keep_depth,limit_kib", [
+        # 6, 3 and 8 MiB while every input ran in chunks of about 2**17
+        # amplitudes; one input since, 211, 13, 25, 140 and 34 KiB (numpy
+        # 2.4), most of it at radix 1024 and 2048 the long-double
+        # temporaries of the q Chrestenson roots
+        (2048, 1, 1, 224), (3, 7, 2, 16), (2, 16, 3, 32), (1024, 2, 1, 160), (2, 20, 3, 40),
     ])
-    def test_peak_memory(self, q, n, keep_depth, limit_mib, traced_peak):
+    def test_peak_memory(self, q, n, keep_depth, limit_kib, traced_peak):
         _, peak = traced_peak(approximation_report, q, n, keep_depth)
-        assert peak <= limit_mib * 2 ** 20
+        assert peak <= limit_kib * 2 ** 10
 
 
 class TestCapacityMetrics:

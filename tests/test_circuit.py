@@ -51,7 +51,6 @@ from qudit_qft.circuit import (
 )
 from qudit_qft.cli import main
 from qudit_qft.dense import _along_digit, _run_batch
-from qudit_qft.gates import chrestenson_roots
 
 RNG = np.random.default_rng(55021)
 
@@ -368,7 +367,7 @@ class TestQftSlots:
     def test_exact_at_the_largest_exponents(self, q, n):
         # the exponent t*(x mod q**(l+1)) is exact in int64 up to (q-1)*q**n
         x = np.array([0, 1, q ** n // 3, q ** n - 2, q ** n - 1])
-        slots = _run_product(build_qft_circuit(q, n), x, {}, len(x))
+        slots = _run_product(build_qft_circuit(q, n), x)
         assert np.abs(qft_slots(q, n, x) - slots).max() <= 1e-14
 
     @pytest.mark.parametrize("q,n", [(2, 63), (3, 40), (7, 22), (2, 10 ** 6)])
@@ -646,7 +645,7 @@ class TestRunExponent:
 class TestRunProduct:
     def assert_matches_dense(self, circuit):
         dim = circuit.radix ** circuit.digits
-        slots = _run_product(circuit, np.arange(dim), {}, dim)
+        slots = _run_product(circuit, np.arange(dim))
         assert slots.shape == (circuit.digits, circuit.radix, dim)
         assert slots.dtype == np.complex128 and slots.flags.c_contiguous
         np.testing.assert_allclose(
@@ -677,9 +676,8 @@ class TestRunProduct:
         # the selected gate rows are written into the slots in place; a
         # product of the gathered rows would take two more slot-sized arrays
         q = 512
-        cache = {("chrestenson roots", q): chrestenson_roots(q)}
         x = np.arange(q)
-        slots, peak = traced_peak(_run_product, build_qft_circuit(q, 1), x, cache, q)
+        slots, peak = traced_peak(_run_product, build_qft_circuit(q, 1), x)
         assert peak <= slots.nbytes + 2 ** 18  # one more slot array is 2 ** 22
         # each input's basis digit carries amplitude 1, which scales its column
         expected = chrestenson_gate(q) * np.ones(q, dtype=complex)
@@ -691,7 +689,7 @@ class TestRunProduct:
         # blocks of at most 2**12 entries; the q x q gate alone would take
         # slots.nbytes more (4 and 16 MiB)
         x = np.arange(q)
-        slots, peak = traced_peak(_run_product, build_qft_circuit(q, 1), x, {}, q)
+        slots, peak = traced_peak(_run_product, build_qft_circuit(q, 1), x)
         assert peak <= slots.nbytes + 2 ** 18
         # each input's basis digit carries amplitude 1, which scales its column
         expected = chrestenson_gate(q) * np.ones(q, dtype=complex)
@@ -704,7 +702,7 @@ class TestRunProduct:
         # which is why documents print 0 there and not -0
         gate = chrestenson_gate(q).imag
         assert np.signbit(gate[gate == 0]).any()
-        slots = _run_product(build_qft_circuit(q, 2), np.arange(q * q), {}, q * q).imag
+        slots = _run_product(build_qft_circuit(q, 2), np.arange(q * q)).imag
         assert (slots == 0).any() and not np.signbit(slots[slots == 0]).any()
 
     def test_gen_matrix_prints_positive_zero_parts(self, capsys):
@@ -715,7 +713,7 @@ class TestRunProduct:
         op = GateOp.controlled_phase(0, 1, 2)
         circuit = Circuit(3, 2, (GateOp.chrestenson(0), GateOp.chrestenson(1), op))
         with pytest.raises(ValueError, match=re.escape(f"{op} reads control digit 0")):
-            _run_product(circuit, np.arange(9), {}, 9)
+            _run_product(circuit, np.arange(9))
 
 
 def dense_reference(circuit):

@@ -126,6 +126,18 @@ class TestUnitarityResidual:
         a[-1, -1] = np.nan
         assert not unitarity_residual(a) <= 1e-10
 
+    def test_refuses_an_empty_matrix(self):
+        # it has no block to deal, where it once died in _parallel_max
+        for residual in (unitarity_residual,
+                         lambda a: product_unitarity_residual(a, (np.eye(2),))):
+            with pytest.raises(ValueError, match=r"at least one row, got shape \(0, 0\)"):
+                residual(np.zeros((0, 0), dtype=complex))
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_takes_at_least_one_worker(self, workers):
+        matrix = circuit_to_matrix(build_qft_circuit(3, 3))
+        assert same_bits(unitarity_residual(matrix, workers), unitarity_residual(matrix))
+
 
 def periodic_product(p: int, r: int):
     """Random ``(left, right)`` halves of a ``(p*r, p*r)`` product matrix,
