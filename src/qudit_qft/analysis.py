@@ -9,7 +9,8 @@ simulated: the pruned circuit's phase table, in integers, must be the
 DFT's less the dropped gates (Coppersmith, IBM RC19642, 1994, over the
 product form of Griffiths and Niu, PRL 76, 3228, 1996), and the input whose
 digits are all q - 1 attains every maximum; the product-state simulator
-runs that input, its slots checked against their closed form.  Phase
+runs that input, its slots checked against the exact QFT's closed form
+(``circuit.qft_slots``) with each bracket's dropped phase put back.  Phase
 magnitudes are accumulated from the dropped-gate exponents directly, never
 recovered through ``arg()``, so values above pi are reported without
 wrap-around.
@@ -27,13 +28,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import CONTROLLED_PHASE, Circuit, _run_product, build_qft_circuit
+from .circuit import CONTROLLED_PHASE, Circuit, _run_product, build_qft_circuit, qft_slots
 from .numerics import CrossCheckError, check_params
 
-# Simulated slots must agree with their closed form, which holds the
-# dropped-exponent sums, to this tolerance, at unit modulus; a violation
-# means the circuit and the closed form have diverged and is reported as an
-# error rather than a measurement.
+# Simulated slots must agree with their closed form, the exact QFT's with
+# the dropped-exponent sums put back, to this tolerance, at unit modulus; a
+# violation means the circuit and the closed form have diverged and is
+# reported as an error rather than a measurement.
 _CROSS_CHECK_TOL = 1e-9
 
 
@@ -132,28 +133,6 @@ def _dropped_gates(keep_depth: int | None, target_digit: int) -> list[tuple[int,
     return [(k, target_digit - k + 1) for k in range(target_digit - keep_depth + 1)]
 
 
-def _expected_slots(q: int, n: int, x: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """The pruned circuit's slots on basis inputs ``x``, in closed form.
-
-    Returns the ``(n, q, len(x))`` complex128 array in ``_run_product``'s
-    layout: slot ``l``, component ``t`` is ``exp(-1j*t*phi) / sqrt(q)``,
-    with ``phi = 2*pi*(x mod q**(l+1)) / q**(l+1) - shifts[l]``.  That is
-    the exact QFT's slot (``qft_slots``, the product form of Griffiths and
-    Niu) with the dropped phase ``exp(-1j*t*shifts[l])`` taken out.  One
-    ``exp`` per slot and input gives component 1, and a cumulative product
-    along the components gives its powers; numpy alone builds it, not
-    ``gates`` or either simulator.
-    """
-    slots = np.empty((n, q, len(x)), dtype=np.complex128)
-    slots[:, 0] = 1 / math.sqrt(q)
-    for l in range(n):
-        modulus = q ** (l + 1)
-        phi = (x % modulus) * (2.0 * math.pi / modulus) - shifts[l]
-        np.exp(-1j * phi, out=slots[l, 1])
-    slots[:, 2:] = slots[:, 1:2]
-    return np.cumprod(slots, axis=1, out=slots)
-
-
 def _phase_table(circuit: Circuit) -> tuple[int, list[list[int]]] | None:
     """The circuit's phase table ``(N, E)``, or None where it has none.
 
@@ -199,10 +178,14 @@ def _bracket_phase_maxima(q: int, n: int, keep_depth: int | None) -> list[float]
     nondecreasing in its digit and rounding is monotone, so the input
     ``q**n - 1``, every digit ``q - 1``, attains every maximum over all
     inputs bit for bit.  The pruned circuit runs through ``_run_product``
-    at that input alone, and its slots must equal ``_expected_slots``,
-    component 0 included, at unit modulus (a slot component has modulus
-    ``1/sqrt(q)``); a mismatch or a NaN raises ``CrossCheckError`` naming
-    the input, component and digit.
+    at that input alone.  Its slots must equal the exact QFT's
+    (``qft_slots``, the product form of Griffiths and Niu) with each
+    bracket's dropped phase put back, component ``t`` of slot ``l`` times
+    ``exp(+1j*t*maxima[l])``, component 0 included, at unit modulus (a
+    slot component has modulus ``1/sqrt(q)``); a mismatch or a NaN raises
+    ``CrossCheckError`` naming the input, component and digit.
+    ``qft_slots`` refuses a register whose ``(q-1) * q**n`` is not in
+    int64 with ``ValueError``.
     """
     pruned = build_qft_circuit(q, n, keep_depth)
     certificate = _phase_table(pruned)
@@ -221,10 +204,12 @@ def _bracket_phase_maxima(q: int, n: int, keep_depth: int | None) -> list[float]
         raise CrossCheckError("phase table of the pruned circuit differs from the DFT's "
                               "less the dropped gates at control digit {}, target digit {}"
                               .format(*wrong[0]))
-    if q ** n > 2 ** 63 - 1:  # the input below and its slot moduli are int64
-        raise ValueError(f"bounds needs q**n in int64, not q={q}, n={n}")
     x = np.array([q ** n - 1])
-    distance = _expected_slots(q, n, x, maxima) - _run_product(pruned, x)
+    # the reference first, as qft_slots refuses a register past int64, and
+    # in place, so that only it is held while the engine runs
+    distance = qft_slots(q, n, x)
+    distance *= np.exp(1j * np.multiply.outer(maxima, np.arange(q)))[:, :, np.newaxis]
+    distance -= _run_product(pruned, x)
     failed = np.argwhere(~(np.abs(distance[:, :, 0]) * math.sqrt(q) <= _CROSS_CHECK_TOL))
     if len(failed):
         raise CrossCheckError(

@@ -7,14 +7,15 @@ gate per digit followed by controlled phase shifts, and the n-parallel
 Chrestenson circuit that realizes the Fourier transform over ``(Z_q)**n``.
 
 The product engine, ``_run_product``, runs basis inputs through circuits
-whose controlled phases only read digits that are still basis digits, as
-the QFT's do.  The register then stays a product of n single-digit states,
-so each input costs ``n*q`` amplitudes instead of ``q**n``.  Its
-``(n, q, len(x))`` slots are the factors that ``_output_factors`` lists in
-output-digit order, with no copy.  It serves every basis input: ``bounds``
+whose gates only read digits that are still basis digits, as the QFT's
+do: one Chrestenson gate a digit, and controls not yet transformed.  The
+register then stays a product of n single-digit states, so each input
+costs ``n*q`` amplitudes instead of ``q**n``.  Its ``(n, q, len(x))``
+slots are the factors that ``_output_factors`` lists in output-digit
+order, with no copy.  It serves every basis input: ``bounds``
 runs it at one input and checks the slots against their closed form (the
-exact QFT's slots of ``qft_slots`` with the dropped phases taken out,
-formed in ``analysis``), and ``_outer_rows`` multiplies them out into
+exact QFT's slots of ``qft_slots`` with each bracket's dropped phase put
+back, in ``analysis``), and ``_outer_rows`` multiplies them out into
 output states, from which ``dense.circuit_to_matrix`` compiles such a
 circuit.
 The CLI reads them only as two halves at every width (``_product_halves``),
@@ -43,7 +44,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .gates import chrestenson_gate, chrestenson_roots, roots_of_unity
+from .gates import chrestenson_roots, roots_of_unity
 from .numerics import check_params
 
 CHRESTENSON = "chrestenson"
@@ -55,11 +56,12 @@ CONTROLLED_PHASE = "controlled_phase"
 _MAX_PHASE_MODULUS = 2 ** 62
 _INT64_MAX = 2 ** 63 - 1
 
-# Entries of a slot that _run_product's first Chrestenson gate gathers at
-# a time, and of their int64 index (32 KiB).  bounds at (2048, 1, 1), while
-# its chunks held 64 inputs, took 1.36 s gathering one row per call and 0.86 s
-# in blocks of this many entries, as while it copied columns of the q x q
-# gate (2-vCPU VM, 8 alternating child runs each).
+# Entries of a slot that _run_product's Chrestenson gate gathers at a time,
+# and of their int64 index (32 KiB).  It bounds the single slot at n = 1
+# near the dimension cap: verify and gen-matrix at (4096, 1) gather its
+# 4096 x 4096 entries a row at a time, with no 128 MiB q x q index beside
+# the 256 MiB slot.  One input (bounds, apply --basis) gathers its column
+# of q entries at once.
 _GATHER_ENTRIES = 2 ** 12
 
 
@@ -113,20 +115,17 @@ class GateOp(_Frozen):
                  denom_exp: int | None = None):
         if kind not in (CHRESTENSON, CONTROLLED_PHASE):
             raise ValueError(f"unknown gate kind {kind!r}")
-        if target < 0:
-            raise ValueError("target digit index must be non-negative")
         if kind == CHRESTENSON:
             if control is not None or denom_exp is not None:
                 raise ValueError("a Chrestenson op carries only a target digit")
         else:
             if control is None or denom_exp is None:
                 raise ValueError("a controlled phase op needs control and denom_exp")
-            if control < 0:
-                raise ValueError("control digit index must be non-negative")
             if control == target:
                 raise ValueError("control and target digits must differ")
-            if denom_exp < 2:
-                raise ValueError("denom_exp must be at least 2")
+            if not denom_exp >= 2:
+                raise ValueError(f"denom_exp must be at least 2, got {denom_exp!r}")
+        check_params(target=target, control=control, denom_exp=denom_exp)
         for name, value in zip(self._names, (kind, target, control, denom_exp)):
             object.__setattr__(self, name, value)
 
@@ -213,11 +212,11 @@ def qft_slots(q: int, n: int, x) -> np.ndarray:
     and Niu ("Semiclassical Fourier transform for quantum computation", PRL
     76, 3228, 1996; Nielsen and Chuang, section 5.1).  It is built from
     numpy alone, not from ``gates`` or either simulator, so it can check
-    both.  No command calls it: it is library API and the tests' reference,
-    and ``bounds`` forms the pruned circuit's slots at its one input in
-    closed form itself (``analysis._expected_slots``).  The exponent
-    ``t*(x mod q**(l+1))`` is formed exactly in int64, so ``(q-1) * q**n``
-    must fit there (``ValueError`` otherwise).
+    both: ``bounds`` holds the pruned circuit's slots at its witness input
+    to it, with each bracket's dropped phase put back
+    (``analysis._bracket_phase_maxima``), and the tests hold the engine to
+    it.  The exponent ``t*(x mod q**(l+1))`` is formed exactly in int64, so
+    ``(q-1) * q**n`` must fit there (``ValueError`` otherwise).
     """
     check_params(radix=q, digits=n)
     if n > 62 or (q - 1) * q ** n > _INT64_MAX:
@@ -281,16 +280,19 @@ def _segments(ops: tuple[GateOp, ...]):
 
 
 def _breaks_product(circuit: Circuit) -> GateOp | None:
-    """The first controlled phase that reads a control digit after that
-    digit's Chrestenson gate, or None.  Until such a phase the register
-    stays a product of single-digit states on every basis input; the QFT
-    builders emit none."""
+    """The first op that reads a digit after that digit's Chrestenson gate,
+    or None: a controlled phase on a transformed control, or a second
+    Chrestenson gate on one digit.  Until such an op every gate meets its
+    digits as scaled basis digits, so the register stays a product of
+    single-digit states on every basis input; the QFT builders emit
+    none."""
     transformed = set()
     for op in circuit.ops:
-        if op.kind == CHRESTENSON:
-            transformed.add(op.target)
-        elif op.control in transformed:
+        chrestenson = op.kind == CHRESTENSON
+        if (op.target if chrestenson else op.control) in transformed:
             return op
+        if chrestenson:
+            transformed.add(op.target)
     return None
 
 
@@ -301,18 +303,17 @@ def _run_product(circuit: Circuit, x: np.ndarray) -> np.ndarray:
     ``l`` holds the state of register digit ``l``, one input per column.
     The register stays a product state as long as every controlled phase
     reads a control digit that is still a basis digit, which
-    ``build_qft_circuit`` guarantees; a circuit that ``_breaks_product``
-    raises ``ValueError``.  The output digit reversal only relabels
-    positions (``_output_factors``); for the QFT slot ``l`` is the bracket
-    of fraction length ``l + 1`` either way.
+    ``build_qft_circuit`` guarantees, and each digit meets at most one
+    Chrestenson gate; a circuit that ``_breaks_product`` raises
+    ``ValueError``.  The output digit reversal only relabels positions
+    (``_output_factors``); for the QFT slot ``l`` is the bracket of
+    fraction length ``l + 1`` either way.
 
-    A slot's first Chrestenson gate meets a scaled basis digit ``c|d>``, so
-    it selects column ``d`` of ``chrestenson_gate(q)`` times ``c``: component
+    A slot's Chrestenson gate meets a scaled basis digit ``c|d>``, so it
+    selects column ``d`` of ``chrestenson_gate(q)`` times ``c``: component
     ``k`` is scaled root ``k*d mod q`` (``chrestenson_roots``), gathered in
     place a block of rows at a time, each block and its index at most
-    ``_GATHER_ENTRIES`` entries, so no q x q gate is built.  Only a second
-    Chrestenson gate on the same slot builds the gate, for a dense
-    ``(q, q) @ (q, len(x))`` product; the builders emit none.  Each maximal
+    ``_GATHER_ENTRIES`` entries, so no q x q gate is built.  Each maximal
     run of controlled phases is applied per target: with ``m`` the run's
     largest denominator exponent, component t of a target picks up
     ``exp(-2j*pi * k / q**m)``, where ``k`` is
@@ -325,9 +326,11 @@ def _run_product(circuit: Circuit, x: np.ndarray) -> np.ndarray:
     n = circuit.digits
     broken = _breaks_product(circuit)
     if broken is not None:
+        read = (f"digit {broken.target}" if broken.kind == CHRESTENSON
+                else f"control digit {broken.control}")
         raise ValueError(
-            f"{broken} reads control digit {broken.control} after its Chrestenson "
-            "gate, so the register is no longer a product of basis digits"
+            f"{broken} reads {read} after its Chrestenson gate, so the register "
+            "is no longer a product of basis digits"
         )
     x = np.asarray(x, dtype=np.int64)
     inputs = np.arange(len(x))
@@ -339,24 +342,19 @@ def _run_product(circuit: Circuit, x: np.ndarray) -> np.ndarray:
     block = max(1, _GATHER_ENTRIES // max(1, len(x)))
     # component 0 of every target keeps phase 1
     component = np.arange(1, q, dtype=np.int64)[:, np.newaxis]
-    transformed = set()
     for kind, run in _segments(circuit.ops):
         if kind == CHRESTENSON:
             target = run[0].target
-            if target in transformed:
-                slots[target] = chrestenson_gate(q) @ slots[target]
-            else:
-                row = digits[target]
-                scale = slots[target, row, inputs]  # a copy
-                for k in range(0, q, block):
-                    index = np.multiply.outer(np.arange(k, min(k + block, q)), row)
-                    index %= q
-                    # written in place: mode="wrap" skips the hidden
-                    # temporary of mode="raise" (see dense._run_batch); the
-                    # index is in range
-                    np.take(roots, index, out=slots[target, k:k + block], mode="wrap")
-                slots[target] *= scale
-                transformed.add(target)
+            row = digits[target]
+            scale = slots[target, row, inputs]  # a copy
+            for k in range(0, q, block):
+                index = np.multiply.outer(np.arange(k, min(k + block, q)), row)
+                index %= q
+                # written in place: mode="wrap" skips the hidden temporary
+                # of mode="raise" (see dense._run_batch); the index is in
+                # range
+                np.take(roots, index, out=slots[target, k:k + block], mode="wrap")
+            slots[target] *= scale
             continue
         m = max(op.denom_exp for op in run)
         for target in dict.fromkeys(op.target for op in run):
@@ -435,14 +433,14 @@ def _product_halves(circuit: Circuit, x) -> tuple[np.ndarray, tuple]:
     return left, tuple(rest) if len(rest) == 1 else _last_operands(rest)
 
 
-def _left_rows(left: np.ndarray, i, t: int, out=None) -> np.ndarray:
+def _left_rows(left: np.ndarray, i, t: int) -> np.ndarray:
     """Rows ``i`` of the full left half of ``_product_halves`` over ``t``
     inputs, expanded from ``left``'s ``w`` columns (column k is ``left[:, k
-    % w]``) into one C-contiguous ``(len(i), t)`` array, ``out`` where
-    given.  The product with the right half's rows then runs on contiguous
-    operands, as the compile's last step (``_outer_rows``) does, and gives
-    its entries bit for bit."""
-    rows = np.empty((len(i), t), np.complex128) if out is None else out
+    % w]``) into one C-contiguous ``(len(i), t)`` array.  The product with
+    the right half's rows then runs on contiguous operands, as the
+    compile's last step (``_outer_rows``) does, and gives its entries bit
+    for bit."""
+    rows = np.empty((len(i), t), np.complex128)
     rows.reshape(len(i), -1, left.shape[1])[:] = left[i, np.newaxis]
     return rows
 

@@ -232,8 +232,11 @@ def _emit(document, output_path: str | None) -> None:
         return
     directory, name = os.path.split(target)
     temporary = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-    # mode "xb" creates the file as open(..., "wb") would, with the umask applied
-    fh = open(temporary, "xb", buffering=0)
+    try:
+        # mode "xb" creates the file as open(..., "wb") would, with the umask applied
+        fh = open(temporary, "xb", buffering=0)
+    except OSError as exc:  # named by the path the caller gave, not the temporary
+        raise OSError(exc.errno, exc.strerror, output_path) from None
     try:
         with fh:
             document(fh.fileno())
@@ -249,12 +252,15 @@ def _check_args(args, max_dim: int | None = None, max_radix: int | None = None,
                 **params) -> None:
     """Refuse a command's arguments up front, before anything is built.
 
-    ``--radix``, ``--digits``, ``--keep-depth`` and ``params`` go through
-    ``numerics.check_params``, whose ``ValueError`` becomes a ``UsageError``
-    here.  Then come the CLI's own limits: ``max_radix``, and a dimension
-    ``q**n`` above ``max_dim`` or above ``--dim-cap``, which itself may not
-    exceed ``MAX_DIM_CAP``.
+    An empty ``--out`` path is refused.  ``--radix``, ``--digits``,
+    ``--keep-depth`` and ``params`` go through ``numerics.check_params``,
+    whose ``ValueError`` becomes a ``UsageError`` here.  Then come the
+    CLI's own limits: ``max_radix``, and a dimension ``q**n`` above
+    ``max_dim`` or above ``--dim-cap``, which itself may not exceed
+    ``MAX_DIM_CAP``.
     """
+    if args.output_path == "":
+        raise UsageError("--out needs a path, not an empty string")
     try:
         check_params(radix=args.radix, digits=args.digits,
                      keep_depth=getattr(args, "keep_depth", None), **params)

@@ -206,7 +206,8 @@ def circuit_to_matrix(circuit: Circuit) -> np.ndarray:
     A circuit that keeps basis inputs product states (every one the
     builders emit) is expanded from ``circuit._run_product`` slots by
     ``circuit._outer_rows``; at n = 1 it is the single slot itself.  One
-    that ``circuit._breaks_product`` runs the dense simulator on the
+    that ``circuit._breaks_product`` (a phase on a transformed control, or
+    a second Chrestenson gate on a digit) runs the dense simulator on the
     identity instead.
     """
     dim = circuit.radix ** circuit.digits

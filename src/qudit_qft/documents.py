@@ -341,7 +341,7 @@ class _Document(NamedTuple):
 
 
 def _write_turns(document: _Document, fd: int, worker: int, workers: int,
-                 turn_in: int | None, turn_out: int | None) -> None:
+                 turn_in: int, turn_out: int) -> None:
     """Write chunks ``worker``, ``worker + workers``, ... of ``document`` to
     ``fd``, each in its turn.
 
@@ -349,22 +349,21 @@ def _write_turns(document: _Document, fd: int, worker: int, workers: int,
     turn token on ``turn_in`` (except before chunk 0), writes the chunk
     (after the header, for chunk 0; before the footer, for the last) and
     passes the token on ``turn_out`` (except after the last chunk).  A
-    lone worker has no ring: both ends are None.  A ring end closed by the
-    worker at its other end raises ``_TurnLost``.
+    ring end closed by the worker at its other end raises ``_TurnLost``.
     """
     header, entries, size, footer, cols = document
     starts = range(0, size, _STATE_CHUNK)
     last = len(starts) - 1
     for k in range(worker, len(starts), workers):
         text = _format_chunk(entries, starts[k], cols, k == last)
-        if k and turn_in is not None and os.read(turn_in, 1) != _TOKEN:
+        if k and os.read(turn_in, 1) != _TOKEN:
             raise _TurnLost(f"render worker ended before the turn of chunk {k}")
         if k == 0:
             _write_all(fd, header)
         _write_all(fd, text)
         if k == last:
             _write_all(fd, footer)
-        elif turn_out is not None:
+        else:
             try:
                 os.write(turn_out, _TOKEN)
             except BrokenPipeError:
@@ -418,8 +417,8 @@ def _write_amplitudes(document: _Document, fd: int) -> None:
     chunk crosses a pipe, and the bytes do not depend on ``W``.  Each
     process holds only its two ring ends, so a worker that ends early
     reads as end of file to its successor, and as a broken pipe to its
-    predecessor, and no wait hangs.  With ``W = 1`` the same loop runs in
-    this process alone, with no ring.
+    predecessor, and no wait hangs.  With ``W = 1`` the ring is one pipe,
+    on which this process passes the token to itself.
 
     An exception of this process propagates as itself.  Otherwise a
     worker's ``OSError`` is raised again as such, and any other failure of
@@ -430,11 +429,8 @@ def _write_amplitudes(document: _Document, fd: int) -> None:
     _format_tables()  # built here, before any fork, so every worker inherits them
     np.empty(_HEAP_PRIMER_BYTES, np.uint8)  # freed at once, never touched
     workers = min(_render_workers(), -(-document.size // _STATE_CHUNK))
-    if workers == 1:
-        _write_turns(document, fd, 0, 1, None, None)
-        return
     ring = [os.pipe() for _ in range(workers)]
-    ends = ring[0][0], ring[1][1]
+    ends = ring[0][0], ring[1 % workers][1]
     children, lost = [], None
     try:
         try:

@@ -38,15 +38,20 @@ NORM_TOL = 1e-10
 
 # The least value of each parameter that check_params knows.
 _LEAST = {"radix": 2, "digits": 1, "keep_depth": 1, "denom_exp": 1, "terms": 1,
-          "dropped_count": 0, "tolerance": 0}
+          "dropped_count": 0, "target": 0, "control": 0, "tolerance": 0}
 
 
 def check_params(**params) -> None:
-    """Raise ``ValueError`` naming the first parameter below its least value
-    in ``_LEAST``: a radix below 2, a width or keep depth below 1, and so
-    on.  ``None`` passes, as an unpruned ``keep_depth`` does; NaN fails."""
+    """Raise ``ValueError`` naming the first parameter that is not a Python
+    or numpy integer (every one but ``tolerance``), or is below its least
+    value in ``_LEAST``: a radix below 2, a width or keep depth below 1, and
+    so on.  ``None`` passes, as an unpruned ``keep_depth`` does; NaN fails."""
     for name, value in params.items():
-        if value is not None and not value >= _LEAST[name]:
+        if value is None:
+            continue
+        if name != "tolerance" and not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not value >= _LEAST[name]:
             raise ValueError(f"{name} must be at least {_LEAST[name]}, got {value!r}")
 
 

@@ -69,6 +69,10 @@ class TestPhaseErrorFactor:
             phase_error_factor(1, 2)
         with pytest.raises(ValueError):
             phase_error_factor(3, 0)
+        with pytest.raises(ValueError, match="radix must be an integer"):
+            phase_error_factor(2.5, 2)
+        with pytest.raises(ValueError, match="denom_exp must be an integer"):
+            phase_error_factor(3, 2.5)
 
 
 class TestPhaseErrorSeries:
@@ -195,12 +199,13 @@ class TestMeasurement:
         assert abs(measured - expected) < 1e-12
 
     def test_largest_registers_in_int64(self):
-        # the report runs the input q**n - 1, and its slot moduli reach
-        # q**n: both are int64, and a larger register is refused
+        # the report holds the input q**n - 1 to qft_slots, whose exponents
+        # reach (q-1)*q**n: it is int64, and a larger register is refused,
+        # (4, 31) too, though its q**n fits
         for q, n in [(2, 62), (3, 39)]:
             row = approximation_report(q, n, 3)[-1]
             assert abs(row.measured_t1 - row.bound_new) < 1e-12
-        for q, n in [(2, 63), (3, 40)]:
+        for q, n in [(2, 63), (3, 40), (4, 31)]:
             with pytest.raises(ValueError, match=r"q\*\*n in int64"):
                 approximation_report(q, n, 3)
 
@@ -255,18 +260,18 @@ def record_product_calls(monkeypatch):
     """Make the analysis record the circuit and inputs of every product run,
     and the inputs of every call of the closed-form reference."""
     calls, reference_inputs = [], []
-    original, reference = analysis._run_product, analysis._expected_slots
+    original, reference = analysis._run_product, analysis.qft_slots
 
     def recording(circuit, x):
         calls.append((circuit, x.copy()))
         return original(circuit, x)
 
-    def recording_reference(q, n, x, shifts):
+    def recording_reference(q, n, x):
         reference_inputs.append(np.array(x, copy=True))
-        return reference(q, n, x, shifts)
+        return reference(q, n, x)
 
     monkeypatch.setattr(analysis, "_run_product", recording)
-    monkeypatch.setattr(analysis, "_expected_slots", recording_reference)
+    monkeypatch.setattr(analysis, "qft_slots", recording_reference)
     return calls, reference_inputs
 
 
@@ -292,8 +297,8 @@ def every_input_pass(q, n, keep_depth, rows):
     """The every-input comparison that the phase-table certificate and the
     one witness input stand in for: the pruned circuit on every basis input
     through ``_run_product``, ``rows`` inputs at a time in rising order,
-    each input's slots held to ``_expected_slots`` with that input's own
-    dropped phases, at unit modulus.  Returns the worst dropped phase of
+    each input's slots held to ``qft_slots`` with that input's own dropped
+    phases put back, at unit modulus.  Returns the worst dropped phase of
     every bracket over all inputs; the first mismatch or NaN raises
     ``CrossCheckError`` naming the smallest failing input.  It reads the
     analysis's engine and reference at call time, so their nudges reach
@@ -309,7 +314,8 @@ def every_input_pass(q, n, keep_depth, rows):
         for l in range(n):
             for k, s in dropped[l]:
                 shifts[l] += 2.0 * math.pi * digits[k] / q ** s
-        distance = analysis._expected_slots(q, n, x, shifts)
+        put_back = np.exp(1j * shifts[:, np.newaxis] * np.arange(q)[:, np.newaxis])
+        distance = analysis.qft_slots(q, n, x) * put_back
         distance -= analysis._run_product(pruned, x)
         # (input, digit, component) order, so argmax finds the smallest input
         failed = ~(np.abs(distance.transpose(2, 0, 1)) * math.sqrt(q)
@@ -357,6 +363,15 @@ class TestOneSimulationPerReport:
         rows = approximation_report(q, n, keep_depth)
         assert every_input_pass(q, n, keep_depth, rows_per_chunk) == [
             row.measured_t1 for row in rows]
+
+    @pytest.mark.parametrize("q,n,keep_depth", [(2048, 1, 1), (1024, 2, 1), (2, 62, 5),
+                                                (3, 39, 4)])
+    def test_witness_distance_is_at_rounding_level(self, q, n, keep_depth, monkeypatch):
+        # the engine's slots at the witness input lie within 1e-14 of the
+        # closed form at unit modulus, 1e5 times inside the tolerance, from
+        # the largest radix to the largest registers (about 1e-15 measured)
+        monkeypatch.setattr(analysis, "_CROSS_CHECK_TOL", 1e-14)
+        assert len(approximation_report(q, n, keep_depth)) == n
 
     def test_large_register_attains_the_closed_forms(self):
         # measured_t1 is a float sum of the dropped shifts, so it may sit
@@ -519,14 +534,14 @@ class TestCrossCheck:
         # Nudge the reference's |2> component of bracket 1 at the last
         # input, the report's witness: the pruned circuit now disagrees with
         # it there, and only there, in the last chunk of the every-input pass.
-        original = analysis._expected_slots
+        original = analysis.qft_slots
 
-        def nudged(q, n, x, shifts):
-            out = original(q, n, x, shifts)
+        def nudged(q, n, x):
+            out = original(q, n, x)
             out[1, 2, x == 26] *= cmath.exp(1e-6j)
             return out
 
-        monkeypatch.setattr(analysis, "_expected_slots", nudged)
+        monkeypatch.setattr(analysis, "qft_slots", nudged)
         message = r"input 26, component 2 \(target digit 1\)"
         with pytest.raises(CrossCheckError, match=message):
             approximation_report(3, 3, 2)
@@ -560,14 +575,14 @@ class TestCrossCheck:
         # one in the pruned run (at input 13), in chunks of 21 inputs: the
         # every-input pass names the smaller input, whichever side is at
         # fault.
-        reference = analysis._expected_slots
+        reference = analysis.qft_slots
 
-        def reference_nudged(q, n, x, shifts):
-            out = reference(q, n, x, shifts)
+        def reference_nudged(q, n, x):
+            out = reference(q, n, x)
             out[2, 1, x == reference_input] *= cmath.exp(1e-6j)
             return out
 
-        monkeypatch.setattr(analysis, "_expected_slots", reference_nudged)
+        monkeypatch.setattr(analysis, "qft_slots", reference_nudged)
         nudge_product(monkeypatch, 3, 3, 2, [(13, 1, 2)])
         with pytest.raises(CrossCheckError, match=message):
             every_input_pass(3, 3, 2, 21)
@@ -631,14 +646,14 @@ class TestSlotOracle:
             approximation_report(3, 3, 2)
         # the closed form is the run's one reference: nudged the same way,
         # it agrees, and the report comes out whole
-        reference = analysis._expected_slots
+        reference = analysis.qft_slots
 
-        def reference_nudged(q, n, x, shifts):
-            out = reference(q, n, x, shifts)
+        def reference_nudged(q, n, x):
+            out = reference(q, n, x)
             out[1, 2, x == 26] *= cmath.exp(1e-6j)
             return out
 
-        monkeypatch.setattr(analysis, "_expected_slots", reference_nudged)
+        monkeypatch.setattr(analysis, "qft_slots", reference_nudged)
         assert approximation_report(3, 3, 2) == whole
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -667,7 +682,7 @@ class TestSlotOracle:
             raise AssertionError("the dense simulator ran")
 
         monkeypatch.setattr(dense_module, "_run_batch", refuse)
-        monkeypatch.setattr(circuit_module, "chrestenson_gate", refuse)
+        monkeypatch.setattr(gates_module, "chrestenson_gate", refuse)
         rows = approximation_report(q, n, keep_depth)
         assert [row.measured_t1 for row in rows] == brute_force_maxima(q, n, keep_depth)
 

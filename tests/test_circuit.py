@@ -64,6 +64,23 @@ class TestGateOpValidation:
         with pytest.raises(ValueError):
             GateOp.controlled_phase(0, 1, 1)
 
+    def test_non_integer_digits_and_exponents_rejected(self):
+        # 2.5 >= 2 and 1.5 >= 0: each is refused by name, before a circuit
+        # or the engine reads it
+        with pytest.raises(ValueError, match=r"^denom_exp must be an integer, got 2\.5$"):
+            Circuit(2, 3, (GateOp.controlled_phase(0, 1, 2.5),))
+        with pytest.raises(ValueError, match=r"^target must be an integer, got 1\.5$"):
+            GateOp.chrestenson(1.5)
+        with pytest.raises(ValueError, match=r"^control must be an integer, got 0\.0$"):
+            GateOp.controlled_phase(0.0, 1, 2)
+        with pytest.raises(ValueError, match=r"^radix must be an integer, got 2\.5$"):
+            Circuit(2.5, 3)
+        with pytest.raises(ValueError, match=r"^keep_depth must be an integer, got 2\.5$"):
+            build_qft_circuit(3, 4, 2.5)
+        # numpy integers pass
+        op = GateOp.controlled_phase(np.int64(0), np.int32(1), np.int64(2))
+        assert Circuit(np.int64(2), np.int64(3), (op,)).ops == (op,)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             GateOp("swap", 0)
@@ -354,8 +371,9 @@ class TestQftSlots:
         def refuse(*args, **kwargs):
             raise AssertionError("the oracle read a gate or a simulator")
 
-        for name in ("chrestenson_gate", "chrestenson_roots", "roots_of_unity",
-                     "_run_product"):
+        # circuit holds no chrestenson_gate: its engine builds no q x q gate
+        assert not hasattr(circuit_module, "chrestenson_gate")
+        for name in ("chrestenson_roots", "roots_of_unity", "_run_product"):
             monkeypatch.setattr(circuit_module, name, refuse)
         monkeypatch.setattr(dense_module, "_run_batch", refuse)
         for name in ("chrestenson_gate", "chrestenson_roots", "roots_of_unity",
@@ -964,11 +982,14 @@ class TestBasisColumns:
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_slot_with_two_chrestenson_gates_is_exact(self, q):
         # digit 0 is transformed, phased by the still-basis digit 1, and
-        # transformed again: its second gate is a dense product
+        # transformed again: the product engine refuses the second gate, and
+        # the compile runs the dense path
         ops = (GateOp.chrestenson(0), GateOp.controlled_phase(1, 0, 2),
                GateOp.chrestenson(0), GateOp.chrestenson(1))
         circuit = Circuit(q, 2, ops)
-        assert _breaks_product(circuit) is None
+        assert _breaks_product(circuit) == ops[2]
+        with pytest.raises(ValueError, match="reads digit 0 after its Chrestenson gate"):
+            _run_product(circuit, [0])
         gate = chrestenson_gate(q)
         expected = (embedded(q, 2, 1, gate) @ embedded(q, 2, 0, gate)
                     @ controlled_phase_matrix(q, 2) @ embedded(q, 2, 0, gate))

@@ -127,7 +127,9 @@ class TestGenMatrix:
             capsys,
         )
         assert code == 3
-        assert "i/o error" in err
+        # named by the path given, not the hidden temporary beside it
+        assert err == ("i/o error: [Errno 2] No such file or directory: "
+                       "'/nonexistent-dir/m.json'\n")
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_memory_is_far_below_the_matrix(self, workers, traced_peak, monkeypatch,
@@ -539,7 +541,7 @@ def forks(monkeypatch):
     return pids
 
 
-@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("size", DOCUMENT_SIZES)
 @pytest.mark.parametrize("kind", ["state", "json", "csv"])
 def test_parallel_render_matches_per_entry_format(kind, size, workers, forks, monkeypatch):
@@ -988,26 +990,28 @@ class TestParallelRenderFailures:
 
     def test_two_documents_leave_no_child_and_no_open_ring_descriptor(self):
         # every ring end is closed in every process, and every worker
-        # reaped, once a document is written.  A fresh interpreter runs it,
-        # so a regression times out, not hangs.
-        out = run_python(textwrap.dedent("""
-            import os
-            import numpy as np
-            from qudit_qft import documents
-            from qudit_qft.dense import StateVector
-            documents._render_workers = lambda: 3
-            s = StateVector(2, 16, np.full(2 ** 16, 2 ** -8 + 0j))
-            with open(os.devnull, "wb") as sink:
-                before = sorted(os.listdir("/dev/fd"))
-                documents.render_state(s)(sink.fileno())
-                documents.render_state(s)(sink.fileno())
-                after = sorted(os.listdir("/dev/fd"))
-            try:
-                os.waitpid(-1, os.WNOHANG)
-            except ChildProcessError:
-                print(before == after)
-        """))
-        assert out == "True\n"
+        # reaped, once a document is written, by a ring of three and by
+        # the ring of one pipe that a single worker passes its turns on.
+        # A fresh interpreter runs it, so a regression times out, not hangs.
+        for workers in (1, 3):
+            out = run_python(textwrap.dedent(f"""
+                import os
+                import numpy as np
+                from qudit_qft import documents
+                from qudit_qft.dense import StateVector
+                documents._render_workers = lambda: {workers}
+                s = StateVector(2, 16, np.full(2 ** 16, 2 ** -8 + 0j))
+                with open(os.devnull, "wb") as sink:
+                    before = sorted(os.listdir("/dev/fd"))
+                    documents.render_state(s)(sink.fileno())
+                    documents.render_state(s)(sink.fileno())
+                    after = sorted(os.listdir("/dev/fd"))
+                try:
+                    os.waitpid(-1, os.WNOHANG)
+                except ChildProcessError:
+                    print(before == after)
+            """))
+            assert out == "True\n", workers
 
 
 # ------------------------------------------------ exact float kernel
@@ -1581,6 +1585,20 @@ class TestAtomicOutput:
     def expected(self, capsys):
         _, out, _ = run(self.COMMAND[:-1], capsys)
         return out
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--radix", "2", "--digits", "2"],
+        ["apply", "--radix", "2", "--digits", "2", "--basis", "1"],
+        ["compare-radix", "--radix", "3", "--digits", "2"],
+    ])
+    def test_empty_out_path_is_a_usage_error(self, command, tmp_path, monkeypatch, capsys):
+        # "" resolves to the working directory, which is not a file
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(command + ["--out", ""], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --out needs a path, not an empty string\n"
+        assert os.listdir(tmp_path) == []
 
     def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "out.csv"

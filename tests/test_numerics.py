@@ -464,6 +464,15 @@ class TestCheckParams:
         ({"radix": 3, "digits": 2, "keep_depth": 0}, "keep_depth must be at least 1, got 0"),
         ({"dropped_count": -1}, "dropped_count must be at least 0, got -1"),
         ({"tolerance": float("nan")}, "tolerance must be at least 0, got nan"),
+        # every parameter but the tolerance is an integer: 2.5 >= 2 is refused
+        ({"radix": 2.5}, r"radix must be an integer, got 2\.5"),
+        ({"radix": 3, "digits": 2.0}, r"digits must be an integer, got 2\.0"),
+        ({"keep_depth": 1.5}, r"keep_depth must be an integer, got 1\.5"),
+        ({"denom_exp": 2.5}, r"denom_exp must be an integer, got 2\.5"),
+        ({"terms": 3.0}, r"terms must be an integer, got 3\.0"),
+        ({"dropped_count": 0.5}, r"dropped_count must be an integer, got 0\.5"),
+        ({"target": 1.5}, r"target must be an integer, got 1\.5"),
+        ({"control": float("nan")}, "control must be an integer, got nan"),
     ])
     def test_names_the_first_parameter_out_of_range(self, params, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -471,6 +480,10 @@ class TestCheckParams:
 
     def test_least_values_and_none_pass(self):
         check_params(radix=2, digits=1, keep_depth=None, dropped_count=0, tolerance=0.0)
+        # Python and numpy integers pass, and a float tolerance
+        check_params(radix=np.int64(2), digits=np.int32(1), keep_depth=np.uint8(1),
+                     denom_exp=np.int16(1), terms=1, dropped_count=np.int64(0), target=0,
+                     control=np.intp(0), tolerance=1e-10)
 
 
 class TestStateVector:
